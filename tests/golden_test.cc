@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden-result regression suite: three small deterministic
+ * Golden-result regression suite: small deterministic
  * configurations run end-to-end through runSimulation and their
  * SimResult JSON is byte-compared against the checked-in goldens in
  * tests/golden/.  The simulator is single-threaded per job and
@@ -47,7 +47,8 @@ struct GoldenCase
 };
 
 /** The locked-down matrix: baseline, I-side CGP, D-side combined,
- *  and the throttled I+D arbiter point. */
+ *  the throttled I+D arbiter point, and one server-model and one
+ *  sampled run so the `server` and `sampled` blocks are pinned too. */
 std::vector<GoldenCase>
 goldenCases()
 {
@@ -62,6 +63,13 @@ goldenCases()
          SimConfig::withDPrefetch(DataPrefetchKind::Combined)},
         {"wiscprof_iplusd_arb.json", "wisc-prof",
          SimConfig::withIPlusD(DataPrefetchKind::Combined, true)},
+        {"wiscprof_server.json", "wisc-prof",
+         SimConfig::withServer(
+             SimConfig::withCgp(LayoutKind::PettisHansen, 4), 2, 4, 4)},
+        {"smoke_sampled_cgp4.json", "smoke-a",
+         SimConfig::withSampling(
+             SimConfig::withCgp(LayoutKind::PettisHansen, 4), 2000,
+             10000, 10000)},
     };
 }
 
