@@ -19,24 +19,17 @@
 #define CGP_BENCH_COMMON_HH
 
 #include <cstdlib>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "exp/artifact.hh"
 #include "exp/campaigns.hh"
 #include "exp/engine.hh"
 #include "harness/simulator.hh"
-#include "harness/workload.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
 namespace cgp::bench
 {
-
-/** Results keyed by (workload, config-label). */
-using ResultMatrix =
-    std::map<std::pair<std::string, std::string>, SimResult>;
 
 inline unsigned
 envThreads()
@@ -48,17 +41,6 @@ envThreads()
         cgp_warn("ignoring bad CGP_BENCH_THREADS value '", env, "'");
     }
     return 0; // hardware concurrency
-}
-
-inline ResultMatrix
-toMatrix(const exp::CampaignRun &run)
-{
-    ResultMatrix m;
-    for (const exp::JobSpec &j : run.jobs) {
-        m.emplace(std::make_pair(j.workload, j.label),
-                  run.results[j.index]);
-    }
-    return m;
 }
 
 /**
@@ -91,68 +73,6 @@ runPaperCampaign(const std::string &name)
                " threads, ", TablePrinter::fixed(run.wallSeconds, 1),
                "s; artifact ", artifact);
     return run;
-}
-
-/**
- * Run every config against every workload (legacy helper, kept for
- * downstream users).  Executes through the engine: parallel, with
- * per-job logging instead of raw interleaved std::cerr writes.
- */
-inline ResultMatrix
-runMatrix(const std::vector<Workload> &workloads,
-          const std::vector<SimConfig> &configs, bool verbose = true)
-{
-    exp::CampaignSpec spec;
-    spec.name = "adhoc";
-    spec.title = "ad-hoc matrix";
-    for (const Workload &w : workloads)
-        spec.workloads.push_back(w.name);
-    spec.explicitConfigs = configs;
-
-    exp::InMemoryProvider provider(workloads);
-    exp::EngineOptions opts;
-    opts.threads = envThreads();
-    opts.verbose = verbose;
-    return toMatrix(exp::runCampaign(spec, provider, opts));
-}
-
-/**
- * Print execution cycles: one row per workload, one column per
- * config, plus a view normalized to config @p normIndex (= 1.00,
- * smaller is faster) matching the paper's bar charts.
- */
-inline void
-printCycleTable(const std::string &title, const ResultMatrix &m,
-                const std::vector<std::string> &workloads,
-                const std::vector<std::string> &configs,
-                std::size_t normIndex = 0)
-{
-    TablePrinter abs(title + " — execution cycles");
-    TablePrinter norm(title + " — normalized to " +
-                      configs[normIndex] + " (lower is faster)");
-    std::vector<std::string> header{"workload"};
-    for (const auto &c : configs)
-        header.push_back(c);
-    abs.setHeader(header);
-    norm.setHeader(header);
-
-    for (const auto &w : workloads) {
-        std::vector<std::string> arow{w};
-        std::vector<std::string> nrow{w};
-        const auto base = static_cast<double>(
-            m.at({w, configs[normIndex]}).cycles);
-        for (const auto &c : configs) {
-            const auto &r = m.at({w, c});
-            arow.push_back(TablePrinter::num(r.cycles));
-            nrow.push_back(TablePrinter::fixed(
-                static_cast<double>(r.cycles) / base, 3));
-        }
-        abs.addRow(arow);
-        norm.addRow(nrow);
-    }
-    abs.print(std::cout);
-    std::cout << "\n";
-    norm.print(std::cout);
 }
 
 } // namespace cgp::bench

@@ -19,8 +19,7 @@ main()
 
     const exp::CampaignRun run = runPaperCampaign("figD_dstall");
 
-    printCycleTable("Figure D", toMatrix(run), run.workloadNames(),
-                    run.configLabels());
+    exp::printCycleTables(run, std::cout);
     std::cout << "\n";
 
     TablePrinter t("Figure D — L1-D demand misses");

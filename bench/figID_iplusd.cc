@@ -43,8 +43,7 @@ main()
 
     const exp::CampaignRun run = runPaperCampaign("figID_interaction");
 
-    printCycleTable("Figure ID", toMatrix(run), run.workloadNames(),
-                    run.configLabels());
+    exp::printCycleTables(run, std::cout);
     std::cout << "\n";
 
     TablePrinter t("Figure ID — prefetch traffic");

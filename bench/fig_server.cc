@@ -27,8 +27,7 @@ main()
 
     const exp::CampaignRun run = runPaperCampaign("server-scale");
 
-    printCycleTable("Server scale", toMatrix(run),
-                    run.workloadNames(), run.configLabels());
+    exp::printCycleTables(run, std::cout);
     std::cout << "\n";
 
     TablePrinter t("Server scale — throughput and latency");

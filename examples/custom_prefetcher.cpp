@@ -18,6 +18,7 @@
  * correlation and semantic engines in src/dprefetch for examples.
  */
 
+#include <functional>
 #include <iostream>
 #include <memory>
 

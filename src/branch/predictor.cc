@@ -117,40 +117,16 @@ ReturnAddressStack::pop()
 BranchUnit::BranchUnit(const BranchPredictorConfig &config)
     : direction_(config.phtBits),
       btb_(config.btbEntries, config.btbAssoc),
-      ras_(config.rasEntries),
-      stats_("branch")
+      ras_(config.rasEntries)
 {
-    stats_.addCounter("lookups", &lookups_,
-                      "control instructions predicted");
-    stats_.addCounter("mispredicts", &mispredicts_,
-                      "direction or target mispredictions");
-    stats_.addCounter("cond_lookups", &condLookups_,
-                      "conditional branches predicted");
-    stats_.addCounter("cond_mispredicts", &condMispredicts_,
-                      "conditional direction mispredictions");
-    stats_.addCounter("btb_misses", &btbMisses_,
-                      "taken control transfers missing a BTB target");
-    stats_.addCounter("ras_mispredicts", &rasMispredicts_,
-                      "returns with a wrong RAS prediction");
-    stats_.addFormula(
-        "mispredict_rate",
-        [this]() {
-            const auto l = lookups_.value();
-            return l == 0 ? 0.0
-                          : static_cast<double>(mispredicts_.value())
-                              / static_cast<double>(l);
-        },
-        "fraction of predicted control instructions mispredicted");
 }
 
 BranchUnit::Prediction
 BranchUnit::predictConditional(Addr pc, bool actual_taken,
                                Addr actual_target)
 {
-    if (!warming_) {
+    if (!warming_)
         ++lookups_;
-        ++condLookups_;
-    }
     Prediction p;
     p.taken = direction_.predict(pc);
     if (p.taken)
@@ -160,11 +136,8 @@ BranchUnit::predictConditional(Addr pc, bool actual_taken,
     const bool target_wrong =
         actual_taken && p.taken && (!p.targetKnown ||
                                     p.target != actual_target);
-    if ((direction_wrong || target_wrong) && !warming_) {
+    if ((direction_wrong || target_wrong) && !warming_)
         ++mispredicts_;
-        if (direction_wrong)
-            ++condMispredicts_;
-    }
 
     direction_.update(pc, actual_taken);
     if (actual_taken)
@@ -180,10 +153,8 @@ BranchUnit::predictJump(Addr pc, Addr actual_target)
     Prediction p;
     p.taken = true;
     p.targetKnown = btb_.lookup(pc, p.target);
-    if ((!p.targetKnown || p.target != actual_target) && !warming_) {
+    if ((!p.targetKnown || p.target != actual_target) && !warming_)
         ++mispredicts_;
-        ++btbMisses_;
-    }
     btb_.update(pc, actual_target);
     return p;
 }
@@ -197,10 +168,8 @@ BranchUnit::predictCall(Addr pc, Addr actual_target,
     Prediction p;
     p.taken = true;
     p.targetKnown = btb_.lookup(pc, p.target);
-    if ((!p.targetKnown || p.target != actual_target) && !warming_) {
+    if ((!p.targetKnown || p.target != actual_target) && !warming_)
         ++mispredicts_;
-        ++btbMisses_;
-    }
     btb_.update(pc, actual_target);
     // The paper's modification: push the caller's starting address
     // beside the return address.
@@ -220,10 +189,8 @@ BranchUnit::predictReturn(Addr pc, Addr actual_target)
     p.target = entry.returnAddr;
     p.targetKnown = entry.returnAddr != invalidAddr;
     p.callerFuncStart = entry.callerFuncStart;
-    if ((!p.targetKnown || p.target != actual_target) && !warming_) {
+    if ((!p.targetKnown || p.target != actual_target) && !warming_)
         ++mispredicts_;
-        ++rasMispredicts_;
-    }
     return p;
 }
 

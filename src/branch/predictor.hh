@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/stats.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -167,9 +166,8 @@ class BranchUnit
     /** Return: pop the modified RAS. */
     Prediction predictReturn(Addr pc, Addr actual_target);
 
-    const StatGroup &stats() const { return stats_; }
-    std::uint64_t mispredicts() const { return mispredicts_.value(); }
-    std::uint64_t lookups() const { return lookups_.value(); }
+    std::uint64_t mispredicts() const { return mispredicts_; }
+    std::uint64_t lookups() const { return lookups_; }
 
     /**
      * Functional-warming mode: predict*() keeps updating the PHT,
@@ -191,13 +189,8 @@ class BranchUnit
     ReturnAddressStack ras_;
     bool warming_ = false;
 
-    Counter lookups_;
-    Counter mispredicts_;
-    Counter condLookups_;
-    Counter condMispredicts_;
-    Counter btbMisses_;
-    Counter rasMispredicts_;
-    StatGroup stats_;
+    std::uint64_t lookups_ = 0;
+    std::uint64_t mispredicts_ = 0;
 };
 
 } // namespace cgp

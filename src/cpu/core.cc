@@ -15,26 +15,8 @@ Core::Core(InstructionExpander &stream, MemoryHierarchy &mem,
            DataPrefetcher *dprefetcher)
     : stream_(stream), mem_(mem), prefetcher_(prefetcher),
       dprefetcher_(dprefetcher), config_(config),
-      branch_(config.branch), stats_("core")
+      branch_(config.branch)
 {
-    stats_.addCounter("committed_instrs", &committed_,
-                      "instructions committed");
-    stats_.addCounter("fetch_icache_stall_cycles",
-                      &fetchIcacheStallCycles_,
-                      "cycles fetch waited on an I-cache fill");
-    stats_.addCounter("fetch_branch_stall_cycles",
-                      &fetchBranchStallCycles_,
-                      "cycles fetch waited on a mispredict resolve");
-    stats_.addCounter("fetch_queue_full_cycles", &fetchQueueFullCycles_,
-                      "cycles fetch stopped on a full fetch queue");
-    stats_.addCounter("rob_full_events", &robFullEvents_,
-                      "dispatch attempts blocked by full window");
-    stats_.addCounter("idle_cycles", &idleCycles_,
-                      "cycles with no fetch, issue or commit activity");
-    stats_.addFormula(
-        "ipc", [this]() { return ipc(); },
-        "committed instructions per cycle");
-    stats_.addChild(&branch_.stats());
 }
 
 bool
@@ -208,10 +190,8 @@ Core::doDispatch()
 {
     unsigned moved = 0;
     while (moved < config_.dispatchWidth && !fetchQueue_.empty()) {
-        if (rob_.size() >= config_.rsSize) {
-            ++robFullEvents_;
+        if (rob_.size() >= config_.rsSize)
             break;
-        }
         FetchEntry &fe = fetchQueue_.front();
         const bool is_mem = fe.inst.kind == InstKind::Load ||
             fe.inst.kind == InstKind::Store;
@@ -279,10 +259,8 @@ Core::doFetch()
     // suspended fetch stage leaves every counter untouched.
     if (fetchSuspended_)
         return;
-    if (blockedOnSeq_.has_value()) {
-        ++fetchBranchStallCycles_;
+    if (blockedOnSeq_.has_value())
         return;
-    }
     if (now_ < fetchResumeCycle_) {
         ++fetchIcacheStallCycles_;
         return;
@@ -290,11 +268,8 @@ Core::doFetch()
 
     unsigned fetched = 0;
     while (fetched < config_.fetchWidth) {
-        if (fetchQueue_.size() >= config_.fetchQueueSize) {
-            if (fetched == 0)
-                ++fetchQueueFullCycles_;
+        if (fetchQueue_.size() >= config_.fetchQueueSize)
             return;
-        }
 
         DynInst inst;
         if (!peek(inst))
@@ -431,7 +406,7 @@ Core::stepCycle()
     if (finished_)
         return;
     if (config_.maxInstrs != 0 &&
-        committed_.value() >= config_.maxInstrs) {
+        committed_ >= config_.maxInstrs) {
         finished_ = true;
         return;
     }
@@ -463,7 +438,7 @@ Core::stepCycle()
     ++now_;
     mem_.tick(now_);
 
-    const auto before = committed_.value();
+    const auto before = committed_;
     doCommit();
     doIssue();
     doDispatch();
@@ -474,7 +449,7 @@ Core::stepCycle()
     // arbiter issue deferred prefetches into what is left.
     mem_.drainDeferred(now_);
 
-    if (committed_.value() == before && fetchQueue_.empty() &&
+    if (committed_ == before && fetchQueue_.empty() &&
         rob_.empty()) {
         DynInst probe;
         if (!peek(probe) && pending_ == std::nullopt) {

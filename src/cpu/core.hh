@@ -34,7 +34,6 @@
 #include "prefetch/prefetcher.hh"
 #include "trace/dyninst.hh"
 #include "trace/expand.hh"
-#include "util/stats.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -152,7 +151,7 @@ class Core
     std::uint64_t
     fetchIcacheStallCycles() const
     {
-        return fetchIcacheStallCycles_.value();
+        return fetchIcacheStallCycles_;
     }
 
     /** Mutable branch unit (checkpoint save/restore). */
@@ -164,17 +163,16 @@ class Core
     /// @}
 
     Cycle cycles() const { return now_; }
-    std::uint64_t committedInstrs() const { return committed_.value(); }
-    std::uint64_t idleCycles() const { return idleCycles_.value(); }
+    std::uint64_t committedInstrs() const { return committed_; }
+    std::uint64_t idleCycles() const { return idleCycles_; }
     double
     ipc() const
     {
         return now_ == 0 ? 0.0
-                         : static_cast<double>(committed_.value())
+                         : static_cast<double>(committed_)
                              / static_cast<double>(now_);
     }
 
-    const StatGroup &stats() const { return stats_; }
     const BranchUnit &branchUnit() const { return branch_; }
 
   private:
@@ -238,13 +236,9 @@ class Core
     static constexpr unsigned numRegs = 32;
     Cycle regReady_[numRegs] = {};
 
-    Counter committed_;
-    Counter fetchIcacheStallCycles_;
-    Counter fetchBranchStallCycles_;
-    Counter fetchQueueFullCycles_;
-    Counter robFullEvents_;
-    Counter idleCycles_;
-    StatGroup stats_;
+    std::uint64_t committed_ = 0;
+    std::uint64_t fetchIcacheStallCycles_ = 0;
+    std::uint64_t idleCycles_ = 0;
 };
 
 } // namespace cgp

@@ -1,11 +1,9 @@
 /**
  * @file
  * Fail-soft data-prefetcher decorator — the D-side twin of
- * FailSoftPrefetcher.  Data prefetching is an optimisation, so a
- * fault inside a prefetcher must never take down the simulated
- * machine: on the first exception from any hook the wrapper logs an
- * error event, permanently disables the inner prefetcher, and the
- * run continues without data prefetching (graceful degradation).
+ * FailSoftPrefetcher: every hook goes through a FailSoftGuard, so
+ * the first exception disables the inner prefetcher and the run
+ * continues without data prefetching (graceful degradation).
  */
 
 #ifndef CGP_DPREFETCH_FAILSOFT_HH
@@ -15,6 +13,7 @@
 #include <string>
 
 #include "dprefetch/dprefetcher.hh"
+#include "util/failsoft.hh"
 
 namespace cgp
 {
@@ -23,30 +22,48 @@ class FailSoftDataPrefetcher : public DataPrefetcher
 {
   public:
     explicit FailSoftDataPrefetcher(
-        std::unique_ptr<DataPrefetcher> inner);
+        std::unique_ptr<DataPrefetcher> inner)
+        : guard_(std::move(inner), "data prefetch")
+    {
+    }
 
-    void onAccess(Addr pc, Addr addr, bool is_write, bool miss,
-                  Cycle now) override;
-    void onMiss(Addr pc, Addr addr, Cycle now) override;
-    void onHint(DataHintKind kind, Addr addr, Cycle now) override;
+    void
+    onAccess(Addr pc, Addr addr, bool is_write, bool miss,
+             Cycle now) override
+    {
+        guard_.call("onAccess", [&](DataPrefetcher &p) {
+            p.onAccess(pc, addr, is_write, miss, now);
+        });
+    }
 
-    const char *name() const override;
+    void
+    onMiss(Addr pc, Addr addr, Cycle now) override
+    {
+        guard_.call("onMiss",
+                    [&](DataPrefetcher &p) { p.onMiss(pc, addr, now); });
+    }
+
+    void
+    onHint(DataHintKind kind, Addr addr, Cycle now) override
+    {
+        guard_.call("onHint", [&](DataPrefetcher &p) {
+            p.onHint(kind, addr, now);
+        });
+    }
+
+    const char *name() const override { return guard_.name(); }
 
     /** True once the inner prefetcher has been disabled. */
-    bool degraded() const { return degraded_; }
+    bool degraded() const { return guard_.degraded(); }
 
     /** What disabled it (empty while healthy). */
-    const std::string &reason() const { return reason_; }
+    const std::string &reason() const { return guard_.reason(); }
 
     /** The wrapped engine (for checkpoint state access). */
-    DataPrefetcher *inner() { return inner_.get(); }
+    DataPrefetcher *inner() { return guard_.inner(); }
 
   private:
-    void disable(const char *hook, const std::string &why);
-
-    std::unique_ptr<DataPrefetcher> inner_;
-    bool degraded_ = false;
-    std::string reason_;
+    FailSoftGuard<DataPrefetcher> guard_;
 };
 
 } // namespace cgp

@@ -1,5 +1,10 @@
 #include "harness/report.hh"
 
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <type_traits>
+
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -182,171 +187,264 @@ writeComparison(const std::vector<SimResult> &results,
     t.print(os);
 }
 
-Json
-toJson(const PrefetchBreakdown &breakdown)
-{
-    Json j = Json::object();
-    j.set("issued", breakdown.issued);
-    j.set("pref_hits", breakdown.prefHits);
-    j.set("delayed_hits", breakdown.delayedHits);
-    j.set("useless", breakdown.useless);
-    return j;
-}
-
 namespace
 {
 
-Json
-arbToJson(const ArbiterBreakdown &breakdown)
+/**
+ * One serialized member: its JSON key and where it lives.  Each
+ * result struct lists its fields once (fieldsOf below); toJson and
+ * simResultFromJson both walk that list, so the emitted member order
+ * is the list order and a key cannot be written under one name and
+ * read under another.
+ */
+template <class S, class T>
+struct Field
 {
-    Json j = Json::object();
-    j.set("issued", breakdown.issued);
-    j.set("deferred", breakdown.deferred);
-    j.set("dropped", breakdown.dropped);
-    j.set("duplicate_merged", breakdown.duplicateMerged);
-    return j;
+    const char *key;
+    T S::*member;
+    /** A missing key parses as the member's default. */
+    bool optional = false;
+    /** Non-null: the key is emitted only while this flag is set, and
+     *  parsing sets the flag exactly when the key is present. */
+    bool S::*presence = nullptr;
+};
+
+template <class S, class T>
+constexpr Field<S, T>
+field(const char *key, T S::*member)
+{
+    return {key, member};
 }
 
-// Absent in artifacts written before the arbiter existed; default to
-// all-zero so old run directories keep parsing.
-ArbiterBreakdown
-arbFromJson(const Json &parent, std::string_view key)
+/** Absent in artifacts written before the member existed: a missing
+ *  key parses as all zeros so old run directories keep parsing. */
+template <class S, class T>
+constexpr Field<S, T>
+addedLater(const char *key, T S::*member)
 {
-    ArbiterBreakdown b;
-    const Json *j = parent.find(key);
-    if (j == nullptr)
-        return b;
-    b.issued = j->at("issued").asUint();
-    b.deferred = j->at("deferred").asUint();
-    b.dropped = j->at("dropped").asUint();
-    b.duplicateMerged = j->at("duplicate_merged").asUint();
-    return b;
+    return {key, member, true};
 }
 
-Json
-serverToJson(const server::ServerStats &stats)
+/** Emitted only when @p flag is set, so results without the block
+ *  (and their goldens) stay byte-identical. */
+template <class S, class T>
+constexpr Field<S, T>
+gated(const char *key, T S::*member, bool S::*flag)
 {
-    Json j = Json::object();
-    j.set("cores", stats.cores);
-    j.set("sessions", stats.sessions);
-    j.set("cycles", stats.cycles);
-    j.set("queries_served", stats.queriesServed);
-    j.set("binds", stats.binds);
-    j.set("latency_p50", stats.latencyP50);
-    j.set("latency_p95", stats.latencyP95);
-    j.set("latency_p99", stats.latencyP99);
-    j.set("port_wait_cycles", stats.portWaitCycles);
-    Json per_core = Json::array();
-    for (const auto &c : stats.perCore) {
-        Json cj = Json::object();
-        cj.set("cycles", c.cycles);
-        cj.set("instrs", c.instrs);
-        cj.set("idle_cycles", c.idleCycles);
-        cj.set("icache_accesses", c.icacheAccesses);
-        cj.set("icache_misses", c.icacheMisses);
-        cj.set("dcache_accesses", c.dcacheAccesses);
-        cj.set("dcache_misses", c.dcacheMisses);
-        cj.set("bus_lines", c.busLines);
-        cj.set("port_wait_cycles", c.portWaitCycles);
-        cj.set("queries", c.queries);
-        cj.set("binds", c.binds);
-        per_core.push(std::move(cj));
+    return {key, member, true, flag};
+}
+
+template <class S>
+constexpr auto fieldsOf();
+
+template <>
+constexpr auto
+fieldsOf<PrefetchBreakdown>()
+{
+    using P = PrefetchBreakdown;
+    return std::tuple{
+        field("issued", &P::issued),
+        field("pref_hits", &P::prefHits),
+        field("delayed_hits", &P::delayedHits),
+        field("useless", &P::useless),
+    };
+}
+
+template <>
+constexpr auto
+fieldsOf<ArbiterBreakdown>()
+{
+    using A = ArbiterBreakdown;
+    return std::tuple{
+        field("issued", &A::issued),
+        field("deferred", &A::deferred),
+        field("dropped", &A::dropped),
+        field("duplicate_merged", &A::duplicateMerged),
+    };
+}
+
+template <>
+constexpr auto
+fieldsOf<server::ServerCoreStats>()
+{
+    using C = server::ServerCoreStats;
+    return std::tuple{
+        field("cycles", &C::cycles),
+        field("instrs", &C::instrs),
+        field("idle_cycles", &C::idleCycles),
+        field("icache_accesses", &C::icacheAccesses),
+        field("icache_misses", &C::icacheMisses),
+        field("dcache_accesses", &C::dcacheAccesses),
+        field("dcache_misses", &C::dcacheMisses),
+        field("bus_lines", &C::busLines),
+        field("port_wait_cycles", &C::portWaitCycles),
+        field("queries", &C::queries),
+        field("binds", &C::binds),
+    };
+}
+
+template <>
+constexpr auto
+fieldsOf<server::ServerStats>()
+{
+    using V = server::ServerStats;
+    return std::tuple{
+        field("cores", &V::cores),
+        field("sessions", &V::sessions),
+        field("cycles", &V::cycles),
+        field("queries_served", &V::queriesServed),
+        field("binds", &V::binds),
+        field("latency_p50", &V::latencyP50),
+        field("latency_p95", &V::latencyP95),
+        field("latency_p99", &V::latencyP99),
+        field("port_wait_cycles", &V::portWaitCycles),
+        field("per_core", &V::perCore),
+    };
+}
+
+template <>
+constexpr auto
+fieldsOf<sample::SampledEstimate>()
+{
+    using E = sample::SampledEstimate;
+    return std::tuple{
+        field("samples", &E::samples),
+        field("mean", &E::mean),
+        field("sem", &E::sem),
+        field("ci_low", &E::ciLow),
+        field("ci_high", &E::ciHigh),
+    };
+}
+
+template <>
+constexpr auto
+fieldsOf<sample::SampledStats>()
+{
+    using M = sample::SampledStats;
+    return std::tuple{
+        field("windows", &M::windows),
+        field("detailed_cycles", &M::detailedCycles),
+        field("detailed_instrs", &M::detailedInstrs),
+        field("warmed_instrs", &M::warmedInstrs),
+        field("skipped_cycles", &M::skippedCycles),
+        field("checkpoint_used", &M::checkpointUsed),
+        field("checkpoint_saved", &M::checkpointSaved),
+        field("cpi", &M::cpi),
+        field("l1i_miss_rate", &M::l1iMissRate),
+        field("l1d_miss_rate", &M::l1dMissRate),
+        field("fetch_stall_per_instr", &M::fetchStallPerInstr),
+    };
+}
+
+template <>
+constexpr auto
+fieldsOf<SimResult>()
+{
+    using R = SimResult;
+    return std::tuple{
+        field("workload", &R::workload),
+        field("config", &R::config),
+        field("cycles", &R::cycles),
+        field("instrs", &R::instrs),
+        field("icache_accesses", &R::icacheAccesses),
+        field("icache_misses", &R::icacheMisses),
+        field("dcache_accesses", &R::dcacheAccesses),
+        field("dcache_misses", &R::dcacheMisses),
+        field("l2_misses", &R::l2Misses),
+        field("nl", &R::nl),
+        field("cghc", &R::cghc),
+        field("dpf", &R::dpf),
+        field("squashed_prefetches", &R::squashedPrefetches),
+        field("d_squashed_prefetches", &R::dSquashedPrefetches),
+        addedLater("arb_nl", &R::arbNl),
+        addedLater("arb_cghc", &R::arbCghc),
+        addedLater("arb_dpf", &R::arbDpf),
+        field("bus_lines", &R::busLines),
+        field("branch_mispredicts", &R::branchMispredicts),
+        field("cghc_accesses", &R::cghcAccesses),
+        field("cghc_hits", &R::cghcHits),
+        field("prefetch_degraded", &R::prefetchDegraded),
+        field("degraded_reason", &R::degradedReason),
+        field("instrs_per_call", &R::instrsPerCall),
+        gated("server", &R::server, &R::serverEnabled),
+        gated("sampled", &R::sampled, &R::sampledEnabled),
+    };
+}
+
+template <class T>
+constexpr bool isVector = false;
+template <class T>
+constexpr bool isVector<std::vector<T>> = true;
+
+template <class T>
+Json write(const T &value);
+template <class T>
+void read(const Json &json, T &out);
+
+template <class S, class T>
+void
+writeField(Json &json, const S &in, const Field<S, T> &f)
+{
+    if (f.presence == nullptr || in.*f.presence)
+        json.set(f.key, write(in.*f.member));
+}
+
+template <class S, class T>
+void
+readField(const Json &json, S &out, const Field<S, T> &f)
+{
+    const Json *v = json.find(f.key);
+    if (v == nullptr) {
+        if (f.optional)
+            return;
+        v = &json.at(f.key); // throws: a required key is missing
     }
-    j.set("per_core", std::move(per_core));
-    return j;
+    if (f.presence != nullptr)
+        out.*f.presence = true;
+    read(*v, out.*f.member);
 }
 
+template <class T>
 Json
-estimateToJson(const sample::SampledEstimate &est)
+write(const T &value)
 {
-    Json j = Json::object();
-    j.set("samples", est.samples);
-    j.set("mean", est.mean);
-    j.set("sem", est.sem);
-    j.set("ci_low", est.ciLow);
-    j.set("ci_high", est.ciHigh);
-    return j;
-}
-
-sample::SampledEstimate
-estimateFromJson(const Json &j)
-{
-    sample::SampledEstimate est;
-    est.samples = j.at("samples").asUint();
-    est.mean = j.at("mean").asDouble();
-    est.sem = j.at("sem").asDouble();
-    est.ciLow = j.at("ci_low").asDouble();
-    est.ciHigh = j.at("ci_high").asDouble();
-    return est;
-}
-
-Json
-sampledToJson(const sample::SampledStats &stats)
-{
-    Json j = Json::object();
-    j.set("windows", stats.windows);
-    j.set("detailed_cycles", stats.detailedCycles);
-    j.set("detailed_instrs", stats.detailedInstrs);
-    j.set("warmed_instrs", stats.warmedInstrs);
-    j.set("skipped_cycles", stats.skippedCycles);
-    j.set("checkpoint_used", stats.checkpointUsed);
-    j.set("checkpoint_saved", stats.checkpointSaved);
-    j.set("cpi", estimateToJson(stats.cpi));
-    j.set("l1i_miss_rate", estimateToJson(stats.l1iMissRate));
-    j.set("l1d_miss_rate", estimateToJson(stats.l1dMissRate));
-    j.set("fetch_stall_per_instr",
-          estimateToJson(stats.fetchStallPerInstr));
-    return j;
-}
-
-sample::SampledStats
-sampledFromJson(const Json &j)
-{
-    sample::SampledStats s;
-    s.windows = j.at("windows").asUint();
-    s.detailedCycles = j.at("detailed_cycles").asUint();
-    s.detailedInstrs = j.at("detailed_instrs").asUint();
-    s.warmedInstrs = j.at("warmed_instrs").asUint();
-    s.skippedCycles = j.at("skipped_cycles").asUint();
-    s.checkpointUsed = j.at("checkpoint_used").asBool();
-    s.checkpointSaved = j.at("checkpoint_saved").asBool();
-    s.cpi = estimateFromJson(j.at("cpi"));
-    s.l1iMissRate = estimateFromJson(j.at("l1i_miss_rate"));
-    s.l1dMissRate = estimateFromJson(j.at("l1d_miss_rate"));
-    s.fetchStallPerInstr =
-        estimateFromJson(j.at("fetch_stall_per_instr"));
-    return s;
-}
-
-server::ServerStats
-serverFromJson(const Json &j)
-{
-    server::ServerStats s;
-    s.cores = j.at("cores").asUint();
-    s.sessions = j.at("sessions").asUint();
-    s.cycles = j.at("cycles").asUint();
-    s.queriesServed = j.at("queries_served").asUint();
-    s.binds = j.at("binds").asUint();
-    s.latencyP50 = j.at("latency_p50").asUint();
-    s.latencyP95 = j.at("latency_p95").asUint();
-    s.latencyP99 = j.at("latency_p99").asUint();
-    s.portWaitCycles = j.at("port_wait_cycles").asUint();
-    for (const Json &cj : j.at("per_core").items()) {
-        server::ServerCoreStats c;
-        c.cycles = cj.at("cycles").asUint();
-        c.instrs = cj.at("instrs").asUint();
-        c.idleCycles = cj.at("idle_cycles").asUint();
-        c.icacheAccesses = cj.at("icache_accesses").asUint();
-        c.icacheMisses = cj.at("icache_misses").asUint();
-        c.dcacheAccesses = cj.at("dcache_accesses").asUint();
-        c.dcacheMisses = cj.at("dcache_misses").asUint();
-        c.busLines = cj.at("bus_lines").asUint();
-        c.portWaitCycles = cj.at("port_wait_cycles").asUint();
-        c.queries = cj.at("queries").asUint();
-        c.binds = cj.at("binds").asUint();
-        s.perCore.push_back(c);
+    if constexpr (std::is_arithmetic_v<T> ||
+                  std::is_same_v<T, std::string>) {
+        return Json(value);
+    } else if constexpr (isVector<T>) {
+        Json a = Json::array();
+        for (const auto &item : value)
+            a.push(write(item));
+        return a;
+    } else {
+        Json j = Json::object();
+        std::apply(
+            [&](const auto &...f) { (writeField(j, value, f), ...); },
+            fieldsOf<T>());
+        return j;
     }
-    return s;
+}
+
+template <class T>
+void
+read(const Json &json, T &out)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        out = json.asBool();
+    } else if constexpr (std::is_same_v<T, double>) {
+        out = json.asDouble();
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        out = json.asUint();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out = json.asString();
+    } else if constexpr (isVector<T>) {
+        for (const Json &item : json.items())
+            read(item, out.emplace_back());
+    } else {
+        std::apply(
+            [&](const auto &...f) { (readField(json, out, f), ...); },
+            fieldsOf<T>());
+    }
 }
 
 } // namespace
@@ -354,90 +452,14 @@ serverFromJson(const Json &j)
 Json
 toJson(const SimResult &result)
 {
-    Json j = Json::object();
-    j.set("workload", result.workload);
-    j.set("config", result.config);
-    j.set("cycles", result.cycles);
-    j.set("instrs", result.instrs);
-    j.set("icache_accesses", result.icacheAccesses);
-    j.set("icache_misses", result.icacheMisses);
-    j.set("dcache_accesses", result.dcacheAccesses);
-    j.set("dcache_misses", result.dcacheMisses);
-    j.set("l2_misses", result.l2Misses);
-    j.set("nl", toJson(result.nl));
-    j.set("cghc", toJson(result.cghc));
-    j.set("dpf", toJson(result.dpf));
-    j.set("squashed_prefetches", result.squashedPrefetches);
-    j.set("d_squashed_prefetches", result.dSquashedPrefetches);
-    j.set("arb_nl", arbToJson(result.arbNl));
-    j.set("arb_cghc", arbToJson(result.arbCghc));
-    j.set("arb_dpf", arbToJson(result.arbDpf));
-    j.set("bus_lines", result.busLines);
-    j.set("branch_mispredicts", result.branchMispredicts);
-    j.set("cghc_accesses", result.cghcAccesses);
-    j.set("cghc_hits", result.cghcHits);
-    j.set("prefetch_degraded", result.prefetchDegraded);
-    j.set("degraded_reason", result.degradedReason);
-    j.set("instrs_per_call", result.instrsPerCall);
-    // Emitted only for server-model runs so legacy artifacts (and
-    // their goldens) stay byte-identical.
-    if (result.serverEnabled)
-        j.set("server", serverToJson(result.server));
-    // Same backward-compatibility contract for sampled runs.
-    if (result.sampledEnabled)
-        j.set("sampled", sampledToJson(result.sampled));
-    return j;
-}
-
-PrefetchBreakdown
-prefetchBreakdownFromJson(const Json &json)
-{
-    PrefetchBreakdown p;
-    p.issued = json.at("issued").asUint();
-    p.prefHits = json.at("pref_hits").asUint();
-    p.delayedHits = json.at("delayed_hits").asUint();
-    p.useless = json.at("useless").asUint();
-    return p;
+    return write(result);
 }
 
 SimResult
 simResultFromJson(const Json &json)
 {
     SimResult r;
-    r.workload = json.at("workload").asString();
-    r.config = json.at("config").asString();
-    r.cycles = json.at("cycles").asUint();
-    r.instrs = json.at("instrs").asUint();
-    r.icacheAccesses = json.at("icache_accesses").asUint();
-    r.icacheMisses = json.at("icache_misses").asUint();
-    r.dcacheAccesses = json.at("dcache_accesses").asUint();
-    r.dcacheMisses = json.at("dcache_misses").asUint();
-    r.l2Misses = json.at("l2_misses").asUint();
-    r.nl = prefetchBreakdownFromJson(json.at("nl"));
-    r.cghc = prefetchBreakdownFromJson(json.at("cghc"));
-    r.dpf = prefetchBreakdownFromJson(json.at("dpf"));
-    r.squashedPrefetches = json.at("squashed_prefetches").asUint();
-    r.dSquashedPrefetches =
-        json.at("d_squashed_prefetches").asUint();
-    r.arbNl = arbFromJson(json, "arb_nl");
-    r.arbCghc = arbFromJson(json, "arb_cghc");
-    r.arbDpf = arbFromJson(json, "arb_dpf");
-    r.busLines = json.at("bus_lines").asUint();
-    r.branchMispredicts = json.at("branch_mispredicts").asUint();
-    r.cghcAccesses = json.at("cghc_accesses").asUint();
-    r.cghcHits = json.at("cghc_hits").asUint();
-    r.prefetchDegraded = json.at("prefetch_degraded").asBool();
-    r.degradedReason = json.at("degraded_reason").asString();
-    r.instrsPerCall = json.at("instrs_per_call").asDouble();
-    // Absent in pre-server artifacts and in legacy runs.
-    if (const Json *srv = json.find("server")) {
-        r.serverEnabled = true;
-        r.server = serverFromJson(*srv);
-    }
-    if (const Json *smp = json.find("sampled")) {
-        r.sampledEnabled = true;
-        r.sampled = sampledFromJson(*smp);
-    }
+    read(json, r);
     return r;
 }
 

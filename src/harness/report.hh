@@ -34,9 +34,7 @@ void writeComparison(const std::vector<SimResult> &results,
 /// @{ Canonical JSON form of a result.  The mapping is lossless:
 /// simResultFromJson(toJson(r)) == r, and the emitted member order
 /// is fixed so equal results serialize to identical bytes.
-Json toJson(const PrefetchBreakdown &breakdown);
 Json toJson(const SimResult &result);
-PrefetchBreakdown prefetchBreakdownFromJson(const Json &json);
 SimResult simResultFromJson(const Json &json);
 /// @}
 

@@ -124,34 +124,6 @@ buildEngines(MemoryHierarchy &mem, const SimConfig &config,
     return set;
 }
 
-/** Add one core's L1 counters into the (aggregate) result. */
-void
-accumulateCacheCounters(SimResult &r, const Cache &l1i,
-                        const Cache &l1d)
-{
-    r.icacheAccesses += l1i.demandAccesses();
-    r.icacheMisses += l1i.demandMisses();
-    r.dcacheAccesses += l1d.demandAccesses();
-    r.dcacheMisses += l1d.demandMisses();
-
-    r.nl.issued += l1i.prefetchesIssued(AccessSource::PrefetchNL);
-    r.nl.prefHits += l1i.prefHits(AccessSource::PrefetchNL);
-    r.nl.delayedHits += l1i.delayedHits(AccessSource::PrefetchNL);
-    r.nl.useless += l1i.useless(AccessSource::PrefetchNL);
-    r.cghc.issued += l1i.prefetchesIssued(AccessSource::PrefetchCGHC);
-    r.cghc.prefHits += l1i.prefHits(AccessSource::PrefetchCGHC);
-    r.cghc.delayedHits +=
-        l1i.delayedHits(AccessSource::PrefetchCGHC);
-    r.cghc.useless += l1i.useless(AccessSource::PrefetchCGHC);
-    r.dpf.issued +=
-        l1d.prefetchesIssued(AccessSource::DataPrefetch);
-    r.dpf.prefHits += l1d.prefHits(AccessSource::DataPrefetch);
-    r.dpf.delayedHits += l1d.delayedHits(AccessSource::DataPrefetch);
-    r.dpf.useless += l1d.useless(AccessSource::DataPrefetch);
-    r.squashedPrefetches += l1i.squashedPrefetches();
-    r.dSquashedPrefetches += l1d.squashedPrefetches();
-}
-
 /**
  * Wire the checkpointable structures of one single-core machine into
  * a CheckpointParts.  The D-side engines hide behind the fail-soft
@@ -191,27 +163,57 @@ makeCheckpointParts(MemoryHierarchy &mem, Core &core,
     return p;
 }
 
-/** Add one core's arbiter counters (no-op without an arbiter). */
+/**
+ * Add one core's counters into the result: committed instructions,
+ * branch mispredicts, the L1 and arbiter prefetch classification,
+ * CGHC accesses and engine health.  Both run paths call it once per
+ * core, so the scalar SimResult counters are sums across cores.
+ */
 void
-accumulateArbiterCounters(SimResult &r, const PrefetchArbiter *arb)
+collectCore(SimResult &r, MemoryHierarchy &mem, const Core &core,
+            const EngineSet &engines)
 {
-    if (arb == nullptr)
-        return;
-    const auto grab = [arb](ArbiterBreakdown &b, AccessSource src) {
-        b.issued += arb->issued(src);
-        b.deferred += arb->deferred(src);
-        b.dropped += arb->dropped(src);
-        b.duplicateMerged += arb->duplicateMerged(src);
-    };
-    grab(r.arbNl, AccessSource::PrefetchNL);
-    grab(r.arbCghc, AccessSource::PrefetchCGHC);
-    grab(r.arbDpf, AccessSource::DataPrefetch);
-}
+    r.instrs += core.committedInstrs();
+    r.branchMispredicts += core.branchUnit().mispredicts();
 
-/** Fold one core's engine health into the degraded flag/reason. */
-void
-accumulateDegraded(SimResult &r, const EngineSet &engines)
-{
+    const Cache &l1i = mem.l1i();
+    const Cache &l1d = mem.l1d();
+    r.icacheAccesses += l1i.demandAccesses();
+    r.icacheMisses += l1i.demandMisses();
+    r.dcacheAccesses += l1d.demandAccesses();
+    r.dcacheMisses += l1d.demandMisses();
+    const auto grab = [](PrefetchBreakdown &b, const Cache &c,
+                         AccessSource src) {
+        b.issued += c.prefetchesIssued(src);
+        b.prefHits += c.prefHits(src);
+        b.delayedHits += c.delayedHits(src);
+        b.useless += c.useless(src);
+    };
+    grab(r.nl, l1i, AccessSource::PrefetchNL);
+    grab(r.cghc, l1i, AccessSource::PrefetchCGHC);
+    grab(r.dpf, l1d, AccessSource::DataPrefetch);
+    r.squashedPrefetches += l1i.squashedPrefetches();
+    r.dSquashedPrefetches += l1d.squashedPrefetches();
+
+    if (const PrefetchArbiter *arb = mem.arbiter()) {
+        const auto grabArb = [arb](ArbiterBreakdown &b,
+                                   AccessSource src) {
+            b.issued += arb->issued(src);
+            b.deferred += arb->deferred(src);
+            b.dropped += arb->dropped(src);
+            b.duplicateMerged += arb->duplicateMerged(src);
+        };
+        grabArb(r.arbNl, AccessSource::PrefetchNL);
+        grabArb(r.arbCghc, AccessSource::PrefetchCGHC);
+        grabArb(r.arbDpf, AccessSource::DataPrefetch);
+    }
+
+    if (engines.cghc != nullptr) {
+        r.cghcAccesses += engines.cghc->accesses();
+        r.cghcHits += engines.cghc->hits();
+    }
+
+    // The first core to report a fault names the reason.
     if (r.prefetchDegraded)
         return;
     if (engines.ctorFailed) {
@@ -295,17 +297,7 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
     std::uint64_t emitted = 0;
     std::uint64_t calls = 0;
     for (unsigned i = 0; i < srv.numCores(); ++i) {
-        r.instrs += srv.coreAt(i).committedInstrs();
-        r.branchMispredicts +=
-            srv.coreAt(i).branchUnit().mispredicts();
-        accumulateCacheCounters(r, srv.memAt(i).l1i(),
-                                srv.memAt(i).l1d());
-        accumulateArbiterCounters(r, srv.memAt(i).arbiter());
-        accumulateDegraded(r, engines[i]);
-        if (engines[i].cghc != nullptr) {
-            r.cghcAccesses += engines[i].cghc->accesses();
-            r.cghcHits += engines[i].cghc->hits();
-        }
+        collectCore(r, srv.memAt(i), srv.coreAt(i), engines[i]);
         emitted += srv.expanderAt(i).emittedInstrs();
         calls += srv.expanderAt(i).emittedCalls();
     }
@@ -383,7 +375,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
     r.workload = workload.name;
     r.config = config.describe();
     r.cycles = core.cycles();
-    r.instrs = core.committedInstrs();
+    collectCore(r, mem, core, engines);
     if (config.sample.enabled) {
         // Warmed instructions executed (functionally); cycles()
         // already includes the IPC-scaled clock jumps, so the pair
@@ -392,18 +384,8 @@ runSimulation(const Workload &workload, const SimConfig &config)
         r.sampledEnabled = true;
         r.sampled = sampledStats;
     }
-
-    accumulateCacheCounters(r, mem.l1i(), mem.l1d());
     r.l2Misses = mem.l2().demandMisses();
-    accumulateArbiterCounters(r, mem.arbiter());
     r.busLines = mem.port().requests();
-
-    r.branchMispredicts = core.branchUnit().mispredicts();
-    if (engines.cghc != nullptr) {
-        r.cghcAccesses = engines.cghc->accesses();
-        r.cghcHits = engines.cghc->hits();
-    }
-    accumulateDegraded(r, engines);
     r.instrsPerCall = stream.instrsPerCall();
     return r;
 }

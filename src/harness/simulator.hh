@@ -38,12 +38,7 @@ struct PrefetchBreakdown
                 / static_cast<double>(classified);
     }
 
-    friend bool
-    operator==(const PrefetchBreakdown &a, const PrefetchBreakdown &b)
-    {
-        return a.issued == b.issued && a.prefHits == b.prefHits &&
-            a.delayedHits == b.delayedHits && a.useless == b.useless;
-    }
+    bool operator==(const PrefetchBreakdown &) const = default;
 };
 
 /** Per-engine arbiter accounting (shared L2-port arbitration). */
@@ -62,13 +57,7 @@ struct ArbiterBreakdown
         return issued + deferred + dropped + duplicateMerged != 0;
     }
 
-    friend bool
-    operator==(const ArbiterBreakdown &a, const ArbiterBreakdown &b)
-    {
-        return a.issued == b.issued && a.deferred == b.deferred &&
-            a.dropped == b.dropped &&
-            a.duplicateMerged == b.duplicateMerged;
-    }
+    bool operator==(const ArbiterBreakdown &) const = default;
 };
 
 struct SimResult
@@ -150,33 +139,7 @@ struct SimResult
     }
 
     /** Field-wise equality (serialization round-trip checks). */
-    friend bool
-    operator==(const SimResult &a, const SimResult &b)
-    {
-        return a.workload == b.workload && a.config == b.config &&
-            a.cycles == b.cycles && a.instrs == b.instrs &&
-            a.icacheAccesses == b.icacheAccesses &&
-            a.icacheMisses == b.icacheMisses &&
-            a.dcacheAccesses == b.dcacheAccesses &&
-            a.dcacheMisses == b.dcacheMisses &&
-            a.l2Misses == b.l2Misses && a.nl == b.nl &&
-            a.cghc == b.cghc && a.dpf == b.dpf &&
-            a.squashedPrefetches == b.squashedPrefetches &&
-            a.dSquashedPrefetches == b.dSquashedPrefetches &&
-            a.arbNl == b.arbNl && a.arbCghc == b.arbCghc &&
-            a.arbDpf == b.arbDpf &&
-            a.busLines == b.busLines &&
-            a.branchMispredicts == b.branchMispredicts &&
-            a.cghcAccesses == b.cghcAccesses &&
-            a.cghcHits == b.cghcHits &&
-            a.prefetchDegraded == b.prefetchDegraded &&
-            a.degradedReason == b.degradedReason &&
-            a.instrsPerCall == b.instrsPerCall &&
-            a.serverEnabled == b.serverEnabled &&
-            a.server == b.server &&
-            a.sampledEnabled == b.sampledEnabled &&
-            a.sampled == b.sampled;
-    }
+    bool operator==(const SimResult &) const = default;
 };
 
 /** Run one (workload, config) point. */

@@ -11,32 +11,10 @@
 namespace cgp
 {
 
-const char *
-accessSourceName(AccessSource src)
-{
-    switch (src) {
-      case AccessSource::DemandFetch:
-        return "demand_fetch";
-      case AccessSource::DemandLoad:
-        return "demand_load";
-      case AccessSource::DemandStore:
-        return "demand_store";
-      case AccessSource::PrefetchNL:
-        return "prefetch_nl";
-      case AccessSource::PrefetchCGHC:
-        return "prefetch_cghc";
-      case AccessSource::DataPrefetch:
-        return "data_prefetch";
-      default:
-        return "?";
-    }
-}
-
 Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
     : config_(config), next_(next), port_(port),
       sets_(config.sizeBytes / (config.lineBytes * config.assoc)),
-      lines_(static_cast<std::size_t>(sets_) * config.assoc),
-      stats_(config.name)
+      lines_(static_cast<std::size_t>(sets_) * config.assoc)
 {
     cgp_assert(isPowerOfTwo(config.lineBytes),
                "line size must be a power of two");
@@ -46,37 +24,6 @@ Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
                "cache size not divisible into sets");
     cgp_assert((next_ == nullptr) == (port_ == nullptr),
                "next level and its port go together");
-
-    stats_.addCounter("demand_accesses", &accesses_,
-                      "demand lookups (reads + writes)");
-    stats_.addCounter("demand_misses", &misses_,
-                      "demand lookups missing array and MSHRs");
-    stats_.addCounter("writes", &writeAccesses_, "write accesses");
-    stats_.addCounter("fills", &fills_, "lines filled into the array");
-    stats_.addCounter("evictions", &evictions_, "valid lines evicted");
-    stats_.addCounter("squashed_prefetches", &squashed_,
-                      "prefetches dropped: line present or in flight");
-    for (std::size_t s = 0; s < numSources; ++s) {
-        const std::string n = accessSourceName(
-            static_cast<AccessSource>(s));
-        stats_.addCounter("prefetches_issued." + n, &prefIssued_[s],
-                          "prefetch requests sent to the next level");
-        stats_.addCounter("pref_hits." + n, &prefHits_[s],
-                          "first demand touch found line resident");
-        stats_.addCounter("delayed_hits." + n, &delayedHits_[s],
-                          "first demand touch found line in flight");
-        stats_.addCounter("useless." + n, &useless_[s],
-                          "prefetched lines evicted or never touched");
-    }
-    stats_.addFormula(
-        "miss_rate",
-        [this]() {
-            const auto a = accesses_.value();
-            return a == 0 ? 0.0
-                          : static_cast<double>(misses_.value())
-                              / static_cast<double>(a);
-        },
-        "demand miss rate");
 }
 
 std::size_t
@@ -131,8 +78,6 @@ Cache::access(Addr addr, Cycle now, AccessSource source, bool is_write)
 {
     const Addr line_addr = lineAlign(addr);
     ++accesses_;
-    if (is_write)
-        ++writeAccesses_;
     ++tick_;
 
     AccessResult res;
@@ -362,13 +307,10 @@ Cache::insert(Addr line_addr, const Mshr &mshr)
             victim = base + w;
     }
     Line &v = lines_[victim];
-    if (v.valid) {
-        ++evictions_;
-        if (v.prefetched && !v.referenced) {
-            ++useless_[static_cast<std::size_t>(v.source)];
-            if (arbiter_ != nullptr)
-                arbiter_->recordOutcome(v.source, false);
-        }
+    if (v.valid && v.prefetched && !v.referenced) {
+        ++useless_[static_cast<std::size_t>(v.source)];
+        if (arbiter_ != nullptr)
+            arbiter_->recordOutcome(v.source, false);
     }
     ++tick_;
     v.valid = true;
@@ -378,7 +320,6 @@ Cache::insert(Addr line_addr, const Mshr &mshr)
     v.prefetched = mshr.isPrefetch;
     v.referenced = mshr.demanded;
     v.source = mshr.source;
-    ++fills_;
 }
 
 void
@@ -414,33 +355,27 @@ Cache::finalize()
 }
 
 std::uint64_t
-Cache::demandAccesses() const
-{
-    return accesses_.value();
-}
-
-std::uint64_t
 Cache::prefetchesIssued(AccessSource src) const
 {
-    return prefIssued_[static_cast<std::size_t>(src)].value();
+    return prefIssued_[static_cast<std::size_t>(src)];
 }
 
 std::uint64_t
 Cache::prefHits(AccessSource src) const
 {
-    return prefHits_[static_cast<std::size_t>(src)].value();
+    return prefHits_[static_cast<std::size_t>(src)];
 }
 
 std::uint64_t
 Cache::delayedHits(AccessSource src) const
 {
-    return delayedHits_[static_cast<std::size_t>(src)].value();
+    return delayedHits_[static_cast<std::size_t>(src)];
 }
 
 std::uint64_t
 Cache::useless(AccessSource src) const
 {
-    return useless_[static_cast<std::size_t>(src)].value();
+    return useless_[static_cast<std::size_t>(src)];
 }
 
 } // namespace cgp

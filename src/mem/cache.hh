@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/stats.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -49,8 +48,6 @@ enum class AccessSource : std::uint8_t
     DataPrefetch = 5, ///< data-side prefetch engine (src/dprefetch)
     NumSources = 6
 };
-
-const char *accessSourceName(AccessSource src);
 
 struct CacheConfig
 {
@@ -253,15 +250,13 @@ class Cache
     void finalize();
 
     /// @{ Statistics access for the harness.
-    const StatGroup &stats() const { return stats_; }
-    std::uint64_t demandAccesses() const;
-    std::uint64_t demandMisses() const { return misses_.value(); }
+    std::uint64_t demandAccesses() const { return accesses_; }
+    std::uint64_t demandMisses() const { return misses_; }
     std::uint64_t prefetchesIssued(AccessSource src) const;
     std::uint64_t prefHits(AccessSource src) const;
     std::uint64_t delayedHits(AccessSource src) const;
     std::uint64_t useless(AccessSource src) const;
-    std::uint64_t squashedPrefetches() const { return squashed_.value(); }
-    std::uint64_t fills() const { return fills_.value(); }
+    std::uint64_t squashedPrefetches() const { return squashed_; }
     /// @}
 
     std::uint32_t lineBytes() const { return config_.lineBytes; }
@@ -325,17 +320,13 @@ class Cache
     std::unordered_map<Addr, Mshr> inflight_;
     std::uint64_t tick_ = 0;
 
-    Counter accesses_;
-    Counter misses_;
-    Counter writeAccesses_;
-    Counter fills_;
-    Counter evictions_;
-    Counter squashed_;
-    Counter prefIssued_[numSources];
-    Counter prefHits_[numSources];
-    Counter delayedHits_[numSources];
-    Counter useless_[numSources];
-    StatGroup stats_;
+    std::uint64_t accesses_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t squashed_ = 0;
+    std::uint64_t prefIssued_[numSources] = {};
+    std::uint64_t prefHits_[numSources] = {};
+    std::uint64_t delayedHits_[numSources] = {};
+    std::uint64_t useless_[numSources] = {};
 };
 
 } // namespace cgp

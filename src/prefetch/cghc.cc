@@ -80,8 +80,7 @@ CghcConfig::describe() const
 Cghc::Cghc(const CghcConfig &config)
     : config_(config),
       l1Entries_(config.infinite ? 0 : config.l1Bytes / entryBytes),
-      l2Entries_(config.infinite ? 0 : config.l2Bytes / entryBytes),
-      stats_("cghc")
+      l2Entries_(config.infinite ? 0 : config.l2Bytes / entryBytes)
 {
     if (!config_.infinite) {
         cgp_assert(config_.assoc > 0, "CGHC associativity must be > 0");
@@ -100,23 +99,6 @@ Cghc::Cghc(const CghcConfig &config)
         for (auto &e : l2_)
             e.slots.assign(config_.slots, invalidAddr);
     }
-
-    stats_.addCounter("accesses", &accesses_, "prefetch-side accesses");
-    stats_.addCounter("hits", &hits_, "prefetch-side tag hits");
-    stats_.addCounter("l2_hits", &l2Hits_,
-                      "hits served by the second-level CGHC");
-    stats_.addCounter("allocs", &allocs_, "entries allocated on miss");
-    stats_.addCounter("prefetch_hints", &prefetchHints_,
-                      "accesses that produced a prefetch target");
-    stats_.addFormula(
-        "hit_rate",
-        [this]() {
-            const auto a = accesses_.value();
-            return a == 0 ? 0.0
-                          : static_cast<double>(hits_.value())
-                              / static_cast<double>(a);
-        },
-        "prefetch-side hit rate");
 }
 
 std::size_t
@@ -177,8 +159,6 @@ Cghc::lookup(Addr start, bool allocate, Cycle &delay, bool &hit)
             // victim to its own L2 set (paper §5.3).
             hit = true;
             delay = config_.l2Latency;
-            if (!warming_)
-                ++l2Hits_;
             Entry promoted = *e2;
             e2->valid = false;
             Entry &v1 = victimWay(l1_, l1Entries_, start);
@@ -200,8 +180,6 @@ Cghc::lookup(Addr start, bool allocate, Cycle &delay, bool &hit)
 
     // Total miss: allocate in L1; the displaced entry is written
     // back to the second level (if present).
-    if (!warming_)
-        ++allocs_;
     Entry &v1 = victimWay(l1_, l1Entries_, start);
     if (v1.valid && l2Entries_ > 0) {
         Entry &v2 = victimWay(l2_, l2Entries_, v1.tag);
@@ -228,8 +206,6 @@ Cghc::callPrefetchAccess(Addr callee_start)
     if (config_.infinite) {
         auto it = inf_.find(callee_start);
         if (it == inf_.end()) {
-            if (!warming_)
-                ++allocs_;
             inf_[callee_start];
             return res;
         }
@@ -238,11 +214,8 @@ Cghc::callPrefetchAccess(Addr callee_start)
             ++hits_;
         const InfEntry &e = it->second;
         const std::size_t slot = e.index - 1;
-        if (slot < e.sequence.size()) {
+        if (slot < e.sequence.size())
             res.prefetchTarget = e.sequence[slot];
-            if (!warming_)
-                ++prefetchHints_;
-        }
         return res;
     }
 
@@ -254,11 +227,8 @@ Cghc::callPrefetchAccess(Addr callee_start)
     if (!warming_)
         ++hits_;
     const std::size_t slot = static_cast<std::size_t>(e->index) - 1;
-    if (slot < e->count && e->slots[slot] != invalidAddr) {
+    if (slot < e->count && e->slots[slot] != invalidAddr)
         res.prefetchTarget = e->slots[slot];
-        if (!warming_)
-            ++prefetchHints_;
-    }
     return res;
 }
 
@@ -313,8 +283,6 @@ Cghc::returnPrefetchAccess(Addr returnee_start)
     if (config_.infinite) {
         auto it = inf_.find(returnee_start);
         if (it == inf_.end()) {
-            if (!warming_)
-                ++allocs_;
             inf_[returnee_start];
             return res;
         }
@@ -323,11 +291,8 @@ Cghc::returnPrefetchAccess(Addr returnee_start)
             ++hits_;
         const InfEntry &e = it->second;
         const std::size_t slot = e.index - 1;
-        if (slot < e.sequence.size()) {
+        if (slot < e.sequence.size())
             res.prefetchTarget = e.sequence[slot];
-            if (!warming_)
-                ++prefetchHints_;
-        }
         return res;
     }
 
@@ -340,11 +305,8 @@ Cghc::returnPrefetchAccess(Addr returnee_start)
     if (!warming_)
         ++hits_;
     const std::size_t slot = static_cast<std::size_t>(e->index) - 1;
-    if (slot < e->count && e->slots[slot] != invalidAddr) {
+    if (slot < e->count && e->slots[slot] != invalidAddr)
         res.prefetchTarget = e->slots[slot];
-        if (!warming_)
-            ++prefetchHints_;
-    }
     return res;
 }
 

@@ -39,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/stats.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -111,9 +110,8 @@ class Cghc
     /** Second access for a return: keyed by the returning start. */
     void returnUpdateAccess(Addr returning_start);
 
-    const StatGroup &stats() const { return stats_; }
-    std::uint64_t hits() const { return hits_.value(); }
-    std::uint64_t accesses() const { return accesses_.value(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t accesses() const { return accesses_; }
 
     /**
      * Functional-warming mode: accesses keep training the history
@@ -176,12 +174,8 @@ class Cghc
     std::vector<Entry> l2_;
     std::unordered_map<Addr, InfEntry> inf_;
 
-    Counter accesses_;
-    Counter hits_;
-    Counter l2Hits_;
-    Counter allocs_;
-    Counter prefetchHints_;
-    StatGroup stats_;
+    std::uint64_t accesses_ = 0;
+    std::uint64_t hits_ = 0;
 };
 
 } // namespace cgp

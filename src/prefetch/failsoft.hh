@@ -1,11 +1,8 @@
 /**
  * @file
- * Fail-soft prefetcher decorator: prefetching is an optimisation, so
- * a fault inside a prefetcher — an injected crash point, a corrupt
- * trace observation, any thrown exception — must never take down the
- * simulated machine.  The wrapper forwards every hook to the inner
- * prefetcher; on the first exception it logs an error event,
- * permanently disables the inner prefetcher, and the run continues
+ * Fail-soft prefetcher decorator: forwards every hook, setWarming
+ * included, to the inner prefetcher through a FailSoftGuard, so the
+ * first exception disables the prefetcher and the run continues
  * prefetch-less from that point (graceful degradation).
  */
 
@@ -16,6 +13,7 @@
 #include <string>
 
 #include "prefetch/prefetcher.hh"
+#include "util/failsoft.hh"
 
 namespace cgp
 {
@@ -23,39 +21,57 @@ namespace cgp
 class FailSoftPrefetcher : public InstrPrefetcher
 {
   public:
-    explicit FailSoftPrefetcher(
-        std::unique_ptr<InstrPrefetcher> inner);
-
-    void onFetchLine(Addr line_addr, Cycle now) override;
-    void onCall(Addr callee_start, Addr caller_start,
-                Cycle now) override;
-    void onReturn(Addr returnee_start, Addr returning_start,
-                  Cycle now) override;
-
-    const char *name() const override;
-
-    /** Forwarded so the inner engine can freeze its counters. */
-    void setWarming(bool warming) override
+    explicit FailSoftPrefetcher(std::unique_ptr<InstrPrefetcher> inner)
+        : guard_(std::move(inner), "prefetch")
     {
-        if (inner_ != nullptr && !degraded_)
-            inner_->setWarming(warming);
     }
 
+    void
+    onFetchLine(Addr line_addr, Cycle now) override
+    {
+        guard_.call("onFetchLine", [&](InstrPrefetcher &p) {
+            p.onFetchLine(line_addr, now);
+        });
+    }
+
+    void
+    onCall(Addr callee_start, Addr caller_start, Cycle now) override
+    {
+        guard_.call("onCall", [&](InstrPrefetcher &p) {
+            p.onCall(callee_start, caller_start, now);
+        });
+    }
+
+    void
+    onReturn(Addr returnee_start, Addr returning_start,
+             Cycle now) override
+    {
+        guard_.call("onReturn", [&](InstrPrefetcher &p) {
+            p.onReturn(returnee_start, returning_start, now);
+        });
+    }
+
+    /** Forwarded so the inner engine can freeze its counters. */
+    void
+    setWarming(bool warming) override
+    {
+        guard_.call("setWarming",
+                    [&](InstrPrefetcher &p) { p.setWarming(warming); });
+    }
+
+    const char *name() const override { return guard_.name(); }
+
     /** True once the inner prefetcher has been disabled. */
-    bool degraded() const { return degraded_; }
+    bool degraded() const { return guard_.degraded(); }
 
     /** What disabled it (empty while healthy). */
-    const std::string &reason() const { return reason_; }
+    const std::string &reason() const { return guard_.reason(); }
 
     /** The wrapped engine (for checkpoint state access). */
-    InstrPrefetcher *inner() { return inner_.get(); }
+    InstrPrefetcher *inner() { return guard_.inner(); }
 
   private:
-    void disable(const char *hook, const std::string &why);
-
-    std::unique_ptr<InstrPrefetcher> inner_;
-    bool degraded_ = false;
-    std::string reason_;
+    FailSoftGuard<InstrPrefetcher> guard_;
 };
 
 } // namespace cgp

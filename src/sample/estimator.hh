@@ -36,13 +36,7 @@ struct SampledEstimate
         return samples > 0 && value >= ciLow && value <= ciHigh;
     }
 
-    friend bool
-    operator==(const SampledEstimate &a, const SampledEstimate &b)
-    {
-        return a.samples == b.samples && a.mean == b.mean &&
-            a.sem == b.sem && a.ciLow == b.ciLow &&
-            a.ciHigh == b.ciHigh;
-    }
+    bool operator==(const SampledEstimate &) const = default;
 };
 
 /** Accumulates per-window observations of one metric. */
@@ -83,20 +77,7 @@ struct SampledStats
     SampledEstimate l1dMissRate;
     SampledEstimate fetchStallPerInstr;
 
-    friend bool
-    operator==(const SampledStats &a, const SampledStats &b)
-    {
-        return a.windows == b.windows &&
-            a.detailedCycles == b.detailedCycles &&
-            a.detailedInstrs == b.detailedInstrs &&
-            a.warmedInstrs == b.warmedInstrs &&
-            a.skippedCycles == b.skippedCycles &&
-            a.checkpointUsed == b.checkpointUsed &&
-            a.checkpointSaved == b.checkpointSaved &&
-            a.cpi == b.cpi && a.l1iMissRate == b.l1iMissRate &&
-            a.l1dMissRate == b.l1dMissRate &&
-            a.fetchStallPerInstr == b.fetchStallPerInstr;
-    }
+    bool operator==(const SampledStats &) const = default;
 };
 
 } // namespace cgp::sample

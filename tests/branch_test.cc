@@ -151,7 +151,6 @@ TEST(BranchUnit, ConditionalStatsAccumulate)
     EXPECT_EQ(bu.lookups(), 100u);
     // After warmup the biased branch predicts well.
     EXPECT_LT(bu.mispredicts(), 20u);
-    EXPECT_EQ(bu.stats().counterValue("cond_lookups"), 100u);
 }
 
 TEST(BranchUnit, JumpUsesTheBtb)

@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <stdexcept>
 
+#include "codegen/layout.hh"
+#include "cpu/core.hh"
 #include "db/heapfile.hh"
 #include "db/recovery.hh"
 #include "db/txn.hh"
@@ -19,8 +23,11 @@
 #include "fault/fault.hh"
 #include "harness/simulator.hh"
 #include "harness/workload.hh"
+#include "mem/hierarchy.hh"
 #include "prefetch/failsoft.hh"
 #include "prefetch/nextline.hh"
+#include "sample/controller.hh"
+#include "trace/expand.hh"
 #include "util/logging.hh"
 
 namespace cgp
@@ -378,6 +385,52 @@ TEST(FailSoft, SimulationSurvivesAnInjectedPrefetchFault)
     const SimResult clean = runSimulation(
         wl, SimConfig::withNL(LayoutKind::Original, 4));
     EXPECT_FALSE(clean.prefetchDegraded);
+}
+
+/** An NL engine whose warming hook faults. */
+class WarmingFaultPrefetcher : public NextNLinePrefetcher
+{
+  public:
+    using NextNLinePrefetcher::NextNLinePrefetcher;
+
+    void
+    setWarming(bool) override
+    {
+        throw std::runtime_error("warming hook fault");
+    }
+};
+
+TEST(FailSoft, WarmingFaultDegradesInsteadOfAborting)
+{
+    spec::SpecProgramSpec spec;
+    spec.name = "warm-fault-proxy";
+    spec.functions = 40;
+    spec.hotFunctions = 20;
+    spec.workPerCall = 60.0;
+    spec.trainInstrs = 60'000;
+    spec.testInstrs = 20'000;
+    const Workload wl = WorkloadFactory::buildSpec(spec);
+    const SimConfig cfg = SimConfig::withSampling(
+        SimConfig::withNL(LayoutKind::Original, 4), 1000, 5000, 5000);
+
+    const CodeImage image =
+        LayoutBuilder(*wl.registry).build(cfg.layout, {});
+    InstructionExpander stream(*wl.registry, image, *wl.trace);
+    MemoryHierarchy mem(cfg.mem);
+    FailSoftPrefetcher pf(
+        std::make_unique<WarmingFaultPrefetcher>(mem.l1i(), 4));
+    Core core(stream, mem, &pf, cfg.core);
+
+    // The sampler's first fast-forward calls setWarming(true): the
+    // fault is absorbed and the run completes without prefetch.
+    const sample::SampledStats stats = sample::runSampled(
+        core, mem, stream, cfg.sample, sample::CheckpointParts{},
+        wl.name, cfg.describe());
+    EXPECT_TRUE(pf.degraded());
+    EXPECT_NE(pf.reason().find("warming hook fault"),
+              std::string::npos);
+    EXPECT_GT(stats.windows, 0u);
+    EXPECT_GT(core.committedInstrs(), 0u);
 }
 
 // ---------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -61,16 +62,99 @@ TEST(Report, ComparisonNormalizesToFirst)
     EXPECT_NE(out.find("0.500"), std::string::npos);
 }
 
-TEST(Report, SimResultJsonRoundTrip)
+/** A result in which every field, nested blocks included, holds a
+ *  distinct non-default value, so a dropped or swapped field cannot
+ *  survive a round trip. */
+SimResult
+fullResult()
 {
-    SimResult r = sample("O5+OM+CGP_4", 2000);
-    r.dcacheMisses = 11;
-    r.l2Misses = 7;
-    r.squashedPrefetches = 3;
-    r.branchMispredicts = 21;
+    SimResult r;
+    r.workload = "wisc-prof";
+    r.config = "O5+OM+CGP_4";
+    std::uint64_t next = 1;
+    const auto uniq = [&next]() { return next++; };
+    r.cycles = uniq();
+    r.instrs = uniq();
+    r.icacheAccesses = uniq();
+    r.icacheMisses = uniq();
+    r.dcacheAccesses = uniq();
+    r.dcacheMisses = uniq();
+    r.l2Misses = uniq();
+    for (PrefetchBreakdown *b : {&r.nl, &r.cghc, &r.dpf}) {
+        b->issued = uniq();
+        b->prefHits = uniq();
+        b->delayedHits = uniq();
+        b->useless = uniq();
+    }
+    r.squashedPrefetches = uniq();
+    r.dSquashedPrefetches = uniq();
+    for (ArbiterBreakdown *b : {&r.arbNl, &r.arbCghc, &r.arbDpf}) {
+        b->issued = uniq();
+        b->deferred = uniq();
+        b->dropped = uniq();
+        b->duplicateMerged = uniq();
+    }
+    r.busLines = uniq();
+    r.branchMispredicts = uniq();
+    r.cghcAccesses = uniq();
+    r.cghcHits = uniq();
     r.prefetchDegraded = true;
     r.degradedReason = "cghc pressure";
     r.instrsPerCall = 43.25;
+
+    r.serverEnabled = true;
+    server::ServerStats &srv = r.server;
+    srv.cores = 2;
+    srv.sessions = uniq();
+    srv.cycles = uniq();
+    srv.queriesServed = uniq();
+    srv.binds = uniq();
+    srv.latencyP50 = uniq();
+    srv.latencyP95 = uniq();
+    srv.latencyP99 = uniq();
+    srv.portWaitCycles = uniq();
+    srv.perCore.resize(2);
+    for (server::ServerCoreStats &c : srv.perCore) {
+        c.cycles = uniq();
+        c.instrs = uniq();
+        c.idleCycles = uniq();
+        c.icacheAccesses = uniq();
+        c.icacheMisses = uniq();
+        c.dcacheAccesses = uniq();
+        c.dcacheMisses = uniq();
+        c.busLines = uniq();
+        c.portWaitCycles = uniq();
+        c.queries = uniq();
+        c.binds = uniq();
+    }
+
+    r.sampledEnabled = true;
+    sample::SampledStats &smp = r.sampled;
+    smp.windows = uniq();
+    smp.detailedCycles = uniq();
+    smp.detailedInstrs = uniq();
+    smp.warmedInstrs = uniq();
+    smp.skippedCycles = uniq();
+    smp.checkpointUsed = true;
+    smp.checkpointSaved = true;
+    const auto uniqReal = [&]() {
+        return static_cast<double>(uniq()) + 0.25;
+    };
+    for (sample::SampledEstimate *e :
+         {&smp.cpi, &smp.l1iMissRate, &smp.l1dMissRate,
+          &smp.fetchStallPerInstr}) {
+        e->samples = uniq();
+        e->mean = uniqReal();
+        e->sem = uniqReal();
+        e->ciLow = uniqReal();
+        e->ciHigh = uniqReal();
+    }
+    return r;
+}
+
+TEST(Report, SimResultJsonRoundTrip)
+{
+    const SimResult r = fullResult();
 
     const Json j = toJson(r);
     const SimResult back = simResultFromJson(j);
@@ -80,6 +164,34 @@ TEST(Report, SimResultJsonRoundTrip)
     const SimResult back2 =
         simResultFromJson(Json::parse(j.dump(2)));
     EXPECT_EQ(back2, r);
+
+    // Without the enable flags the blocks are neither written nor
+    // read back.
+    SimResult legacy = r;
+    legacy.serverEnabled = false;
+    legacy.server = {};
+    legacy.sampledEnabled = false;
+    legacy.sampled = {};
+    const Json lj = toJson(legacy);
+    EXPECT_FALSE(lj.contains("server"));
+    EXPECT_FALSE(lj.contains("sampled"));
+    EXPECT_EQ(simResultFromJson(lj), legacy);
+}
+
+TEST(Report, PreArbiterDocumentParsesWithZeroedArbiterBlocks)
+{
+    SimResult r = fullResult();
+    Json j = toJson(r);
+    ASSERT_TRUE(j.remove("arb_nl"));
+    ASSERT_TRUE(j.remove("arb_cghc"));
+    ASSERT_TRUE(j.remove("arb_dpf"));
+
+    const SimResult back = simResultFromJson(j);
+    EXPECT_EQ(back.arbNl, ArbiterBreakdown{});
+    EXPECT_EQ(back.arbCghc, ArbiterBreakdown{});
+    EXPECT_EQ(back.arbDpf, ArbiterBreakdown{});
+    r.arbNl = r.arbCghc = r.arbDpf = {};
+    EXPECT_EQ(back, r);
 }
 
 TEST(Report, SimResultJsonCarriesBothPrefetchSources)

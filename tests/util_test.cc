@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the util module: RNG determinism and distribution
- * sanity, bit helpers, statistics plumbing, table formatting, and
- * the panic/fatal error paths.
+ * sanity, bit helpers, table formatting, and the panic/fatal error
+ * paths.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "util/crc.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 #include "util/table.hh"
 #include "util/watchdog.hh"
 
@@ -178,70 +177,6 @@ TEST(Bitops, Alignment)
     EXPECT_EQ(alignUp(37, 32), 64u);
     EXPECT_EQ(alignUp(64, 32), 64u);
     EXPECT_EQ(alignDown(64, 32), 64u);
-}
-
-TEST(Stats, CounterBasics)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 5;
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, DistributionBuckets)
-{
-    Distribution d(0, 99, 10);
-    d.sample(5);
-    d.sample(15, 2);
-    d.sample(200); // overflow
-    EXPECT_EQ(d.samples(), 4u);
-    EXPECT_EQ(d.bucket(0), 1u);
-    EXPECT_EQ(d.bucket(1), 2u);
-    EXPECT_EQ(d.overflows(), 1u);
-    EXPECT_EQ(d.minValue(), 5u);
-    EXPECT_EQ(d.maxValue(), 200u);
-    EXPECT_NEAR(d.mean(), (5 + 15 * 2 + 200) / 4.0, 1e-9);
-}
-
-TEST(Stats, GroupLookupAndDump)
-{
-    Counter hits, misses;
-    hits += 30;
-    misses += 10;
-    StatGroup g("cache");
-    g.addCounter("hits", &hits, "hits");
-    g.addCounter("misses", &misses, "misses");
-    g.addFormula(
-        "ratio",
-        [&]() {
-            return static_cast<double>(misses.value()) /
-                static_cast<double>(hits.value() + misses.value());
-        },
-        "miss ratio");
-
-    EXPECT_EQ(g.counterValue("hits"), 30u);
-    EXPECT_TRUE(g.hasCounter("misses"));
-    EXPECT_FALSE(g.hasCounter("nope"));
-    EXPECT_NEAR(g.formulaValue("ratio"), 0.25, 1e-9);
-
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("hits"), std::string::npos);
-    EXPECT_NE(os.str().find("30"), std::string::npos);
-}
-
-TEST(Stats, GroupChildDump)
-{
-    Counter c;
-    StatGroup parent("parent"), child("child");
-    child.addCounter("c", &c, "desc");
-    parent.addChild(&child);
-    std::ostringstream os;
-    parent.dump(os);
-    EXPECT_NE(os.str().find("child"), std::string::npos);
 }
 
 TEST(Table, FormatHelpers)
