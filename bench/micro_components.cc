@@ -1,9 +1,9 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot
- * components: CGHC accesses, cache lookups, branch prediction, and
- * trace expansion throughput.  These bound the simulator's own
- * speed, not the modeled machine's.
+ * components: CGHC accesses, cache lookups, branch prediction, trace
+ * expansion throughput, and the cycle-level core over a whole trace.
+ * These bound the simulator's own speed, not the modeled machine's.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,8 +11,12 @@
 #include "branch/predictor.hh"
 #include "codegen/layout.hh"
 #include "codegen/registry.hh"
+#include "cpu/core.hh"
+#include "harness/workload.hh"
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "prefetch/cghc.hh"
+#include "prefetch/cgp.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
 #include "util/rng.hh"
@@ -115,6 +119,37 @@ BM_TraceExpansion(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceExpansion);
+
+void
+BM_CoreRun(benchmark::State &state)
+{
+    using namespace cgp;
+    // The smoke-a campaign workload: a ~100K-instruction synthetic
+    // program, run on the O5 layout with CGP_4.
+    spec::SpecProgramSpec program;
+    program.name = "smoke-a";
+    program.functions = 60;
+    program.hotFunctions = 30;
+    program.workPerCall = 50.0;
+    program.trainInstrs = 120'000;
+    program.testInstrs = 30'000;
+    const Workload w = WorkloadFactory::buildSpec(program, 1.0);
+    LayoutBuilder builder(*w.registry);
+    const CodeImage image = builder.buildOriginal();
+
+    for (auto _ : state) {
+        InstructionExpander stream(*w.registry, image, *w.trace);
+        MemoryHierarchy mem;
+        CgpPrefetcher cgp(mem.l1i(), CghcConfig::twoLevel2K32K(), 4);
+        Core core(stream, mem, &cgp, CoreConfig{});
+        core.run();
+        benchmark::DoNotOptimize(core.cycles());
+        state.SetItemsProcessed(
+            state.items_processed() +
+            static_cast<std::int64_t>(core.committedInstrs()));
+    }
+}
+BENCHMARK(BM_CoreRun);
 
 void
 BM_BTreeInsert(benchmark::State &state)

@@ -15,41 +15,40 @@ Core::Core(InstructionExpander &stream, MemoryHierarchy &mem,
            DataPrefetcher *dprefetcher)
     : stream_(stream), mem_(mem), prefetcher_(prefetcher),
       dprefetcher_(dprefetcher), config_(config),
-      branch_(config.branch)
+      branch_(config.branch), fetchQueue_(config.fetchQueueSize),
+      rob_(config.rsSize)
 {
 }
 
-bool
-Core::peek(DynInst &out)
+const DynInst *
+Core::peek()
 {
-    if (!pending_.has_value()) {
-        DynInst inst;
+    if (!hasPending_) {
         if (streamDone_)
-            return false;
-        if (!stream_.next(inst)) {
+            return nullptr;
+        if (!stream_.next(pending_)) {
             // A streaming source may be merely dry (another session
             // owns the next events); only a reported end is final.
             if (stream_.endOfStream())
                 streamDone_ = true;
-            return false;
+            return nullptr;
         }
-        pending_ = inst;
+        hasPending_ = true;
     }
-    out = *pending_;
-    return true;
+    return &pending_;
 }
 
 void
 Core::consume()
 {
-    cgp_assert(pending_.has_value(), "consume without peek");
-    pending_.reset();
+    cgp_assert(hasPending_, "consume without peek");
+    hasPending_ = false;
 }
 
 unsigned
-Core::destReg(const DynInst &inst)
+Core::destReg(InstKind kind, Addr pc)
 {
-    switch (inst.kind) {
+    switch (kind) {
       case InstKind::Store:
       case InstKind::Jump:
       case InstKind::CondBranch:
@@ -58,14 +57,14 @@ Core::destReg(const DynInst &inst)
       default:
         break;
     }
-    const std::uint64_t h = (inst.pc >> 2) * 0x9e3779b97f4a7c15ull;
+    const std::uint64_t h = (pc >> 2) * 0x9e3779b97f4a7c15ull;
     return 1 + static_cast<unsigned>((h >> 7) % (numRegs - 1));
 }
 
 void
-Core::srcRegs(const DynInst &inst, unsigned &a, unsigned &b)
+Core::srcRegs(Addr pc, unsigned &a, unsigned &b)
 {
-    const std::uint64_t h = (inst.pc >> 2) * 0xc2b2ae3d27d4eb4full;
+    const std::uint64_t h = (pc >> 2) * 0xc2b2ae3d27d4eb4full;
     a = static_cast<unsigned>((h >> 11) % numRegs);
     b = static_cast<unsigned>((h >> 23) % numRegs);
 }
@@ -78,13 +77,16 @@ Core::doCommit()
         RobEntry &head = rob_.front();
         if (!head.issued || head.doneCycle > now_)
             break;
-        if (head.inst.kind == InstKind::Load ||
-            head.inst.kind == InstKind::Store) {
+        if (head.kind == InstKind::Load ||
+            head.kind == InstKind::Store) {
             cgp_assert(lsqUsed_ > 0, "LSQ underflow");
             --lsqUsed_;
         }
         ++committed_;
         rob_.pop_front();
+        // Only issued entries commit, so the head precedes the
+        // oldest unissued one.
+        --firstUnissued_;
         ++done;
     }
 }
@@ -97,20 +99,20 @@ Core::doIssue()
     unsigned muls = config_.multipliers;
     unsigned ports = config_.memPorts;
 
-    for (RobEntry &e : rob_) {
-        if (issued >= config_.issueWidth)
-            break;
+    // Entries before firstUnissued_ have all issued: start there.
+    for (std::size_t i = firstUnissued_;
+         i < rob_.size() && issued < config_.issueWidth; ++i) {
+        RobEntry &e = rob_[i];
         if (e.issued)
             continue;
 
-        unsigned s1, s2;
-        srcRegs(e.inst, s1, s2);
-        const Cycle operands = std::max(regReady_[s1], regReady_[s2]);
+        const Cycle operands =
+            std::max(regReady_[e.src1], regReady_[e.src2]);
         if (operands > now_)
             continue;
 
         Cycle done = 0;
-        switch (e.inst.kind) {
+        switch (e.kind) {
           case InstKind::IntOp:
           case InstKind::Jump:
           case InstKind::CondBranch:
@@ -132,15 +134,15 @@ Core::doIssue()
                 continue;
             --ports;
             const auto res = mem_.l1d().access(
-                e.inst.memAddr, now_, AccessSource::DemandLoad,
+                e.memAddr, now_, AccessSource::DemandLoad,
                 false);
             done = res.readyCycle;
             if (dprefetcher_ != nullptr) {
                 const bool miss = !res.hit && !res.delayedHit;
-                dprefetcher_->onAccess(e.inst.pc, e.inst.memAddr,
+                dprefetcher_->onAccess(e.pc, e.memAddr,
                                        false, miss, now_);
                 if (miss) {
-                    dprefetcher_->onMiss(e.inst.pc, e.inst.memAddr,
+                    dprefetcher_->onMiss(e.pc, e.memAddr,
                                          now_);
                 }
             }
@@ -151,15 +153,15 @@ Core::doIssue()
                 continue;
             --ports;
             const auto res = mem_.l1d().access(
-                e.inst.memAddr, now_, AccessSource::DemandStore,
+                e.memAddr, now_, AccessSource::DemandStore,
                 true);
             done = now_ + 1; // retires via the store buffer
             if (dprefetcher_ != nullptr) {
                 const bool miss = !res.hit && !res.delayedHit;
-                dprefetcher_->onAccess(e.inst.pc, e.inst.memAddr,
+                dprefetcher_->onAccess(e.pc, e.memAddr,
                                        true, miss, now_);
                 if (miss) {
-                    dprefetcher_->onMiss(e.inst.pc, e.inst.memAddr,
+                    dprefetcher_->onMiss(e.pc, e.memAddr,
                                          now_);
                 }
             }
@@ -170,10 +172,14 @@ Core::doIssue()
         e.issued = true;
         e.doneCycle = done;
         ++issued;
+        if (i == firstUnissued_) {
+            while (firstUnissued_ < rob_.size() &&
+                   rob_[firstUnissued_].issued)
+                ++firstUnissued_;
+        }
 
-        const unsigned d = destReg(e.inst);
-        if (d != 0)
-            regReady_[d] = std::max(regReady_[d], done);
+        if (e.dest != 0)
+            regReady_[e.dest] = std::max(regReady_[e.dest], done);
 
         // A blocking mispredict resolves when it executes; fetch
         // restarts after the redirect bubble.
@@ -190,19 +196,27 @@ Core::doDispatch()
 {
     unsigned moved = 0;
     while (moved < config_.dispatchWidth && !fetchQueue_.empty()) {
-        if (rob_.size() >= config_.rsSize)
+        if (rob_.full())
             break;
-        FetchEntry &fe = fetchQueue_.front();
-        const bool is_mem = fe.inst.kind == InstKind::Load ||
-            fe.inst.kind == InstKind::Store;
+        const FetchEntry &fe = fetchQueue_.front();
+        const bool is_mem = fe.kind == InstKind::Load ||
+            fe.kind == InstKind::Store;
         if (is_mem && lsqUsed_ >= config_.lsqSize)
             break;
         if (is_mem)
             ++lsqUsed_;
-        RobEntry re;
-        re.inst = fe.inst;
+        RobEntry &re = rob_.push_back();
+        re.pc = fe.pc;
+        re.memAddr = fe.memAddr;
+        re.doneCycle = 0;
         re.seq = fe.seq;
-        rob_.push_back(re);
+        re.kind = fe.kind;
+        re.issued = false;
+        unsigned s1, s2;
+        srcRegs(fe.pc, s1, s2);
+        re.src1 = static_cast<std::uint8_t>(s1);
+        re.src2 = static_cast<std::uint8_t>(s2);
+        re.dest = static_cast<std::uint8_t>(destReg(fe.kind, fe.pc));
         fetchQueue_.pop_front();
         ++moved;
     }
@@ -268,12 +282,13 @@ Core::doFetch()
 
     unsigned fetched = 0;
     while (fetched < config_.fetchWidth) {
-        if (fetchQueue_.size() >= config_.fetchQueueSize)
+        if (fetchQueue_.full())
             return;
 
-        DynInst inst;
-        if (!peek(inst))
+        const DynInst *next = peek();
+        if (next == nullptr)
             return;
+        const DynInst &inst = *next;
 
         // Per-line I-cache access on line change.
         const Addr line = mem_.l1i().lineAlign(inst.pc);
@@ -303,15 +318,16 @@ Core::doFetch()
                 inst.hintAddr, now_);
         }
 
-        FetchEntry fe;
-        fe.inst = inst;
+        FetchEntry &fe = fetchQueue_.push_back();
+        fe.pc = inst.pc;
+        fe.memAddr = inst.memAddr;
         fe.seq = ++seqGen_;
+        fe.kind = inst.kind;
 
         bool end_group = false;
         if (isControl(inst.kind)) {
             const bool mispredicted = predictControl(inst);
             if (mispredicted) {
-                fe.blocksFetch = true;
                 blockedOnSeq_ = fe.seq;
                 end_group = true;
             } else if (inst.taken) {
@@ -321,7 +337,6 @@ Core::doFetch()
             }
         }
 
-        fetchQueue_.push_back(fe);
         ++fetched;
         if (end_group)
             return;
@@ -350,9 +365,10 @@ Core::fastForward(std::uint64_t max_instrs, bool warm_state)
     }
 
     std::uint64_t done = 0;
-    DynInst inst;
-    while (done < max_instrs && peek(inst)) {
+    const DynInst *next = nullptr;
+    while (done < max_instrs && (next = peek()) != nullptr) {
         consume();
+        const DynInst &inst = *next;
         if (warm_state) {
             const Addr line = mem_.l1i().lineAlign(inst.pc);
             if (!config_.perfectICache && line != lastFetchLine_) {
@@ -451,15 +467,12 @@ Core::stepCycle()
 
     if (committed_ == before && fetchQueue_.empty() &&
         rob_.empty()) {
-        DynInst probe;
-        if (!peek(probe) && pending_ == std::nullopt) {
-            if (streamDone_)
-                finished_ = true;
-            else
-                ++idleCycles_; // dry source: the core waits
-        } else {
+        // Nothing left anywhere and the stream has ended: done.
+        // Otherwise (a dry source, or fetch stalled) the core waits.
+        if (peek() == nullptr && streamDone_)
+            finished_ = true;
+        else
             ++idleCycles_;
-        }
     }
 }
 

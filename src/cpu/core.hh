@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "branch/predictor.hh"
@@ -34,6 +33,7 @@
 #include "prefetch/prefetcher.hh"
 #include "trace/dyninst.hh"
 #include "trace/expand.hh"
+#include "util/ring.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -176,19 +176,30 @@ class Core
     const BranchUnit &branchUnit() const { return branch_; }
 
   private:
-    struct RobEntry
-    {
-        DynInst inst;
-        bool issued = false;
-        Cycle doneCycle = 0;
-        std::uint64_t seq = 0;
-    };
-
+    /**
+     * The back end reads only an instruction's pc, kind and data
+     * address, so fetch and dispatch carry those, not the whole
+     * DynInst.  Register ids are hashed once, at dispatch.
+     */
     struct FetchEntry
     {
-        DynInst inst;
+        Addr pc = invalidAddr;
+        Addr memAddr = invalidAddr;
         std::uint64_t seq = 0;
-        bool blocksFetch = false; ///< mispredicted control transfer
+        InstKind kind = InstKind::IntOp;
+    };
+
+    struct RobEntry
+    {
+        Addr pc = invalidAddr;
+        Addr memAddr = invalidAddr;
+        Cycle doneCycle = 0;
+        std::uint64_t seq = 0;
+        InstKind kind = InstKind::IntOp;
+        bool issued = false;
+        std::uint8_t src1 = 0;
+        std::uint8_t src2 = 0;
+        std::uint8_t dest = 0;
     };
 
     void doCommit();
@@ -199,12 +210,17 @@ class Core
     /** Predict + prefetcher hooks for a fetched control transfer. */
     bool predictControl(const DynInst &inst);
 
-    bool peek(DynInst &out);
+    /**
+     * The next instruction of the stream, pulled into pending_ if
+     * none is held; null when the stream is dry or ended.  The
+     * pointee stays valid after consume() until the next peek().
+     */
+    const DynInst *peek();
     void consume();
 
     /** Hashed pseudo-register ids for the dependence model. */
-    static unsigned destReg(const DynInst &inst);
-    static void srcRegs(const DynInst &inst, unsigned &a, unsigned &b);
+    static unsigned destReg(InstKind kind, Addr pc);
+    static void srcRegs(Addr pc, unsigned &a, unsigned &b);
 
     InstructionExpander &stream_;
     MemoryHierarchy &mem_;
@@ -216,11 +232,15 @@ class Core
     Cycle now_ = 0;
     std::uint64_t seqGen_ = 0;
 
-    std::deque<FetchEntry> fetchQueue_;
-    std::deque<RobEntry> rob_;
+    Ring<FetchEntry> fetchQueue_;
+    Ring<RobEntry> rob_;
+    /** ROB index (from the head) of the oldest unissued entry; every
+     *  entry before it has issued. */
+    std::size_t firstUnissued_ = 0;
     unsigned lsqUsed_ = 0;
 
-    std::optional<DynInst> pending_;
+    DynInst pending_;
+    bool hasPending_ = false;
     bool streamDone_ = false;
     bool finished_ = false;
     bool fetchSuspended_ = false;

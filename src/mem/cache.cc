@@ -116,7 +116,7 @@ Cache::access(Addr addr, Cycle now, AccessSource source, bool is_write)
     m.demanded = true;
     m.source = source;
     res.readyCycle = m.readyCycle;
-    inflight_.emplace(line_addr, m);
+    addInflight(line_addr, m);
     return res;
 }
 
@@ -220,6 +220,7 @@ Cache::loadState(const Json &state)
     }
     tick_ = state.at("tick").asUint();
     inflight_.clear();
+    nextReady_ = std::numeric_limits<Cycle>::max();
     for (std::size_t i = 0; i < lines_.size(); ++i) {
         Line &l = lines_[i];
         l.tag = tags[i].asUint();
@@ -287,7 +288,7 @@ Cache::issuePrefetch(Addr line_addr, Cycle now, AccessSource source)
     m.isPrefetch = true;
     m.demanded = false;
     m.source = source;
-    inflight_.emplace(line_addr, m);
+    addInflight(line_addr, m);
     ++prefIssued_[static_cast<std::size_t>(source)];
     return m.readyCycle;
 }
@@ -323,18 +324,28 @@ Cache::insert(Addr line_addr, const Mshr &mshr)
 }
 
 void
+Cache::addInflight(Addr line_addr, const Mshr &mshr)
+{
+    inflight_.emplace(line_addr, mshr);
+    nextReady_ = std::min(nextReady_, mshr.readyCycle);
+}
+
+void
 Cache::tick(Cycle now)
 {
-    if (inflight_.empty())
+    if (now < nextReady_)
         return;
+    Cycle earliest = std::numeric_limits<Cycle>::max();
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->second.readyCycle <= now) {
             insert(it->first, it->second);
             it = inflight_.erase(it);
         } else {
+            earliest = std::min(earliest, it->second.readyCycle);
             ++it;
         }
     }
+    nextReady_ = earliest;
 }
 
 void
@@ -346,6 +357,7 @@ Cache::finalize()
             ++useless_[static_cast<std::size_t>(m.source)];
     }
     inflight_.clear();
+    nextReady_ = std::numeric_limits<Cycle>::max();
     for (Line &l : lines_) {
         if (l.valid && l.prefetched && !l.referenced) {
             ++useless_[static_cast<std::size_t>(l.source)];

@@ -23,6 +23,7 @@
 #define CGP_MEM_CACHE_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -240,7 +241,12 @@ class Cache
     void loadState(const Json &state);
     /// @}
 
-    /** Move fills whose ready cycle has passed into the array. */
+    /**
+     * Move fills whose ready cycle has passed into the array.  Returns
+     * at once while no fill can be ready; otherwise walks inflight_
+     * in its own iteration order, which decides the LRU ticks of fills
+     * landing in the same cycle.
+     */
     void tick(Cycle now);
 
     /**
@@ -305,6 +311,9 @@ class Cache
     Cycle issuePrefetch(Addr line_addr, Cycle now,
                         AccessSource source);
 
+    /** Record a new MSHR in inflight_ (and in nextReady_). */
+    void addInflight(Addr line_addr, const Mshr &mshr);
+
     /** Counter-free line install used by the warming path. */
     void warmInstall(Addr line_addr);
 
@@ -318,6 +327,12 @@ class Cache
     std::uint32_t sets_;
     std::vector<Line> lines_;
     std::unordered_map<Addr, Mshr> inflight_;
+    /**
+     * Lower bound on the earliest readyCycle in inflight_ (max when
+     * it is empty): lowered on every MSHR insert, recomputed by the
+     * walk in tick(), reset wherever inflight_ is cleared.
+     */
+    Cycle nextReady_ = std::numeric_limits<Cycle>::max();
     std::uint64_t tick_ = 0;
 
     std::uint64_t accesses_ = 0;

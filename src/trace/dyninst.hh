@@ -36,13 +36,14 @@ isControl(InstKind k)
            k == InstKind::Call || k == InstKind::Return;
 }
 
+/**
+ * Fields are ordered by size (eight-byte addresses, then ids, then
+ * the one-byte fields) so the struct packs into one 64-byte cache
+ * line: it is copied once per instruction out of the expander.
+ */
 struct DynInst
 {
     Addr pc = invalidAddr;
-    InstKind kind = InstKind::IntOp;
-
-    /** Actual direction for CondBranch (Jump/Call/Return: true). */
-    bool taken = false;
 
     /** Actual target for taken control transfers. */
     Addr target = invalidAddr;
@@ -50,14 +51,8 @@ struct DynInst
     /** Data address for Load/Store. */
     Addr memAddr = invalidAddr;
 
-    /** Function containing this instruction. */
-    FunctionId func = invalidFunctionId;
-
     /** Start address of the containing function. */
     Addr funcStart = invalidAddr;
-
-    /** For Call: callee id; for Return: the function returned into. */
-    FunctionId otherFunc = invalidFunctionId;
 
     /** For Call: callee start; for Return: returnee start address. */
     Addr otherFuncStart = invalidAddr;
@@ -66,9 +61,22 @@ struct DynInst
      *  invalidAddr when none.  See DataHintKind. */
     Addr hintAddr = invalidAddr;
 
+    /** Function containing this instruction. */
+    FunctionId func = invalidFunctionId;
+
+    /** For Call: callee id; for Return: the function returned into. */
+    FunctionId otherFunc = invalidFunctionId;
+
+    InstKind kind = InstKind::IntOp;
+
+    /** Actual direction for CondBranch (Jump/Call/Return: true). */
+    bool taken = false;
+
     /** Valid only when hintAddr is set (raw DataHintKind value). */
     std::uint8_t hintKind = 0;
 };
+
+static_assert(sizeof(DynInst) <= 64, "DynInst must fit a cache line");
 
 } // namespace cgp
 

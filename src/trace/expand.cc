@@ -16,7 +16,8 @@ InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
       source_(ownedSource_.get()), config_(config)
 {
     cgp_assert(config_.instrScale > 0.0, "instrScale must be positive");
-    threads_[0].stackBase = stackSegmentBase;
+    curState_ = &threads_[0];
+    curState_->stackBase = stackSegmentBase;
 }
 
 InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
@@ -27,7 +28,8 @@ InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
       config_(config)
 {
     cgp_assert(config_.instrScale > 0.0, "instrScale must be positive");
-    threads_[0].stackBase = stackSegmentBase;
+    curState_ = &threads_[0];
+    curState_->stackBase = stackSegmentBase;
 }
 
 InstructionExpander::Activation *
@@ -40,8 +42,7 @@ InstructionExpander::top()
 Addr
 InstructionExpander::curPc(const Activation &act) const
 {
-    return image_.blockAddr(act.fid, act.block)
-        + static_cast<Addr>(act.offset) * instrBytes;
+    return act.blockBase + static_cast<Addr>(act.offset) * instrBytes;
 }
 
 DynInst
@@ -51,7 +52,7 @@ InstructionExpander::makeInst(const Activation &act, InstKind kind)
     inst.pc = curPc(act);
     inst.kind = kind;
     inst.func = act.fid;
-    inst.funcStart = image_.funcStart(act.fid);
+    inst.funcStart = act.funcBase;
     return inst;
 }
 
@@ -121,12 +122,12 @@ InstructionExpander::setupBlock(Activation &act)
     const Function &f = registry_.function(act.fid);
     const BasicBlock &b = f.blocks[act.block];
     act.offset = 0;
+    act.blockBase = image_.blockAddr(act.fid, act.block);
 
     // Where does the walk go after this block, and is that block the
     // fall-through neighbour in this layout?
     const std::uint16_t next = nextWalkBlock(act);
-    const Addr end = image_.blockAddr(act.fid, act.block)
-        + b.sizeBytes();
+    const Addr end = act.blockBase + b.sizeBytes();
     const bool adjacent = image_.blockAddr(act.fid, next) == end;
     act.needJump = !adjacent;
     act.usable = adjacent
@@ -229,7 +230,8 @@ InstructionExpander::processCall(FunctionId callee)
         push(call);
     }
 
-    Activation act;
+    Activation act{};
+    act.funcBase = image_.funcStart(callee);
     act.fid = callee;
     act.walkIdx = 0;
     const Function &f = registry_.function(callee);
@@ -244,6 +246,8 @@ InstructionExpander::processCall(FunctionId callee)
     // I-cache once warm), while revisits after other work has run
     // take a different path, as data-dependent control flow does in
     // real code.  Short bodies always fall through.
+    if (callee >= invocations_.size())
+        invocations_.resize(static_cast<std::size_t>(callee) + 1, 0);
     const std::uint32_t inv = invocations_[callee]++;
     // Mixed path volatility: some functions are argument-stable
     // (long phases), others flip paths often.
@@ -280,7 +284,7 @@ InstructionExpander::processReturn()
         const Activation &caller = ts.stack.back();
         ret.target = curPc(caller);
         ret.otherFunc = caller.fid;
-        ret.otherFuncStart = image_.funcStart(caller.fid);
+        ret.otherFuncStart = caller.funcBase;
     } else {
         ret.target = image_.textLimit() + 64 + curThread_ * 256
             + instrBytes;
@@ -360,7 +364,7 @@ InstructionExpander::processBranch(bool taken)
         inst.pc = arm_base + static_cast<Addr>(i) * instrBytes;
         inst.kind = InstKind::IntOp;
         inst.func = act.fid;
-        inst.funcStart = image_.funcStart(act.fid);
+        inst.funcStart = act.funcBase;
         push(inst);
     }
     const Addr resume_addr = image_.blockAddr(act.fid, resume);
@@ -368,7 +372,7 @@ InstructionExpander::processBranch(bool taken)
     DynInst tail;
     tail.pc = arm_end - instrBytes;
     tail.func = act.fid;
-    tail.funcStart = image_.funcStart(act.fid);
+    tail.funcStart = act.funcBase;
     if (resume_addr == arm_end) {
         tail.kind = InstKind::IntOp;
     } else {
@@ -404,7 +408,7 @@ InstructionExpander::processMem(EventKind kind, Addr addr)
 bool
 InstructionExpander::refill()
 {
-    while (ready_.empty()) {
+    while (readIdx_ == ready_.size()) {
         if (workLeft_ > 0) {
             emitWorkInstr();
             continue;
@@ -444,13 +448,16 @@ InstructionExpander::refill()
           case EventKind::Store:
             processMem(e.kind(), e.payload());
             break;
-          case EventKind::Switch:
+          case EventKind::Switch: {
             curThread_ = e.payload();
-            if (threads_.find(curThread_) == threads_.end()) {
-                threads_[curThread_].stackBase = stackSegmentBase
+            const auto [it, inserted] = threads_.try_emplace(curThread_);
+            if (inserted) {
+                it->second.stackBase = stackSegmentBase
                     + curThread_ * stackSegmentStride;
             }
+            curState_ = &it->second;
             break;
+          }
           case EventKind::Hint:
             // Hints cost no instruction slot: park the payload until
             // the next emitted instruction carries it to the core.
@@ -464,10 +471,13 @@ InstructionExpander::refill()
 bool
 InstructionExpander::next(DynInst &out)
 {
-    if (ready_.empty() && !refill())
-        return false;
-    out = ready_.front();
-    ready_.pop_front();
+    if (readIdx_ == ready_.size()) {
+        ready_.clear();
+        readIdx_ = 0;
+        if (!refill())
+            return false;
+    }
+    out = ready_[readIdx_++];
     if (!pendingHints_.empty()) {
         const std::uint64_t payload = pendingHints_.front();
         pendingHints_.pop_front();

@@ -71,6 +71,13 @@ class InstructionExpander
                         TraceSource &source,
                         ExpanderConfig config = {});
 
+    /** Holds a pointer into its own thread table: not copyable or
+     *  movable (construct in place or behind a unique_ptr). */
+    InstructionExpander(const InstructionExpander &) = delete;
+    InstructionExpander &operator=(const InstructionExpander &) = delete;
+    InstructionExpander(InstructionExpander &&) = delete;
+    InstructionExpander &operator=(InstructionExpander &&) = delete;
+
     /** Attach a profile to be filled during expansion (may be null). */
     void setProfile(ExecutionProfile *profile) { profile_ = profile; }
 
@@ -127,6 +134,10 @@ class InstructionExpander
     /** One live function invocation on a thread's stack. */
     struct Activation
     {
+        /** image_.funcStart(fid), cached at the call. */
+        Addr funcBase;
+        /** image_.blockAddr(fid, block), cached by setupBlock. */
+        Addr blockBase;
         FunctionId fid;
         std::uint32_t walkIdx;   ///< position in hotWalk
         std::uint16_t block;     ///< current block index
@@ -190,7 +201,7 @@ class InstructionExpander
     /** Fill common fields from the current activation. */
     DynInst makeInst(const Activation &act, InstKind kind);
 
-    ThreadState &thread() { return threads_[curThread_]; }
+    ThreadState &thread() { return *curState_; }
     Activation *top();
 
     const FunctionRegistry &registry_;
@@ -203,10 +214,15 @@ class InstructionExpander
 
     bool ended_ = false;
     std::uint64_t curThread_ = 0;
-    /** Per-function invocation counters driving path dispatch. */
-    std::unordered_map<FunctionId, std::uint32_t> invocations_;
+    /** Per-function invocation counters driving path dispatch,
+     *  indexed by FunctionId (grown on demand). */
+    std::vector<std::uint32_t> invocations_;
     std::unordered_map<std::uint64_t, ThreadState> threads_;
-    std::deque<DynInst> ready_;
+    /** threads_[curThread_]; node pointers survive rehashing. */
+    ThreadState *curState_ = nullptr;
+    /** Expanded instructions not yet handed out: ready_[readIdx_..]. */
+    std::vector<DynInst> ready_;
+    std::size_t readIdx_ = 0;
     /** Hint payloads awaiting an instruction to ride on. */
     std::deque<std::uint64_t> pendingHints_;
     std::uint64_t workLeft_ = 0;

@@ -12,6 +12,7 @@
 
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
 
 namespace cgp
@@ -177,6 +178,71 @@ TEST(Cache, DemandedInflightPrefetchNotUselessLater)
     }
     EXPECT_EQ(cache.useless(kNL), 0u);
     EXPECT_EQ(cache.delayedHits(kNL), 1u);
+}
+
+TEST(Cache, EarlierFillIssuedLaterIsNotHeldBack)
+{
+    // An L1 in front of a memory-backed L2 holding line B only: a
+    // miss on A goes to memory, a later miss on B is served by the
+    // L2, so B's fill is ready long before A's.  tick() skips its
+    // walk until the earliest fill can be ready; B must land at its
+    // own ready cycle, not at A's.
+    CacheConfig l2cfg = tinyConfig();
+    l2cfg.name = "l2";
+    l2cfg.sizeBytes = 1024;
+    l2cfg.hitLatency = 16;
+    MemoryPort port;
+    Cache l2(l2cfg, nullptr, nullptr);
+    Cache l1(tinyConfig(), &l2, &port);
+    const Addr a = 0x1000;
+    const Addr b = 0x2020;
+    l2.warmAccess(b, false);
+
+    const auto ra = l1.access(a, 10, kFetch, false);
+    const auto rb = l1.access(b, 11, kFetch, false);
+    ASSERT_FALSE(ra.hit);
+    ASSERT_FALSE(rb.hit);
+    ASSERT_LT(rb.readyCycle + 1, ra.readyCycle);
+
+    for (Cycle c = 12; c < rb.readyCycle; ++c)
+        l1.tick(c);
+    EXPECT_TRUE(l1.access(b, rb.readyCycle - 1, kFetch, false)
+                    .delayedHit);
+    l1.tick(rb.readyCycle);
+    EXPECT_TRUE(l1.access(b, rb.readyCycle, kFetch, false).hit);
+    // A is still on its way and lands at its own cycle.
+    EXPECT_TRUE(l1.access(a, rb.readyCycle, kFetch, false).delayedHit);
+    l1.tick(ra.readyCycle - 1);
+    EXPECT_FALSE(l1.access(a, ra.readyCycle - 1, kFetch, false).hit);
+    l1.tick(ra.readyCycle);
+    EXPECT_TRUE(l1.access(a, ra.readyCycle, kFetch, false).hit);
+    EXPECT_TRUE(l1.inflightEmpty());
+}
+
+TEST(Cache, MissAfterLoadStateInstallsOnTime)
+{
+    // loadState drops every in-flight fill; a miss issued afterwards
+    // must still be installed exactly at its ready cycle.
+    Cache donor(tinyConfig(), nullptr, nullptr);
+    const auto rd = donor.access(0x3000, 1, kFetch, false);
+    donor.tick(rd.readyCycle);
+    const Json state = donor.saveState();
+
+    Cache cache(tinyConfig(), nullptr, nullptr);
+    const auto dropped = cache.access(0x1000, 5, kFetch, false);
+    cache.loadState(state);
+    EXPECT_TRUE(cache.inflightEmpty());
+
+    const Cycle now = dropped.readyCycle + 7;
+    const auto r = cache.access(0x1040, now, kFetch, false);
+    ASSERT_FALSE(r.hit);
+    cache.tick(r.readyCycle - 1);
+    EXPECT_TRUE(cache.access(0x1040, r.readyCycle - 1, kFetch, false)
+                    .delayedHit);
+    cache.tick(r.readyCycle);
+    EXPECT_TRUE(cache.access(0x1040, r.readyCycle, kFetch, false).hit);
+    // The restored line survived alongside.
+    EXPECT_TRUE(cache.access(0x3000, r.readyCycle, kFetch, false).hit);
 }
 
 TEST(Hierarchy, LatenciesMatchTable1)

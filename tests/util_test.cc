@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the util module: RNG determinism and distribution
- * sanity, bit helpers, table formatting, and the panic/fatal error
- * paths.
+ * sanity, bit helpers, table formatting, the fixed-capacity ring, and
+ * the panic/fatal error paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "util/bitops.hh"
 #include "util/crc.hh"
 #include "util/logging.hh"
+#include "util/ring.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 #include "util/watchdog.hh"
@@ -200,6 +202,78 @@ TEST(Table, RendersAlignedRows)
     EXPECT_NE(out.find("title"), std::string::npos);
     EXPECT_NE(out.find("longer"), std::string::npos);
     EXPECT_NE(out.find("bbbb"), std::string::npos);
+}
+
+TEST(Ring, FifoOrder)
+{
+    Ring<int> ring(4);
+    EXPECT_TRUE(ring.empty());
+    for (int i = 0; i < 4; ++i)
+        ring.push_back() = i;
+    EXPECT_TRUE(ring.full());
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(ring[static_cast<std::size_t>(i)], i);
+    }
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(ring.front(), i);
+        ring.pop_front();
+    }
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, PushBackAtCapacityMinusOneFillsIt)
+{
+    Ring<int> ring(3);
+    ring.push_back() = 10;
+    ring.push_back() = 11;
+    EXPECT_EQ(ring.size(), 2u);
+    EXPECT_FALSE(ring.full());
+    ring.push_back() = 12; // the last free slot
+    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring[2], 12);
+
+    detail::setThrowOnError(true);
+    EXPECT_THROW(ring.push_back(), std::logic_error);
+    detail::setThrowOnError(false);
+    EXPECT_EQ(ring.size(), 3u);
+
+    // Freeing the head makes room for exactly one more, in the slot
+    // the head left (the tail wraps).
+    ring.pop_front();
+    EXPECT_FALSE(ring.full());
+    ring.push_back() = 13;
+    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring.front(), 11);
+    EXPECT_EQ(ring[1], 12);
+    EXPECT_EQ(ring[2], 13);
+}
+
+TEST(Ring, WrapsAroundManyTimesInOrder)
+{
+    // Interleaved pushes and pops move head and tail past the end of
+    // the array thousands of times; the ring must behave exactly like
+    // an unbounded FIFO holding the same elements.
+    Ring<std::uint64_t> ring(5);
+    std::deque<std::uint64_t> model;
+    Rng rng(11);
+    std::uint64_t next = 0;
+    for (int step = 0; step < 20'000; ++step) {
+        const bool push = !ring.full() &&
+            (ring.empty() || rng.nextBool(0.5));
+        if (push) {
+            ring.push_back() = next;
+            model.push_back(next);
+            ++next;
+        } else {
+            ASSERT_EQ(ring.front(), model.front());
+            ring.pop_front();
+            model.pop_front();
+        }
+        ASSERT_EQ(ring.size(), model.size());
+        for (std::size_t i = 0; i < model.size(); ++i)
+            ASSERT_EQ(ring[i], model[i]);
+    }
+    EXPECT_GT(next, 5000u);
 }
 
 TEST(Logging, PanicThrowsInTestMode)
