@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "codegen/function.hh"
@@ -14,6 +15,18 @@
 
 namespace cgp
 {
+
+// Without a printer gtest names each TraitsTest case by the raw bytes
+// of its parameter, padding included, so the names changed from run to
+// run.
+void
+PrintTo(const FunctionTraits &t, std::ostream *os)
+{
+    *os << "hotInstrs=" << t.hotInstrs << " coldFraction=" << t.coldFraction
+        << " decisionSites=" << t.decisionSites
+        << " loops=" << (t.loops ? "true" : "false");
+}
+
 namespace
 {
 
