@@ -25,7 +25,6 @@
 
 #include "db/btree.hh"
 #include "db/heapfile.hh"
-#include "trace/interleave.hh"
 #include "trace/serialize.hh"
 
 namespace
@@ -233,30 +232,6 @@ BM_TraceSerializeRoundTrip(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceSerializeRoundTrip);
-
-void
-BM_Interleave(benchmark::State &state)
-{
-    using namespace cgp;
-    std::vector<TraceBuffer> threads(8);
-    for (auto &t : threads) {
-        TraceRecorder rec(t);
-        rec.call(1);
-        for (int i = 0; i < 20'000; ++i)
-            rec.work(30);
-        rec.ret();
-    }
-    std::vector<const TraceBuffer *> ptrs;
-    for (auto &t : threads)
-        ptrs.push_back(&t);
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 20'000;
-    for (auto _ : state) {
-        const TraceBuffer merged = interleaveTraces(ptrs, cfg);
-        benchmark::DoNotOptimize(merged.size());
-    }
-}
-BENCHMARK(BM_Interleave);
 
 } // namespace
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "sample/checkpoint.hh"
 #include "util/json.hh"
 
 #include <algorithm>
@@ -185,6 +186,12 @@ CorrelationDataPrefetcher::loadState(const Json &state)
         for (const Json &a : je.at("succ").items())
             e.succ.push_back(a.asUint());
     }
+}
+
+void
+CorrelationDataPrefetcher::addCheckpointParts(sample::CheckpointParts &parts)
+{
+    parts.correlation = this;
 }
 
 } // namespace cgp

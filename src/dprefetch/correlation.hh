@@ -66,6 +66,7 @@ class CorrelationDataPrefetcher : public DataPrefetcher
     /// and the last-miss trigger.
     Json saveState() const;
     void loadState(const Json &state);
+    void addCheckpointParts(sample::CheckpointParts &parts) override;
     /// @}
 
   private:

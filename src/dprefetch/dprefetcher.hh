@@ -27,6 +27,11 @@
 namespace cgp
 {
 
+namespace sample
+{
+struct CheckpointParts;
+}
+
 class DataPrefetcher
 {
   public:
@@ -63,6 +68,16 @@ class DataPrefetcher
         (void)kind;
         (void)addr;
         (void)now;
+    }
+
+    /**
+     * Register the engine's warm state in a sampled run's checkpoint
+     * (sample/checkpoint.hh).  Engines with a table set their own
+     * section; wrappers forward to what they wrap.
+     */
+    virtual void addCheckpointParts(sample::CheckpointParts &parts)
+    {
+        (void)parts;
     }
 
     virtual const char *name() const = 0;

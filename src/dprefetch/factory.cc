@@ -54,6 +54,13 @@ MultiDataPrefetcher::onHint(DataHintKind kind, Addr addr, Cycle now)
         p->onHint(kind, addr, now);
 }
 
+void
+MultiDataPrefetcher::addCheckpointParts(sample::CheckpointParts &parts)
+{
+    for (auto &p : parts_)
+        p->addCheckpointParts(parts);
+}
+
 std::unique_ptr<DataPrefetcher>
 makeDataPrefetcher(Cache &l1d, const DPrefetchConfig &config)
 {

@@ -50,15 +50,9 @@ class MultiDataPrefetcher : public DataPrefetcher
                   Cycle now) override;
     void onMiss(Addr pc, Addr addr, Cycle now) override;
     void onHint(DataHintKind kind, Addr addr, Cycle now) override;
+    void addCheckpointParts(sample::CheckpointParts &parts) override;
 
     const char *name() const override { return "combined"; }
-
-    /** Component engines (for checkpoint state access). */
-    const std::vector<std::unique_ptr<DataPrefetcher>> &
-    parts() const
-    {
-        return parts_;
-    }
 
   private:
     std::vector<std::unique_ptr<DataPrefetcher>> parts_;

@@ -51,6 +51,14 @@ class FailSoftDataPrefetcher : public DataPrefetcher
         });
     }
 
+    void
+    addCheckpointParts(sample::CheckpointParts &parts) override
+    {
+        guard_.call("addCheckpointParts", [&](DataPrefetcher &p) {
+            p.addCheckpointParts(parts);
+        });
+    }
+
     const char *name() const override { return guard_.name(); }
 
     /** True once the inner prefetcher has been disabled. */
@@ -58,9 +66,6 @@ class FailSoftDataPrefetcher : public DataPrefetcher
 
     /** What disabled it (empty while healthy). */
     const std::string &reason() const { return guard_.reason(); }
-
-    /** The wrapped engine (for checkpoint state access). */
-    DataPrefetcher *inner() { return guard_.inner(); }
 
   private:
     FailSoftGuard<DataPrefetcher> guard_;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "sample/checkpoint.hh"
 #include "util/bitops.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -79,6 +80,12 @@ SemanticDataPrefetcher::loadState(const Json &state)
             "semantic checkpoint recent-array size mismatch");
     for (std::size_t i = 0; i < recent_.size(); ++i)
         recent_[i] = lines[i].asUint();
+}
+
+void
+SemanticDataPrefetcher::addCheckpointParts(sample::CheckpointParts &parts)
+{
+    parts.semantic = this;
 }
 
 } // namespace cgp

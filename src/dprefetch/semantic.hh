@@ -60,6 +60,7 @@ class SemanticDataPrefetcher : public DataPrefetcher
     /// not serialized.
     Json saveState() const;
     void loadState(const Json &state);
+    void addCheckpointParts(sample::CheckpointParts &parts) override;
     /// @}
 
   private:

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "sample/checkpoint.hh"
 #include "util/json.hh"
 
 #include "util/bitops.hh"
@@ -141,6 +142,12 @@ StrideDataPrefetcher::loadState(const Json &state)
         table_[i].confidence =
             static_cast<unsigned>(confs[i].asUint());
     }
+}
+
+void
+StrideDataPrefetcher::addCheckpointParts(sample::CheckpointParts &parts)
+{
+    parts.stride = this;
 }
 
 } // namespace cgp

@@ -59,6 +59,7 @@ class StrideDataPrefetcher : public DataPrefetcher
     /// @{ Warm-state checkpointing of the per-PC table.
     Json saveState() const;
     void loadState(const Json &state);
+    void addCheckpointParts(sample::CheckpointParts &parts) override;
     /// @}
 
   private:

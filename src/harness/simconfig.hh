@@ -66,7 +66,7 @@ struct SimConfig
      * runs N cores — private L1s, prefetch engines and arbiter per
      * core — against one shared L2, fed by closed-loop client
      * sessions through the admission scheduler.  Disabled (the
-     * default) keeps the legacy single-core path untouched.
+     * default) runs one core on the workload's pre-merged trace.
      */
     server::ServerConfig server;
 

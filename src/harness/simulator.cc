@@ -1,6 +1,7 @@
 #include "harness/simulator.hh"
 
 #include <memory>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "dprefetch/factory.hh"
@@ -12,10 +13,8 @@
 #include "prefetch/nextline.hh"
 #include "prefetch/prefetcher.hh"
 #include "prefetch/software_cgp.hh"
-#include "sample/controller.hh"
 #include "server/server.hh"
 #include "trace/expand.hh"
-#include "trace/source.hh"
 #include "util/logging.hh"
 
 namespace cgp
@@ -36,7 +35,6 @@ struct EngineSet
     FailSoftPrefetcher *failsoft = nullptr;
     FailSoftDataPrefetcher *dfailsoft = nullptr;
     const Cghc *cghc = nullptr;
-    Cghc *cghcMut = nullptr; ///< checkpoint restore needs mutability
     bool ctorFailed = false;
     std::string ctorReason;
 };
@@ -71,8 +69,7 @@ buildEngines(MemoryHierarchy &mem, const SimConfig &config,
           case PrefetchKind::Cgp: {
             auto cgp = std::make_unique<CgpPrefetcher>(
                 mem.l1i(), config.cghc, config.depth);
-            set.cghcMut = &cgp->cghc();
-            set.cghc = set.cghcMut;
+            set.cghc = &cgp->cghc();
             inner = std::move(cgp);
             break;
           }
@@ -87,7 +84,6 @@ buildEngines(MemoryHierarchy &mem, const SimConfig &config,
         set.ctorFailed = true;
         set.ctorReason = e.what();
         set.cghc = nullptr;
-        set.cghcMut = nullptr;
         inner.reset();
         cgp_error("prefetcher construction failed (", set.ctorReason,
                   "); running without prefetch");
@@ -125,48 +121,9 @@ buildEngines(MemoryHierarchy &mem, const SimConfig &config,
 }
 
 /**
- * Wire the checkpointable structures of one single-core machine into
- * a CheckpointParts.  The D-side engines hide behind the fail-soft
- * wrapper (and, for the Combined stack, the multi fan-out), so they
- * are recovered by type.
- */
-sample::CheckpointParts
-makeCheckpointParts(MemoryHierarchy &mem, Core &core,
-                    EngineSet &engines)
-{
-    sample::CheckpointParts p;
-    p.l1i = &mem.l1i();
-    p.l1d = &mem.l1d();
-    p.l2 = &mem.l2();
-    p.branch = &core.branchUnit();
-    p.cghc = engines.cghcMut;
-    p.core = &core;
-    if (engines.dfailsoft != nullptr) {
-        const auto bind = [&p](DataPrefetcher *e) {
-            if (auto *s = dynamic_cast<StrideDataPrefetcher *>(e))
-                p.stride = s;
-            else if (auto *c =
-                         dynamic_cast<CorrelationDataPrefetcher *>(e))
-                p.correlation = c;
-            else if (auto *h =
-                         dynamic_cast<SemanticDataPrefetcher *>(e))
-                p.semantic = h;
-        };
-        DataPrefetcher *inner = engines.dfailsoft->inner();
-        if (auto *multi = dynamic_cast<MultiDataPrefetcher *>(inner)) {
-            for (const auto &part : multi->parts())
-                bind(part.get());
-        } else {
-            bind(inner);
-        }
-    }
-    return p;
-}
-
-/**
  * Add one core's counters into the result: committed instructions,
  * branch mispredicts, the L1 and arbiter prefetch classification,
- * CGHC accesses and engine health.  Both run paths call it once per
+ * CGHC accesses and engine health.  runSimulation calls it once per
  * core, so the scalar SimResult counters are sums across cores.
  */
 void
@@ -230,22 +187,29 @@ collectCore(SimResult &r, MemoryHierarchy &mem, const Core &core,
     }
 }
 
-/**
- * The N-core server-model path (config.server.enabled): per-core
- * hierarchies and engines behind one shared L2, sessions fed by the
- * admission scheduler (or the pre-merged trace in singleStream
- * mode).  The scalar SimResult counters aggregate across cores; the
- * per-core breakdown and latency summary ride in result.server.
- */
+} // anonymous namespace
+
 SimResult
-runServerSimulation(const Workload &workload, const SimConfig &config)
+runSimulation(const Workload &workload, const SimConfig &config)
 {
+    cgp_assert(workload.registry != nullptr && workload.trace != nullptr,
+               "incomplete workload");
+
+    // 1. Bind the trace to the requested binary layout.
     LayoutBuilder builder(*workload.registry);
     ExecutionProfile empty_profile;
     const ExecutionProfile &profile = workload.omProfile
         ? *workload.omProfile
         : empty_profile;
     const CodeImage image = builder.build(config.layout, profile);
+
+    // 2. Wire the machine.  A disabled server is one core replaying
+    // the pre-merged trace; an enabled one takes its shape from
+    // config.server.
+    server::ServerConfig srv_cfg;
+    srv_cfg.singleStream = true;
+    if (config.server.enabled)
+        srv_cfg = config.server;
 
     server::ServerWiring wiring;
     wiring.registry = workload.registry.get();
@@ -258,11 +222,10 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
     wiring.core = config.core;
     wiring.core.perfectICache = config.perfectICache;
     wiring.sample = config.sample;
-    // No warm-state checkpoints on the server path: session and
-    // scheduler state are not serialized (DESIGN.md §11.4).
-    wiring.sample.checkpoints = {};
+    wiring.workload = workload.name;
+    wiring.configLabel = config.describe();
 
-    if (config.server.singleStream) {
+    if (srv_cfg.singleStream) {
         wiring.singleStream = workload.trace.get();
     } else if (workload.queryLibrary != nullptr &&
                !workload.queryLibrary->empty()) {
@@ -275,7 +238,7 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
         wiring.queries.push_back(workload.trace.get());
     }
 
-    std::vector<EngineSet> engines(config.server.cores);
+    std::vector<EngineSet> engines(srv_cfg.cores);
     wiring.engines = [&](MemoryHierarchy &mem, unsigned coreId) {
         EngineSet set = buildEngines(mem, config, *workload.registry,
                                      image, profile);
@@ -286,12 +249,15 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
         return pair;
     };
 
-    server::DbServer srv(config.server, wiring);
+    // 3. Run: the lockstep loop, or the sampling controller on core
+    // 0 when the sampling axis is enabled.
+    server::DbServer srv(srv_cfg, wiring);
     srv.run();
 
+    // 4. Collect.  The scalar counters sum across cores.
     SimResult r;
     r.workload = workload.name;
-    r.config = config.describe();
+    r.config = wiring.configLabel;
     r.cycles = srv.cycles();
 
     std::uint64_t emitted = 0;
@@ -307,86 +273,18 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
         ? 0.0
         : static_cast<double>(emitted) / static_cast<double>(calls);
 
-    r.serverEnabled = true;
-    r.server = srv.stats();
-    if (config.sample.enabled) {
-        r.sampledEnabled = true;
-        r.sampled = srv.sampledStats();
-        r.instrs += r.sampled.warmedInstrs;
+    if (config.server.enabled) {
+        r.serverEnabled = true;
+        r.server = srv.stats();
     }
-    return r;
-}
-
-} // anonymous namespace
-
-SimResult
-runSimulation(const Workload &workload, const SimConfig &config)
-{
-    cgp_assert(workload.registry != nullptr && workload.trace != nullptr,
-               "incomplete workload");
-
-    if (config.server.enabled)
-        return runServerSimulation(workload, config);
-
-    // 1. Bind the trace to the requested binary layout.
-    LayoutBuilder builder(*workload.registry);
-    ExecutionProfile empty_profile;
-    const ExecutionProfile &profile = workload.omProfile
-        ? *workload.omProfile
-        : empty_profile;
-    const CodeImage image = builder.build(config.layout, profile);
-
-    ExpanderConfig expand_cfg;
-    expand_cfg.instrScale =
-        config.layout == LayoutKind::PettisHansen
-        ? config.omInstrScale
-        : 1.0;
-    InstructionExpander stream(*workload.registry, image,
-                               *workload.trace, expand_cfg);
-
-    // 2. Assemble the machine.
-    MemoryHierarchy mem(config.mem);
-    EngineSet engines = buildEngines(mem, config, *workload.registry,
-                                     image, profile);
-
-    CoreConfig core_cfg = config.core;
-    core_cfg.perfectICache = config.perfectICache;
-    Core core(stream, mem, engines.iengine.get(), core_cfg,
-              engines.dengine.get());
-
-    // 3. Run — full-detail Core::run(), or the sampling controller
-    // when the sampling axis is enabled (the legacy path stays
-    // byte-identical: nothing below branches on sampling except the
-    // extra result block).
-    sample::SampledStats sampledStats;
-    if (config.sample.enabled) {
-        sample::CheckpointParts parts =
-            makeCheckpointParts(mem, core, engines);
-        sampledStats =
-            sample::runSampled(core, mem, stream, config.sample,
-                               parts, workload.name,
-                               config.describe());
-    } else {
-        core.run();
-    }
-
-    // 4. Collect.
-    SimResult r;
-    r.workload = workload.name;
-    r.config = config.describe();
-    r.cycles = core.cycles();
-    collectCore(r, mem, core, engines);
     if (config.sample.enabled) {
         // Warmed instructions executed (functionally); cycles()
         // already includes the IPC-scaled clock jumps, so the pair
         // remains an end-to-end CPI estimate.
-        r.instrs += sampledStats.warmedInstrs;
         r.sampledEnabled = true;
-        r.sampled = sampledStats;
+        r.sampled = srv.sampledStats();
+        r.instrs += r.sampled.warmedInstrs;
     }
-    r.l2Misses = mem.l2().demandMisses();
-    r.busLines = mem.port().requests();
-    r.instrsPerCall = stream.instrsPerCall();
     return r;
 }
 

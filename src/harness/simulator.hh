@@ -2,7 +2,9 @@
  * @file
  * Simulation driver: bind a workload trace to a layout, run it
  * through the Table 1 machine under a SimConfig, and collect the
- * numbers every paper figure needs.
+ * numbers every paper figure needs.  The machine is always a
+ * server::DbServer: one core replaying the pre-merged trace unless
+ * config.server enables the multi-core model.
  */
 
 #ifndef CGP_HARNESS_SIMULATOR_HH
@@ -142,7 +144,11 @@ struct SimResult
     bool operator==(const SimResult &) const = default;
 };
 
-/** Run one (workload, config) point. */
+/**
+ * Run one (workload, config) point.  Throws std::invalid_argument
+ * for a sampled config in server admission mode (sampling is
+ * single-stream only).
+ */
 SimResult runSimulation(const Workload &workload,
                         const SimConfig &config);
 

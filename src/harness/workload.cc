@@ -65,8 +65,8 @@ recordSwitchStub(const db::DbFuncs &fn)
 }
 
 /** Merge per-query buffers into one scheduled trace via the server
- *  model's legacy-compatible shim (byte-identical to the deprecated
- *  trace/interleave merger). */
+ *  model's legacy-compatible shim (the retired offline merger's
+ *  schedule, pinned by tests/golden/interleave_*.txt). */
 std::shared_ptr<TraceBuffer>
 schedule(const std::vector<TraceBuffer> &queries,
          const TraceBuffer &stub)

@@ -5,11 +5,11 @@
  * when enabled, the shared prefetch arbiter that coordinates I-side
  * and D-side engines on that port (see mem/pfarbiter.hh).
  *
- * L2 ownership is explicit.  The single-core path constructs a
- * MemoryHierarchy that owns its SharedL2 (bit-identical to the old
- * implicit wiring); the server model constructs one SharedL2 and N
- * borrowing hierarchies, one per core, each with private L1s and a
- * private arbiter on the shared port.  SharedL2 carries its own
+ * L2 ownership is explicit.  A standalone core (unit tests, micro
+ * benchmarks) constructs a MemoryHierarchy that owns its SharedL2;
+ * the DbServer that runs every simulation constructs one SharedL2
+ * and N borrowing hierarchies, one per core, each with private L1s
+ * and a private arbiter on the shared port.  SharedL2 carries its own
  * once-guards for tick (per cycle) and finalize (per run) so that N
  * owners can drive it without double-ticking or double-classifying —
  * the multi-owner audit of the PR-4 `finalized_` guard.
@@ -88,8 +88,8 @@ class SharedL2
 class MemoryHierarchy
 {
   public:
-    /** Owning form: the hierarchy constructs and owns its L2 (the
-     *  legacy single-core wiring). */
+    /** Owning form: the hierarchy constructs and owns its L2 (a
+     *  standalone core). */
     explicit MemoryHierarchy(const HierarchyConfig &config = {})
         : ownedL2_(std::make_unique<SharedL2>(config.l2)),
           shared_(ownedL2_.get()),

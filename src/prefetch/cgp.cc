@@ -1,6 +1,7 @@
 #include "prefetch/cgp.hh"
 
 #include "fault/fault.hh"
+#include "sample/checkpoint.hh"
 #include "util/logging.hh"
 
 namespace cgp
@@ -67,6 +68,12 @@ CgpPrefetcher::onReturn(Addr returnee_start, Addr returning_start,
             throw fault::TransientIoError("injected CGHC train fault");
         cghc_.returnUpdateAccess(returning_start);
     }
+}
+
+void
+CgpPrefetcher::addCheckpointParts(sample::CheckpointParts &parts)
+{
+    parts.cghc = &cghc_;
 }
 
 } // namespace cgp

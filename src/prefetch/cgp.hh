@@ -46,8 +46,10 @@ class CgpPrefetcher : public InstrPrefetcher
         cghc_.setWarming(warming);
     }
 
+    /** Checkpoints the CGHC. */
+    void addCheckpointParts(sample::CheckpointParts &parts) override;
+
     const Cghc &cghc() const { return cghc_; }
-    /** Mutable access for checkpoint restore. */
     Cghc &cghc() { return cghc_; }
     unsigned depth() const { return depth_; }
 

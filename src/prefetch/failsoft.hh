@@ -1,9 +1,10 @@
 /**
  * @file
  * Fail-soft prefetcher decorator: forwards every hook, setWarming
- * included, to the inner prefetcher through a FailSoftGuard, so the
- * first exception disables the prefetcher and the run continues
- * prefetch-less from that point (graceful degradation).
+ * and addCheckpointParts included, to the inner prefetcher through a
+ * FailSoftGuard, so the first exception disables the prefetcher and
+ * the run continues prefetch-less from that point (graceful
+ * degradation).
  */
 
 #ifndef CGP_PREFETCH_FAILSOFT_HH
@@ -59,6 +60,14 @@ class FailSoftPrefetcher : public InstrPrefetcher
                     [&](InstrPrefetcher &p) { p.setWarming(warming); });
     }
 
+    void
+    addCheckpointParts(sample::CheckpointParts &parts) override
+    {
+        guard_.call("addCheckpointParts", [&](InstrPrefetcher &p) {
+            p.addCheckpointParts(parts);
+        });
+    }
+
     const char *name() const override { return guard_.name(); }
 
     /** True once the inner prefetcher has been disabled. */
@@ -66,9 +75,6 @@ class FailSoftPrefetcher : public InstrPrefetcher
 
     /** What disabled it (empty while healthy). */
     const std::string &reason() const { return guard_.reason(); }
-
-    /** The wrapped engine (for checkpoint state access). */
-    InstrPrefetcher *inner() { return guard_.inner(); }
 
   private:
     FailSoftGuard<InstrPrefetcher> guard_;

@@ -23,6 +23,11 @@
 namespace cgp
 {
 
+namespace sample
+{
+struct CheckpointParts;
+}
+
 class InstrPrefetcher
 {
   public:
@@ -69,6 +74,16 @@ class InstrPrefetcher
      * already suppressed at the cache, so most engines ignore this.
      */
     virtual void setWarming(bool warming) { (void)warming; }
+
+    /**
+     * Register the engine's warm state in a sampled run's checkpoint
+     * (sample/checkpoint.hh).  Engines with predictive state set
+     * their own section; wrappers forward to what they wrap.
+     */
+    virtual void addCheckpointParts(sample::CheckpointParts &parts)
+    {
+        (void)parts;
+    }
 
     virtual const char *name() const = 0;
 };

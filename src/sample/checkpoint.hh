@@ -37,13 +37,14 @@ namespace sample
 {
 
 /**
- * Borrowed pointers to every structure a checkpoint covers.  l2 may
- * be null when the L2 is shared and its owner checkpoints it
- * elsewhere; the engine pointers are null when the corresponding
- * prefetcher is not part of the configuration (the checkpoint
- * records which sections are present and restore demands the same
- * shape — guaranteed in practice because the configuration string
- * is part of the checkpoint key).
+ * Borrowed pointers to every structure a checkpoint covers.  The
+ * machine fills the caches, branch unit and core; each prefetch
+ * engine fills its own pointer through addCheckpointParts, so the
+ * engine pointers are null when the corresponding prefetcher is not
+ * part of the configuration (the checkpoint records which sections
+ * are present and restore demands the same shape — guaranteed in
+ * practice because the configuration string is part of the
+ * checkpoint key).
  */
 struct CheckpointParts
 {

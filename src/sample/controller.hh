@@ -1,8 +1,10 @@
 /**
  * @file
- * The sampling controller: drives a single core through the
- * SMARTS-style alternation of detailed windows and fast-forward
- * functional warming (DESIGN.md §11.2).
+ * The sampling controller, the simulator's only sampling loop:
+ * drives a single core through the SMARTS-style alternation of
+ * detailed windows and fast-forward functional warming (DESIGN.md
+ * §11.2).  server::DbServer calls it on core 0 of a single-stream
+ * machine; sampling is single-stream only (§11.4).
  *
  * One sampling period:
  *
@@ -17,7 +19,7 @@
  *      warming all predictive state.
  *   4. *Clock jump* — the cycle clock advances by the skipped
  *      cycles, scaled by the same IPC, so downstream cycle math
- *      (and the server model's timers) see a continuous clock.
+ *      sees a continuous clock.
  *
  * Before the first window the controller functionally warms
  * warmupInstrs instructions — or restores that prefix from a
@@ -47,8 +49,9 @@ namespace sample
 /**
  * Run @p core to completion under sampling.  Replaces Core::run()
  * when sampling is enabled: like run() it calls beginRun() itself
- * and finalizes @p mem once the core finishes, so the caller treats
- * it as a drop-in substitute.
+ * and finalizes @p mem once the core finishes (a borrowing
+ * hierarchy leaves the shared L2 to its owner), so the caller
+ * treats it as a drop-in substitute.
  *
  * @param stream The expander feeding @p core (checkpoint replay).
  * @param parts Checkpointable structures; ignored unless the config

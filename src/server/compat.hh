@@ -1,12 +1,13 @@
 /**
  * @file
- * Compatibility shim for the deprecated trace/interleave path: the
- * legacy concurrent figures are produced by streaming the per-query
- * traces through a server-style source that reproduces the old
- * `interleaveTraces` schedule decision-for-decision (same rng stream,
- * same pick/re-pick rule, same jittered quanta, same Switch + stub
+ * The query interleaving behind every workload's pre-merged trace:
+ * the per-query traces stream through a server-style source that
+ * reproduces the schedule of the retired offline merger
+ * (`interleaveTraces`) decision-for-decision (same rng stream, same
+ * pick/re-pick rule, same jittered quanta, same Switch + stub
  * emission).  `legacyMerge` drains it into one buffer; a regression
- * test asserts the result is event-identical to the old merger.
+ * test compares the result event for event with that merger's
+ * output, frozen in tests/golden/interleave_*.txt.
  */
 
 #ifndef CGP_SERVER_COMPAT_HH
@@ -60,7 +61,7 @@ class LegacyInterleaveSource final : public TraceSource
     std::uint64_t used_ = 0;
 };
 
-/** Drain the shim into one buffer (drop-in for interleaveTraces). */
+/** Drain the shim into one buffer. */
 TraceBuffer legacyMerge(
     const std::vector<const TraceBuffer *> &threads,
     std::uint64_t quantumInstrs, const TraceBuffer *switchStub);

@@ -3,7 +3,8 @@
  * Configuration of the multi-core DB server model (see DESIGN.md
  * §10): N cores with private L1s + prefetch engines in front of one
  * shared L2, fed by a closed-loop population of client sessions
- * through a FIFO admission scheduler.
+ * through a FIFO admission scheduler.  Every run goes through the
+ * server; a disabled config means one core on one stream.
  */
 
 #ifndef CGP_SERVER_CONFIG_HH
@@ -16,8 +17,13 @@ namespace cgp::server
 
 struct ServerConfig
 {
-    /** Model the workload through the server (false = legacy
-     *  single-core pre-merged-trace path). */
+    /**
+     * Model the workload as a server: the fields below apply and
+     * the result carries a `server` block.  When false the run is
+     * still a DbServer, fixed at one core replaying the workload's
+     * pre-merged trace (singleStream, one session), and the rest of
+     * this struct is ignored.
+     */
     bool enabled = false;
 
     /** Cores, each with private L1-I/L1-D/CGP/D-engine/arbiter. */
@@ -28,10 +34,11 @@ struct ServerConfig
 
     /**
      * Replay the workload's pre-merged trace on core 0 instead of
-     * running the admission scheduler.  With cores == sessions == 1
-     * this is byte-identical to the legacy path (the golden
-     * contract); it also routes the legacy interleaved figures
-     * through the server plumbing.
+     * running the admission scheduler (cores must be 1).  This is
+     * the machine every run with `enabled == false` uses, so an
+     * enabled single-stream run differs from it only in the config
+     * label and the `server` block.  It is also the only mode that
+     * can be sampled.
      */
     bool singleStream = false;
 

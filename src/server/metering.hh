@@ -2,9 +2,8 @@
  * @file
  * Quantum metering shared by the per-core session source and the
  * legacy-interleave shim: the instruction cost a trace event
- * contributes to a scheduling quantum (identical to the legacy
- * trace/interleave accounting, which the shim must reproduce
- * byte-for-byte).
+ * contributes to a scheduling quantum (the retired offline merger's
+ * accounting, which the shim must reproduce byte-for-byte).
  */
 
 #ifndef CGP_SERVER_METERING_HH

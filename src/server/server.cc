@@ -1,7 +1,9 @@
 #include "server/server.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "sample/controller.hh"
 #include "util/logging.hh"
 
 namespace cgp::server
@@ -21,6 +23,11 @@ DbServer::DbServer(const ServerConfig &config, ServerWiring wiring)
         cgp_assert(wiring_.singleStream != nullptr,
                    "singleStream mode without a trace");
     } else {
+        if (wiring_.sample.enabled)
+            throw std::invalid_argument(
+                "sampling is single-stream only: admission-mode "
+                "sessions are still in think time during the warm-up, "
+                "so it would warm nothing");
         cgp_assert(!wiring_.queries.empty(),
                    "admission mode without a query library");
         sched_ = std::make_unique<AdmissionScheduler>(
@@ -61,8 +68,29 @@ DbServer::~DbServer() = default;
 void
 DbServer::run()
 {
-    if (wiring_.sample.enabled) {
-        runSampled(wiring_.sample);
+    if (config_.singleStream) {
+        // One core on one stream needs no lockstep: core 0 runs its
+        // own loop, or the sampling controller with a checkpoint
+        // covering the shared L2 and whatever its engines register.
+        CoreUnit &u = *units_.front();
+        if (wiring_.sample.enabled) {
+            sample::CheckpointParts parts;
+            parts.l1i = &u.mem->l1i();
+            parts.l1d = &u.mem->l1d();
+            parts.l2 = &shared_.cache();
+            parts.branch = &u.core->branchUnit();
+            parts.core = u.core.get();
+            if (u.engines.iengine != nullptr)
+                u.engines.iengine->addCheckpointParts(parts);
+            if (u.engines.dengine != nullptr)
+                u.engines.dengine->addCheckpointParts(parts);
+            sampledStats_ = sample::runSampled(
+                *u.core, *u.mem, *u.expander, wiring_.sample, parts,
+                wiring_.workload, wiring_.configLabel);
+        } else {
+            u.core->run();
+        }
+        finalize();
         return;
     }
 
@@ -81,183 +109,17 @@ DbServer::run()
         if (!running)
             break;
         ++cycle;
-        if (sched_ != nullptr)
-            sched_->wake(cycle);
+        sched_->wake(cycle);
         // Fixed core order every cycle: scheduler decisions (and
         // thus the whole run) are deterministic.
         for (auto &u : units_) {
             if (u->core->finished())
                 continue;
-            if (u->source != nullptr)
-                u->source->setNow(cycle);
+            u->source->setNow(cycle);
             u->core->stepCycle();
         }
     }
     finalize();
-}
-
-void
-DbServer::runSampled(const sample::SampleConfig &cfg)
-{
-    for (auto &u : units_)
-        u->core->beginRun();
-
-    sample::WindowEstimator cpiE, l1iE, l1dE, stallE;
-    Cycle cycle = 0;
-    Cycle totalSkip = 0;
-    const Cycle ffCycles = cfg.periodCycles > cfg.windowCycles
-        ? cfg.periodCycles - cfg.windowCycles
-        : 0;
-
-    const auto anyRunning = [this]() {
-        for (const auto &u : units_)
-            if (!u->core->finished())
-                return true;
-        return false;
-    };
-    const auto allDrained = [this]() {
-        for (const auto &u : units_)
-            if (!u->core->finished() && !u->core->drained())
-                return false;
-        return true;
-    };
-    // One lockstep cycle, identical to the legacy loop's body.
-    const auto stepAll = [this, &cycle]() {
-        ++cycle;
-        if (sched_ != nullptr)
-            sched_->wake(cycle);
-        for (auto &u : units_) {
-            if (u->core->finished())
-                continue;
-            if (u->source != nullptr)
-                u->source->setNow(cycle);
-            u->core->stepCycle();
-        }
-    };
-
-    // Warm the prefix.  In admission mode the sources are dry until
-    // the scheduler binds sessions, so this mostly matters for
-    // singleStream runs; per-period warming covers the rest.
-    if (cfg.warmupInstrs > 0) {
-        for (auto &u : units_)
-            u->core->fastForward(cfg.warmupInstrs,
-                                 cfg.functionalWarming);
-    }
-
-    std::vector<std::uint64_t> i0(units_.size(), 0);
-    while (anyRunning()) {
-        // 1. Global detailed window in lockstep.
-        const Cycle winStart = cycle;
-        Cycle coreCycles0 = 0;
-        std::uint64_t iAcc0 = 0, iMiss0 = 0, dAcc0 = 0, dMiss0 = 0;
-        std::uint64_t stall0 = 0;
-        for (unsigned i = 0; i < units_.size(); ++i) {
-            const CoreUnit &u = *units_[i];
-            i0[i] = u.core->committedInstrs();
-            coreCycles0 += u.core->cycles();
-            iAcc0 += u.mem->l1i().demandAccesses();
-            iMiss0 += u.mem->l1i().demandMisses();
-            dAcc0 += u.mem->l1d().demandAccesses();
-            dMiss0 += u.mem->l1d().demandMisses();
-            stall0 += u.core->fetchIcacheStallCycles();
-        }
-
-        while (anyRunning() && cycle - winStart < cfg.windowCycles)
-            stepAll();
-
-        const Cycle winCycles = cycle - winStart;
-        Cycle coreCycleDelta = 0;
-        std::uint64_t winInstrs = 0;
-        std::vector<std::uint64_t> coreWinInstrs(units_.size(), 0);
-        std::uint64_t iAcc = 0, iMiss = 0, dAcc = 0, dMiss = 0;
-        std::uint64_t stall = 0;
-        for (unsigned i = 0; i < units_.size(); ++i) {
-            const CoreUnit &u = *units_[i];
-            coreWinInstrs[i] = u.core->committedInstrs() - i0[i];
-            winInstrs += coreWinInstrs[i];
-            coreCycleDelta += u.core->cycles();
-            iAcc += u.mem->l1i().demandAccesses();
-            iMiss += u.mem->l1i().demandMisses();
-            dAcc += u.mem->l1d().demandAccesses();
-            dMiss += u.mem->l1d().demandMisses();
-            stall += u.core->fetchIcacheStallCycles();
-        }
-        coreCycleDelta -= coreCycles0;
-        if (winCycles > 0 && winInstrs > 0) {
-            ++sampledStats_.windows;
-            // Aggregate CPI: detailed core-cycles over committed
-            // instructions across all (still running) cores.
-            cpiE.add(static_cast<double>(coreCycleDelta) /
-                     static_cast<double>(winInstrs));
-            if (iAcc > iAcc0)
-                l1iE.add(static_cast<double>(iMiss - iMiss0) /
-                         static_cast<double>(iAcc - iAcc0));
-            if (dAcc > dAcc0)
-                l1dE.add(static_cast<double>(dMiss - dMiss0) /
-                         static_cast<double>(dAcc - dAcc0));
-            stallE.add(static_cast<double>(stall - stall0) /
-                       static_cast<double>(winInstrs));
-        }
-        if (!anyRunning())
-            break;
-
-        // 2. Drain every core so no in-flight instruction straddles
-        // the clock jump.
-        for (auto &u : units_)
-            u->core->suspendFetch(true);
-        while (anyRunning() && !allDrained())
-            stepAll();
-        for (auto &u : units_)
-            u->core->suspendFetch(false);
-        if (!anyRunning())
-            break;
-
-        // 3. Per-core fast-forward at each core's own window IPC.
-        std::uint64_t consumed = 0;
-        for (unsigned i = 0; i < units_.size(); ++i) {
-            CoreUnit &u = *units_[i];
-            if (u.core->finished())
-                continue;
-            const std::uint64_t budget = ffCycles *
-                std::max<std::uint64_t>(coreWinInstrs[i], 1) /
-                std::max<Cycle>(winCycles, 1);
-            if (budget > 0)
-                consumed += u.core->fastForward(
-                    budget, cfg.functionalWarming);
-        }
-
-        // 4. One shared clock jump keeps the cores in lockstep and
-        // lets the scheduler's think timers elapse over the skipped
-        // region.  With nothing consumed and an idle window (cores
-        // parked on think timers) the idle stretch itself is skipped
-        // — there is no state to warm in it.
-        Cycle skip = 0;
-        if (consumed > 0)
-            skip = consumed * std::max<Cycle>(winCycles, 1) /
-                std::max<std::uint64_t>(winInstrs, 1);
-        else if (winInstrs == 0)
-            skip = ffCycles;
-        if (skip > 0) {
-            for (auto &u : units_) {
-                if (!u->core->finished())
-                    u->core->advanceClock(skip);
-            }
-            cycle += skip;
-            totalSkip += skip;
-        }
-    }
-    finalize();
-
-    sampledStats_.detailedCycles = cycle - totalSkip;
-    for (const auto &u : units_) {
-        sampledStats_.detailedInstrs += u->core->committedInstrs();
-        sampledStats_.warmedInstrs += u->core->warmedInstrs();
-    }
-    sampledStats_.skippedCycles = totalSkip;
-    sampledStats_.cpi = cpiE.estimate();
-    sampledStats_.l1iMissRate = l1iE.estimate();
-    sampledStats_.l1dMissRate = l1dE.estimate();
-    sampledStats_.fetchStallPerInstr = stallE.estimate();
 }
 
 void

@@ -1,6 +1,8 @@
 /**
  * @file
- * DbServer: the N-core database server model (DESIGN.md §10).
+ * DbServer: the simulated machine (DESIGN.md §10).  Every run is a
+ * DbServer: a single-core run is one core in singleStream mode, a
+ * server-model run is N cores fed by the admission scheduler.
  *
  * Topology: N cores, each owning a private L1-I/L1-D, its own
  * instruction- and data-prefetch engines and its own PrefetchArbiter,
@@ -13,9 +15,11 @@
  * and Core, which the server steps in lockstep, one global cycle at
  * a time, in fixed core order (determinism).
  *
- * Correctness contract: with cores = sessions = 1 in singleStream
- * mode the server is byte-identical to the legacy single-core path
- * (enforced by a golden test).
+ * In singleStream mode the one core needs no lockstep: run() hands
+ * it to Core::run, or, when wiring.sample is enabled, to
+ * sample::runSampled with that core's checkpoint parts.  Sampling is
+ * single-stream only; a sampled wiring in admission mode is rejected
+ * at construction.
  */
 
 #ifndef CGP_SERVER_SERVER_HH
@@ -23,6 +27,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -65,14 +70,15 @@ struct ServerWiring
     EngineFactory engines;
 
     /**
-     * SMARTS-style sampling under the lockstep loop (DESIGN.md
-     * §11.4): global detailed windows, an all-core drain, per-core
-     * functional fast-forward and one shared clock jump so the cores
-     * stay in lockstep.  Warm-state checkpoints are not offered on
-     * the server path (the scheduler/session state is not
-     * serialized); the hooks in here are ignored.
+     * SMARTS-style sampling (DESIGN.md §11.2), singleStream mode
+     * only.  The checkpoint hooks in here are honoured: core 0's
+     * warm state, the shared L2 included, is saved and restored
+     * under a key built from `workload` and `configLabel`.
      */
     sample::SampleConfig sample;
+    /** Checkpoint identity of a sampled run. */
+    std::string workload;
+    std::string configLabel;
 
     /** singleStream mode: the pre-merged trace replayed on core 0. */
     const TraceBuffer *singleStream = nullptr;
@@ -147,10 +153,6 @@ class DbServer
     };
 
     void finalize();
-
-    /** The sampled lockstep loop (run() dispatches here when the
-     *  wiring enables sampling). */
-    void runSampled(const sample::SampleConfig &cfg);
 
     ServerConfig config_;
     ServerWiring wiring_;

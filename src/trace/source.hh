@@ -40,7 +40,7 @@ class TraceSource
 };
 
 /** Adapts a pre-recorded TraceBuffer to the pull interface (the
- *  legacy single-stream path; never returns Dry). */
+ *  single-stream machine; never returns Dry). */
 class BufferTraceSource final : public TraceSource
 {
   public:

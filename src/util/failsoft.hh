@@ -64,8 +64,6 @@ class FailSoftGuard
     /** What disabled it (empty while healthy). */
     const std::string &reason() const { return reason_; }
 
-    Engine *inner() { return inner_.get(); }
-
   private:
     void
     disable(const char *hookName, const std::string &why)

@@ -1,20 +1,26 @@
 /**
  * @file
- * Tests of the multi-core DB server model (src/server): the N=1
- * single-stream golden contract against the legacy path, the
- * byte-compat shim over the deprecated trace/interleave merger,
- * scheduler fairness and starvation bounds, Zipf-mix and think-time
- * determinism, shared-L2 multi-owner guards, and the SimResult
- * server-stats serialization round trip.
+ * Tests of the multi-core DB server model (src/server): turning the
+ * server flag on for one single-stream core changes only the label
+ * and the server block, sampling is single-stream only, the
+ * legacy-interleave shim reproduces the frozen
+ * schedules of the retired merger, scheduler fairness and starvation
+ * bounds, Zipf-mix and think-time determinism, shared-L2 multi-owner
+ * guards, and the SimResult server-stats serialization round trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <map>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "exp/campaigns.hh"
 #include "harness/report.hh"
 #include "harness/simulator.hh"
 #include "harness/workload.hh"
@@ -22,7 +28,6 @@
 #include "server/compat.hh"
 #include "server/scheduler.hh"
 #include "server/stats.hh"
-#include "trace/interleave.hh"
 #include "trace/recorder.hh"
 #include "util/rng.hh"
 
@@ -71,7 +76,8 @@ TEST(ServerGolden, SingleStreamRunIsByteIdenticalToLegacyPath)
     SimResult srv = runSimulation(w, srv_cfg);
 
     ASSERT_TRUE(srv.serverEnabled);
-    // Normalize the fields that legitimately differ — the config
+    // Both runs are one DbServer core on the same stream.  Normalize
+    // the fields the server flag is allowed to change — the config
     // label carries the +srv suffix and the server block only exists
     // on the server run — then demand byte identity.
     srv.config = legacy.config;
@@ -79,6 +85,21 @@ TEST(ServerGolden, SingleStreamRunIsByteIdenticalToLegacyPath)
     srv.server = server::ServerStats{};
     EXPECT_EQ(toJson(legacy).dump(2), toJson(srv).dump(2));
     EXPECT_TRUE(legacy == srv);
+}
+
+// ---------------------------------------------------------------
+// Sampling: single-stream only
+// ---------------------------------------------------------------
+
+TEST(ServerSampling, AdmissionModeSamplingIsRejected)
+{
+    exp::PaperWorkloadBank bank;
+    const Workload w = bank.resolve("wisc-prof");
+    const SimConfig cfg = SimConfig::withSampling(
+        SimConfig::withServer(
+            SimConfig::withCgp(LayoutKind::PettisHansen, 4), 2, 4, 4),
+        2000, 10000, 10000);
+    EXPECT_THROW(runSimulation(w, cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------
@@ -98,6 +119,42 @@ queryTrace(FunctionId fid, unsigned works, std::uint32_t perWork)
     return buf;
 }
 
+/**
+ * Load a frozen schedule of the retired trace/interleave merger from
+ * tests/golden/ ('#' comment lines, then one `<kind> <payload>` pair
+ * per event).
+ */
+TraceBuffer
+loadSchedule(const std::string &file)
+{
+    std::ifstream in(std::string(CGP_GOLDEN_DIR) + "/" + file);
+    EXPECT_TRUE(in.good()) << "missing fixture " << file;
+    TraceBuffer buf;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        unsigned kind = 0;
+        std::uint64_t payload = 0;
+        fields >> kind >> payload;
+        EXPECT_FALSE(fields.fail()) << file << ": " << line;
+        buf.append(TraceEvent::make(static_cast<EventKind>(kind),
+                                    payload));
+    }
+    return buf;
+}
+
+void
+expectSameEvents(const TraceBuffer &expected, const TraceBuffer &got)
+{
+    ASSERT_EQ(expected.size(), got.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected.at(i).raw(), got.at(i).raw())
+            << "event " << i;
+    }
+}
+
 TEST(ServerCompat, ShimReproducesLegacyInterleaveExactly)
 {
     const TraceBuffer a = queryTrace(1, 40, 500);
@@ -105,23 +162,8 @@ TEST(ServerCompat, ShimReproducesLegacyInterleaveExactly)
     const TraceBuffer c = queryTrace(3, 60, 300);
     const std::vector<const TraceBuffer *> threads = {&a, &b, &c};
 
-    // The reference: the deprecated merger with a live onSwitch
-    // callback recording the scheduler stub.
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 6000;
-    cfg.onSwitch = [](TraceRecorder &rec) {
-        TraceScope s(rec, 7);
-        s.work(60);
-        s.branch(true);
-        {
-            TraceScope save(rec, 8);
-            save.work(35);
-        }
-        s.work(20);
-    };
-    const TraceBuffer expected = interleaveTraces(threads, cfg);
-
-    // The shim: the same stub pre-recorded once, replayed per bind.
+    // The reference merger recorded this stub live at every switch;
+    // the shim replays it pre-recorded.
     TraceBuffer stub;
     {
         TraceRecorder rec(stub);
@@ -134,31 +176,16 @@ TEST(ServerCompat, ShimReproducesLegacyInterleaveExactly)
         }
         s.work(20);
     }
-    const TraceBuffer merged =
-        server::legacyMerge(threads, 6000, &stub);
-
-    ASSERT_EQ(expected.size(), merged.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected.at(i).raw(), merged.at(i).raw())
-            << "event " << i;
-    }
+    expectSameEvents(loadSchedule("interleave_three_with_stub.txt"),
+                     server::legacyMerge(threads, 6000, &stub));
 }
 
 TEST(ServerCompat, ShimWithoutStubMatchesLegacyWithoutOnSwitch)
 {
     const TraceBuffer a = queryTrace(1, 10, 400);
     const TraceBuffer b = queryTrace(2, 12, 350);
-    const std::vector<const TraceBuffer *> threads = {&a, &b};
-
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 2000;
-    const TraceBuffer expected = interleaveTraces(threads, cfg);
-    const TraceBuffer merged =
-        server::legacyMerge(threads, 2000, nullptr);
-
-    ASSERT_EQ(expected.size(), merged.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(expected.at(i).raw(), merged.at(i).raw());
+    expectSameEvents(loadSchedule("interleave_two_no_stub.txt"),
+                     server::legacyMerge({&a, &b}, 2000, nullptr));
 }
 
 // ---------------------------------------------------------------

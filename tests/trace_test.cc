@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for trace events, the recorder, and the interleaver.
+ * Tests for trace events, the recorder, and the interleaved merge
+ * (server::legacyMerge).
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
+#include "server/compat.hh"
 #include "trace/events.hh"
-#include "trace/interleave.hh"
 #include "trace/recorder.hh"
 
 namespace cgp
@@ -126,14 +128,16 @@ makeThread(FunctionId fid, unsigned bursts)
     return buf;
 }
 
+// The interleave properties, checked on server::legacyMerge, which
+// reproduces the old offline merger's schedule.
+
 TEST(Interleave, PreservesPerThreadEventOrder)
 {
     const TraceBuffer a = makeThread(1, 40);
     const TraceBuffer b = makeThread(2, 25);
 
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 5000;
-    const TraceBuffer merged = interleaveTraces({&a, &b}, cfg);
+    const TraceBuffer merged =
+        server::legacyMerge({&a, &b}, 5000, nullptr);
 
     // Partition merged events back per thread and compare.
     std::map<std::uint64_t, std::vector<std::uint64_t>> per_thread;
@@ -159,9 +163,8 @@ TEST(Interleave, EmitsMultipleSwitches)
 {
     const TraceBuffer a = makeThread(1, 50);
     const TraceBuffer b = makeThread(2, 50);
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 4000;
-    const TraceBuffer merged = interleaveTraces({&a, &b}, cfg);
+    const TraceBuffer merged =
+        server::legacyMerge({&a, &b}, 4000, nullptr);
 
     unsigned switches = 0;
     for (std::size_t i = 0; i < merged.size(); ++i) {
@@ -174,33 +177,33 @@ TEST(Interleave, EmitsMultipleSwitches)
 
 TEST(Interleave, OnSwitchCallbackRuns)
 {
+    // The scheduler's own execution is a stub recorded once and
+    // replayed after every Switch.
     const TraceBuffer a = makeThread(1, 10);
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 2000;
-    unsigned called = 0;
-    cfg.onSwitch = [&called](TraceRecorder &rec) {
-        ++called;
+    TraceBuffer stub;
+    {
+        TraceRecorder rec(stub);
         TraceScope s(rec, 99);
         s.work(5);
-    };
-    const TraceBuffer merged = interleaveTraces({&a}, cfg);
-    EXPECT_GE(called, 2u);
-
-    // The scheduler scope appears right after each Switch event.
-    for (std::size_t i = 0; i + 1 < merged.size(); ++i) {
-        if (merged.at(i).kind() == EventKind::Switch) {
-            EXPECT_EQ(merged.at(i + 1).kind(), EventKind::Call);
-            EXPECT_EQ(merged.at(i + 1).payload(), 99u);
-        }
     }
+    const TraceBuffer merged = server::legacyMerge({&a}, 2000, &stub);
+
+    unsigned switches = 0;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+        if (merged.at(i).kind() != EventKind::Switch)
+            continue;
+        ++switches;
+        ASSERT_LT(i + stub.size(), merged.size());
+        for (std::size_t j = 0; j < stub.size(); ++j)
+            EXPECT_EQ(merged.at(i + 1 + j).raw(), stub.at(j).raw());
+    }
+    EXPECT_GE(switches, 2u);
 }
 
 TEST(Interleave, SingleThreadKeepsAllEvents)
 {
     const TraceBuffer a = makeThread(5, 30);
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 1000;
-    const TraceBuffer merged = interleaveTraces({&a}, cfg);
+    const TraceBuffer merged = server::legacyMerge({&a}, 1000, nullptr);
 
     std::vector<std::uint64_t> body;
     for (std::size_t i = 0; i < merged.size(); ++i) {
@@ -216,10 +219,8 @@ TEST(Interleave, IsDeterministic)
 {
     const TraceBuffer a = makeThread(1, 30);
     const TraceBuffer b = makeThread(2, 30);
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 3000;
-    const TraceBuffer m1 = interleaveTraces({&a, &b}, cfg);
-    const TraceBuffer m2 = interleaveTraces({&a, &b}, cfg);
+    const TraceBuffer m1 = server::legacyMerge({&a, &b}, 3000, nullptr);
+    const TraceBuffer m2 = server::legacyMerge({&a, &b}, 3000, nullptr);
     ASSERT_EQ(m1.size(), m2.size());
     for (std::size_t i = 0; i < m1.size(); ++i)
         EXPECT_EQ(m1.at(i).raw(), m2.at(i).raw());
