@@ -3,11 +3,13 @@
  * cgpbench — unified driver for the paper's experiment campaigns.
  *
  *   cgpbench list
- *       Show every campaign (and the groups figures/ablations/all).
+ *       Show every campaign with its group (figures/ablations; the
+ *       group "all" is both).
  *
  *   cgpbench run <campaign|group>... [options]
- *       Run campaigns on the parallel engine, print the cycle
- *       tables, and write one BENCH_<name>.json per campaign.
+ *       Run campaigns on the parallel engine, print each one's
+ *       cycle tables and figure section, and write one
+ *       BENCH_<name>.json per campaign.
  *         --threads N       worker threads (default: hardware)
  *         --dir D           parent directory for resumable run dirs
  *         --seed S          override the campaign seed
@@ -27,8 +29,14 @@
  *       corrupt artifacts are quarantined + re-run automatically.
  *
  *   cgpbench report <dir>
- *       Summarize a run directory without simulating anything,
- *       including any terminally failed jobs and their causes.
+ *       Summarize a run directory without simulating anything: job
+ *       status, and once every job is done or failed, the same
+ *       tables `run` prints, failed jobs and their causes included.
+ *
+ *   cgpbench show table1|callgraph|anatomy
+ *       Print a page that runs no campaign: Table 1's machine
+ *       parameters, the §3.2 call-graph statistics, or the
+ *       workload anatomy.
  *
  *   cgpbench verify <dir>
  *       Audit a run directory's artifact integrity (CRC seals,
@@ -56,6 +64,7 @@
 #include "exp/campaigns.hh"
 #include "exp/chaosloop.hh"
 #include "exp/engine.hh"
+#include "exp/figures.hh"
 #include "exp/rundir.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -101,6 +110,7 @@ usage()
         << "           [--threads N] [--quiet] [--retries N]\n"
         << "           [--on-fail strict|degrade] [--seed S]\n"
         << "       cgpbench report <dir | name --dir D>\n"
+        << "       cgpbench show table1|callgraph|anatomy\n"
         << "       cgpbench verify <dir | name --dir D>\n"
         << "       cgpbench chaos <campaign> --dir D [--cycles N]\n"
         << "           [--threads N] [--seed S] [--retries N]\n";
@@ -215,15 +225,18 @@ int
 cmdList()
 {
     TablePrinter t("Campaigns");
-    t.setHeader({"name", "jobs", "title"});
+    t.setHeader({"name", "group", "jobs", "title"});
     for (const std::string &name : campaignNames()) {
-        const CampaignSpec spec = paperCampaign(name);
-        t.addRow({name, std::to_string(expandJobs(spec).size()),
+        const CampaignEntry &entry = *findCampaign(name);
+        const CampaignSpec spec = entry.make();
+        const std::string group = entry.group;
+        t.addRow({name, group.empty() ? "-" : group,
+                  std::to_string(expandJobs(spec).size()),
                   spec.title});
     }
     t.print(std::cout);
-    std::cout << "\nGroups: figures, ablations, all "
-                 "(smoke is only run by name)\n";
+    std::cout << "\nGroups: figures, ablations, all (both); a "
+                 "campaign without a group is only run by name\n";
     return 0;
 }
 
@@ -241,44 +254,23 @@ engineOptions(const Options &opt)
     return eopt;
 }
 
-void
-printFailures(const CampaignRun &run)
+std::string
+artifactPath(const Options &opt, const std::string &campaign)
 {
-    if (run.failures.empty())
-        return;
-    TablePrinter t("Failed jobs (degraded campaign)");
-    t.setHeader({"job", "workload", "config", "kind", "attempts",
-                 "error"});
-    for (const JobFailure &f : run.failures) {
-        t.addRow({std::to_string(f.index),
-                  run.jobs[f.index].workload,
-                  run.jobs[f.index].label, f.kind,
-                  std::to_string(f.attempts), f.message});
-    }
-    t.print(std::cout);
-    std::cout << "\n";
+    return !opt.artifactFile.empty()
+        ? opt.artifactFile
+        : opt.artifactDir + "/BENCH_" + campaign + ".json";
 }
 
-/** Run one campaign and emit its tables + artifact; returns the
- *  number of terminally failed jobs. */
+/** Run one campaign, print it, write its BENCH artifact and a
+ *  summary line; returns the number of terminally failed jobs. */
 std::size_t
-runOne(const CampaignSpec &spec, PaperWorkloadBank &bank,
-       const Options &opt)
+runAndEmit(const CampaignSpec &spec, PaperWorkloadBank &bank,
+           const EngineOptions &eopt, const std::string &artifact)
 {
-    EngineOptions eopt = engineOptions(opt);
-    if (!opt.dir.empty()) {
-        eopt.runDir = opt.dir + "/" + spec.name;
-        if (opt.fresh)
-            std::filesystem::remove_all(eopt.runDir);
-    }
-
     const CampaignRun run = runCampaign(spec, bank, eopt);
 
-    printCycleTables(run, std::cout);
-    printFailures(run);
-    const std::string artifact = !opt.artifactFile.empty()
-        ? opt.artifactFile
-        : opt.artifactDir + "/BENCH_" + spec.name + ".json";
+    printCampaign(run, std::cout);
     writeBenchJson(artifact, run);
     std::cout << "\n[" << spec.name << "] " << run.executed
               << " jobs run, " << run.skipped << " resumed, "
@@ -316,7 +308,13 @@ cmdRun(const Options &opt)
         CampaignSpec spec = paperCampaign(name);
         if (opt.seedSet)
             spec.seed = opt.seed;
-        failed += runOne(spec, bank, opt);
+        EngineOptions eopt = engineOptions(opt);
+        if (!opt.dir.empty()) {
+            eopt.runDir = opt.dir + "/" + name;
+            if (opt.fresh)
+                std::filesystem::remove_all(eopt.runDir);
+        }
+        failed += runAndEmit(spec, bank, eopt, artifactPath(opt, name));
     }
     // A degraded campaign completed but is not healthy; make the
     // exit code say so for CI.
@@ -369,21 +367,31 @@ cmdResume(const Options &opt)
     if (opt.seedSet)
         spec.seed = opt.seed;
 
-    const std::string artifact = opt.artifactDir + "/BENCH_" +
-        campaign + ".json";
-
     PaperWorkloadBank bank;
     EngineOptions eopt = engineOptions(opt);
     eopt.runDir = dir;
-    const CampaignRun run = runCampaign(spec, bank, eopt);
-    printCycleTables(run, std::cout);
-    printFailures(run);
-    writeBenchJson(artifact, run);
-    std::cout << "\n[" << spec.name << "] " << run.executed
-              << " jobs run, " << run.skipped << " resumed, "
-              << run.failures.size() << " failed; artifact "
-              << artifact << "\n";
-    return run.failures.empty() ? 0 : 3;
+    const std::size_t failed =
+        runAndEmit(spec, bank, eopt, artifactPath(opt, campaign));
+    return failed == 0 ? 0 : 3;
+}
+
+/** The run-dir view as a finished run, for the shared printers.
+ *  Jobs without a result and not failed are left default. */
+CampaignRun
+toCampaignRun(const LoadedRun &loaded)
+{
+    CampaignRun run;
+    run.name = loaded.campaign;
+    run.title = loaded.title;
+    run.fingerprint = loaded.fingerprint;
+    run.seed = loaded.seed;
+    run.jobs = loaded.jobs;
+    run.results.resize(loaded.jobs.size());
+    for (const auto &[index, r] : loaded.results)
+        run.results[index] = r;
+    for (const auto &[index, f] : loaded.failures)
+        run.failures.push_back(f);
+    return run;
 }
 
 int
@@ -430,149 +438,45 @@ cmdReport(const Options &opt)
     }
     t.print(std::cout);
 
-    // Server-model campaigns get a queueing summary and a per-core
-    // breakdown; plain campaigns print only the job rows above.
-    bool any_server = false;
-    for (const auto &[index, r] : run.results) {
-        if (r.serverEnabled) {
-            any_server = true;
-            break;
-        }
-    }
-    if (any_server) {
+    // Once nothing is pending, the run dir holds everything `run`
+    // printed; a run with pending jobs has no complete tables yet.
+    const CampaignRun full = toCampaignRun(run);
+    const bool pending = std::any_of(
+        run.jobs.begin(), run.jobs.end(), [&run](const JobSpec &j) {
+            return run.results.count(j.index) == 0 &&
+                run.failures.count(j.index) == 0;
+        });
+    if (!pending) {
         std::cout << "\n";
-        TablePrinter s("Server summary");
-        s.setHeader({"job", "workload", "config", "cores",
-                     "sessions", "queries", "q/Mcycle",
-                     "q/sec @1GHz", "p50", "p95", "p99"});
-        for (const JobSpec &j : run.jobs) {
-            const auto it = run.results.find(j.index);
-            if (it == run.results.end() ||
-                !it->second.serverEnabled)
-                continue;
-            const auto &srv = it->second.server;
-            s.addRow({std::to_string(j.index), j.workload, j.label,
-                      TablePrinter::num(srv.cores),
-                      TablePrinter::num(srv.sessions),
-                      TablePrinter::num(srv.queriesServed),
-                      TablePrinter::fixed(srv.queriesPerMcycle(), 2),
-                      TablePrinter::fixed(
-                          srv.queriesPerMcycle() * 1000.0, 0),
-                      TablePrinter::num(srv.latencyP50),
-                      TablePrinter::num(srv.latencyP95),
-                      TablePrinter::num(srv.latencyP99)});
-        }
-        s.print(std::cout);
-
-        std::cout << "\n";
-        TablePrinter pc("Per-core breakdown");
-        pc.setHeader({"job", "core", "util", "instrs", "I$ misses",
-                      "D$ misses", "bus lines", "port wait",
-                      "queries", "binds"});
-        for (const JobSpec &j : run.jobs) {
-            const auto it = run.results.find(j.index);
-            if (it == run.results.end() ||
-                !it->second.serverEnabled)
-                continue;
-            const auto &srv = it->second.server;
-            for (std::size_t c = 0; c < srv.perCore.size(); ++c) {
-                const auto &core = srv.perCore[c];
-                pc.addRow({std::to_string(j.index),
-                           std::to_string(c),
-                           TablePrinter::percent(core.utilization()),
-                           TablePrinter::num(core.instrs),
-                           TablePrinter::num(core.icacheMisses),
-                           TablePrinter::num(core.dcacheMisses),
-                           TablePrinter::num(core.busLines),
-                           TablePrinter::num(core.portWaitCycles),
-                           TablePrinter::num(core.queries),
-                           TablePrinter::num(core.binds)});
-            }
-            pc.addRule();
-        }
-        pc.print(std::cout);
+        printCampaign(full, std::cout);
+        return 0;
     }
-
-    // Sampled campaigns get an estimate table: mean [95% CI] per
-    // metric, plus the cycle-loop speedup against the full-detail
-    // job of the same workload+config when the run contains one.
-    bool any_sampled = false;
-    for (const auto &[index, r] : run.results) {
-        if (r.sampledEnabled) {
-            any_sampled = true;
-            break;
-        }
-    }
-    if (any_sampled) {
-        const auto ci = [](const sample::SampledEstimate &e,
-                           int digits) {
-            return TablePrinter::fixed(e.mean, digits) + " [" +
-                TablePrinter::fixed(e.ciLow, digits) + ", " +
-                TablePrinter::fixed(e.ciHigh, digits) + "]";
-        };
-        // Full-detail job for (workload, label-before-"+smp").
-        const auto fullDetail =
-            [&run](const JobSpec &job) -> const SimResult * {
-            const std::size_t pos = job.label.find("+smp");
-            const std::string base = pos == std::string::npos
-                ? job.label
-                : job.label.substr(0, pos);
-            for (const JobSpec &j : run.jobs) {
-                const auto it = run.results.find(j.index);
-                if (it == run.results.end() ||
-                    it->second.sampledEnabled)
-                    continue;
-                if (j.workload == job.workload && j.label == base)
-                    return &it->second;
-            }
-            return nullptr;
-        };
-        std::cout << "\n";
-        TablePrinter sm("Sampled estimates (mean [95% CI])");
-        sm.setHeader({"job", "workload", "config", "windows",
-                      "CPI", "L1-I miss", "L1-D miss",
-                      "detailed cyc", "speedup"});
-        for (const JobSpec &j : run.jobs) {
-            const auto it = run.results.find(j.index);
-            if (it == run.results.end() ||
-                !it->second.sampledEnabled)
-                continue;
-            const auto &smp = it->second.sampled;
-            const SimResult *base = fullDetail(j);
-            const std::string speedup = base == nullptr ||
-                    smp.detailedCycles == 0
-                ? "-"
-                : TablePrinter::fixed(
-                      static_cast<double>(base->cycles) /
-                          static_cast<double>(smp.detailedCycles),
-                      1) +
-                    "x";
-            sm.addRow({std::to_string(j.index), j.workload, j.label,
-                       TablePrinter::num(smp.windows),
-                       ci(smp.cpi, 3), ci(smp.l1iMissRate, 4),
-                       ci(smp.l1dMissRate, 4),
-                       TablePrinter::num(smp.detailedCycles),
-                       speedup});
-        }
-        sm.print(std::cout);
-    }
-
     if (!run.failures.empty()) {
         std::cout << "\n";
-        TablePrinter f("Failed jobs");
-        f.setHeader({"job", "kind", "attempts", "error"});
-        for (const auto &[index, fail] : run.failures) {
-            f.addRow({std::to_string(index), fail.kind,
-                      std::to_string(fail.attempts),
-                      fail.message});
-        }
-        f.print(std::cout);
+        printFailures(full, std::cout);
     }
-    if (run.results.size() < run.jobs.size()) {
-        std::cout << "\nResume with: cgpbench resume " << dir
-                  << "\n";
-    }
+    std::cout << "\nResume with: cgpbench resume " << dir << "\n";
     return 0;
+}
+
+int
+cmdShow(const Options &opt)
+{
+    static const std::pair<const char *, void (*)(std::ostream &)>
+        pages[] = {{"table1", showTable1},
+                   {"callgraph", showCallGraph},
+                   {"anatomy", showAnatomy}};
+    if (opt.names.size() == 1) {
+        for (const auto &[name, show] : pages) {
+            if (opt.names[0] == name) {
+                show(std::cout);
+                return 0;
+            }
+        }
+    }
+    std::cerr << "cgpbench show: expected one of table1, callgraph, "
+                 "anatomy\n";
+    return 2;
 }
 
 int
@@ -691,6 +595,8 @@ main(int argc, char **argv)
             return cmdResume(opt);
         if (cmd == "report")
             return cmdReport(opt);
+        if (cmd == "show")
+            return cmdShow(opt);
         if (cmd == "verify")
             return cmdVerify(opt);
         if (cmd == "chaos")

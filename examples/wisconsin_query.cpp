@@ -82,6 +82,6 @@ main()
 
     std::cout << "\nNote: single queries in isolation have small "
                  "working sets; the paper's gains appear with the "
-                 "concurrent mixes (see bench/fig4_cgp_vs_om).\n";
+                 "concurrent mixes (see cgpbench run fig4).\n";
     return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 #include "exp/integrity.hh"
@@ -137,31 +136,16 @@ printCycleTables(const CampaignRun &run, std::ostream &os,
 
     // Failed jobs (degrade policy) have no result; their cells show
     // "-" instead of a bogus zero.
-    std::set<std::size_t> failed;
-    for (const JobFailure &f : run.failures)
-        failed.insert(f.index);
-    const auto cellResult =
-        [&](const std::string &w,
-            const std::string &l) -> const SimResult * {
-        for (const JobSpec &j : run.jobs) {
-            if (j.workload == w && j.label == l)
-                return failed.count(j.index) != 0
-                    ? nullptr
-                    : &run.results[j.index];
-        }
-        return nullptr;
-    };
-
     for (const std::string &w : workloads) {
         std::vector<std::string> arow{w};
         std::vector<std::string> nrow{w};
         const SimResult *baseRes =
-            cellResult(w, labels[normIndex]);
+            run.find(w, labels[normIndex]);
         const double base = baseRes == nullptr
             ? 0.0
             : static_cast<double>(baseRes->cycles);
         for (const std::string &l : labels) {
-            const SimResult *r = cellResult(w, l);
+            const SimResult *r = run.find(w, l);
             if (r == nullptr) {
                 arow.push_back("-");
                 nrow.push_back("-");

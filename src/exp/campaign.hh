@@ -2,8 +2,8 @@
  * @file
  * Declarative experiment campaigns.
  *
- * A CampaignSpec turns the ad-hoc (workload x config) loops of the
- * bench binaries into data: a list of workload names, a base
+ * A CampaignSpec turns an ad-hoc (workload x config) loop into
+ * data: a list of workload names, a base
  * SimConfig, and named *axes* whose labeled points mutate the base
  * config.  Axes combine cartesian (every combination, first axis
  * slowest-varying) or zipped (element-wise, all axes equal length).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "exp/figures.hh"
 #include "harness/workload.hh"
 #include "spec/cpu2000.hh"
 
@@ -490,91 +491,80 @@ makeSmoke()
     return s;
 }
 
-const std::vector<std::string> figureNames = {
-    "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "figD_dstall", "figID_interaction", "server-scale",
-    "fig_sampled"};
-
-const std::vector<std::string> ablationNames = {
-    "ablation-ranl", "ablation-design-depth",
-    "ablation-design-layout", "ablation-swcgp",
-    "ablation-swcgp-assoc", "arbiter-sweep"};
+/** The registry, in presentation order. */
+const CampaignEntry registry[] = {
+    {"fig4", "figures", makeFig4, printFig4},
+    {"fig5", "figures", makeFig5, printFig5, "CGHC-Inf"},
+    {"fig6", "figures", makeFig6, printFig6},
+    {"fig7", "figures", makeFig7, printFig7},
+    {"fig8", "figures", makeFig8, printFig8},
+    {"fig9", "figures", makeFig9, printFig9},
+    {"fig10", "figures", makeFig10, printFig10},
+    {"figD_dstall", "figures", makeFigDDstall, printFigD},
+    {"figID_interaction", "figures", makeFigIDInteraction,
+     printFigID},
+    {"server-scale", "figures", makeServerScale, printServerScale},
+    {"fig_sampled", "figures", makeFigSampled, printFigSampled},
+    {"ablation-ranl", "ablations", makeAblationRanl,
+     printAblationRanl},
+    {"ablation-design-depth", "ablations", makeAblationDepth,
+     nullptr},
+    {"ablation-design-layout", "ablations", makeAblationLayout,
+     printAblationLayout},
+    {"ablation-swcgp", "ablations", makeAblationSwCgp,
+     printAblationSwCgp},
+    {"ablation-swcgp-assoc", "ablations", makeAblationAssoc,
+     printAblationAssoc},
+    {"arbiter-sweep", "ablations", makeArbiterSweep, nullptr},
+    {"smoke", "", makeSmoke, nullptr},
+    {"server-smoke", "", makeServerSmoke, nullptr},
+    {"sampled-smoke", "", makeSampledSmoke, nullptr},
+};
 
 } // anonymous namespace
+
+const CampaignEntry *
+findCampaign(const std::string &name)
+{
+    for (const CampaignEntry &e : registry) {
+        if (name == e.name)
+            return &e;
+    }
+    return nullptr;
+}
 
 std::vector<std::string>
 campaignNames()
 {
-    std::vector<std::string> names = figureNames;
-    names.insert(names.end(), ablationNames.begin(),
-                 ablationNames.end());
-    names.push_back("smoke");
-    names.push_back("server-smoke");
-    names.push_back("sampled-smoke");
+    std::vector<std::string> names;
+    for (const CampaignEntry &e : registry)
+        names.push_back(e.name);
     return names;
 }
 
 CampaignSpec
 paperCampaign(const std::string &name)
 {
-    if (name == "fig4")
-        return makeFig4();
-    if (name == "fig5")
-        return makeFig5();
-    if (name == "fig6")
-        return makeFig6();
-    if (name == "fig7")
-        return makeFig7();
-    if (name == "fig8")
-        return makeFig8();
-    if (name == "fig9")
-        return makeFig9();
-    if (name == "fig10")
-        return makeFig10();
-    if (name == "figD_dstall")
-        return makeFigDDstall();
-    if (name == "figID_interaction")
-        return makeFigIDInteraction();
-    if (name == "ablation-ranl")
-        return makeAblationRanl();
-    if (name == "ablation-design-depth")
-        return makeAblationDepth();
-    if (name == "ablation-design-layout")
-        return makeAblationLayout();
-    if (name == "ablation-swcgp")
-        return makeAblationSwCgp();
-    if (name == "ablation-swcgp-assoc")
-        return makeAblationAssoc();
-    if (name == "arbiter-sweep")
-        return makeArbiterSweep();
-    if (name == "server-scale")
-        return makeServerScale();
-    if (name == "smoke")
-        return makeSmoke();
-    if (name == "server-smoke")
-        return makeServerSmoke();
-    if (name == "fig_sampled")
-        return makeFigSampled();
-    if (name == "sampled-smoke")
-        return makeSampledSmoke();
-    throw std::invalid_argument("unknown campaign '" + name + "'");
+    const CampaignEntry *e = findCampaign(name);
+    if (e == nullptr)
+        throw std::invalid_argument("unknown campaign '" + name + "'");
+    return e->make();
 }
 
 std::vector<std::string>
 campaignGroup(const std::string &name)
 {
-    if (name == "figures")
-        return figureNames;
-    if (name == "ablations")
-        return ablationNames;
-    if (name == "all") {
-        std::vector<std::string> all = figureNames;
-        all.insert(all.end(), ablationNames.begin(),
-                   ablationNames.end());
-        return all;
+    if (name != "figures" && name != "ablations" && name != "all") {
+        paperCampaign(name); // validates
+        return {name};
     }
-    paperCampaign(name); // validates
-    return {name};
+    std::vector<std::string> names;
+    for (const CampaignEntry &e : registry) {
+        const std::string group = e.group;
+        if (group == name || (name == "all" && !group.empty()))
+            names.push_back(e.name);
+    }
+    return names;
 }
 
 } // namespace cgp::exp

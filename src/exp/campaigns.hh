@@ -2,14 +2,16 @@
  * @file
  * The paper's experiment campaigns as a registry: every figure and
  * ablation of the reproduction, expressed as CampaignSpecs over the
- * shared workload bank, so `cgpbench run figures` (or any bench
- * binary) reproduces the paper through one engine.
+ * shared workload bank, each with the printer for its figure
+ * section, so `cgpbench run figures` reproduces the paper through
+ * one engine.
  */
 
 #ifndef CGP_EXP_CAMPAIGNS_HH
 #define CGP_EXP_CAMPAIGNS_HH
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -46,6 +48,31 @@ std::vector<std::string> cpu2000WorkloadNames();
 
 /** The two tiny smoke-campaign workload names. */
 const std::vector<std::string> &smokeWorkloadNames();
+
+/**
+ * Prints a campaign's figure section: the tables and paper
+ * references beyond its cycle tables (see exp/figures.hh).
+ */
+using FigurePrinter = void (*)(const CampaignRun &run,
+                               std::ostream &os);
+
+/** One row of the campaign registry. */
+struct CampaignEntry
+{
+    const char *name;
+    /** "figures", "ablations", or "" for a campaign that is only
+     *  run by name. */
+    const char *group;
+    CampaignSpec (*make)();
+    /** Figure section; nullptr = cycle tables only. */
+    FigurePrinter print;
+    /** Config label the normalized cycle table divides by;
+     *  nullptr = the first config. */
+    const char *normalizeTo = nullptr;
+};
+
+/** The registry row named @p name; null for an unknown name. */
+const CampaignEntry *findCampaign(const std::string &name);
 
 /** Every registered campaign name, in presentation order. */
 std::vector<std::string> campaignNames();

@@ -64,8 +64,12 @@ CampaignRun::find(const std::string &workload,
                   const std::string &label) const
 {
     for (const JobSpec &j : jobs) {
-        if (j.workload == workload && j.label == label)
-            return &results[j.index];
+        if (j.workload != workload || j.label != label)
+            continue;
+        const bool failed = std::any_of(
+            failures.begin(), failures.end(),
+            [&j](const JobFailure &f) { return f.index == j.index; });
+        return failed ? nullptr : &results[j.index];
     }
     return nullptr;
 }

@@ -121,7 +121,7 @@ struct CampaignRun
     /** Distinct config labels in first-appearance order. */
     std::vector<std::string> configLabels() const;
 
-    /** Result for (workload, label); null if absent. */
+    /** Result for (workload, label); null if absent or failed. */
     const SimResult *find(const std::string &workload,
                           const std::string &label) const;
 

@@ -2,8 +2,7 @@
  * @file
  * Reporting of simulation results: a one-screen human-readable
  * summary of a SimResult, side-by-side comparisons of several
- * results over the same workload (the building block of the
- * per-figure benches, exposed for downstream users), and the
+ * results over the same workload (for downstream users), and the
  * canonical machine-readable JSON form shared by the experiment
  * engine's run directories and BENCH_*.json artifacts.
  */

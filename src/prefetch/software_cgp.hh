@@ -18,7 +18,7 @@
  * naturally: no hardware table (no capacity misses, no warmup), but
  * the predictions cannot adapt when runtime behaviour diverges from
  * the profile, and profile-absent functions get no prefetching at
- * all.  bench/ablation_software_cgp.cc measures both effects.
+ * all.  `cgpbench run ablation-swcgp` measures both effects.
  */
 
 #ifndef CGP_PREFETCH_SOFTWARE_CGP_HH

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-width text table printer used by the benchmark binaries to
- * emit paper-style rows (one table/figure per binary).
+ * Fixed-width text table printer used by the campaign printers
+ * (exp/figures) and cgpbench to emit paper-style rows.
  */
 
 #ifndef CGP_UTIL_TABLE_HH

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include "exp/campaign.hh"
 #include "exp/campaigns.hh"
 #include "exp/engine.hh"
+#include "exp/figures.hh"
 #include "exp/rundir.hh"
 #include "exp/scheduler.hh"
 #include "fault/fault.hh"
@@ -874,6 +876,127 @@ TEST(Campaign, ArbiterSweepCoversTheKnobCube)
     EXPECT_NE(std::find(ablations.begin(), ablations.end(),
                         "arbiter-sweep"),
               ablations.end());
+}
+
+/**
+ * A CampaignRun over @p name's registry jobs with synthetic,
+ * non-zero results: no simulation, so every printer can be driven
+ * through every campaign in milliseconds.  Server and sampled
+ * blocks follow each job's config, as a real run's would.
+ */
+CampaignRun
+syntheticRun(const std::string &name)
+{
+    const CampaignSpec spec = paperCampaign(name);
+    CampaignRun run;
+    run.name = spec.name;
+    run.title = spec.title;
+    run.jobs = expandJobs(spec);
+    for (const JobSpec &j : run.jobs) {
+        const std::uint64_t k = j.index + 1;
+        SimResult r;
+        r.workload = j.workload;
+        r.config = j.label;
+        r.cycles = 1000 * k + 7;
+        r.instrs = 900 * k;
+        r.icacheAccesses = 400 * k;
+        r.icacheMisses = 40 * k;
+        r.dcacheAccesses = 300 * k;
+        r.dcacheMisses = 30 * k;
+        r.l2Misses = 5 * k;
+        r.busLines = 60 * k;
+        r.instrsPerCall = 43.0;
+        r.nl = {10 * k, 4 * k, 2 * k, 3 * k};
+        r.cghc = {8 * k, 5 * k, 1 * k, 1 * k};
+        r.dpf = {6 * k, 2 * k, 2 * k, 1 * k};
+        r.arbNl = {10 * k, k, k, k};
+        r.arbDpf = {6 * k, k, k, k};
+        r.serverEnabled = j.config.server.enabled;
+        if (r.serverEnabled) {
+            r.server.cores = j.config.server.cores;
+            r.server.sessions = j.config.server.sessions;
+            r.server.cycles = r.cycles;
+            r.server.queriesServed = 5 * k;
+            r.server.latencyP50 = 100 * k;
+            r.server.latencyP95 = 150 * k;
+            r.server.latencyP99 = 170 * k;
+            r.server.portWaitCycles = 9 * k;
+            r.server.perCore.resize(r.server.cores);
+            for (server::ServerCoreStats &c : r.server.perCore) {
+                c.cycles = r.cycles;
+                c.instrs = r.instrs;
+                c.idleCycles = k;
+                c.icacheMisses = k;
+                c.queries = 1;
+                c.binds = 1;
+            }
+        }
+        r.sampledEnabled = j.config.sample.enabled;
+        if (r.sampledEnabled) {
+            r.sampled.windows = 4;
+            r.sampled.detailedCycles = 100 * k;
+            r.sampled.cpi = {4, 1.1, 0.1, 0.9, 1.3};
+            r.sampled.l1iMissRate = {4, 0.1, 0.01, 0.08, 0.12};
+            r.sampled.l1dMissRate = {4, 0.1, 0.01, 0.08, 0.12};
+        }
+        run.results.push_back(r);
+    }
+    return run;
+}
+
+TEST(Figures, EveryCampaignPrints)
+{
+    // A printer asking for a label its campaign no longer has throws
+    // std::out_of_range from CampaignRun::at.
+    for (const std::string &name : campaignNames()) {
+        const CampaignRun run = syntheticRun(name);
+        std::ostringstream os;
+        EXPECT_NO_THROW(printCampaign(run, os)) << name;
+        EXPECT_NE(os.str().find(run.title), std::string::npos)
+            << name;
+        EXPECT_EQ(os.str().find("figure section skipped"),
+                  std::string::npos)
+            << name;
+    }
+}
+
+TEST(Figures, FigFiveNormalizesToTheInfiniteCghc)
+{
+    std::ostringstream os;
+    printCampaign(syntheticRun("fig5"), os);
+    EXPECT_NE(os.str().find("normalized to CGHC-Inf"),
+              std::string::npos);
+}
+
+TEST(Figures, DegradedRunFeedsNoFigureNumber)
+{
+    // Fail the first job of every campaign (for most figures, the
+    // base every ratio divides by).
+    const std::regex nonFinite(R"(\b(inf|nan)\b)");
+    for (const std::string &name : campaignNames()) {
+        CampaignRun run = syntheticRun(name);
+        const JobSpec &failed = run.jobs[0];
+        run.failures.push_back({0, "timeout", "cycle budget", 1});
+
+        EXPECT_EQ(run.find(failed.workload, failed.label), nullptr)
+            << name;
+        EXPECT_THROW(run.at(failed.workload, failed.label),
+                     std::out_of_range)
+            << name;
+
+        std::ostringstream os;
+        ASSERT_NO_THROW(printCampaign(run, os)) << name;
+        const std::string out = os.str();
+        EXPECT_FALSE(std::regex_search(out, nonFinite))
+            << name << ":\n" << out;
+        EXPECT_NE(out.find("Failed jobs"), std::string::npos) << name;
+        if (findCampaign(name)->print != nullptr) {
+            EXPECT_NE(out.find("figure section skipped: 1 job(s) "
+                               "failed\n"),
+                      std::string::npos)
+                << name;
+        }
+    }
 }
 
 } // namespace
