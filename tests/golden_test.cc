@@ -16,12 +16,20 @@
  *
  * then inspect `git diff tests/golden/` and commit the new files
  * together with the change that moved the numbers.
+ *
+ * db_trace_digests.txt pins the recorded DB workload traces
+ * themselves (event and call counts plus an FNV-1a-64 of each
+ * serialized trace) and the function registry's declaration order,
+ * so a storage-engine change that alters the traced call sequence or
+ * the code layout fails here even when no SimResult moves.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +37,8 @@
 #include "exp/campaigns.hh"
 #include "harness/report.hh"
 #include "harness/simulator.hh"
+#include "harness/workload.hh"
+#include "trace/serialize.hh"
 
 #ifndef CGP_GOLDEN_DIR
 #error "CGP_GOLDEN_DIR must point at the checked-in goldens"
@@ -165,6 +175,72 @@ TEST(Golden, SerializedGoldensRoundTrip)
             simResultFromJson(Json::parse(want));
         EXPECT_EQ(serialize(parsed), want) << c.file;
     }
+}
+
+/** FNV-1a-64 over @p bytes. */
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** One digest line: event count, call count, hash of saveTrace. */
+std::string
+traceDigest(const std::string &label, const TraceBuffer &trace)
+{
+    std::ostringstream bytes;
+    EXPECT_TRUE(saveTrace(trace, bytes)) << label;
+    std::ostringstream line;
+    line << label << " events=" << trace.size()
+         << " calls=" << trace.calls() << " fnv=" << std::hex
+         << std::setw(16) << std::setfill('0') << fnv1a64(bytes.str())
+         << "\n";
+    return line.str();
+}
+
+TEST(Golden, DbWorkloadTracesMatchCheckedInDigests)
+{
+    // An explicit scale, so CGP_SCALE does not change the digests.
+    const DbWorkloadSet set = WorkloadFactory::buildDbSet(0.25);
+
+    std::string got;
+    for (const Workload &w : set.workloads) {
+        got += traceDigest(w.name, *w.trace);
+        if (w.queryLibrary) {
+            for (std::size_t i = 0; i < w.queryLibrary->size(); ++i)
+                got += traceDigest(
+                    w.name + "/query" + std::to_string(i),
+                    (*w.queryLibrary)[i]);
+        }
+        if (w.switchStub)
+            got += traceDigest(w.name + "/stub", *w.switchStub);
+    }
+    std::string names;
+    for (const Function &f : set.registry->functions())
+        names += f.name + "\n";
+    std::ostringstream reg;
+    reg << "registry functions=" << set.registry->size()
+        << " fnv=" << std::hex << std::setw(16) << std::setfill('0')
+        << fnv1a64(names) << "\n";
+    got += reg.str();
+
+    const std::string path = goldenPath("db_trace_digests.txt");
+    if (regenRequested()) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << got;
+        return;
+    }
+    const std::string want = readFile(path);
+    ASSERT_FALSE(want.empty())
+        << path << " is missing — regenerate with "
+        << "CGP_GOLDEN_REGEN=1 ./test_golden";
+    EXPECT_EQ(got, want);
 }
 
 } // namespace
