@@ -1,49 +1,17 @@
 #include "db/buffer_pool.hh"
 
-#include <algorithm>
-
 #include "db/wal.hh"
-#include "fault/fault.hh"
 #include "util/logging.hh"
 
 namespace cgp::db
 {
 
-namespace
-{
-
-constexpr unsigned maxIoRetries = 5;
-constexpr unsigned backoffBaseWork = 16;
-constexpr unsigned backoffCapWork = 256;
-
-} // anonymous namespace
-
-void
-BufferPool::retryIo(TraceScope &ts, const std::function<void()> &op)
-{
-    for (unsigned attempt = 0;; ++attempt) {
-        try {
-            op();
-            return;
-        } catch (const fault::TransientIoError &e) {
-            if (attempt + 1 >= maxIoRetries) {
-                cgp_error("volume I/O failed after ", maxIoRetries,
-                          " attempts: ", e.what());
-                throw;
-            }
-            ++ioRetries_;
-            ts.work(std::min(backoffBaseWork << attempt,
-                             backoffCapWork));
-        }
-    }
-}
-
 void
 BufferPool::forceLogForSteal()
 {
-    // WAL rule: no page image may reach the volume while the log
-    // records describing it are still volatile, or a crash would
-    // leave loser effects on disk that recovery cannot undo.
+    // WAL rule: the log is forced before a page image reaches the
+    // volume.  Nothing reads the log back; the force is kept for its
+    // traced instructions on the steal path.
     if (log_ != nullptr && log_->tailLsn() - 1 > log_->durableLsn())
         log_->force(log_->tailLsn() - 1);
 }
@@ -136,9 +104,8 @@ BufferPool::evictVictim()
     if (f.dirty) {
         TraceScope ws(ctx_.rec, ctx_.fn.bpWriteDisk);
         ws.work(30);
-        fault::hit(ctx_.fault, "pool.evict");
         forceLogForSteal();
-        retryIo(ws, [&] { volume_.writePage(f.pid, f.bytes.data()); });
+        volume_.writePage(f.pid, f.bytes.data());
         f.dirty = false;
     }
     map_.erase(f.pid);
@@ -177,7 +144,7 @@ BufferPool::fix(PageId pid)
         Frame &f = frames_[idx];
         if (f.bytes.empty())
             f.bytes.resize(pageBytes);
-        retryIo(rs, [&] { volume_.readPage(pid, f.bytes.data()); });
+        volume_.readPage(pid, f.bytes.data());
         f.pid = pid;
         f.dirty = false;
         f.pins = 0;
@@ -231,12 +198,11 @@ void
 BufferPool::flushAll()
 {
     TraceScope ts(ctx_.rec, ctx_.fn.bpFlush);
-    fault::hit(ctx_.fault, "pool.flush");
     forceLogForSteal();
     for (auto &f : frames_) {
         if (f.pid != invalidPageId && f.dirty) {
             ts.work(8);
-            retryIo(ts, [&] { volume_.writePage(f.pid, f.bytes.data()); });
+            volume_.writePage(f.pid, f.bytes.data());
             f.dirty = false;
         }
     }

@@ -11,7 +11,6 @@
 #define CGP_DB_BUFFER_POOL_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,12 +44,10 @@ class BufferPool
                Replacement policy = Replacement::Lru);
 
     /**
-     * Attach the write-ahead log for the WAL rule: before a stolen
-     * (evicted) dirty page or a flush reaches the volume, the log is
-     * forced, so every page image on disk is always describable —
-     * and hence undoable — from the durable log.  Optional: without
-     * a bound log the pool writes pages unconditionally (fine for
-     * log-less uses such as recovery itself).
+     * Attach the write-ahead log whose tail is forced before a stolen
+     * (evicted) dirty page or a flush reaches the volume.  The force
+     * is part of the modelled steal path's instruction stream.
+     * Optional: without a bound log the pool writes pages directly.
      */
     void bindLog(WriteAheadLog *log) { log_ = log; }
 
@@ -83,8 +80,6 @@ class BufferPool
     unsigned pinCount(PageId pid) const;
     std::uint64_t diskReads() const { return diskReads_; }
     std::uint64_t evictions() const { return evictions_; }
-    /** Transient volume errors absorbed by the retry/backoff path. */
-    std::uint64_t ioRetries() const { return ioRetries_; }
     /// @}
 
   private:
@@ -104,14 +99,7 @@ class BufferPool
     /** Choose and clean an unpinned victim frame. */
     std::size_t evictVictim();
 
-    /**
-     * Run a volume operation, retrying injected transient I/O errors
-     * with capped exponential backoff (modeled as trace work).  After
-     * the retry budget the error propagates to the caller.
-     */
-    void retryIo(TraceScope &ts, const std::function<void()> &op);
-
-    /** WAL rule: force the bound log before a dirty page is stolen. */
+    /** Force the bound log's tail before a dirty page is written. */
     void forceLogForSteal();
 
     static constexpr std::size_t npos = ~std::size_t{0};
@@ -128,7 +116,6 @@ class BufferPool
     std::uint64_t tick_ = 0;
     std::uint64_t diskReads_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t ioRetries_ = 0;
 };
 
 } // namespace cgp::db

@@ -18,11 +18,6 @@
 #include "util/rng.hh"
 #include "util/types.hh"
 
-namespace cgp::fault
-{
-class FaultInjector;
-} // namespace cgp::fault
-
 namespace cgp::db
 {
 
@@ -97,7 +92,6 @@ struct DbFuncs
     /// @{ Transactions
     FunctionId txnBegin;
     FunctionId txnCommit;
-    FunctionId txnAbort;
     /// @}
 
     /// @{ Heap files
@@ -290,13 +284,6 @@ struct DbContext
     DbFuncs fn;
     TraceRecorder rec;
     Rng rng;
-
-    /**
-     * Instance-scoped fault injector consulted by this database's
-     * crash points; null (the default) falls back to the process
-     * global, which is itself usually null.  See src/fault/fault.hh.
-     */
-    fault::FaultInjector *fault = nullptr;
 
     /** Class of the query currently executing (set per query). */
     std::size_t queryClass = 0;

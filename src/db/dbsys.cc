@@ -13,7 +13,6 @@ DbSystem::DbSystem(FunctionRegistry &registry,
       locks_(ctx_),
       log_(ctx_), txns_(ctx_, locks_, log_), catalog_(ctx_)
 {
-    txns_.bindPool(&pool_);
     pool_.bindLog(&log_);
 }
 

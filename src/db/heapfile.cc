@@ -73,8 +73,7 @@ HeapFile::createRec(TxnId txn, const Tuple &tuple)
         us.storeAt(pool_.frameAddr(pid, 64u + slot * tuple.size()));
     }
 
-    log_.append(txn, LogRecordType::Insert, pid, slot,
-                tuple.data(), tuple.size());
+    log_.append(txn, LogRecordType::Insert, pid, slot);
     locks_.release(txn, pid);
     pool_.unfix(pid, true);
 
@@ -156,26 +155,17 @@ HeapFile::updateRec(TxnId txn, Rid rid, const Tuple &tuple)
 
     locks_.acquire(txn, rid.page, LockMode::Exclusive);
     std::uint8_t *frame = pool_.fix(rid.page);
-    std::vector<std::uint8_t> before;
     {
         TraceScope us(ctx_.rec, ctx_.fn.pageUpdate);
         us.work(14);
         SlottedPage page(frame);
-        // Capture the before-image: abort() and recovery's undo pass
-        // restore it for loser transactions.
-        std::uint16_t old_len = 0;
-        const std::uint8_t *old = page.read(rid.slot, &old_len);
-        cgp_assert(old != nullptr, "updateRec of missing slot");
-        before.assign(old, old + old_len);
         const bool ok = page.update(rid.slot, tuple.data(),
                                     tuple.size());
         cgp_assert(ok, "updateRec failed");
         us.storeAt(pool_.frameAddr(rid.page,
                                    64u + rid.slot * tuple.size()));
     }
-    log_.append(txn, LogRecordType::Update, rid.page, rid.slot,
-                tuple.data(), tuple.size(), before.data(),
-                static_cast<std::uint16_t>(before.size()));
+    log_.append(txn, LogRecordType::Update, rid.page, rid.slot);
     pool_.unfix(rid.page, true);
     locks_.release(txn, rid.page);
 }

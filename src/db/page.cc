@@ -14,20 +14,6 @@ SlottedPage::init()
     header()->freeOffset = sizeof(Header);
 }
 
-bool
-SlottedPage::formatted() const
-{
-    // A torn or never-written page must not pass for a usable one:
-    // besides the free-offset range, the slot directory implied by
-    // the header has to fit between the record heap and the page end.
-    const Header *h = header();
-    if (h->freeOffset < sizeof(Header) || h->freeOffset > pageBytes)
-        return false;
-    const std::uint32_t dir =
-        static_cast<std::uint32_t>(h->slots) * sizeof(Slot);
-    return h->freeOffset + dir <= pageBytes;
-}
-
 std::uint16_t
 SlottedPage::slotCount() const
 {
@@ -88,11 +74,9 @@ SlottedPage::read(std::uint16_t slot, std::uint16_t *len) const
     if (slot >= header()->slots)
         return nullptr;
     const Slot *s = slotEntry(slot);
-    if (s->length == 0) // erased (undo tombstone)
-        return nullptr;
     if (s->offset < sizeof(Header) ||
         static_cast<std::uint32_t>(s->offset) + s->length > pageBytes)
-        return nullptr; // corrupt directory entry (torn write)
+        return nullptr;
     if (len != nullptr)
         *len = s->length;
     return frame_ + s->offset;
@@ -111,32 +95,6 @@ SlottedPage::update(std::uint16_t slot, const std::uint8_t *bytes,
         static_cast<std::uint32_t>(s->offset) + s->length > pageBytes)
         return false;
     std::memcpy(frame_ + s->offset, bytes, len);
-    return true;
-}
-
-bool
-SlottedPage::erase(std::uint16_t slot)
-{
-    if (slot >= header()->slots)
-        return false;
-    slotEntry(slot)->length = 0;
-    return true;
-}
-
-bool
-SlottedPage::revive(std::uint16_t slot, const std::uint8_t *bytes,
-                    std::uint16_t len)
-{
-    if (slot >= header()->slots || len == 0)
-        return false;
-    Slot *s = slotEntry(slot);
-    if (s->length != 0)
-        return false; // live slot: use update()
-    if (s->offset < sizeof(Header) ||
-        static_cast<std::uint32_t>(s->offset) + len > pageBytes)
-        return false;
-    std::memcpy(frame_ + s->offset, bytes, len);
-    s->length = len;
     return true;
 }
 

@@ -25,9 +25,6 @@ class SlottedPage
     /** Format an empty page. */
     void init();
 
-    /** True if the header looks like a formatted page (recovery). */
-    bool formatted() const;
-
     /** Number of occupied slots. */
     std::uint16_t slotCount() const;
 
@@ -45,31 +42,14 @@ class SlottedPage
 
     /**
      * Pointer to the record in slot @p slot (nullptr if bad).  A slot
-     * whose directory entry is out of bounds — e.g. after a torn page
-     * write clobbered the directory — reads as absent rather than as
-     * a wild pointer.
+     * whose directory entry points outside the page reads as absent
+     * rather than as a wild pointer.
      */
     const std::uint8_t *read(std::uint16_t slot,
                              std::uint16_t *len = nullptr) const;
 
     /** Overwrite a record in place (same length only). */
     bool update(std::uint16_t slot, const std::uint8_t *bytes,
-                std::uint16_t len);
-
-    /**
-     * Tombstone a slot (undo of an insert): the entry stays allocated
-     * so later slot ids keep their meaning — and its record bytes and
-     * offset stay in place so revive() can redo the insert — but
-     * read() returns nullptr for it.
-     */
-    bool erase(std::uint16_t slot);
-
-    /**
-     * Re-fill a tombstoned slot with @p bytes (redo of an insert
-     * whose slot directory entry already exists).  Fails if the slot
-     * is missing, live, or its retained offset no longer fits.
-     */
-    bool revive(std::uint16_t slot, const std::uint8_t *bytes,
                 std::uint16_t len);
 
   private:

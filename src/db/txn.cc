@@ -1,7 +1,5 @@
 #include "db/txn.hh"
 
-#include "db/buffer_pool.hh"
-#include "db/page.hh"
 #include "util/logging.hh"
 
 namespace cgp::db
@@ -46,112 +44,15 @@ TransactionManager::commit(TxnId txn)
         return false;
     }
     if (it->second != TxnState::Active) {
-        cgp_error("commit of finished transaction ", txn, " (",
-                  it->second == TxnState::Committed ? "committed"
-                                                    : "aborted",
-                  ")");
+        cgp_error("commit of committed transaction ", txn);
         return false;
     }
-    const Lsn lsn = log_.append(txn, LogRecordType::Commit);
-    // force() may unwind on an injected crash: the transaction then
-    // stays Active and its fate is decided by the durable log prefix
-    // at recovery.
-    log_.force(lsn);
+    log_.force(log_.append(txn, LogRecordType::Commit));
     it->second = TxnState::Committed;
     locks_.releaseAll(txn);
     cgp_assert(active_ > 0, "commit with no active transactions");
     --active_;
     return true;
-}
-
-bool
-TransactionManager::abort(TxnId txn)
-{
-    TraceScope ts(ctx_.rec, ctx_.fn.txnAbort);
-    ts.work(24);
-    auto it = table_.find(txn);
-    if (it == table_.end()) {
-        cgp_error("abort of unknown transaction ", txn);
-        return false;
-    }
-    if (it->second != TxnState::Active) {
-        cgp_error("abort of finished transaction ", txn, " (",
-                  it->second == TxnState::Committed ? "committed"
-                                                    : "aborted",
-                  ")");
-        return false;
-    }
-    rollback(txn);
-    log_.append(txn, LogRecordType::Abort);
-    it->second = TxnState::Aborted;
-    locks_.releaseAll(txn);
-    cgp_assert(active_ > 0, "abort with no active transactions");
-    --active_;
-    return true;
-}
-
-void
-TransactionManager::rollback(TxnId txn)
-{
-    if (pool_ == nullptr)
-        cgp_warn("abort of transaction ", txn,
-                 " without a bound buffer pool: in-memory pages keep "
-                 "its effects until recovery replays the CLRs");
-
-    // Collect the transaction's undoable work, newest first.  The
-    // compensation (Clr) records appended below are themselves part
-    // of the log being walked, but they sit past the snapshot point.
-    const auto &records = log_.records();
-    const std::size_t snapshot = records.size();
-    for (std::size_t i = snapshot; i > 0; --i) {
-        // Copy the fields out: appending the Clr below may grow the
-        // log vector and invalidate references into it.
-        const LogRecord &r = records[i - 1];
-        if (r.txn != txn)
-            continue;
-        if (r.type == LogRecordType::Begin)
-            break; // everything before it belongs to other txns
-        if (r.page == invalidPageId ||
-            (r.type != LogRecordType::Insert &&
-             r.type != LogRecordType::Update))
-            continue;
-        const bool is_insert = r.type == LogRecordType::Insert;
-        const PageId pid = r.page;
-        const std::uint16_t slot = r.slot;
-        const std::vector<std::uint8_t> before = r.undo;
-        if (!is_insert && before.empty()) {
-            cgp_error("rollback of txn ", txn, " found update LSN ",
-                      r.lsn, " without a before-image, skipping");
-            continue;
-        }
-
-        // Log the compensation first (redo-only): recovery replays
-        // it even if this in-memory undo never reaches the volume.
-        if (is_insert)
-            log_.append(txn, LogRecordType::Clr, pid, slot);
-        else
-            log_.append(txn, LogRecordType::Clr, pid, slot,
-                        before.data(),
-                        static_cast<std::uint16_t>(before.size()));
-
-        if (pool_ == nullptr)
-            continue;
-        std::uint8_t *frame = pool_->fix(pid);
-        SlottedPage page(frame);
-        bool dirtied = false;
-        if (is_insert) {
-            dirtied = page.erase(slot);
-        } else if (!before.empty()) {
-            dirtied = page.update(
-                slot, before.data(),
-                static_cast<std::uint16_t>(before.size()));
-            if (!dirtied)
-                cgp_error("rollback of txn ", txn,
-                          " could not restore page ", pid, " slot ",
-                          slot);
-        }
-        pool_->unfix(pid, dirtied);
-    }
 }
 
 } // namespace cgp::db

@@ -1,14 +1,11 @@
 /**
  * @file
- * Transactions: id allocation, begin/commit/abort with 2PL release
- * and log force at commit.
+ * Transactions: id allocation, begin/commit with 2PL release and log
+ * force at commit.
  *
- * An active-transaction table tracks every id from begin() to its
- * terminal state; commit/abort of an unknown or already-finished id
- * is rejected with a clear error instead of silently corrupting the
- * active count.  abort() really rolls back: the transaction's log
- * records are walked backwards applying undo images (Update) and
- * slot tombstones (Insert) through the bound buffer pool.
+ * An active-transaction table tracks every id from begin() to
+ * commit; commit of an unknown or already-committed id is rejected
+ * with a clear error instead of silently corrupting the active count.
  */
 
 #ifndef CGP_DB_TXN_HH
@@ -25,13 +22,10 @@
 namespace cgp::db
 {
 
-class BufferPool;
-
 enum class TxnState : std::uint8_t
 {
     Active,
-    Committed,
-    Aborted
+    Committed
 };
 
 class TransactionManager
@@ -43,14 +37,6 @@ class TransactionManager
     {
     }
 
-    /**
-     * Attach the buffer pool abort() rolls back through.  Without a
-     * bound pool, abort still releases locks and logs the Abort
-     * record (recovery's undo pass then erases the effects), but
-     * in-memory state keeps the loser's writes until restart.
-     */
-    void bindPool(BufferPool *pool) { pool_ = pool; }
-
     /** Start a transaction; logs a Begin record. */
     TxnId begin();
 
@@ -61,30 +47,18 @@ class TransactionManager
      */
     bool commit(TxnId txn);
 
-    /**
-     * Abort: undo the transaction's effects via the bound pool, log
-     * an Abort record, release locks.
-     * @return false (with an error event) if @p txn is unknown or
-     *         already finished.
-     */
-    bool abort(TxnId txn);
-
     std::uint32_t active() const { return active_; }
 
-    /** True while @p txn has begun and not yet committed/aborted. */
+    /** True while @p txn has begun and not yet committed. */
     bool isActive(TxnId txn) const;
 
     /** State of a known transaction; nullopt if never begun. */
     std::optional<TxnState> stateOf(TxnId txn) const;
 
   private:
-    /** Walk @p txn's log backwards applying undo images. */
-    void rollback(TxnId txn);
-
     DbContext &ctx_;
     LockManager &locks_;
     WriteAheadLog &log_;
-    BufferPool *pool_ = nullptr;
     TxnId next_ = 1;
     std::uint32_t active_ = 0;
     std::unordered_map<TxnId, TxnState> table_;

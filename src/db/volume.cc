@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "fault/fault.hh"
 #include "util/logging.hh"
 
 namespace cgp::db
@@ -23,10 +22,6 @@ Volume::readPage(PageId pid, std::uint8_t *out)
 {
     TraceScope ts(ctx_.rec, ctx_.fn.diskRead);
     cgp_assert(pid < pages_.size(), "read of unallocated page ", pid);
-    const auto kind = fault::hit(ctx_.fault, "volume.read");
-    if (kind == fault::FaultKind::TransientIo)
-        throw fault::TransientIoError("transient read error on page " +
-                                      std::to_string(pid));
     // Modeled cost of the block-copy path (the I/O itself is assumed
     // masked by concurrent execution per paper §1).
     ts.work(120);
@@ -38,20 +33,7 @@ Volume::writePage(PageId pid, const std::uint8_t *in)
 {
     TraceScope ts(ctx_.rec, ctx_.fn.diskWrite);
     cgp_assert(pid < pages_.size(), "write of unallocated page ", pid);
-    const auto kind = fault::hit(ctx_.fault, "volume.write");
-    if (kind == fault::FaultKind::TransientIo)
-        throw fault::TransientIoError(
-            "transient write error on page " + std::to_string(pid));
     ts.work(120);
-    if (kind == fault::FaultKind::TornWrite ||
-        kind == fault::FaultKind::PartialForce) {
-        // The device loses power mid-sector-run: only the first half
-        // of the image lands; the rest keeps its previous contents.
-        std::memcpy(pages_[pid].get(), in, pageBytes / 2);
-        ++tornWrites_;
-        cgp_error("torn write on page ", pid);
-        return;
-    }
     std::memcpy(pages_[pid].get(), in, pageBytes);
 }
 

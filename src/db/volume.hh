@@ -5,13 +5,6 @@
  * working set where disk latency is assumed masked — but reads and
  * writes still run through traced functions so cold fetches show up
  * in the instruction stream.
- *
- * The device paths carry the "volume.read" / "volume.write" crash
- * points: an injected TransientIo makes the call throw
- * fault::TransientIoError (callers retry with backoff, see
- * BufferPool), and an injected TornWrite persists only the first
- * half of the page image — the canonical torn page a crash-safe
- * recovery pass has to survive.
  */
 
 #ifndef CGP_DB_VOLUME_HH
@@ -35,29 +28,19 @@ class Volume
     /** Allocate a fresh zeroed page. */
     PageId allocPage();
 
-    /**
-     * Copy page @p pid into @p out (pageBytes).
-     * @throws fault::TransientIoError on an injected device error.
-     */
+    /** Copy page @p pid into @p out (pageBytes). */
     void readPage(PageId pid, std::uint8_t *out);
 
-    /**
-     * Copy @p in (pageBytes) into page @p pid.
-     * @throws fault::TransientIoError on an injected device error.
-     */
+    /** Copy @p in (pageBytes) into page @p pid. */
     void writePage(PageId pid, const std::uint8_t *in);
 
     std::size_t pageCount() const { return pages_.size(); }
-
-    /** Injected torn page writes that reached this volume. */
-    std::uint64_t tornWrites() const { return tornWrites_; }
 
   private:
     using PageImage = std::unique_ptr<std::uint8_t[]>;
 
     DbContext &ctx_;
     std::vector<PageImage> pages_;
-    std::uint64_t tornWrites_ = 0;
 };
 
 } // namespace cgp::db

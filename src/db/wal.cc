@@ -2,90 +2,10 @@
 
 #include <algorithm>
 
-#include "fault/fault.hh"
 #include "util/logging.hh"
 
 namespace cgp::db
 {
-
-namespace
-{
-
-constexpr unsigned maxForceRetries = 5;
-constexpr unsigned backoffBaseWork = 16;
-
-/** 32-bit FNV-1a, incrementally. */
-std::uint32_t
-fnv1a(std::uint32_t h, const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x01000193u;
-    }
-    return h;
-}
-
-template <typename T>
-std::uint32_t
-fnv1aValue(std::uint32_t h, const T &value)
-{
-    return fnv1a(h, &value, sizeof(value));
-}
-
-} // anonymous namespace
-
-std::uint32_t
-WriteAheadLog::computeChecksum(const LogRecord &record)
-{
-    std::uint32_t h = 0x811c9dc5u;
-    h = fnv1aValue(h, record.lsn);
-    h = fnv1aValue(h, record.txn);
-    h = fnv1aValue(h, record.type);
-    h = fnv1aValue(h, record.page);
-    h = fnv1aValue(h, record.slot);
-    const auto payload_len =
-        static_cast<std::uint32_t>(record.payload.size());
-    const auto undo_len =
-        static_cast<std::uint32_t>(record.undo.size());
-    h = fnv1aValue(h, payload_len);
-    h = fnv1aValue(h, undo_len);
-    h = fnv1a(h, record.payload.data(), record.payload.size());
-    h = fnv1a(h, record.undo.data(), record.undo.size());
-    return h;
-}
-
-bool
-WriteAheadLog::checksumValid(const LogRecord &record)
-{
-    return record.checksum == computeChecksum(record);
-}
-
-Lsn
-WriteAheadLog::append(TxnId txn, LogRecordType type, PageId page,
-                      std::uint16_t slot, const std::uint8_t *bytes,
-                      std::uint16_t len)
-{
-    const Lsn lsn = append(txn, type, page, slot);
-    cgp_assert(bytes != nullptr && len > 0, "empty redo payload");
-    records_.back().payload.assign(bytes, bytes + len);
-    records_.back().checksum = computeChecksum(records_.back());
-    return lsn;
-}
-
-Lsn
-WriteAheadLog::append(TxnId txn, LogRecordType type, PageId page,
-                      std::uint16_t slot, const std::uint8_t *bytes,
-                      std::uint16_t len, const std::uint8_t *undo_bytes,
-                      std::uint16_t undo_len)
-{
-    const Lsn lsn = append(txn, type, page, slot, bytes, len);
-    cgp_assert(undo_bytes != nullptr && undo_len > 0,
-               "empty undo image");
-    records_.back().undo.assign(undo_bytes, undo_bytes + undo_len);
-    records_.back().checksum = computeChecksum(records_.back());
-    return lsn;
-}
 
 Lsn
 WriteAheadLog::append(TxnId txn, LogRecordType type, PageId page,
@@ -105,14 +25,7 @@ WriteAheadLog::append(TxnId txn, LogRecordType type, PageId page,
         TraceScope cs(ctx_.rec, ctx_.fn.logCopy);
         cs.work(6);
     }
-    LogRecord r;
-    r.lsn = next_++;
-    r.txn = txn;
-    r.type = type;
-    r.page = page;
-    r.slot = slot;
-    r.checksum = computeChecksum(r);
-    records_.push_back(std::move(r));
+    records_.push_back(LogRecord{next_++, txn, type, page, slot});
     return records_.back().lsn;
 }
 
@@ -122,65 +35,7 @@ WriteAheadLog::force(Lsn lsn)
     TraceScope ts(ctx_.rec, ctx_.fn.logForce);
     ts.work(40);
     cgp_assert(lsn < next_, "forcing an unwritten LSN");
-
-    // The log device may error transiently before anything is
-    // written; retry with capped exponential backoff.
-    for (unsigned attempt = 0;; ++attempt) {
-        const auto kind = fault::hit(ctx_.fault, "wal.pre_force");
-        if (kind == fault::FaultKind::TransientIo) {
-            if (attempt + 1 >= maxForceRetries)
-                throw fault::TransientIoError(
-                    "log force failed after retries");
-            ++forceRetries_;
-            ts.work(std::min(backoffBaseWork << attempt, 256u));
-            continue;
-        }
-        break;
-    }
-
-    if (lsn <= durable_)
-        return;
-
-    // The device writes the forced range block-wise: advance the
-    // durability point halfway, then cross the mid-force crash
-    // window.  A crash there leaves a clean partial prefix; a torn
-    // write leaves the boundary record half-written on top of that.
-    const Lsn mid = durable_ + (lsn - durable_ + 1) / 2;
-    durable_ = mid;
-    if (const auto kind = fault::hit(ctx_.fault, "wal.mid_force")) {
-        if (*kind == fault::FaultKind::TornWrite)
-            tearRecord(mid);
-        if (*kind == fault::FaultKind::TornWrite ||
-            *kind == fault::FaultKind::PartialForce)
-            throw fault::CrashInjected("wal.mid_force");
-        // TransientIo mid-force: the block retry succeeds below.
-    }
-    durable_ = lsn;
-}
-
-void
-WriteAheadLog::truncateToDurable()
-{
-    while (!records_.empty() && records_.back().lsn > durable_)
-        records_.pop_back();
-    next_ = durable_ + 1;
-}
-
-void
-WriteAheadLog::tearRecord(Lsn lsn)
-{
-    auto it = std::lower_bound(
-        records_.begin(), records_.end(), lsn,
-        [](const LogRecord &r, Lsn l) { return r.lsn < l; });
-    cgp_assert(it != records_.end() && it->lsn == lsn,
-               "tearRecord of unknown LSN ", lsn);
-    if (it->payload.size() > 1) {
-        it->payload.resize(it->payload.size() / 2);
-    } else {
-        // No image bytes to lose: corrupt the stored checksum so the
-        // record still reads back invalid.
-        it->checksum = ~it->checksum;
-    }
+    durable_ = std::max(durable_, lsn);
 }
 
 } // namespace cgp::db

@@ -1,16 +1,12 @@
 /**
  * @file
- * Write-ahead log: append-only records with LSNs and a force()
+ * Write-ahead log stub: append-only records with LSNs and a force()
  * operation at commit.
  *
- * Hardened for crash safety: every record carries a FNV-1a checksum
- * over its header and images, Update records carry an undo (before)
- * image next to the redo (after) image, and force() is instrumented
- * with the "wal.pre_force" / "wal.mid_force" crash points so a
- * fault-injected run can lose its non-durable tail or leave a torn
- * record at the durability boundary.  truncateToDurable() models what
- * a real restart reads back from the log device: only the forced
- * prefix.
+ * Only the call sequence matters to the simulator, so a record keeps
+ * its header and no images, and force() just advances the durable
+ * LSN.  append() and force() are traced: their instruction streams
+ * are part of every insert and commit.
  */
 
 #ifndef CGP_DB_WAL_HH
@@ -30,15 +26,7 @@ enum class LogRecordType : std::uint8_t
     Begin,
     Update,
     Insert,
-    Commit,
-    Abort,
-    /**
-     * Compensation record written while a transaction rolls back:
-     * redo-only (never undone).  A Clr with a payload restores that
-     * image into page/slot; a Clr without one tombstones the slot
-     * (undo of an insert).
-     */
-    Clr
+    Commit
 };
 
 struct LogRecord
@@ -48,12 +36,6 @@ struct LogRecord
     LogRecordType type = LogRecordType::Update;
     PageId page = invalidPageId;
     std::uint16_t slot = 0;
-    /** After-image of the record (Insert/Update), for redo. */
-    std::vector<std::uint8_t> payload;
-    /** Before-image (Update), for undo of loser transactions. */
-    std::vector<std::uint8_t> undo;
-    /** FNV-1a over header fields + both images, set at append. */
-    std::uint32_t checksum = 0;
 };
 
 class WriteAheadLog
@@ -65,61 +47,18 @@ class WriteAheadLog
     Lsn append(TxnId txn, LogRecordType type, PageId page = invalidPageId,
                std::uint16_t slot = 0);
 
-    /** Append a record with an after-image payload (redo data). */
-    Lsn append(TxnId txn, LogRecordType type, PageId page,
-               std::uint16_t slot, const std::uint8_t *bytes,
-               std::uint16_t len);
-
-    /** Append with both after- and before-images (Update). */
-    Lsn append(TxnId txn, LogRecordType type, PageId page,
-               std::uint16_t slot, const std::uint8_t *bytes,
-               std::uint16_t len, const std::uint8_t *undo_bytes,
-               std::uint16_t undo_len);
-
-    /**
-     * Force the log up to @p lsn (commit durability point).  Crash
-     * points: "wal.pre_force" fires before any block reaches the
-     * device (a crash there loses everything past durableLsn());
-     * "wal.mid_force" fires between device blocks (a crash leaves a
-     * partial prefix durable; a torn write additionally corrupts the
-     * record at the new durability boundary).  Transient device
-     * errors are retried with capped exponential backoff.
-     */
+    /** Force the log up to @p lsn (commit durability point). */
     void force(Lsn lsn);
 
     Lsn durableLsn() const { return durable_; }
     Lsn tailLsn() const { return next_; }
     const std::vector<LogRecord> &records() const { return records_; }
 
-    /**
-     * Simulate a restart's view of the log device: drop every record
-     * past the durable LSN (the lost in-memory tail).  Called by the
-     * crash-loop harness after catching a CrashInjected.
-     */
-    void truncateToDurable();
-
-    /**
-     * Simulate a torn write of record @p lsn: its stored bytes are
-     * cut roughly in half without updating the checksum, so recovery
-     * must detect it.  Also used by tests directly.
-     */
-    void tearRecord(Lsn lsn);
-
-    /** Recompute a record's checksum (verification helper). */
-    static std::uint32_t computeChecksum(const LogRecord &record);
-
-    /** True if @p record 's stored checksum matches its contents. */
-    static bool checksumValid(const LogRecord &record);
-
-    /** Transient log-device errors survived by force() retries. */
-    std::uint64_t forceRetries() const { return forceRetries_; }
-
   private:
     DbContext &ctx_;
     std::vector<LogRecord> records_;
     Lsn next_ = 1;
     Lsn durable_ = 0;
-    std::uint64_t forceRetries_ = 0;
 };
 
 } // namespace cgp::db

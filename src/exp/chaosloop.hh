@@ -1,7 +1,6 @@
 /**
  * @file
- * Chaos-loop harness: the campaign engine's torture loop, the
- * experiment-layer sibling of db/crashloop.
+ * Chaos-loop harness: the campaign engine's torture loop.
  *
  * One run() first executes the campaign uninterrupted, in memory, to
  * obtain the reference BENCH document.  It then loops: arm a random

@@ -16,8 +16,6 @@ toString(FaultKind kind)
         return "crash";
       case FaultKind::TornWrite:
         return "torn-write";
-      case FaultKind::PartialForce:
-        return "partial-force";
       case FaultKind::TransientIo:
         return "transient-io";
     }
@@ -28,12 +26,6 @@ const std::vector<std::string> &
 FaultInjector::crashPoints()
 {
     static const std::vector<std::string> points = {
-        "wal.pre_force",  ///< before any force block hits the device
-        "wal.mid_force",  ///< between force blocks (partial/torn)
-        "pool.flush",     ///< BufferPool::flushAll entry
-        "pool.evict",     ///< dirty-victim write-back during eviction
-        "volume.read",    ///< Volume::readPage device access
-        "volume.write",   ///< Volume::writePage device access
         "prefetch.issue", ///< prefetcher line-issue path
         "prefetch.train", ///< prefetcher call/return trace observation
         "exp.pre_record", ///< campaign engine, before a job result is

@@ -1,21 +1,21 @@
 /**
  * @file
- * Deterministic fault injection.
+ * Deterministic fault injection for the prefetch and campaign layers.
  *
- * Storage and prefetch code is instrumented with named *crash points*
- * (e.g. "wal.pre_force", "volume.write").  A FaultInjector arms a
- * fault at a point — fire on the Nth hit, optionally several times —
- * and the instrumented call site interprets the fired FaultKind:
- * a Crash unwinds the engine via CrashInjected (the crash-loop
- * harness catches it and runs recovery), a TornWrite leaves a
- * half-written page or log record behind, a PartialForce makes only a
- * prefix of a log force durable, and a TransientIo makes the volume
- * throw a retryable error.
+ * Prefetchers and the campaign engine are instrumented with named
+ * *crash points* ("prefetch.issue", "exp.job", ...).  A FaultInjector
+ * arms a fault at a point — fire on the Nth hit, optionally several
+ * times — and the instrumented call site interprets the fired
+ * FaultKind: a Crash unwinds via CrashInjected (the chaos loop kills
+ * the campaign there and resumes it), a TornWrite leaves a truncated
+ * artifact behind, and a TransientIo makes the site throw a retryable
+ * TransientIoError (fail-soft prefetchers degrade, campaign jobs
+ * retry).
  *
  * Injection is deterministic: firing depends only on the armed
  * schedule and the hit sequence, never on wall-clock or an unseeded
- * RNG, so every failure found by the fuzz sweep replays exactly.
- * When nothing is armed the hit() fast path is a pointer test.
+ * RNG, so every failure the chaos loop finds replays exactly.  When
+ * nothing is armed the hit() fast path is a pointer test.
  */
 
 #ifndef CGP_FAULT_FAULT_HH
@@ -35,10 +35,9 @@ namespace cgp::fault
 
 enum class FaultKind : std::uint8_t
 {
-    Crash,        ///< process dies at the point (CrashInjected)
-    TornWrite,    ///< a page/log write is left half-done, then crash
-    PartialForce, ///< only a prefix of the force becomes durable
-    TransientIo   ///< the device errors once; retryable
+    Crash,      ///< process dies at the point (CrashInjected)
+    TornWrite,  ///< an artifact write is left half-done, then crash
+    TransientIo ///< the operation errors once; retryable
 };
 
 const char *toString(FaultKind kind);
@@ -59,7 +58,7 @@ class CrashInjected : public std::runtime_error
     std::string point_;
 };
 
-/** Thrown by the volume on an injected transient device error. */
+/** Thrown by a crash point on an injected transient error. */
 class TransientIoError : public std::runtime_error
 {
   public:
@@ -142,25 +141,14 @@ FaultInjector *global();
 void setGlobal(FaultInjector *injector);
 /// @}
 
-/**
- * Crash-point entry hook.  @p preferred (usually a DbContext-scoped
- * injector) wins over the global one; both null is the common case
- * and costs two pointer tests.
- */
-inline std::optional<FaultKind>
-hit(FaultInjector *preferred, std::string_view point)
-{
-    FaultInjector *inj = preferred != nullptr ? preferred : global();
-    if (inj == nullptr)
-        return std::nullopt;
-    return inj->hit(point);
-}
-
-/** Global-only convenience for layers with no context plumbing. */
+/** Crash-point entry hook: consult the global injector, if any. */
 inline std::optional<FaultKind>
 hit(std::string_view point)
 {
-    return hit(nullptr, point);
+    FaultInjector *inj = global();
+    if (inj == nullptr)
+        return std::nullopt;
+    return inj->hit(point);
 }
 
 /** RAII: install an injector as the global one for a scope. */

@@ -367,17 +367,30 @@ TEST(Txn, CommitForcesLogAndReleasesLocks)
     EXPECT_GT(log.durableLsn(), before);
 }
 
-TEST(Txn, AbortReleasesLocks)
+TEST(Txn, CommitRejectsUnknownAndFinishedIds)
 {
     Fixture fx;
     LockManager locks(fx.ctx);
     WriteAheadLog log(fx.ctx);
     TransactionManager txns(fx.ctx, locks, log);
+
+    EXPECT_FALSE(txns.commit(42)); // never begun
+    EXPECT_FALSE(txns.stateOf(42).has_value());
+
     const TxnId t = txns.begin();
-    locks.acquire(t, 9, LockMode::Shared);
-    txns.abort(t);
-    EXPECT_FALSE(locks.holds(t, 9));
+    EXPECT_TRUE(txns.isActive(t));
+    EXPECT_EQ(txns.stateOf(t), TxnState::Active);
+    EXPECT_EQ(txns.active(), 1u);
+    EXPECT_TRUE(txns.commit(t));
+    EXPECT_EQ(txns.stateOf(t), TxnState::Committed);
     EXPECT_EQ(txns.active(), 0u);
+
+    // A rejected commit leaves the log and the active count alone.
+    const std::size_t records = log.records().size();
+    EXPECT_FALSE(txns.commit(t)); // double commit
+    EXPECT_FALSE(txns.commit(42));
+    EXPECT_EQ(txns.active(), 0u);
+    EXPECT_EQ(log.records().size(), records);
 }
 
 } // namespace

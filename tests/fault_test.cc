@@ -1,10 +1,9 @@
 /**
  * @file
  * Unit tests for the fault-injection subsystem and the hardening it
- * exists to exercise: the injector's deterministic schedules, WAL
- * per-record checksums and torn-write detection, transient-I/O retry
- * with backoff, the transaction table's rejection of bogus ids, the
- * leveled log ring buffer, and the fail-soft prefetcher wrapper.
+ * exists to exercise: the injector's deterministic schedules and
+ * compiled-in crash points, the leveled log ring buffer, the
+ * fail-soft prefetcher wrapper, and the campaign chaos loop.
  */
 
 #include <gtest/gtest.h>
@@ -12,12 +11,11 @@
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "codegen/layout.hh"
 #include "cpu/core.hh"
-#include "db/heapfile.hh"
-#include "db/recovery.hh"
-#include "db/txn.hh"
 #include "exp/chaosloop.hh"
 #include "exp/engine.hh"
 #include "fault/fault.hh"
@@ -40,16 +38,18 @@ namespace
 
 TEST(FaultInjector, RegistryKnowsTheCompiledInPoints)
 {
-    const auto &points = fault::FaultInjector::crashPoints();
-    EXPECT_GE(points.size(), 8u);
-    EXPECT_TRUE(fault::FaultInjector::isRegistered("wal.pre_force"));
-    EXPECT_TRUE(fault::FaultInjector::isRegistered("prefetch.issue"));
-    // The campaign engine's crash points (exp/rundir, exp/engine).
-    EXPECT_TRUE(fault::FaultInjector::isRegistered("exp.job"));
-    EXPECT_TRUE(fault::FaultInjector::isRegistered("exp.mid_record"));
-    EXPECT_TRUE(
-        fault::FaultInjector::isRegistered("exp.artifact_write"));
-    EXPECT_TRUE(fault::FaultInjector::isRegistered("exp.pre_bench"));
+    // The prefetchers' points, then the campaign engine's
+    // (exp/rundir, exp/engine, exp/integrity, exp/artifact).
+    const std::vector<std::string> want = {
+        "prefetch.issue", "prefetch.train", "exp.pre_record",
+        "exp.record",     "exp.job",        "exp.mid_record",
+        "exp.artifact_write", "exp.pre_bench"};
+    EXPECT_EQ(fault::FaultInjector::crashPoints(), want);
+    for (const std::string &point : want)
+        EXPECT_TRUE(fault::FaultInjector::isRegistered(point));
+    // The storage engine has no crash points.
+    EXPECT_FALSE(fault::FaultInjector::isRegistered("wal.pre_force"));
+    EXPECT_FALSE(fault::FaultInjector::isRegistered("volume.write"));
     EXPECT_FALSE(fault::FaultInjector::isRegistered("no.such.point"));
 }
 
@@ -60,16 +60,16 @@ TEST(FaultInjector, FiresOnTheScheduledHitOnly)
     spec.kind = fault::FaultKind::TransientIo;
     spec.afterHits = 2;
     spec.count = 2;
-    inj.arm("volume.write", spec);
+    inj.arm("exp.job", spec);
 
-    EXPECT_FALSE(inj.hit("volume.write").has_value()); // hit 1
-    EXPECT_FALSE(inj.hit("volume.write").has_value()); // hit 2
-    EXPECT_EQ(inj.hit("volume.write"),
+    EXPECT_FALSE(inj.hit("exp.job").has_value()); // hit 1
+    EXPECT_FALSE(inj.hit("exp.job").has_value()); // hit 2
+    EXPECT_EQ(inj.hit("exp.job"),
               fault::FaultKind::TransientIo); // hit 3 fires
-    EXPECT_EQ(inj.hit("volume.write"),
+    EXPECT_EQ(inj.hit("exp.job"),
               fault::FaultKind::TransientIo); // hit 4 fires
-    EXPECT_FALSE(inj.hit("volume.write").has_value()); // budget spent
-    EXPECT_EQ(inj.hitCount("volume.write"), 5u);
+    EXPECT_FALSE(inj.hit("exp.job").has_value()); // budget spent
+    EXPECT_EQ(inj.hitCount("exp.job"), 5u);
     ASSERT_EQ(inj.fired().size(), 2u);
     EXPECT_EQ(inj.fired()[0].hitNo, 3u);
 }
@@ -77,217 +77,13 @@ TEST(FaultInjector, FiresOnTheScheduledHitOnly)
 TEST(FaultInjector, CrashKindThrowsFromTheHit)
 {
     fault::FaultInjector inj;
-    inj.arm("pool.flush", {fault::FaultKind::Crash, 0, 1});
+    inj.arm("exp.job", {fault::FaultKind::Crash, 0, 1});
     try {
-        inj.hit("pool.flush");
+        inj.hit("exp.job");
         FAIL() << "expected CrashInjected";
     } catch (const fault::CrashInjected &e) {
-        EXPECT_EQ(e.point(), "pool.flush");
+        EXPECT_EQ(e.point(), "exp.job");
     }
-}
-
-TEST(FaultInjector, ContextInjectorWinsOverGlobal)
-{
-    fault::FaultInjector global_inj;
-    fault::FaultInjector local_inj;
-    fault::ScopedGlobalInjector guard(global_inj);
-    local_inj.arm("volume.read",
-                  {fault::FaultKind::TransientIo, 0, 1});
-
-    EXPECT_EQ(fault::hit(&local_inj, "volume.read"),
-              fault::FaultKind::TransientIo);
-    // The global injector never saw the hit.
-    EXPECT_EQ(global_inj.hitCount("volume.read"), 0u);
-    // Without a preferred injector the global one is consulted.
-    EXPECT_FALSE(fault::hit("volume.read").has_value());
-    EXPECT_EQ(global_inj.hitCount("volume.read"), 1u);
-}
-
-// ---------------------------------------------------------------
-// WAL checksums and torn writes
-
-struct WalFixture
-{
-    FunctionRegistry reg;
-    TraceBuffer buf;
-    db::DbContext ctx{reg, buf};
-    db::WriteAheadLog log{ctx};
-};
-
-TEST(WalChecksum, AppendedRecordsValidate)
-{
-    WalFixture fx;
-    const std::uint8_t redo[] = {1, 2, 3, 4};
-    const std::uint8_t undo[] = {9, 8};
-    fx.log.append(1, db::LogRecordType::Begin);
-    fx.log.append(1, db::LogRecordType::Insert, 0, 0, redo, 4);
-    fx.log.append(1, db::LogRecordType::Update, 0, 0, redo, 4, undo,
-                  2);
-    for (const auto &r : fx.log.records())
-        EXPECT_TRUE(db::WriteAheadLog::checksumValid(r))
-            << "lsn " << r.lsn;
-}
-
-TEST(WalChecksum, TamperingInvalidatesTheRecord)
-{
-    WalFixture fx;
-    const std::uint8_t redo[] = {1, 2, 3, 4};
-    fx.log.append(7, db::LogRecordType::Insert, 0, 0, redo, 4);
-    db::LogRecord r = fx.log.records().back();
-    EXPECT_TRUE(db::WriteAheadLog::checksumValid(r));
-    r.payload[2] ^= 0xff;
-    EXPECT_FALSE(db::WriteAheadLog::checksumValid(r));
-    r.payload[2] ^= 0xff;
-    r.txn = 8;
-    EXPECT_FALSE(db::WriteAheadLog::checksumValid(r));
-}
-
-TEST(WalChecksum, TornRecordReadsBackInvalid)
-{
-    WalFixture fx;
-    const std::uint8_t redo[] = {1, 2, 3, 4, 5, 6};
-    const db::Lsn lsn =
-        fx.log.append(3, db::LogRecordType::Insert, 0, 0, redo, 6);
-    fx.log.tearRecord(lsn);
-    EXPECT_FALSE(
-        db::WriteAheadLog::checksumValid(fx.log.records().back()));
-
-    // A payload-less record tears too (checksum flip).
-    const db::Lsn bare = fx.log.append(3, db::LogRecordType::Commit);
-    fx.log.tearRecord(bare);
-    EXPECT_FALSE(
-        db::WriteAheadLog::checksumValid(fx.log.records().back()));
-}
-
-TEST(WalForce, TruncateToDurableDropsTheVolatileTail)
-{
-    WalFixture fx;
-    const std::uint8_t redo[] = {1};
-    fx.log.append(1, db::LogRecordType::Begin);
-    const db::Lsn forced =
-        fx.log.append(1, db::LogRecordType::Insert, 0, 0, redo, 1);
-    fx.log.force(forced);
-    fx.log.append(1, db::LogRecordType::Commit); // never forced
-    EXPECT_EQ(fx.log.records().size(), 3u);
-
-    fx.log.truncateToDurable();
-    EXPECT_EQ(fx.log.records().size(), 2u);
-    EXPECT_EQ(fx.log.tailLsn(), forced + 1);
-}
-
-TEST(WalForce, TransientErrorsAreRetriedWithBackoff)
-{
-    WalFixture fx;
-    fault::FaultInjector inj;
-    fx.ctx.fault = &inj;
-    inj.arm("wal.pre_force", {fault::FaultKind::TransientIo, 0, 3});
-
-    const db::Lsn lsn = fx.log.append(1, db::LogRecordType::Commit);
-    fx.log.force(lsn); // three transient errors, then success
-    EXPECT_EQ(fx.log.durableLsn(), lsn);
-    EXPECT_EQ(fx.log.forceRetries(), 3u);
-}
-
-TEST(WalForce, PersistentTransientErrorEventuallyGivesUp)
-{
-    WalFixture fx;
-    fault::FaultInjector inj;
-    fx.ctx.fault = &inj;
-    inj.arm("wal.pre_force", {fault::FaultKind::TransientIo, 0, 99});
-
-    const db::Lsn lsn = fx.log.append(1, db::LogRecordType::Commit);
-    EXPECT_THROW(fx.log.force(lsn), fault::TransientIoError);
-    EXPECT_EQ(fx.log.durableLsn(), 0u);
-}
-
-// ---------------------------------------------------------------
-// Buffer-pool transient-I/O retry
-
-TEST(PoolRetry, TransientVolumeErrorsAreAbsorbed)
-{
-    WalFixture fx;
-    db::Volume vol(fx.ctx);
-    const db::PageId pid = vol.allocPage();
-
-    fault::FaultInjector inj;
-    fx.ctx.fault = &inj;
-    inj.arm("volume.read", {fault::FaultKind::TransientIo, 0, 2});
-
-    db::BufferPool pool(fx.ctx, vol, 4);
-    std::uint8_t *frame = pool.fix(pid); // retried twice, then read
-    EXPECT_NE(frame, nullptr);
-    EXPECT_EQ(pool.ioRetries(), 2u);
-    pool.unfix(pid, false);
-}
-
-// ---------------------------------------------------------------
-// Transaction table
-
-TEST(TxnTable, UnknownAndFinishedIdsAreRejected)
-{
-    WalFixture fx;
-    db::LockManager locks(fx.ctx);
-    db::TransactionManager txns(fx.ctx, locks, fx.log);
-
-    EXPECT_FALSE(txns.commit(42)); // never begun
-    EXPECT_FALSE(txns.abort(42));
-
-    const db::TxnId t = txns.begin();
-    EXPECT_TRUE(txns.isActive(t));
-    EXPECT_EQ(txns.stateOf(t), db::TxnState::Active);
-    EXPECT_TRUE(txns.commit(t));
-    EXPECT_EQ(txns.stateOf(t), db::TxnState::Committed);
-    EXPECT_FALSE(txns.commit(t)); // double commit
-    EXPECT_FALSE(txns.abort(t));  // abort after commit
-    EXPECT_EQ(txns.active(), 0u);
-
-    const db::TxnId u = txns.begin();
-    EXPECT_TRUE(txns.abort(u));
-    EXPECT_EQ(txns.stateOf(u), db::TxnState::Aborted);
-    EXPECT_FALSE(txns.abort(u)); // double abort
-    EXPECT_FALSE(txns.stateOf(99).has_value());
-}
-
-TEST(TxnTable, RuntimeAbortRollsBackThroughTheBoundPool)
-{
-    WalFixture fx;
-    db::Volume vol(fx.ctx);
-    db::LockManager locks(fx.ctx);
-    db::TransactionManager txns(fx.ctx, locks, fx.log);
-    db::BufferPool pool(fx.ctx, vol, 8);
-    txns.bindPool(&pool);
-    db::Schema schema{{{"id", db::ColumnType::Int32, 4},
-                       {"payload", db::ColumnType::Char, 16}}};
-    db::HeapFile file(fx.ctx, pool, vol, locks, fx.log, &schema);
-
-    auto row = [&](std::int32_t id, const std::string &s) {
-        db::Tuple t(&schema);
-        t.setInt(0, id);
-        t.setString(1, s);
-        return t;
-    };
-
-    const db::TxnId keeper = txns.begin();
-    const db::Rid kept = file.createRec(keeper, row(1, "keep"));
-    txns.commit(keeper);
-
-    const db::TxnId loser = txns.begin();
-    const db::Rid gone = file.createRec(loser, row(2, "gone"));
-    file.updateRec(loser, kept, row(1, "clobbered"));
-    txns.abort(loser);
-
-    // The loser's insert is tombstoned and its update undone,
-    // in memory, right now — not only after a restart.
-    std::uint8_t *frame = pool.fix(gone.page);
-    db::SlottedPage page(frame);
-    EXPECT_EQ(page.read(gone.slot), nullptr);
-    pool.unfix(gone.page, false);
-
-    frame = pool.fix(kept.page);
-    db::SlottedPage kept_page(frame);
-    const db::Tuple back(&schema, kept_page.read(kept.slot));
-    EXPECT_EQ(back.getString(1), "keep");
-    pool.unfix(kept.page, false);
 }
 
 // ---------------------------------------------------------------
