@@ -22,6 +22,12 @@
  * serialized trace) and the function registry's declaration order,
  * so a storage-engine change that alters the traced call sequence or
  * the code layout fails here even when no SimResult moves.
+ *
+ * warm_checkpoint_digests.txt pins functional warming: for sampled
+ * runs at several warm-up budgets it holds an FNV-1a-64 of the
+ * warm-up checkpoint document (every cache, branch, CGHC and
+ * D-prefetch table the warm-up trained) and of the run's SimResult,
+ * so a fast-forward change that alters any warmed bit fails here.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +44,7 @@
 #include "harness/report.hh"
 #include "harness/simulator.hh"
 #include "harness/workload.hh"
+#include "sample/config.hh"
 #include "trace/serialize.hh"
 
 #ifndef CGP_GOLDEN_DIR
@@ -230,6 +237,79 @@ TEST(Golden, DbWorkloadTracesMatchCheckedInDigests)
     got += reg.str();
 
     const std::string path = goldenPath("db_trace_digests.txt");
+    if (regenRequested()) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << got;
+        return;
+    }
+    const std::string want = readFile(path);
+    ASSERT_FALSE(want.empty())
+        << path << " is missing — regenerate with "
+        << "CGP_GOLDEN_REGEN=1 ./test_golden";
+    EXPECT_EQ(got, want);
+}
+
+/** The smoke-a program (micro_components' BM_CoreRun), built at an
+ *  explicit scale so CGP_SCALE does not change the digests. */
+Workload
+smokeA()
+{
+    spec::SpecProgramSpec program;
+    program.name = "smoke-a";
+    program.functions = 60;
+    program.hotFunctions = 30;
+    program.workPerCall = 50.0;
+    program.trainInstrs = 120'000;
+    program.testInstrs = 30'000;
+    return WorkloadFactory::buildSpec(program, 1.0);
+}
+
+/** One digest line for a sampled run of @p base with warm-up budget
+ *  @p warmup: hashes of the checkpoint an in-memory store receives
+ *  and of the run's SimResult. */
+std::string
+warmDigest(const Workload &w, const SimConfig &base,
+           std::uint64_t warmup)
+{
+    SimConfig config = SimConfig::withSampling(base, 2000, 10000, warmup);
+    std::string checkpoint;
+    config.sample.checkpoints.save =
+        [&checkpoint](const std::string &, Json &&doc) {
+            checkpoint = doc.dump();
+        };
+    const SimResult r = runSimulation(w, config);
+    EXPECT_FALSE(checkpoint.empty()) << base.describe() << " " << warmup;
+
+    std::ostringstream line;
+    line << w.name << " " << base.describe() << " warmup=" << warmup
+         << std::hex << std::setfill('0') << " checkpoint="
+         << std::setw(16) << fnv1a64(checkpoint)
+         << " result=" << std::setw(16) << fnv1a64(toJson(r).dump())
+         << "\n";
+    return line.str();
+}
+
+TEST(Golden, WarmCheckpointsMatchCheckedInDigests)
+{
+    std::string got;
+    const Workload smoke = smokeA();
+    for (const SimConfig &base :
+         {SimConfig::o5(), SimConfig::withCgp(LayoutKind::PettisHansen, 4),
+          SimConfig::withIPlusD(DataPrefetchKind::Combined, true)}) {
+        for (const std::uint64_t warmup : {17ull, 1000ull, 100000ull})
+            got += warmDigest(smoke, base, warmup);
+    }
+    const DbWorkloadSet set = WorkloadFactory::buildDbSet(0.03);
+    for (const Workload &w : set.workloads) {
+        if (w.name == "wisc-prof") {
+            got += warmDigest(
+                w, SimConfig::withCgp(LayoutKind::PettisHansen, 4),
+                100000);
+        }
+    }
+
+    const std::string path = goldenPath("warm_checkpoint_digests.txt");
     if (regenRequested()) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out) << "cannot write " << path;
