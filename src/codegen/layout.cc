@@ -24,22 +24,6 @@ layoutName(LayoutKind kind)
     return "?";
 }
 
-Addr
-CodeImage::funcStart(FunctionId fid) const
-{
-    cgp_assert(fid < funcs_.size(), "bad function id ", fid);
-    return funcs_[fid].base;
-}
-
-Addr
-CodeImage::blockAddr(FunctionId fid, std::uint16_t block) const
-{
-    cgp_assert(fid < funcs_.size(), "bad function id ", fid);
-    const auto &fe = funcs_[fid];
-    cgp_assert(block < fe.blockAddrs.size(), "bad block index ", block);
-    return fe.blockAddrs[block];
-}
-
 std::uint16_t
 CodeImage::blockPosition(FunctionId fid, std::uint16_t block) const
 {

@@ -24,6 +24,7 @@
 #include "codegen/function.hh"
 #include "codegen/profile.hh"
 #include "codegen/registry.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -48,11 +49,27 @@ class CodeImage
     /** Base of the synthetic text segment. */
     static constexpr Addr textBase = 0x0040'0000;
 
+    /// @{ Inline: the expander asks for addresses on every call
+    /// and block crossing.
     /** Starting address of function @p fid. */
-    Addr funcStart(FunctionId fid) const;
+    Addr
+    funcStart(FunctionId fid) const
+    {
+        cgp_assert(fid < funcs_.size(), "bad function id ", fid);
+        return funcs_[fid].base;
+    }
 
     /** Address of block @p block of function @p fid. */
-    Addr blockAddr(FunctionId fid, std::uint16_t block) const;
+    Addr
+    blockAddr(FunctionId fid, std::uint16_t block) const
+    {
+        cgp_assert(fid < funcs_.size(), "bad function id ", fid);
+        const FuncEntry &fe = funcs_[fid];
+        cgp_assert(block < fe.blockAddrs.size(), "bad block index ",
+                   block);
+        return fe.blockAddrs[block];
+    }
+    /// @}
 
     /** One past the highest text address. */
     Addr textLimit() const { return limit_; }

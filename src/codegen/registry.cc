@@ -94,13 +94,6 @@ FunctionRegistry::declare(const std::string &name,
     return id;
 }
 
-const Function &
-FunctionRegistry::function(FunctionId id) const
-{
-    cgp_assert(id < functions_.size(), "bad function id ", id);
-    return functions_[id];
-}
-
 FunctionId
 FunctionRegistry::lookup(const std::string &name) const
 {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "codegen/function.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -37,8 +38,14 @@ class FunctionRegistry
     /** Number of declared functions. */
     std::size_t size() const { return functions_.size(); }
 
-    /** Body of function @p id; panics on a bad id. */
-    const Function &function(FunctionId id) const;
+    /** Body of function @p id; panics on a bad id.  Inline: the
+     *  expander looks bodies up several times per block. */
+    const Function &
+    function(FunctionId id) const
+    {
+        cgp_assert(id < functions_.size(), "bad function id ", id);
+        return functions_[id];
+    }
 
     /** Lookup by name; returns invalidFunctionId if absent. */
     FunctionId lookup(const std::string &name) const;

@@ -350,6 +350,53 @@ Core::beginRun()
     wallStart_ = std::chrono::steady_clock::now();
 }
 
+/** Routes InstructionExpander::warm output into the warm bodies. */
+struct Core::WarmHooks final : WarmSink
+{
+    explicit WarmHooks(Core &core) : core_(core) {}
+    void pc(Addr pc) override { core_.warmFetchLine(pc); }
+    void inst(const DynInst &inst) override { core_.warmInst(inst); }
+
+    Core &core_;
+};
+
+void
+Core::warmFetchLine(Addr pc)
+{
+    const Addr line = mem_.l1i().lineAlign(pc);
+    if (!config_.perfectICache && line != lastFetchLine_) {
+        mem_.l1i().warmAccess(line, false);
+        lastFetchLine_ = line;
+        if (prefetcher_ != nullptr)
+            prefetcher_->onFetchLine(line, now_);
+    }
+}
+
+void
+Core::warmInst(const DynInst &inst)
+{
+    warmFetchLine(inst.pc);
+    if (dprefetcher_ != nullptr && inst.hintAddr != invalidAddr) {
+        dprefetcher_->onHint(static_cast<DataHintKind>(inst.hintKind),
+                             inst.hintAddr, now_);
+    }
+    if (isControl(inst.kind)) {
+        // Mispredictions cost nothing here; the branch structures
+        // and the CGHC still train.
+        (void)predictControl(inst);
+    }
+    if (inst.kind == InstKind::Load || inst.kind == InstKind::Store) {
+        const bool is_write = inst.kind == InstKind::Store;
+        const bool miss = mem_.l1d().warmAccess(inst.memAddr, is_write);
+        if (dprefetcher_ != nullptr) {
+            dprefetcher_->onAccess(inst.pc, inst.memAddr, is_write,
+                                   miss, now_);
+            if (miss)
+                dprefetcher_->onMiss(inst.pc, inst.memAddr, now_);
+        }
+    }
+}
+
 std::uint64_t
 Core::fastForward(std::uint64_t max_instrs, bool warm_state)
 {
@@ -365,47 +412,24 @@ Core::fastForward(std::uint64_t max_instrs, bool warm_state)
     }
 
     std::uint64_t done = 0;
-    const DynInst *next = nullptr;
-    while (done < max_instrs && (next = peek()) != nullptr) {
+    // The instruction peek() may hold comes first.
+    if (hasPending_ && max_instrs > 0) {
         consume();
-        const DynInst &inst = *next;
-        if (warm_state) {
-            const Addr line = mem_.l1i().lineAlign(inst.pc);
-            if (!config_.perfectICache && line != lastFetchLine_) {
-                mem_.l1i().warmAccess(line, false);
-                lastFetchLine_ = line;
-                if (prefetcher_ != nullptr)
-                    prefetcher_->onFetchLine(line, now_);
-            }
-            if (dprefetcher_ != nullptr &&
-                inst.hintAddr != invalidAddr) {
-                dprefetcher_->onHint(
-                    static_cast<DataHintKind>(inst.hintKind),
-                    inst.hintAddr, now_);
-            }
-            if (isControl(inst.kind)) {
-                // Mispredictions cost nothing here; the branch
-                // structures and the CGHC still train.
-                (void)predictControl(inst);
-            }
-            if (inst.kind == InstKind::Load ||
-                inst.kind == InstKind::Store) {
-                const bool is_write = inst.kind == InstKind::Store;
-                const bool miss =
-                    mem_.l1d().warmAccess(inst.memAddr, is_write);
-                if (dprefetcher_ != nullptr) {
-                    dprefetcher_->onAccess(inst.pc, inst.memAddr,
-                                           is_write, miss, now_);
-                    if (miss) {
-                        dprefetcher_->onMiss(inst.pc, inst.memAddr,
-                                             now_);
-                    }
-                }
-            }
-        }
+        if (warm_state)
+            warmInst(pending_);
         ++done;
-        ++warmedInstrs_;
     }
+    if (done < max_instrs && !streamDone_) {
+        if (warm_state) {
+            WarmHooks hooks(*this);
+            done += stream_.warm(max_instrs - done, hooks);
+        } else {
+            done += stream_.advance(max_instrs - done);
+        }
+        if (done < max_instrs && stream_.endOfStream())
+            streamDone_ = true;
+    }
+    warmedInstrs_ += done;
 
     if (warm_state) {
         mem_.setWarming(false);

@@ -121,10 +121,14 @@ class Core
      * With @p warm_state (the default) every consumed instruction
      * still updates the caches (via Cache::warmAccess), the branch
      * structures, the CGHC and the D-prefetch tables, with all
-     * statistics counters frozen; without it the stream merely
-     * advances (the deliberately-unwarmed perturbation mode the
-     * validation suite uses).  Consumed instructions count into
-     * warmedInstrs(), never into committedInstrs().
+     * statistics counters frozen.  The instruction peek() may hold
+     * is warmed first; the rest come from InstructionExpander::warm,
+     * so a plain work instruction costs only its fetch-line check
+     * (warmFetchLine) and everything else goes through warmInst.
+     * Without @p warm_state the stream merely advances (the
+     * deliberately-unwarmed perturbation mode the validation suite
+     * uses).  Consumed instructions count into warmedInstrs(), never
+     * into committedInstrs().
      * @return instructions actually consumed (less than the budget
      *         only when the stream ran dry or ended).
      */
@@ -209,6 +213,16 @@ class Core
 
     /** Predict + prefetcher hooks for a fetched control transfer. */
     bool predictControl(const DynInst &inst);
+
+    /// @{ Functional warming (fastForward).
+    struct WarmHooks;
+    /** Warm the I-side for a fetch at @p pc: the L1-I line and the
+     *  prefetcher's fetch-line hook, on a line change only. */
+    void warmFetchLine(Addr pc);
+    /** Everything one instruction trains: fetch line, hint, branch
+     *  structures and CGHC, L1-D and D-prefetch tables. */
+    void warmInst(const DynInst &inst);
+    /// @}
 
     /**
      * The next instruction of the stream, pulled into pending_ if

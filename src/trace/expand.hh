@@ -54,6 +54,23 @@ struct ExpanderConfig
     unsigned mulEvery = 23;
 };
 
+/**
+ * Receives the instructions InstructionExpander::warm hands out: the
+ * functional-warming view of the stream.
+ */
+class WarmSink
+{
+  public:
+    virtual ~WarmSink() = default;
+
+    /** A plain work instruction (IntOp or MulOp, no hint): only its
+     *  pc reaches the sink. */
+    virtual void pc(Addr pc) = 0;
+
+    /** Any other instruction, whole. */
+    virtual void inst(const DynInst &inst) = 0;
+};
+
 class InstructionExpander
 {
   public:
@@ -93,23 +110,28 @@ class InstructionExpander
     bool endOfStream() const { return ended_; }
 
     /**
-     * Fast-forward expansion mode: replay @p n instructions,
-     * discarding the output.  Because expansion is deterministic,
+     * Functional-warming expansion: hand the next @p n instructions
+     * to @p sink, leaving the expander in exactly the state @p n
+     * calls of next() would leave.  A work instruction that would be
+     * handed out at once — IntOp or MulOp, no hint riding on it, no
+     * cross jump queued ahead of it — reaches sink.pc() as its pc
+     * alone and no DynInst is built; every other instruction goes
+     * through the ready queue and reaches sink.inst() whole.
+     * @return instructions handed out (short only when the trace
+     *         ended or a streaming source ran dry).
+     */
+    std::uint64_t warm(std::uint64_t n, WarmSink &sink);
+
+    /**
+     * Replay @p n instructions, discarding them (warm() with a sink
+     * that ignores everything).  Expansion is deterministic, so
      * advancing a fresh expander by the number of instructions a
-     * warmup consumed reconstructs its internal state exactly —
-     * the replay half of warm-state checkpoint restore.
+     * warm-up consumed reconstructs its internal state exactly: the
+     * replay half of warm-state checkpoint restore.
      * @return instructions actually advanced (short only when the
      *         trace ended or a streaming source ran dry).
      */
-    std::uint64_t
-    advance(std::uint64_t n)
-    {
-        DynInst scratch;
-        std::uint64_t done = 0;
-        while (done < n && next(scratch))
-            ++done;
-        return done;
-    }
+    std::uint64_t advance(std::uint64_t n);
 
     /// @{ Expansion statistics (valid incrementally).
     std::uint64_t emittedInstrs() const { return emitted_; }
@@ -163,14 +185,35 @@ class InstructionExpander
     {
         std::vector<Activation> stack;
         Addr stackBase = 0;
+        /** Work instructions emitted (picks stack-slot offsets). */
         std::uint64_t workCounter = 0;
+        /// @{ Work instructions until the next stack load, stack
+        /// store and multiply (reset to the ExpanderConfig periods).
+        std::uint32_t loadIn = 0;
+        std::uint32_t storeIn = 0;
+        std::uint32_t mulIn = 0;
+        /// @}
     };
 
-    /** Drain one more instruction from the current Work burst. */
-    void emitWorkInstr();
+    /**
+     * Drain one more instruction from the current Work burst.  With
+     * @p direct set, an IntOp or MulOp with nothing queued ahead of
+     * it goes to direct->pc() instead of the ready queue (the caller
+     * guarantees no hint is pending).
+     * @return true when the instruction went to @p direct.
+     */
+    bool emitWorkInstr(WarmSink *direct);
+
+    /** Process one trace event; false when the source is dry or has
+     *  ended. */
+    bool pullEvent();
 
     /** Process trace events until something is queued. */
     bool refill();
+
+    /** Make @p id the current thread, creating its state on first
+     *  use. */
+    void switchThread(std::uint64_t id);
 
     void processCall(FunctionId callee);
     void processReturn();

@@ -3,16 +3,19 @@
  * Tests for the instruction expander: structural invariants of the
  * emitted stream, layout independence of the dynamic behaviour, and
  * the control-flow bookkeeping CGP depends on (call/return pairing,
- * function identity, return targets).
+ * function identity, return targets), and the functional-warming
+ * path (warm/advance) against a pure next() expansion.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "codegen/layout.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
+#include "util/rng.hh"
 
 namespace cgp
 {
@@ -299,6 +302,317 @@ TEST(Expander, ContextSwitchesKeepPerThreadStacks)
     EXPECT_EQ(returns[0], b); // thread 1's B
     EXPECT_EQ(returns[1], b); // thread 0's B
     EXPECT_EQ(returns[2], a); // thread 0's A
+}
+
+// ---------------------------------------------------------------
+// Functional warming: warm() and advance() against next()
+// ---------------------------------------------------------------
+
+/**
+ * A trace with every event kind the warm path must handle: calls and
+ * returns, work bursts of random length, taken and not-taken
+ * branches at decision sites and in a function without any, loads,
+ * stores, single and back-to-back hints, and a second thread that
+ * runs while thread 0 is two frames deep.
+ */
+struct WarmFixture
+{
+    FunctionRegistry reg;
+    TraceBuffer trace;
+
+    WarmFixture()
+    {
+        FunctionTraits plain = FunctionTraits::small();
+        plain.decisionSites = 0;
+        const FunctionId a = reg.declare("A", FunctionTraits::large());
+        const FunctionId b = reg.declare("B", FunctionTraits::medium());
+        const FunctionId c = reg.declare("C", plain);
+        const FunctionId d = reg.declare("D", FunctionTraits::tiny());
+
+        Rng rng(11);
+        TraceRecorder rec(trace);
+        const auto work = [&](std::uint64_t max) {
+            rec.work(static_cast<std::uint32_t>(1 + rng.nextBelow(max)));
+        };
+        rec.call(a);
+        for (int i = 0; i < 300; ++i) {
+            work(60);
+            rec.call(i % 2 == 0 ? b : c);
+            work(30);
+            if (i % 4 == 0)
+                rec.hint(DataHintKind::HeapNextSlot, 0x2000'0000 + i * 64);
+            if (i % 7 == 0) {
+                rec.hint(DataHintKind::BtreeChild, 0x3000'0000 + i * 64);
+                rec.hint(DataHintKind::HeapRecord, 0x3100'0000 + i * 64);
+            }
+            rec.branch(rng.nextBool(0.5));
+            rec.loadAt(0x1000'0000 + i * 64);
+            work(20);
+            rec.call(d);
+            work(10);
+            rec.storeAt(0x1000'8000 + i * 32);
+            rec.ret();
+            rec.branch(rng.nextBool(0.5));
+            if (i % 50 == 25) {
+                trace.append(TraceEvent::make(EventKind::Switch, 1));
+                rec.call(b);
+                work(40);
+                rec.hint(DataHintKind::HeapNextPage, 0x4000'0000 + i);
+                rec.branch(true);
+                rec.ret();
+                trace.append(TraceEvent::make(EventKind::Switch, 0));
+            }
+            rec.ret();
+        }
+        rec.ret();
+    }
+};
+
+/** Records what warm() hands out, in order. */
+struct CaptureSink final : WarmSink
+{
+    std::vector<DynInst> insts;
+    std::vector<bool> pcOnly;
+
+    void
+    pc(Addr pc) override
+    {
+        DynInst i;
+        i.pc = pc;
+        insts.push_back(i);
+        pcOnly.push_back(true);
+    }
+
+    void
+    inst(const DynInst &i) override
+    {
+        insts.push_back(i);
+        pcOnly.push_back(false);
+    }
+};
+
+bool
+isPlainWork(const DynInst &i)
+{
+    return (i.kind == InstKind::IntOp || i.kind == InstKind::MulOp) &&
+        i.hintAddr == invalidAddr;
+}
+
+/** A pc-only entry must be plain work at the same pc; a whole entry
+ *  must equal the reference field by field. */
+::testing::AssertionResult
+matches(const DynInst &want, const DynInst &got, bool pc_only,
+        std::size_t idx)
+{
+    if (pc_only) {
+        if (isPlainWork(want) && want.pc == got.pc)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+            << "instruction " << idx << ": pc-only " << got.pc
+            << " for kind " << static_cast<int>(want.kind) << " at "
+            << want.pc;
+    }
+    if (want.pc == got.pc && want.target == got.target &&
+        want.memAddr == got.memAddr && want.funcStart == got.funcStart &&
+        want.otherFuncStart == got.otherFuncStart &&
+        want.hintAddr == got.hintAddr && want.func == got.func &&
+        want.otherFunc == got.otherFunc && want.kind == got.kind &&
+        want.taken == got.taken && want.hintKind == got.hintKind)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+        << "instruction " << idx << " differs (pc " << got.pc
+        << " vs " << want.pc << ")";
+}
+
+/** Every emitted*() counter and the end flag agree. */
+::testing::AssertionResult
+sameCounters(const InstructionExpander &want,
+             const InstructionExpander &got)
+{
+    if (want.emittedInstrs() == got.emittedInstrs() &&
+        want.emittedCalls() == got.emittedCalls() &&
+        want.emittedBranches() == got.emittedBranches() &&
+        want.emittedJumps() == got.emittedJumps() &&
+        want.emittedLoads() == got.emittedLoads() &&
+        want.emittedStores() == got.emittedStores() &&
+        want.endOfStream() == got.endOfStream())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+        << "counters differ after " << want.emittedInstrs() << " vs "
+        << got.emittedInstrs() << " instructions";
+}
+
+TEST(ExpanderWarm, RandomChunksMatchPureNextExpansion)
+{
+    WarmFixture s;
+    LayoutBuilder builder(s.reg);
+    for (const CodeImage &image :
+         {builder.buildOriginal(),
+          builder.buildPettisHansen(ExecutionProfile())}) {
+        const std::vector<DynInst> ref =
+            expandAll(s.reg, image, s.trace);
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE(seed);
+            InstructionExpander ex(s.reg, image, s.trace);
+            InstructionExpander lockstep(s.reg, image, s.trace);
+            CaptureSink sink;
+            Rng rng(seed);
+            std::uint64_t midBurst = 0, afterJump = 0;
+            DynInst inst;
+            for (;;) {
+                std::uint64_t want = 0, got = 0;
+                if (rng.nextBool(0.75)) {
+                    switch (rng.nextBelow(4)) {
+                      case 0: want = 0; break;
+                      case 1: want = 1; break;
+                      case 2: want = 2 + rng.nextBelow(15); break;
+                      default: want = rng.nextBelow(400); break;
+                    }
+                    got = ex.warm(want, sink);
+                } else {
+                    want = 1 + rng.nextBelow(3);
+                    while (got < want && ex.next(inst)) {
+                        sink.inst(inst);
+                        ++got;
+                    }
+                }
+                for (std::uint64_t i = 0; i < got; ++i)
+                    ASSERT_TRUE(lockstep.next(inst));
+                // A short chunk means the trace ended; one more
+                // next() makes the reference see the end too.
+                if (got < want) {
+                    ASSERT_FALSE(lockstep.next(inst));
+                }
+                ASSERT_TRUE(sameCounters(lockstep, ex));
+                const std::size_t pos = sink.insts.size();
+                if (got > 0 && pos < ref.size()) {
+                    midBurst += isPlainWork(ref[pos - 1]) &&
+                        isPlainWork(ref[pos]) &&
+                        ref[pos].pc == ref[pos - 1].pc + instrBytes;
+                    afterJump += ref[pos - 1].kind == InstKind::Jump;
+                }
+                if (got < want)
+                    break;
+            }
+            EXPECT_TRUE(ex.endOfStream());
+            ASSERT_EQ(sink.insts.size(), ref.size());
+            std::size_t pcOnly = 0;
+            for (std::size_t i = 0; i < ref.size(); ++i) {
+                ASSERT_TRUE(matches(ref[i], sink.insts[i],
+                                    sink.pcOnly[i], i));
+                pcOnly += sink.pcOnly[i];
+            }
+            // The chunking must have exercised the cases the warm
+            // path has to get exactly right.
+            EXPECT_GT(pcOnly, ref.size() / 4);
+            EXPECT_GT(midBurst, 0u);
+            EXPECT_GT(afterJump, 0u);
+        }
+    }
+}
+
+TEST(ExpanderWarm, HintedWorkArrivesWhole)
+{
+    WarmFixture s;
+    LayoutBuilder builder(s.reg);
+    const CodeImage image = builder.buildOriginal();
+    const std::vector<DynInst> ref = expandAll(s.reg, image, s.trace);
+
+    InstructionExpander ex(s.reg, image, s.trace);
+    CaptureSink sink;
+    EXPECT_EQ(ex.warm(~0ull, sink), ref.size());
+    std::size_t hinted = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (ref[i].hintAddr == invalidAddr)
+            continue;
+        ++hinted;
+        EXPECT_FALSE(sink.pcOnly[i]) << i;
+        EXPECT_EQ(sink.insts[i].hintAddr, ref[i].hintAddr) << i;
+    }
+    EXPECT_GT(hinted, 100u);
+}
+
+TEST(ExpanderWarm, AdvanceResumesWhereNextWould)
+{
+    WarmFixture s;
+    LayoutBuilder builder(s.reg);
+    const CodeImage image = builder.buildOriginal();
+    const std::vector<DynInst> ref = expandAll(s.reg, image, s.trace);
+
+    for (const std::uint64_t skip : {0ull, 1ull, 7ull, 1000ull,
+                                     static_cast<unsigned long long>(
+                                         ref.size() - 1)}) {
+        SCOPED_TRACE(skip);
+        InstructionExpander ex(s.reg, image, s.trace);
+        ASSERT_EQ(ex.advance(skip), skip);
+        DynInst inst;
+        for (std::size_t i = skip; i < ref.size(); ++i) {
+            ASSERT_TRUE(ex.next(inst));
+            ASSERT_TRUE(matches(ref[i], inst, false, i));
+        }
+        EXPECT_FALSE(ex.next(inst));
+        EXPECT_TRUE(ex.endOfStream());
+    }
+    InstructionExpander ex(s.reg, image, s.trace);
+    EXPECT_EQ(ex.advance(ref.size() + 5), ref.size());
+    EXPECT_TRUE(ex.endOfStream());
+}
+
+/** Reports Dry on every @c every-th pull, then resumes. */
+class DryEverySource final : public TraceSource
+{
+  public:
+    DryEverySource(const TraceBuffer &trace, unsigned every)
+        : inner_(trace), every_(every)
+    {
+    }
+
+    Pull
+    next(TraceEvent &out) override
+    {
+        if (++pulls_ % every_ == 0) {
+            ++dry_;
+            return Pull::Dry;
+        }
+        return inner_.next(out);
+    }
+
+    unsigned dry() const { return dry_; }
+
+  private:
+    BufferTraceSource inner_;
+    unsigned every_;
+    unsigned pulls_ = 0;
+    unsigned dry_ = 0;
+};
+
+TEST(ExpanderWarm, DrySourceStopsShortAndResumes)
+{
+    WarmFixture s;
+    LayoutBuilder builder(s.reg);
+    const CodeImage image = builder.buildOriginal();
+    const std::vector<DynInst> ref = expandAll(s.reg, image, s.trace);
+    InstructionExpander whole(s.reg, image, s.trace);
+    DynInst inst;
+    while (whole.next(inst)) {
+    }
+
+    DryEverySource source(s.trace, 13);
+    InstructionExpander ex(s.reg, image, source);
+    CaptureSink sink;
+    unsigned shortReturns = 0;
+    while (!ex.endOfStream()) {
+        const std::uint64_t got = ex.warm(500, sink);
+        if (got < 500 && !ex.endOfStream())
+            ++shortReturns;
+        ASSERT_LT(shortReturns, 100'000u) << "no progress";
+    }
+    EXPECT_GT(source.dry(), 0u);
+    EXPECT_GT(shortReturns, 0u);
+    ASSERT_EQ(sink.insts.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_TRUE(matches(ref[i], sink.insts[i], sink.pcOnly[i], i));
+    EXPECT_TRUE(sameCounters(whole, ex));
 }
 
 } // namespace
