@@ -87,9 +87,8 @@ makeSealedCheckpointStore(const std::string &runDir)
     hooks.save = [dir](const std::string &key, Json &&doc) {
         try {
             std::filesystem::create_directories(dir);
-            sealJson(doc);
             writeFileAtomicDurable(checkpointPath(dir, key),
-                                   doc.dump(2) + "\n");
+                                   sealedJsonText(doc));
         } catch (const std::exception &e) {
             cgp_warn("could not save checkpoint ", key, ": ",
                      e.what());

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -51,6 +52,28 @@ void
 sealJson(Json &obj)
 {
     obj.set(sealKey, static_cast<unsigned long>(payloadCrc(obj)));
+}
+
+std::string
+sealedJsonText(const Json &obj)
+{
+    if (!obj.isObject() || obj.contains(sealKey))
+        throw std::invalid_argument(
+            "sealedJsonText needs an unsealed JSON object");
+    std::string text = obj.dump(2);
+    const std::uint32_t crc = crc32(text);
+    // Reopen the object ("{}" or "...\n}") and append the seal as
+    // its last member, in dump(2)'s layout.
+    if (obj.members().empty()) {
+        text.pop_back();
+    } else {
+        text.resize(text.size() - 2);
+        text += ',';
+    }
+    text += "\n  \"";
+    text += sealKey;
+    text += "\": " + std::to_string(crc) + "\n}\n";
+    return text;
 }
 
 bool

@@ -35,6 +35,17 @@ namespace cgp::exp
  */
 void sealJson(Json &obj);
 
+/**
+ * The sealed file text of @p obj, an unsealed JSON object: exactly
+ * what sealJson(obj) and then obj.dump(2) + "\n" would produce, but
+ * from a single dump(2) and without copying the document (the seal
+ * becomes the last member).  Checkpoints, job files and manifests
+ * are written through it.
+ * @throws std::invalid_argument if @p obj is not an object or
+ *         already carries a seal.
+ */
+std::string sealedJsonText(const Json &obj);
+
 /** True iff @p obj carries a seal matching its other members. */
 bool verifySealedJson(const Json &obj);
 

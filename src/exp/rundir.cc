@@ -268,8 +268,7 @@ RunDir::writeManifest() const
         jobs.push(std::move(e));
     }
     m.set("jobs", std::move(jobs));
-    sealJson(m);
-    writeFileAtomicDurable(manifestPath(), m.dump(2) + "\n");
+    writeFileAtomicDurable(manifestPath(), sealedJsonText(m));
 }
 
 void
@@ -333,8 +332,7 @@ RunDir::recordResult(const JobSpec &job, const SimResult &result)
     f.set("config", job.label);
     f.set("seed", job.seed);
     f.set("result", toJson(result));
-    sealJson(f);
-    writeFileAtomicDurable(jobFilePath(job.index), f.dump(2) + "\n");
+    writeFileAtomicDurable(jobFilePath(job.index), sealedJsonText(f));
 
     // Crash here = the job file is durable but the manifest still
     // says "pending"; resume rebuilds statuses from the job files.

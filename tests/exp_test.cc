@@ -22,6 +22,7 @@
 #include "exp/campaigns.hh"
 #include "exp/engine.hh"
 #include "exp/figures.hh"
+#include "exp/integrity.hh"
 #include "exp/rundir.hh"
 #include "exp/scheduler.hh"
 #include "fault/fault.hh"
@@ -333,6 +334,36 @@ TEST(Retry, BackoffIsDeterministicExponentialWithBoundedJitter)
     for (std::uint64_t seed = 0; seed < 10; ++seed)
         delays.insert(retryBackoffMs(seed, 1));
     EXPECT_GT(delays.size(), 1u);
+}
+
+TEST(Integrity, SealedTextIsSealThenDump)
+{
+    Json nested = Json::object();
+    nested.set("list", Json::array());
+    nested.set("name", "quote \" and \\ and \n");
+    Json deep = Json::object();
+    deep.set("x", -3);
+    deep.set("y", 0.125);
+    deep.set("z", Json::object());
+    Json arr = Json::array();
+    arr.push(deep);
+    arr.push(nullptr);
+    arr.push(true);
+    nested.set("arr", std::move(arr));
+    Json scalar = Json::object();
+    scalar.set("only", 18446744073709551615ull);
+
+    for (const Json &doc : {Json::object(), scalar, nested}) {
+        Json sealed = doc;
+        sealJson(sealed);
+        const std::string text = sealedJsonText(doc);
+        EXPECT_EQ(text, sealed.dump(2) + "\n");
+        EXPECT_TRUE(verifySealedJson(Json::parse(text)));
+    }
+    Json sealed = nested;
+    sealJson(sealed);
+    EXPECT_THROW(sealedJsonText(sealed), std::invalid_argument);
+    EXPECT_THROW(sealedJsonText(Json::array()), std::invalid_argument);
 }
 
 /**

@@ -24,6 +24,7 @@
 
 #include "exp/checkpoint.hh"
 #include "exp/engine.hh"
+#include "exp/integrity.hh"
 #include "harness/report.hh"
 #include "harness/simulator.hh"
 #include "harness/workload.hh"
@@ -524,6 +525,29 @@ TEST(SampleCheckpointStore, SealedStoreRoundTripsOnDisk)
     const SimResult restored = runSimulation(w, second);
     EXPECT_TRUE(restored.sampled.checkpointUsed);
     EXPECT_EQ(dumpNormalized(warmed), dumpNormalized(restored));
+    fs::remove_all(dir);
+}
+
+TEST(SampleCheckpointStore, WrittenFileIsSealThenDump)
+{
+    // The store writes the sealed text from one dump; the bytes must
+    // be exactly what sealing the document and dumping it gives.
+    const Workload w = proxyWorkload("store-bytes", 50, 55.0, 200'000);
+    MemStore mem;
+    SimConfig cfg = sampledConfig(
+        SimConfig::withIPlusD(DataPrefetchKind::Combined, true));
+    cfg.sample.checkpoints = mem.hooks();
+    ASSERT_TRUE(runSimulation(w, cfg).sampled.checkpointSaved);
+    ASSERT_EQ(mem.docs.size(), 1u);
+    const auto &[key, doc] = *mem.docs.begin();
+
+    const std::string dir = freshDir("store-bytes");
+    exp::makeSealedCheckpointStore(dir).save(key, Json(doc));
+    Json sealed = doc;
+    exp::sealJson(sealed);
+    const std::string written = exp::readFileOrThrow(
+        exp::checkpointStoreDir(dir) + "/" + key + ".json");
+    EXPECT_EQ(written, sealed.dump(2) + "\n");
     fs::remove_all(dir);
 }
 
