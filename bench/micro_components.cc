@@ -83,31 +83,40 @@ BM_BranchPredict(benchmark::State &state)
 }
 BENCHMARK(BM_BranchPredict);
 
+/** The expansion benchmarks' program: two functions, a call per
+ *  iteration, work bursts and decision-site branches. */
+struct ExpansionProgram
+{
+    cgp::FunctionRegistry reg;
+    cgp::TraceBuffer trace;
+    cgp::CodeImage image;
+
+    ExpansionProgram()
+    {
+        using namespace cgp;
+        const FunctionId a = reg.declare("a", FunctionTraits::medium());
+        const FunctionId b = reg.declare("b", FunctionTraits::small());
+        TraceRecorder rec(trace);
+        rec.call(a);
+        for (int i = 0; i < 1000; ++i) {
+            rec.work(30);
+            rec.call(b);
+            rec.work(20);
+            rec.ret();
+            rec.branch(i % 3 == 0);
+        }
+        rec.ret();
+        image = LayoutBuilder(reg).buildOriginal();
+    }
+};
+
 void
 BM_TraceExpansion(benchmark::State &state)
 {
     using namespace cgp;
-    FunctionRegistry reg;
-    const FunctionId a = reg.declare("a", FunctionTraits::medium());
-    const FunctionId b = reg.declare("b", FunctionTraits::small());
-
-    TraceBuffer trace;
-    TraceRecorder rec(trace);
-    rec.call(a);
-    for (int i = 0; i < 1000; ++i) {
-        rec.work(30);
-        rec.call(b);
-        rec.work(20);
-        rec.ret();
-        rec.branch(i % 3 == 0);
-    }
-    rec.ret();
-
-    LayoutBuilder builder(reg);
-    const CodeImage image = builder.buildOriginal();
-
+    const ExpansionProgram p;
     for (auto _ : state) {
-        InstructionExpander ex(reg, image, trace);
+        InstructionExpander ex(p.reg, p.image, p.trace);
         DynInst inst;
         std::uint64_t n = 0;
         while (ex.next(inst))
@@ -118,6 +127,30 @@ BM_TraceExpansion(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceExpansion);
+
+/** The same program through the functional-warming path, which
+ *  hands plain work instructions out as bare pcs. */
+void
+BM_WarmExpansion(benchmark::State &state)
+{
+    using namespace cgp;
+    struct Sink final : WarmSink
+    {
+        Addr last = 0;
+        void pc(Addr pc) override { last = pc; }
+        void inst(const DynInst &inst) override { last = inst.pc; }
+    };
+    const ExpansionProgram p;
+    for (auto _ : state) {
+        InstructionExpander ex(p.reg, p.image, p.trace);
+        Sink sink;
+        const std::uint64_t n = ex.warm(~0ull, sink);
+        benchmark::DoNotOptimize(sink.last);
+        state.SetItemsProcessed(
+            state.items_processed() + static_cast<std::int64_t>(n));
+    }
+}
+BENCHMARK(BM_WarmExpansion);
 
 void
 BM_CoreRun(benchmark::State &state)
