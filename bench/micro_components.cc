@@ -137,7 +137,12 @@ BM_WarmExpansion(benchmark::State &state)
     struct Sink final : WarmSink
     {
         Addr last = 0;
-        void pc(Addr pc) override { last = pc; }
+        void
+        pcRun(Addr first, std::uint64_t count) override
+        {
+            last = first + count;
+        }
+        void stackRef(Addr pc, Addr, bool) override { last = pc; }
         void inst(const DynInst &inst) override { last = inst.pc; }
     };
     const ExpansionProgram p;

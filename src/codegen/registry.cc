@@ -1,6 +1,7 @@
 #include "codegen/registry.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -88,10 +89,19 @@ FunctionRegistry::declare(const std::string &name,
     if (it != byName_.end())
         return it->second;
 
-    const auto id = static_cast<FunctionId>(functions_.size());
-    functions_.push_back(synthesize(id, name, traits));
-    byName_.emplace(name, id);
-    return id;
+    return define(synthesize(static_cast<FunctionId>(functions_.size()),
+                             name, traits));
+}
+
+FunctionId
+FunctionRegistry::define(Function body)
+{
+    cgp_assert(byName_.count(body.name) == 0, "function '", body.name,
+               "' declared twice");
+    body.id = static_cast<FunctionId>(functions_.size());
+    byName_.emplace(body.name, body.id);
+    functions_.push_back(std::move(body));
+    return functions_.back().id;
 }
 
 FunctionId

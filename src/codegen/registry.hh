@@ -35,6 +35,13 @@ class FunctionRegistry
     FunctionId declare(const std::string &name,
                        const FunctionTraits &traits);
 
+    /**
+     * Declare a function with a hand-built body (its id is assigned
+     * here); panics if the name is taken.  The body must satisfy
+     * Function's invariants.
+     */
+    FunctionId define(Function body);
+
     /** Number of declared functions. */
     std::size_t size() const { return functions_.size(); }
 

@@ -354,7 +354,19 @@ Core::beginRun()
 struct Core::WarmHooks final : WarmSink
 {
     explicit WarmHooks(Core &core) : core_(core) {}
-    void pc(Addr pc) override { core_.warmFetchLine(pc); }
+    void
+    pcRun(Addr first, std::uint64_t count) override
+    {
+        core_.warmFetchRun(first, count);
+    }
+
+    void
+    stackRef(Addr pc, Addr addr, bool write) override
+    {
+        core_.warmFetchLine(pc);
+        core_.warmData(pc, addr, write);
+    }
+
     void inst(const DynInst &inst) override { core_.warmInst(inst); }
 
     Core &core_;
@@ -373,6 +385,30 @@ Core::warmFetchLine(Addr pc)
 }
 
 void
+Core::warmFetchRun(Addr first, std::uint64_t count)
+{
+    if (config_.perfectICache)
+        return;
+    warmFetchLine(first);
+    const Addr last = first + (count - 1) * instrBytes;
+    const Addr line_bytes = mem_.l1i().lineBytes();
+    for (Addr line = mem_.l1i().lineAlign(first) + line_bytes;
+         line <= last; line += line_bytes)
+        warmFetchLine(line);
+}
+
+void
+Core::warmData(Addr pc, Addr addr, bool write)
+{
+    const bool miss = mem_.l1d().warmAccess(addr, write);
+    if (dprefetcher_ != nullptr) {
+        dprefetcher_->onAccess(pc, addr, write, miss, now_);
+        if (miss)
+            dprefetcher_->onMiss(pc, addr, now_);
+    }
+}
+
+void
 Core::warmInst(const DynInst &inst)
 {
     warmFetchLine(inst.pc);
@@ -385,16 +421,8 @@ Core::warmInst(const DynInst &inst)
         // and the CGHC still train.
         (void)predictControl(inst);
     }
-    if (inst.kind == InstKind::Load || inst.kind == InstKind::Store) {
-        const bool is_write = inst.kind == InstKind::Store;
-        const bool miss = mem_.l1d().warmAccess(inst.memAddr, is_write);
-        if (dprefetcher_ != nullptr) {
-            dprefetcher_->onAccess(inst.pc, inst.memAddr, is_write,
-                                   miss, now_);
-            if (miss)
-                dprefetcher_->onMiss(inst.pc, inst.memAddr, now_);
-        }
-    }
+    if (inst.kind == InstKind::Load || inst.kind == InstKind::Store)
+        warmData(inst.pc, inst.memAddr, inst.kind == InstKind::Store);
 }
 
 std::uint64_t

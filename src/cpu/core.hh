@@ -123,8 +123,10 @@ class Core
      * structures, the CGHC and the D-prefetch tables, with all
      * statistics counters frozen.  The instruction peek() may hold
      * is warmed first; the rest come from InstructionExpander::warm,
-     * so a plain work instruction costs only its fetch-line check
-     * (warmFetchLine) and everything else goes through warmInst.
+     * so a run of plain work instructions costs one fetch-line check
+     * per line it touches (warmFetchRun), a stack reference costs
+     * its fetch line and its L1-D access (warmData), and everything
+     * else goes through warmInst.
      * Without @p warm_state the stream merely advances (the
      * deliberately-unwarmed perturbation mode the validation suite
      * uses).  Consumed instructions count into warmedInstrs(), never
@@ -219,6 +221,13 @@ class Core
     /** Warm the I-side for a fetch at @p pc: the L1-I line and the
      *  prefetcher's fetch-line hook, on a line change only. */
     void warmFetchLine(Addr pc);
+    /** warmFetchLine for @p count instructions at consecutive pcs
+     *  from @p first: once for the first and once per line boundary
+     *  the run crosses. */
+    void warmFetchRun(Addr first, std::uint64_t count);
+    /** Warm the D-side for a load or store (@p write) of @p addr at
+     *  @p pc: the L1-D line and the D-prefetch tables. */
+    void warmData(Addr pc, Addr addr, bool write);
     /** Everything one instruction trains: fetch line, hint, branch
      *  structures and CGHC, L1-D and D-prefetch tables. */
     void warmInst(const DynInst &inst);

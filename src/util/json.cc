@@ -1,6 +1,6 @@
 #include "util/json.hh"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -309,12 +309,10 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Type::Int:
-        std::snprintf(buf, sizeof buf, "%" PRId64, int_);
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, int_).ptr);
         break;
       case Type::Uint:
-        std::snprintf(buf, sizeof buf, "%" PRIu64, uint_);
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, uint_).ptr);
         break;
       case Type::Double:
         if (!std::isfinite(dbl_)) {

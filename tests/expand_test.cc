@@ -309,16 +309,39 @@ TEST(Expander, ContextSwitchesKeepPerThreadStacks)
 // ---------------------------------------------------------------
 
 /**
+ * A looping body whose entry block is one instruction long and
+ * separated from the next hot block by a cold block: in the original
+ * layout that block is all jump (usable 0), both on entry and when
+ * the walk wraps back to it.  Synthesized bodies never have one,
+ * their blocks are at least four instructions long.
+ */
+Function
+jumpOnlyBlockBody()
+{
+    Function f;
+    f.name = "E";
+    f.blocks = {{1, BlockRole::Hot},
+                {5, BlockRole::Cold},
+                {6, BlockRole::Hot},
+                {7, BlockRole::Hot}};
+    f.hotWalk = {0, 2, 3};
+    f.originalOrder = {0, 1, 2, 3};
+    return f;
+}
+
+/**
  * A trace with every event kind the warm path must handle: calls and
  * returns, work bursts of random length, taken and not-taken
  * branches at decision sites and in a function without any, loads,
- * stores, single and back-to-back hints, and a second thread that
- * runs while thread 0 is two frames deep.
+ * stores, single and back-to-back hints, a second thread that runs
+ * while thread 0 is two frames deep, and work through a block with
+ * no usable slot.
  */
 struct WarmFixture
 {
     FunctionRegistry reg;
     TraceBuffer trace;
+    FunctionId e;
 
     WarmFixture()
     {
@@ -328,6 +351,7 @@ struct WarmFixture
         const FunctionId b = reg.declare("B", FunctionTraits::medium());
         const FunctionId c = reg.declare("C", plain);
         const FunctionId d = reg.declare("D", FunctionTraits::tiny());
+        e = reg.define(jumpOnlyBlockBody());
 
         Rng rng(11);
         TraceRecorder rec(trace);
@@ -352,6 +376,11 @@ struct WarmFixture
             work(10);
             rec.storeAt(0x1000'8000 + i * 32);
             rec.ret();
+            if (i % 3 == 1) {
+                rec.call(e);
+                work(50);
+                rec.ret();
+            }
             rec.branch(rng.nextBool(0.5));
             if (i % 50 == 25) {
                 trace.append(TraceEvent::make(EventKind::Switch, 1));
@@ -368,26 +397,54 @@ struct WarmFixture
     }
 };
 
-/** Records what warm() hands out, in order. */
+/** How an instruction reached a WarmSink. */
+enum class Via : std::uint8_t
+{
+    Whole,   ///< inst(): a whole DynInst
+    Run,     ///< pcRun(): its pc alone
+    StackRef ///< stackRef(): pc, address and direction
+};
+
+/** Records what warm() hands out, in order, one entry per
+ *  instruction. */
 struct CaptureSink final : WarmSink
 {
     std::vector<DynInst> insts;
-    std::vector<bool> pcOnly;
+    std::vector<Via> via;
+    /** pcRun() calls covering more than one instruction. */
+    std::size_t longRuns = 0;
+    std::size_t stackRefs = 0;
 
     void
-    pc(Addr pc) override
+    pcRun(Addr first, std::uint64_t count) override
+    {
+        EXPECT_GT(count, 0u);
+        longRuns += count > 1;
+        for (std::uint64_t k = 0; k < count; ++k) {
+            DynInst i;
+            i.pc = first + k * instrBytes;
+            insts.push_back(i);
+            via.push_back(Via::Run);
+        }
+    }
+
+    void
+    stackRef(Addr pc, Addr addr, bool write) override
     {
         DynInst i;
         i.pc = pc;
+        i.memAddr = addr;
+        i.kind = write ? InstKind::Store : InstKind::Load;
         insts.push_back(i);
-        pcOnly.push_back(true);
+        via.push_back(Via::StackRef);
+        ++stackRefs;
     }
 
     void
     inst(const DynInst &i) override
     {
         insts.push_back(i);
-        pcOnly.push_back(false);
+        via.push_back(Via::Whole);
     }
 };
 
@@ -398,19 +455,31 @@ isPlainWork(const DynInst &i)
         i.hintAddr == invalidAddr;
 }
 
-/** A pc-only entry must be plain work at the same pc; a whole entry
- *  must equal the reference field by field. */
+/** A run entry must be plain work at the same pc, a stack reference
+ *  a hint-free load or store of the same address at the same pc; a
+ *  whole entry must equal the reference field by field. */
 ::testing::AssertionResult
-matches(const DynInst &want, const DynInst &got, bool pc_only,
-        std::size_t idx)
+matches(const DynInst &want, const DynInst &got, Via via, std::size_t idx)
 {
-    if (pc_only) {
+    switch (via) {
+      case Via::Run:
         if (isPlainWork(want) && want.pc == got.pc)
             return ::testing::AssertionSuccess();
         return ::testing::AssertionFailure()
-            << "instruction " << idx << ": pc-only " << got.pc
+            << "instruction " << idx << ": run pc " << got.pc
             << " for kind " << static_cast<int>(want.kind) << " at "
             << want.pc;
+      case Via::StackRef:
+        if (want.kind == got.kind && want.pc == got.pc &&
+            want.memAddr == got.memAddr && want.hintAddr == invalidAddr)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+            << "instruction " << idx << ": stack ref " << got.memAddr
+            << " at " << got.pc << " for kind "
+            << static_cast<int>(want.kind) << " of " << want.memAddr
+            << " at " << want.pc;
+      case Via::Whole:
+        break;
     }
     if (want.pc == got.pc && want.target == got.target &&
         want.memAddr == got.memAddr && want.funcStart == got.funcStart &&
@@ -446,11 +515,16 @@ TEST(ExpanderWarm, RandomChunksMatchPureNextExpansion)
 {
     WarmFixture s;
     LayoutBuilder builder(s.reg);
+    // Images in which E's one-instruction block has no usable slot.
+    unsigned jumpOnlyBlocks = 0;
     for (const CodeImage &image :
          {builder.buildOriginal(),
           builder.buildPettisHansen(ExecutionProfile())}) {
         const std::vector<DynInst> ref =
             expandAll(s.reg, image, s.trace);
+        const bool jumpOnly = image.blockAddr(s.e, 2) !=
+            image.blockAddr(s.e, 0) + instrBytes;
+        jumpOnlyBlocks += jumpOnly;
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             SCOPED_TRACE(seed);
             InstructionExpander ex(s.reg, image, s.trace);
@@ -496,19 +570,22 @@ TEST(ExpanderWarm, RandomChunksMatchPureNextExpansion)
             }
             EXPECT_TRUE(ex.endOfStream());
             ASSERT_EQ(sink.insts.size(), ref.size());
-            std::size_t pcOnly = 0;
+            std::size_t direct = 0;
             for (std::size_t i = 0; i < ref.size(); ++i) {
-                ASSERT_TRUE(matches(ref[i], sink.insts[i],
-                                    sink.pcOnly[i], i));
-                pcOnly += sink.pcOnly[i];
+                ASSERT_TRUE(matches(ref[i], sink.insts[i], sink.via[i],
+                                    i));
+                direct += sink.via[i] != Via::Whole;
             }
             // The chunking must have exercised the cases the warm
             // path has to get exactly right.
-            EXPECT_GT(pcOnly, ref.size() / 4);
+            EXPECT_GT(direct, ref.size() / 4);
+            EXPECT_GT(sink.longRuns, 0u);
+            EXPECT_GT(sink.stackRefs, 0u);
             EXPECT_GT(midBurst, 0u);
             EXPECT_GT(afterJump, 0u);
         }
     }
+    EXPECT_GT(jumpOnlyBlocks, 0u);
 }
 
 TEST(ExpanderWarm, HintedWorkArrivesWhole)
@@ -526,7 +603,7 @@ TEST(ExpanderWarm, HintedWorkArrivesWhole)
         if (ref[i].hintAddr == invalidAddr)
             continue;
         ++hinted;
-        EXPECT_FALSE(sink.pcOnly[i]) << i;
+        EXPECT_EQ(sink.via[i], Via::Whole) << i;
         EXPECT_EQ(sink.insts[i].hintAddr, ref[i].hintAddr) << i;
     }
     EXPECT_GT(hinted, 100u);
@@ -548,7 +625,7 @@ TEST(ExpanderWarm, AdvanceResumesWhereNextWould)
         DynInst inst;
         for (std::size_t i = skip; i < ref.size(); ++i) {
             ASSERT_TRUE(ex.next(inst));
-            ASSERT_TRUE(matches(ref[i], inst, false, i));
+            ASSERT_TRUE(matches(ref[i], inst, Via::Whole, i));
         }
         EXPECT_FALSE(ex.next(inst));
         EXPECT_TRUE(ex.endOfStream());
@@ -611,7 +688,7 @@ TEST(ExpanderWarm, DrySourceStopsShortAndResumes)
     EXPECT_GT(shortReturns, 0u);
     ASSERT_EQ(sink.insts.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
-        ASSERT_TRUE(matches(ref[i], sink.insts[i], sink.pcOnly[i], i));
+        ASSERT_TRUE(matches(ref[i], sink.insts[i], sink.via[i], i));
     EXPECT_TRUE(sameCounters(whole, ex));
 }
 

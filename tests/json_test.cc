@@ -140,6 +140,9 @@ TEST(Json, LargeIntegersSurviveRoundTrip)
     const std::int64_t neg = INT64_MIN;
     Json o = Json::object();
     o.set("big", big).set("neg", neg);
+    EXPECT_EQ(o.dump(),
+              "{\"big\":18446744073709551615,"
+              "\"neg\":-9223372036854775808}");
     const Json back = Json::parse(o.dump());
     EXPECT_EQ(back.at("big").asUint(), big);
     EXPECT_EQ(back.at("neg").asInt(), neg);
