@@ -157,20 +157,36 @@ BM_WarmExpansion(benchmark::State &state)
 }
 BENCHMARK(BM_WarmExpansion);
 
-void
-BM_CoreRun(benchmark::State &state)
+/** The smoke-a campaign workload: a ~100K-instruction synthetic
+ *  program (built once). */
+const cgp::Workload &
+smokeA()
 {
     using namespace cgp;
-    // The smoke-a campaign workload: a ~100K-instruction synthetic
-    // program, run on the O5 layout with CGP_4.
-    spec::SpecProgramSpec program;
-    program.name = "smoke-a";
-    program.functions = 60;
-    program.hotFunctions = 30;
-    program.workPerCall = 50.0;
-    program.trainInstrs = 120'000;
-    program.testInstrs = 30'000;
-    const Workload w = WorkloadFactory::buildSpec(program, 1.0);
+    static const Workload w = [] {
+        spec::SpecProgramSpec program;
+        program.name = "smoke-a";
+        program.functions = 60;
+        program.hotFunctions = 30;
+        program.workPerCall = 50.0;
+        program.trainInstrs = 120'000;
+        program.testInstrs = 30'000;
+        return WorkloadFactory::buildSpec(program, 1.0);
+    }();
+    return w;
+}
+
+/**
+ * smoke-a on the O5 layout with CGP_4, the whole trace per
+ * iteration.  With @p skip the core runs through Core::run(), which
+ * jumps over idle cycles; without it every cycle is stepped, so the
+ * BM_CoreRun / BM_CoreStep pair shows the skip's share.
+ */
+void
+coreBench(benchmark::State &state, bool skip)
+{
+    using namespace cgp;
+    const Workload &w = smokeA();
     LayoutBuilder builder(*w.registry);
     const CodeImage image = builder.buildOriginal();
 
@@ -179,14 +195,34 @@ BM_CoreRun(benchmark::State &state)
         MemoryHierarchy mem;
         CgpPrefetcher cgp(mem.l1i(), CghcConfig::twoLevel2K32K(), 4);
         Core core(stream, mem, &cgp, CoreConfig{});
-        core.run();
+        if (skip) {
+            core.run();
+        } else {
+            core.beginRun();
+            while (!core.finished())
+                core.stepCycle();
+            mem.finalize();
+        }
         benchmark::DoNotOptimize(core.cycles());
         state.SetItemsProcessed(
             state.items_processed() +
             static_cast<std::int64_t>(core.committedInstrs()));
     }
 }
+
+void
+BM_CoreRun(benchmark::State &state)
+{
+    coreBench(state, true);
+}
 BENCHMARK(BM_CoreRun);
+
+void
+BM_CoreStep(benchmark::State &state)
+{
+    coreBench(state, false);
+}
+BENCHMARK(BM_CoreStep);
 
 void
 BM_BTreeInsert(benchmark::State &state)

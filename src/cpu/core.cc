@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <string>
 
@@ -18,6 +19,8 @@ Core::Core(InstructionExpander &stream, MemoryHierarchy &mem,
       branch_(config.branch), fetchQueue_(config.fetchQueueSize),
       rob_(config.rsSize)
 {
+    cgp_assert(config.rsSize <= 64,
+               "the unissued mask covers at most 64 ROB entries");
 }
 
 const DynInst *
@@ -75,7 +78,7 @@ Core::doCommit()
     unsigned done = 0;
     while (done < config_.commitWidth && !rob_.empty()) {
         RobEntry &head = rob_.front();
-        if (!head.issued || head.doneCycle > now_)
+        if ((unissued_ & 1u) != 0 || head.doneCycle > now_)
             break;
         if (head.kind == InstKind::Load ||
             head.kind == InstKind::Store) {
@@ -84,11 +87,11 @@ Core::doCommit()
         }
         ++committed_;
         rob_.pop_front();
-        // Only issued entries commit, so the head precedes the
-        // oldest unissued one.
-        --firstUnissued_;
+        unissued_ >>= 1;
         ++done;
     }
+    if (done != 0)
+        busy_ = true;
 }
 
 void
@@ -99,12 +102,12 @@ Core::doIssue()
     unsigned muls = config_.multipliers;
     unsigned ports = config_.memPorts;
 
-    // Entries before firstUnissued_ have all issued: start there.
-    for (std::size_t i = firstUnissued_;
-         i < rob_.size() && issued < config_.issueWidth; ++i) {
+    // Oldest first over the unissued entries only.
+    for (std::uint64_t left = unissued_;
+         left != 0 && issued < config_.issueWidth;
+         left &= left - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(left));
         RobEntry &e = rob_[i];
-        if (e.issued)
-            continue;
 
         const Cycle operands =
             std::max(regReady_[e.src1], regReady_[e.src2]);
@@ -169,14 +172,9 @@ Core::doIssue()
           }
         }
 
-        e.issued = true;
+        unissued_ &= ~(std::uint64_t{1} << i);
         e.doneCycle = done;
         ++issued;
-        if (i == firstUnissued_) {
-            while (firstUnissued_ < rob_.size() &&
-                   rob_[firstUnissued_].issued)
-                ++firstUnissued_;
-        }
 
         if (e.dest != 0)
             regReady_[e.dest] = std::max(regReady_[e.dest], done);
@@ -189,6 +187,8 @@ Core::doIssue()
                                          done + config_.redirectPenalty);
         }
     }
+    if (issued != 0)
+        busy_ = true;
 }
 
 void
@@ -211,7 +211,7 @@ Core::doDispatch()
         re.doneCycle = 0;
         re.seq = fe.seq;
         re.kind = fe.kind;
-        re.issued = false;
+        unissued_ |= std::uint64_t{1} << (rob_.size() - 1);
         unsigned s1, s2;
         srcRegs(fe.pc, s1, s2);
         re.src1 = static_cast<std::uint8_t>(s1);
@@ -220,6 +220,8 @@ Core::doDispatch()
         fetchQueue_.pop_front();
         ++moved;
     }
+    if (moved != 0)
+        busy_ = true;
 }
 
 bool
@@ -295,6 +297,7 @@ Core::doFetch()
         if (!config_.perfectICache && line != lastFetchLine_) {
             const auto res = mem_.l1i().access(
                 line, now_, AccessSource::DemandFetch, false);
+            busy_ = true;
             lastFetchLine_ = line;
             if (prefetcher_ != nullptr)
                 prefetcher_->onFetchLine(line, now_);
@@ -308,6 +311,7 @@ Core::doFetch()
         }
 
         consume();
+        busy_ = true;
 
         // Semantic hints ride the instruction stream and are
         // dispatched at fetch — well before the consuming load
@@ -487,24 +491,11 @@ Core::stepCycle()
             "simulation exceeded cycle budget of " +
             std::to_string(config_.maxCycles) + " cycles");
     }
-    if ((now_ & 0xFFFu) == 0) {
-        if (cancelRequested()) {
-            throw CancelledError(
-                "simulation cancelled by watchdog at cycle " +
-                std::to_string(now_));
-        }
-        if (wallBudget_ &&
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wallStart_)
-                    .count() > config_.maxWallSeconds) {
-            throw TimeoutError(
-                "simulation exceeded wall-clock budget of " +
-                std::to_string(config_.maxWallSeconds) +
-                " seconds");
-        }
-    }
+    if ((now_ & watchdogMask) == 0)
+        checkWatchdog();
     ++now_;
     mem_.tick(now_);
+    busy_ = false;
 
     const auto before = committed_;
     doCommit();
@@ -529,11 +520,98 @@ Core::stepCycle()
 }
 
 void
+Core::checkWatchdog() const
+{
+    if (cancelRequested()) {
+        throw CancelledError(
+            "simulation cancelled by watchdog at cycle " +
+            std::to_string(now_));
+    }
+    if (wallBudget_ &&
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wallStart_)
+                .count() > config_.maxWallSeconds) {
+        throw TimeoutError("simulation exceeded wall-clock budget of " +
+                           std::to_string(config_.maxWallSeconds) +
+                           " seconds");
+    }
+}
+
+Cycle
+Core::nextEventCycle() const
+{
+    const Cycle soon = now_ + 1;
+    const PrefetchArbiter *arbiter = mem_.arbiter();
+    if (arbiter != nullptr && arbiter->queueSize() != 0)
+        return soon;
+    if (!fetchQueue_.empty() && !rob_.full()) {
+        const InstKind kind = fetchQueue_.front().kind;
+        if ((kind != InstKind::Load && kind != InstKind::Store) ||
+            lsqUsed_ < config_.lsqSize)
+            return soon; // dispatch can move
+    }
+
+    // Fills land in the cycle they are ready: stopping there keeps
+    // their LRU order.
+    Cycle next = mem_.nextFillCycle();
+    if (!rob_.empty() && (unissued_ & 1u) == 0)
+        next = std::min(next, rob_.front().doneCycle);
+    for (std::uint64_t left = unissued_; left != 0; left &= left - 1) {
+        const RobEntry &e = rob_[static_cast<unsigned>(
+            std::countr_zero(left))];
+        next = std::min(
+            next, std::max(regReady_[e.src1], regReady_[e.src2]));
+    }
+    if (!fetchSuspended_ && !blockedOnSeq_.has_value()) {
+        if (soon < fetchResumeCycle_)
+            next = std::min(next, fetchResumeCycle_);
+        else if (!fetchQueue_.full() && (hasPending_ || !streamDone_))
+            return soon; // fetch is free
+    }
+    if (rob_.empty() && fetchQueue_.empty() && !hasPending_)
+        return soon;
+    return std::max(next, soon);
+}
+
+void
+Core::skipIdle(Cycle limit)
+{
+    if (busy_ || finished_)
+        return;
+    Cycle stop = std::min(nextEventCycle(), limit);
+    if (config_.maxCycles != 0)
+        stop = std::min<Cycle>(stop, config_.maxCycles + 1);
+    // Nothing bounds the wait: leave it to stepCycle.
+    if (stop == std::numeric_limits<Cycle>::max() || stop <= now_ + 1)
+        return;
+
+    // Cycles now_ + 1 .. stop - 1 would each have started (at
+    // now_ .. stop - 2) with the checks stepCycle makes; the stride
+    // check runs once if any of those starts falls on the stride.
+    const Cycle last_start = stop - 2;
+    if ((now_ & watchdogMask) == 0 || (now_ | watchdogMask) < last_start)
+        checkWatchdog();
+
+    // stop is at most fetchResumeCycle_ when fetch is stalled, so
+    // fetch stalls in every skipped cycle or in none.
+    const bool stalled = !fetchSuspended_ &&
+        !blockedOnSeq_.has_value() && now_ + 1 < fetchResumeCycle_;
+    const Cycle skipped = stop - 1 - now_;
+    now_ = stop - 1;
+    if (stalled)
+        fetchIcacheStallCycles_ += skipped;
+    if (rob_.empty() && fetchQueue_.empty())
+        idleCycles_ += skipped;
+}
+
+void
 Core::run()
 {
     beginRun();
-    while (!finished_)
+    while (!finished_) {
         stepCycle();
+        skipIdle();
+    }
     mem_.finalize();
 }
 

@@ -25,6 +25,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "branch/predictor.hh"
@@ -99,7 +100,8 @@ class Core
     void run();
 
     /// @{ Incremental stepping (the multi-core server drives cores
-    /// cycle by cycle; run() is beginRun + stepCycle to completion).
+    /// cycle by cycle; run() is beginRun, then stepCycle and skipIdle
+    /// to completion).
     /** Arm the wall-clock watchdog; call once before stepCycle. */
     void beginRun();
     /**
@@ -111,6 +113,21 @@ class Core
      * every core is finished.
      */
     void stepCycle();
+    /**
+     * Jump over cycles in which nothing can happen.  Returns at once
+     * unless the last stepCycle() did nothing (no commit, issue,
+     * dispatch, consumed fetch or L1-I access).  Otherwise moves the
+     * clock to one cycle before the next one at which anything can
+     * change — a cache fill, the ROB head completing, an operand of
+     * an unissued entry becoming ready, a stalled fetch resuming.  No
+     * cycle at or after @p limit is skipped, nor any past the cycle
+     * budget, whose check stays with stepCycle().  The skipped
+     * cycles count into fetchIcacheStallCycles() and idleCycles() as
+     * stepping them would; the cancel and wall-clock checks run once
+     * when the skipped cycles cross their stride.  Single-stream
+     * drivers only: a server core's stream may refill on any cycle.
+     */
+    void skipIdle(Cycle limit = std::numeric_limits<Cycle>::max());
     bool finished() const { return finished_; }
     /// @}
 
@@ -202,7 +219,6 @@ class Core
         Cycle doneCycle = 0;
         std::uint64_t seq = 0;
         InstKind kind = InstKind::IntOp;
-        bool issued = false;
         std::uint8_t src1 = 0;
         std::uint8_t src2 = 0;
         std::uint8_t dest = 0;
@@ -212,6 +228,14 @@ class Core
     void doIssue();
     void doDispatch();
     void doFetch();
+
+    /** The cancel-token and wall-clock checks of the watchdog. */
+    void checkWatchdog() const;
+
+    /** The earliest cycle after now_ at which a stage may act or a
+     *  fill may land (now_ + 1 when that cannot be ruled out);
+     *  skipIdle's bound. */
+    Cycle nextEventCycle() const;
 
     /** Predict + prefetcher hooks for a fetched control transfer. */
     bool predictControl(const DynInst &inst);
@@ -257,9 +281,8 @@ class Core
 
     Ring<FetchEntry> fetchQueue_;
     Ring<RobEntry> rob_;
-    /** ROB index (from the head) of the oldest unissued entry; every
-     *  entry before it has issued. */
-    std::size_t firstUnissued_ = 0;
+    /** Bit i is set while rob_[i] (from the head) has not issued. */
+    std::uint64_t unissued_ = 0;
     unsigned lsqUsed_ = 0;
 
     DynInst pending_;
@@ -267,6 +290,9 @@ class Core
     bool streamDone_ = false;
     bool finished_ = false;
     bool fetchSuspended_ = false;
+    /** The last stepCycle() committed, issued, dispatched, consumed
+     *  a fetched instruction or accessed the L1-I. */
+    bool busy_ = true;
     std::uint64_t warmedInstrs_ = 0;
     bool wallBudget_ = false;
     std::chrono::steady_clock::time_point wallStart_{};
@@ -275,6 +301,10 @@ class Core
     Cycle fetchResumeCycle_ = 0;
     /** Sequence number of the unresolved blocking mispredict. */
     std::optional<std::uint64_t> blockedOnSeq_;
+
+    /** The cancel and wall-clock checks run on cycles that are
+     *  multiples of watchdogMask + 1. */
+    static constexpr Cycle watchdogMask = 0xFFF;
 
     static constexpr unsigned numRegs = 32;
     Cycle regReady_[numRegs] = {};

@@ -231,6 +231,10 @@ class Cache
      */
     bool warmAccess(Addr addr, bool is_write);
 
+    /** No fill lands before this cycle (max when none is in
+     *  flight); tick() before it does nothing. */
+    Cycle nextReadyBound() const { return nextReady_; }
+
     /** No in-flight fills (checkpoints require a quiesced cache). */
     bool inflightEmpty() const { return inflight_.empty(); }
 

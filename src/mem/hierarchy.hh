@@ -18,6 +18,7 @@
 #ifndef CGP_MEM_HIERARCHY_HH
 #define CGP_MEM_HIERARCHY_HH
 
+#include <algorithm>
 #include <memory>
 
 #include "mem/cache.hh"
@@ -136,6 +137,15 @@ class MemoryHierarchy
         l1i_.tick(now);
         l1d_.tick(now);
         shared_->tick(now);
+    }
+
+    /** No fill lands in any level before this cycle: tick() before
+     *  it changes nothing. */
+    Cycle
+    nextFillCycle() const
+    {
+        return std::min({l1i_.nextReadyBound(), l1d_.nextReadyBound(),
+                         shared_->cache().nextReadyBound()});
     }
 
     /** Functional-warming mode for every level (SMARTS sampling):

@@ -101,8 +101,10 @@ runSampled(Core &core, MemoryHierarchy &mem,
         const std::uint64_t stall0 = core.fetchIcacheStallCycles();
 
         while (!core.finished() &&
-               core.cycles() - winStart < config.windowCycles)
+               core.cycles() - winStart < config.windowCycles) {
             core.stepCycle();
+            core.skipIdle(winStart + config.windowCycles + 1);
+        }
 
         const Cycle winCycles = core.cycles() - winStart;
         const std::uint64_t winInstrs =
@@ -132,9 +134,14 @@ runSampled(Core &core, MemoryHierarchy &mem,
             break;
 
         // 2. Drain: no in-flight instruction may straddle the jump.
+        // A drained core does not skip: the fast-forward starts in
+        // the cycle it drained, with any fill still in flight.
         core.suspendFetch(true);
-        while (!core.finished() && !core.drained())
+        while (!core.finished() && !core.drained()) {
             core.stepCycle();
+            if (!core.drained())
+                core.skipIdle();
+        }
         core.suspendFetch(false);
         if (core.finished())
             break;

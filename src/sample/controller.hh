@@ -8,11 +8,13 @@
  *
  * One sampling period:
  *
- *   1. *Detailed window* — stepCycle() for windowCycles, recording
- *      counter deltas (CPI, L1-I/L1-D miss rate, fetch stall per
- *      instruction) as one observation per estimator.
+ *   1. *Detailed window* — stepCycle() (and skipIdle() over dead
+ *      cycles) for windowCycles, recording counter deltas (CPI,
+ *      L1-I/L1-D miss rate, fetch stall per instruction) as one
+ *      observation per estimator.
  *   2. *Drain* — fetch suspends and the pipeline runs dry so no
- *      in-flight instruction straddles the clock jump.
+ *      in-flight instruction straddles the clock jump (skipIdle()
+ *      while it is not yet dry).
  *   3. *Fast-forward* — Core::fastForward consumes the instructions
  *      the skipped portion of the period would have executed
  *      (budgeted from the window's measured IPC), functionally

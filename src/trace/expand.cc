@@ -117,8 +117,14 @@ void
 InstructionExpander::push(const DynInst &inst)
 {
     ready_.push_back(inst);
+    count(inst.kind);
+}
+
+void
+InstructionExpander::count(InstKind kind)
+{
     ++emitted_;
-    switch (inst.kind) {
+    switch (kind) {
       case InstKind::Call:
         ++calls_;
         break;
@@ -215,13 +221,9 @@ InstructionExpander::crossIfNeeded(Activation &act)
     advanceWalk(act);
 }
 
-bool
-InstructionExpander::emitWorkInstr(WarmSink *direct)
+void
+InstructionExpander::makeWorkInst(Activation &act, DynInst &out)
 {
-    Activation *act = top();
-    cgp_assert(act != nullptr, "work outside any function");
-    crossIfNeeded(*act);
-
     auto &ts = thread();
     ++ts.workCounter;
     // The k-th work instruction of a thread is a stack load when k
@@ -232,22 +234,33 @@ InstructionExpander::emitWorkInstr(WarmSink *direct)
     const bool store = countDown(ts.storeIn, config_.stackStoreEvery);
     const bool mul = countDown(ts.mulIn, config_.mulEvery);
 
-    bool handedOut = false;
-    if (load || store) {
-        DynInst inst =
-            makeInst(*act, load ? InstKind::Load : InstKind::Store);
-        inst.memAddr = stackSlot(ts, ts.workCounter, load);
-        push(inst);
-    } else if (direct != nullptr && readIdx_ == ready_.size()) {
-        direct->pcRun(curPc(*act), 1);
-        ++emitted_;
-        handedOut = true;
-    } else {
-        push(makeInst(*act, mul ? InstKind::MulOp : InstKind::IntOp));
-    }
-    ++act->offset;
+    out = makeInst(act, load ? InstKind::Load
+                       : store ? InstKind::Store
+                       : mul   ? InstKind::MulOp
+                               : InstKind::IntOp);
+    if (load || store)
+        out.memAddr = stackSlot(ts, ts.workCounter, load);
+    count(out.kind);
+    ++act.offset;
     --workLeft_;
-    return handedOut;
+}
+
+bool
+InstructionExpander::emitWorkInstr(WarmSink *direct)
+{
+    Activation *act = top();
+    cgp_assert(act != nullptr, "work outside any function");
+    crossIfNeeded(*act);
+
+    DynInst inst;
+    makeWorkInst(*act, inst);
+    if (direct != nullptr && readIdx_ == ready_.size() &&
+        inst.kind != InstKind::Load && inst.kind != InstKind::Store) {
+        direct->pcRun(inst.pc, 1);
+        return true;
+    }
+    ready_.push_back(inst);
+    return false;
 }
 
 std::uint64_t
@@ -551,29 +564,36 @@ InstructionExpander::pullEvent()
 }
 
 bool
-InstructionExpander::refill()
+InstructionExpander::take(DynInst &out)
 {
-    while (readIdx_ == ready_.size()) {
-        if (workLeft_ > 0) {
+    if (readIdx_ == ready_.size()) {
+        ready_.clear();
+        readIdx_ = 0;
+        while (ready_.empty()) {
+            if (workLeft_ == 0) {
+                if (!pullEvent())
+                    return false;
+                continue;
+            }
+            // Work with nothing queued ahead of it and no block
+            // cross due: build it where the caller wants it.
+            Activation *act = top();
+            if (act != nullptr && act->offset < act->usable) {
+                makeWorkInst(*act, out);
+                return true;
+            }
             emitWorkInstr(nullptr);
-            continue;
         }
-        if (!pullEvent())
-            return false;
     }
+    out = ready_[readIdx_++];
     return true;
 }
 
 bool
 InstructionExpander::next(DynInst &out)
 {
-    if (readIdx_ == ready_.size()) {
-        ready_.clear();
-        readIdx_ = 0;
-        if (!refill())
-            return false;
-    }
-    out = ready_[readIdx_++];
+    if (!take(out))
+        return false;
     if (!pendingHints_.empty()) {
         const std::uint64_t payload = pendingHints_.front();
         pendingHints_.pop_front();

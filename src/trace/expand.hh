@@ -210,13 +210,19 @@ class InstructionExpander
     };
 
     /**
-     * Drain one more instruction from the current Work burst.  With
-     * @p direct set, an IntOp or MulOp with nothing queued ahead of
-     * it goes to direct->pcRun() instead of the ready queue (the
-     * caller guarantees no hint is pending).
+     * Drain one more instruction from the current Work burst, after
+     * the block cross it may need.  With @p direct set, an IntOp or
+     * MulOp with nothing queued ahead of it goes to direct->pcRun()
+     * instead of the ready queue (the caller guarantees no hint is
+     * pending).
      * @return true when the instruction went to @p direct.
      */
     bool emitWorkInstr(WarmSink *direct);
+
+    /** Build the work instruction at @p act's current slot into
+     *  @p out: tick the countdowns, pick the stack slot, count it
+     *  and advance the slot. */
+    void makeWorkInst(Activation &act, DynInst &out);
 
     /**
      * Hand the current Work burst to @p sink up to the block's usable
@@ -233,8 +239,9 @@ class InstructionExpander
      *  ended. */
     bool pullEvent();
 
-    /** Process trace events until something is queued. */
-    bool refill();
+    /** next() without the hint: the ready queue's head, else work
+     *  built in @p out, else what the next events queue. */
+    bool take(DynInst &out);
 
     /** Make @p id the current thread, creating its state on first
      *  use. */
@@ -267,6 +274,9 @@ class InstructionExpander
 
     /** Queue a fully-formed instruction. */
     void push(const DynInst &inst);
+
+    /** Count one emitted instruction of @p kind in the statistics. */
+    void count(InstKind kind);
 
     /** Fill common fields from the current activation. */
     DynInst makeInst(const Activation &act, InstKind kind);

@@ -31,27 +31,20 @@ class Ring
     bool full() const { return size_ >= slots_.size(); }
 
     /** The @p i-th entry counted from the oldest (0 = front). */
-    T &
-    operator[](std::size_t i)
-    {
-        std::size_t slot = head_ + i;
-        if (slot >= slots_.size())
-            slot -= slots_.size();
-        return slots_[slot];
-    }
+    T &operator[](std::size_t i) { return slots_[slotOf(i)]; }
+    const T &operator[](std::size_t i) const { return slots_[slotOf(i)]; }
 
     T &front() { return slots_[head_]; }
+    const T &front() const { return slots_[head_]; }
 
     /** Append a slot at the back; the caller overwrites it. */
     T &
     push_back()
     {
         cgp_assert(!full(), "push_back on a full ring");
-        std::size_t slot = head_ + size_;
-        if (slot >= slots_.size())
-            slot -= slots_.size();
+        T &slot = slots_[slotOf(size_)];
         ++size_;
-        return slots_[slot];
+        return slot;
     }
 
     void
@@ -64,6 +57,15 @@ class Ring
     }
 
   private:
+    std::size_t
+    slotOf(std::size_t i) const
+    {
+        std::size_t slot = head_ + i;
+        if (slot >= slots_.size())
+            slot -= slots_.size();
+        return slot;
+    }
+
     std::vector<T> slots_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

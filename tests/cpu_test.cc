@@ -2,19 +2,26 @@
  * @file
  * Tests for the out-of-order core: throughput bounds, in-order
  * commit, I-cache stall behaviour, perfect-I$ mode, branch-mispredict
- * penalties, and the prefetcher hook points.
+ * penalties, the prefetcher hook points, and the idle-cycle skip
+ * (run() against cycle-by-cycle stepping, and the watchdog across
+ * skipped cycles).
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "codegen/layout.hh"
 #include "cpu/core.hh"
+#include "harness/workload.hh"
 #include "mem/hierarchy.hh"
 #include "prefetch/cgp.hh"
+#include "prefetch/nextline.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
+#include "util/json.hh"
+#include "util/watchdog.hh"
 
 namespace cgp
 {
@@ -228,6 +235,207 @@ TEST(Core, StatsGroupExposesCounters)
     EXPECT_GT(core.fetchIcacheStallCycles(), 0u);
     EXPECT_LE(core.fetchIcacheStallCycles(), core.cycles());
     EXPECT_LE(core.idleCycles(), core.cycles());
+}
+
+/** How a CoreSkip test drives the core. */
+enum class Drive
+{
+    Run,  ///< Core::run(): steps and skips idle cycles
+    Step  ///< stepCycle() on every cycle
+};
+
+void
+drive(Core &core, MemoryHierarchy &mem, Drive how)
+{
+    if (how == Drive::Run) {
+        core.run();
+        return;
+    }
+    core.beginRun();
+    while (!core.finished())
+        core.stepCycle();
+    mem.finalize();
+}
+
+/** Everything a skip could disturb, in comparable form. */
+struct SkipProbe
+{
+    Cycle cycles = 0;
+    std::uint64_t committed = 0;
+    std::uint64_t idle = 0;
+    std::uint64_t fetchStall = 0;
+    std::uint64_t l1iAccesses = 0, l1iMisses = 0;
+    std::uint64_t l1dAccesses = 0, l1dMisses = 0;
+    std::uint64_t portRequests = 0, portWait = 0;
+    std::string l1iState, l1dState, l2State;
+};
+
+enum class Engine
+{
+    None,
+    Nl4,
+    Cgp4
+};
+
+/** The smoke-a program of the micro-benchmarks (~100K instructions)
+ *  on the O5 layout, driven @p how on a fresh machine. */
+SkipProbe
+runSmokeA(Drive how, Engine engine, CoreConfig cfg,
+          HierarchyConfig hcfg = {})
+{
+    static const Workload w = [] {
+        spec::SpecProgramSpec program;
+        program.name = "smoke-a";
+        program.functions = 60;
+        program.hotFunctions = 30;
+        program.workPerCall = 50.0;
+        program.trainInstrs = 120'000;
+        program.testInstrs = 30'000;
+        return WorkloadFactory::buildSpec(program, 1.0);
+    }();
+    LayoutBuilder builder(*w.registry);
+    const CodeImage image = builder.buildOriginal();
+    InstructionExpander stream(*w.registry, image, *w.trace);
+    MemoryHierarchy mem(hcfg);
+    std::unique_ptr<InstrPrefetcher> pf;
+    if (engine == Engine::Nl4)
+        pf = std::make_unique<NextNLinePrefetcher>(mem.l1i(), 4);
+    else if (engine == Engine::Cgp4)
+        pf = std::make_unique<CgpPrefetcher>(
+            mem.l1i(), CghcConfig::twoLevel2K32K(), 4);
+    // A run takes under 200K cycles: the budget turns a livelock
+    // into a TimeoutError instead of a hang.
+    cfg.maxCycles = 2'000'000;
+    Core core(stream, mem, pf.get(), cfg);
+    drive(core, mem, how);
+
+    SkipProbe p;
+    p.cycles = core.cycles();
+    p.committed = core.committedInstrs();
+    p.idle = core.idleCycles();
+    p.fetchStall = core.fetchIcacheStallCycles();
+    p.l1iAccesses = mem.l1i().demandAccesses();
+    p.l1iMisses = mem.l1i().demandMisses();
+    p.l1dAccesses = mem.l1d().demandAccesses();
+    p.l1dMisses = mem.l1d().demandMisses();
+    p.portRequests = mem.port().requests();
+    p.portWait = mem.port().waitCycles();
+    p.l1iState = mem.l1i().saveState().dump();
+    p.l1dState = mem.l1d().saveState().dump();
+    p.l2State = mem.l2().saveState().dump();
+    return p;
+}
+
+TEST(CoreSkip, RunMatchesCycleByCycle)
+{
+    struct Variant
+    {
+        const char *name;
+        Engine engine;
+        CoreConfig cfg;
+        HierarchyConfig hcfg;
+    };
+    CoreConfig perfect;
+    perfect.perfectICache = true;
+    CoreConfig tiny;
+    tiny.fetchQueueSize = 1;
+    tiny.rsSize = 2;
+    tiny.lsqSize = 1;
+    HierarchyConfig arbitrated;
+    arbitrated.arbiter.enabled = true;
+    const Variant variants[] = {
+        {"CGP_4", Engine::Cgp4, {}, {}},
+        {"NL_4", Engine::Nl4, {}, {}},
+        {"no prefetcher", Engine::None, {}, {}},
+        {"perfect I-cache", Engine::Cgp4, perfect, {}},
+        {"tiny queues", Engine::Cgp4, tiny, {}},
+        {"CGP_4 arbitrated", Engine::Cgp4, {}, arbitrated},
+    };
+    for (const Variant &v : variants) {
+        SCOPED_TRACE(v.name);
+        const SkipProbe run =
+            runSmokeA(Drive::Run, v.engine, v.cfg, v.hcfg);
+        const SkipProbe step =
+            runSmokeA(Drive::Step, v.engine, v.cfg, v.hcfg);
+        EXPECT_EQ(run.cycles, step.cycles);
+        EXPECT_EQ(run.committed, step.committed);
+        EXPECT_EQ(run.idle, step.idle);
+        EXPECT_EQ(run.fetchStall, step.fetchStall);
+        EXPECT_EQ(run.l1iAccesses, step.l1iAccesses);
+        EXPECT_EQ(run.l1iMisses, step.l1iMisses);
+        EXPECT_EQ(run.l1dAccesses, step.l1dAccesses);
+        EXPECT_EQ(run.l1dMisses, step.l1dMisses);
+        EXPECT_EQ(run.portRequests, step.portRequests);
+        EXPECT_EQ(run.portWait, step.portWait);
+        EXPECT_EQ(run.l1iState, step.l1iState);
+        EXPECT_EQ(run.l1dState, step.l1dState);
+        EXPECT_EQ(run.l2State, step.l2State);
+        EXPECT_GT(step.committed, 50'000u);
+    }
+}
+
+/** A machine whose every L2 access takes over 10K cycles, so one
+ *  miss is a stall that crosses the watchdog stride. */
+struct SlowMachine
+{
+    explicit SlowMachine(CoreConfig cfg = {})
+    {
+        m.record(20);
+        image = LayoutBuilder(m.reg).buildOriginal();
+        expander =
+            std::make_unique<InstructionExpander>(m.reg, image, m.trace);
+        HierarchyConfig hcfg;
+        hcfg.l2.hitLatency = 10'000;
+        mem = std::make_unique<MemoryHierarchy>(hcfg);
+        core = std::make_unique<Core>(*expander, *mem, nullptr, cfg);
+    }
+
+    Machine m;
+    CodeImage image;
+    std::unique_ptr<InstructionExpander> expander;
+    std::unique_ptr<MemoryHierarchy> mem;
+    std::unique_ptr<Core> core;
+};
+
+TEST(CoreSkip, CycleBudgetTripsAtTheSameCycle)
+{
+    // 5000 falls inside the first I-miss, 25000 inside a later one.
+    for (const std::uint64_t budget : {5'000u, 25'000u}) {
+        SCOPED_TRACE(budget);
+        CoreConfig cfg;
+        cfg.maxCycles = budget;
+        Cycle at[2] = {};
+        for (const Drive how : {Drive::Run, Drive::Step}) {
+            SlowMachine s(cfg);
+            EXPECT_THROW(drive(*s.core, *s.mem, how), TimeoutError);
+            at[how == Drive::Run ? 0 : 1] = s.core->cycles();
+        }
+        EXPECT_EQ(at[0], budget);
+        EXPECT_EQ(at[0], at[1]);
+    }
+}
+
+TEST(CoreSkip, CancelIsSeenAcrossSkips)
+{
+    {
+        CancelToken token;
+        token.cancel();
+        ScopedCancelToken scope(token);
+        SlowMachine s;
+        EXPECT_THROW(s.core->run(), CancelledError);
+    }
+
+    // Cancelled during the first I-miss: the skip over the rest of
+    // the stall crosses the stride, so skipIdle itself throws.
+    CancelToken token;
+    ScopedCancelToken scope(token);
+    SlowMachine s;
+    s.core->beginRun();
+    s.core->stepCycle(); // the miss
+    s.core->stepCycle(); // a dead cycle
+    token.cancel();
+    EXPECT_THROW(s.core->skipIdle(), CancelledError);
+    EXPECT_LT(s.core->cycles(), 4096u);
 }
 
 } // namespace
