@@ -16,12 +16,10 @@
  *         --artifact-dir D  where BENCH_*.json goes (default ".")
  *         --fresh           discard any previous run dir first
  *         --quiet           suppress per-job progress logging
- *         --retries N       retry a transiently-failing job N times
  *         --on-fail P       strict (abort) or degrade (finish the
  *                           healthy jobs, record the failures)
  *         --watchdog-cycles N   per-job cycle budget (deterministic)
  *         --watchdog-wall S     per-job wall-clock budget, seconds
- *         --hang-timeout S      hung-shard monitor budget, seconds
  *
  *   cgpbench resume <dir> [options]
  *       Finish a killed run: re-run its campaign with the same run
@@ -86,11 +84,9 @@ struct Options
     std::uint64_t seed = 0;
     bool fresh = false;
     bool quiet = false;
-    unsigned retries = 0;
     std::optional<FailurePolicy> onFail;
     std::uint64_t watchdogCycles = 0;
     double watchdogWall = 0.0;
-    double hangTimeout = 0.0;
     unsigned chaosCycles = 25;
 };
 
@@ -102,18 +98,17 @@ usage()
         << "       cgpbench run <campaign|figures|ablations|all>...\n"
         << "           [--threads N] [--dir D] [--seed S]\n"
         << "           [--artifact-dir D] [--artifact FILE]\n"
-        << "           [--fresh] [--quiet] [--retries N]\n"
+        << "           [--fresh] [--quiet]\n"
         << "           [--on-fail strict|degrade]\n"
         << "           [--watchdog-cycles N] [--watchdog-wall S]\n"
-        << "           [--hang-timeout S]\n"
         << "       cgpbench resume <dir | name --dir D>\n"
-        << "           [--threads N] [--quiet] [--retries N]\n"
+        << "           [--threads N] [--quiet]\n"
         << "           [--on-fail strict|degrade] [--seed S]\n"
         << "       cgpbench report <dir | name --dir D>\n"
         << "       cgpbench show table1|callgraph|anatomy\n"
         << "       cgpbench verify <dir | name --dir D>\n"
         << "       cgpbench chaos <campaign> --dir D [--cycles N]\n"
-        << "           [--threads N] [--seed S] [--retries N]\n";
+        << "           [--threads N] [--seed S]\n";
     return 2;
 }
 
@@ -157,12 +152,6 @@ parseOptions(int argc, char **argv, int first, Options &opt)
             if (!v)
                 return false;
             opt.artifactFile = v;
-        } else if (a == "--retries") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.retries =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (a == "--on-fail") {
             const char *v = value();
             if (!v)
@@ -183,11 +172,6 @@ parseOptions(int argc, char **argv, int first, Options &opt)
             if (!v)
                 return false;
             opt.watchdogWall = std::strtod(v, nullptr);
-        } else if (a == "--hang-timeout") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.hangTimeout = std::strtod(v, nullptr);
         } else if (a == "--cycles") {
             const char *v = value();
             if (!v)
@@ -246,11 +230,9 @@ engineOptions(const Options &opt)
     EngineOptions eopt;
     eopt.threads = opt.threads;
     eopt.verbose = !opt.quiet;
-    eopt.retries = opt.retries;
     eopt.onFail = opt.onFail;
     eopt.watchdogCycles = opt.watchdogCycles;
     eopt.watchdogWallSeconds = opt.watchdogWall;
-    eopt.hangTimeoutSeconds = opt.hangTimeout;
     return eopt;
 }
 
@@ -275,8 +257,7 @@ runAndEmit(const CampaignSpec &spec, PaperWorkloadBank &bank,
     std::cout << "\n[" << spec.name << "] " << run.executed
               << " jobs run, " << run.skipped << " resumed, "
               << run.failures.size() << " failed, "
-              << run.threadsUsed << " threads ("
-              << run.steals << " steals), "
+              << run.threadsUsed << " threads, "
               << TablePrinter::fixed(run.wallSeconds, 1)
               << "s; artifact " << artifact << "\n";
     if (run.quarantined != 0) {
@@ -549,7 +530,6 @@ cmdChaos(const Options &opt)
     config.cycles = opt.chaosCycles;
     config.threads = opt.threads != 0 ? opt.threads : 2;
     config.dir = opt.dir + "/" + spec.name + "-chaos";
-    config.retries = opt.retries != 0 ? opt.retries : 2;
     config.verbose = !opt.quiet;
     if (opt.seedSet)
         config.seed = opt.seed;

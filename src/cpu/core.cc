@@ -484,8 +484,8 @@ Core::stepCycle()
     }
     // Watchdog: the cycle budget is deterministic (a livelocked
     // config times out at the same cycle everywhere); the
-    // wall-clock budget and the cancel token are checked on a
-    // coarse stride so the hot loop stays cheap.
+    // wall-clock budget is checked on a coarse stride so the hot
+    // loop stays cheap.
     if (config_.maxCycles != 0 && now_ >= config_.maxCycles) {
         throw TimeoutError(
             "simulation exceeded cycle budget of " +
@@ -522,11 +522,6 @@ Core::stepCycle()
 void
 Core::checkWatchdog() const
 {
-    if (cancelRequested()) {
-        throw CancelledError(
-            "simulation cancelled by watchdog at cycle " +
-            std::to_string(now_));
-    }
     if (wallBudget_ &&
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wallStart_)

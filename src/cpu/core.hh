@@ -123,8 +123,8 @@ class Core
      * cycle at or after @p limit is skipped, nor any past the cycle
      * budget, whose check stays with stepCycle().  The skipped
      * cycles count into fetchIcacheStallCycles() and idleCycles() as
-     * stepping them would; the cancel and wall-clock checks run once
-     * when the skipped cycles cross their stride.  Single-stream
+     * stepping them would; the wall-clock check runs once when the
+     * skipped cycles cross its stride.  Single-stream
      * drivers only: a server core's stream may refill on any cycle.
      */
     void skipIdle(Cycle limit = std::numeric_limits<Cycle>::max());
@@ -229,7 +229,7 @@ class Core
     void doDispatch();
     void doFetch();
 
-    /** The cancel-token and wall-clock checks of the watchdog. */
+    /** The wall-clock check of the watchdog. */
     void checkWatchdog() const;
 
     /** The earliest cycle after now_ at which a stage may act or a
@@ -302,8 +302,8 @@ class Core
     /** Sequence number of the unresolved blocking mispredict. */
     std::optional<std::uint64_t> blockedOnSeq_;
 
-    /** The cancel and wall-clock checks run on cycles that are
-     *  multiples of watchdogMask + 1. */
+    /** The wall-clock check runs on cycles that are multiples of
+     *  watchdogMask + 1. */
     static constexpr Cycle watchdogMask = 0xFFF;
 
     static constexpr unsigned numRegs = 32;

@@ -40,7 +40,6 @@ benchJson(const CampaignRun &run)
     exec.set("executed", run.executed);
     exec.set("skipped", run.skipped);
     exec.set("threads", run.threadsUsed);
-    exec.set("steals", run.steals);
     exec.set("wall_seconds", run.wallSeconds);
     exec.set("quarantined", run.quarantined);
     j.set("execution", std::move(exec));
@@ -55,7 +54,6 @@ benchJson(const CampaignRun &run)
         e.set("config", run.jobs[f.index].label);
         e.set("kind", f.kind);
         e.set("message", f.message);
-        e.set("attempts", f.attempts);
         failures.push(std::move(e));
     }
     j.set("failures", std::move(failures));

@@ -67,30 +67,6 @@ expandConfigs(const CampaignSpec &spec)
         }
     }
 
-    if (spec.mode == SweepMode::Zip) {
-        const std::size_t len = spec.axes.front().points.size();
-        for (const ConfigAxis &axis : spec.axes) {
-            if (axis.points.size() != len) {
-                throw std::invalid_argument(
-                    "campaign '" + spec.name +
-                    "': zip axes must have equal length (axis '" +
-                    axis.name + "')");
-            }
-        }
-        for (std::size_t i = 0; i < len; ++i) {
-            SimConfig c = spec.base;
-            std::vector<std::string> labels;
-            for (const ConfigAxis &axis : spec.axes) {
-                const AxisPoint &p = axis.points[i];
-                if (p.apply)
-                    p.apply(c);
-                labels.push_back(p.label);
-            }
-            out.push_back({c, joinLabels(labels, c)});
-        }
-        return out;
-    }
-
     // Cartesian: odometer with the first axis varying slowest.
     std::vector<std::size_t> idx(spec.axes.size(), 0);
     for (;;) {

@@ -5,8 +5,8 @@
  * A CampaignSpec turns an ad-hoc (workload x config) loop into
  * data: a list of workload names, a base
  * SimConfig, and named *axes* whose labeled points mutate the base
- * config.  Axes combine cartesian (every combination, first axis
- * slowest-varying) or zipped (element-wise, all axes equal length).
+ * config.  Axes combine cartesian: every combination, first axis
+ * slowest-varying.
  * Expansion yields a flat, stable job list — workload-major, config
  * order as swept — where every job carries its own derived seed, so
  * a campaign's job list is a pure function of its spec regardless of
@@ -48,12 +48,6 @@ struct ConfigAxis
     std::vector<AxisPoint> points;
 };
 
-enum class SweepMode
-{
-    Cartesian, ///< every combination; first axis varies slowest
-    Zip        ///< element-wise; all axes must have equal length
-};
-
 /** A config produced by expansion, with its display label. */
 struct ExpandedConfig
 {
@@ -75,10 +69,9 @@ struct CampaignSpec
     /** Start point every axis point mutates. */
     SimConfig base;
 
-    /** Sweep dimensions; empty means use explicitConfigs. */
+    /** Sweep dimensions, combined cartesian (first axis varies
+     *  slowest); empty means use explicitConfigs. */
     std::vector<ConfigAxis> axes;
-
-    SweepMode mode = SweepMode::Cartesian;
 
     /** Alternative to axes: configs listed out by hand. */
     std::vector<SimConfig> explicitConfigs;
@@ -117,7 +110,7 @@ struct JobSpec
 /**
  * Expand the config dimension of a spec.
  * @throws std::invalid_argument on an ill-formed spec (no configs,
- * zip axes of unequal length).
+ * an axis with no points, explicit labels of the wrong count).
  */
 std::vector<ExpandedConfig> expandConfigs(const CampaignSpec &spec);
 

@@ -31,7 +31,6 @@ chaosPoints()
 {
     static const std::vector<ChaosPoint> points = {
         {"exp.job", fault::FaultKind::Crash},
-        {"exp.job", fault::FaultKind::TransientIo},
         {"exp.pre_record", fault::FaultKind::Crash},
         {"exp.mid_record", fault::FaultKind::Crash},
         {"exp.record", fault::FaultKind::Crash},
@@ -100,7 +99,6 @@ ChaosLoopHarness::run()
     EngineOptions refOpts;
     refOpts.threads = config_.threads;
     refOpts.verbose = false;
-    refOpts.retries = config_.retries;
     const CampaignRun reference =
         runCampaign(spec_, provider_, refOpts);
     const std::string refText =
@@ -113,7 +111,6 @@ ChaosLoopHarness::run()
     opts.runDir = config_.dir;
     opts.resume = true;
     opts.verbose = false;
-    opts.retries = config_.retries;
 
     // The hit budget a fault can be delayed by.  Deliberately small:
     // once the campaign has completed, a resumed cycle only touches
@@ -130,9 +127,8 @@ ChaosLoopHarness::run()
         fault::FaultSpec spec;
         spec.kind = cp.kind;
         spec.afterHits = rng.nextBelow(maxHits);
-        // One firing per cycle: a transient fault that kept firing
-        // would exhaust the retry budget and become a terminal
-        // failure every time, which is the degrade tests' job.
+        // One firing per cycle: every point kills the run, so the
+        // first firing ends it.
         spec.count = 1;
 
         fault::FaultInjector injector;

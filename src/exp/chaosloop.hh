@@ -46,9 +46,6 @@ struct ChaosLoopConfig
     /** Run directory the kills land on (wiped by run()). */
     std::string dir;
 
-    /** Transient-failure retries per job. */
-    unsigned retries = 2;
-
     /** Chance per cycle of corrupting a surviving artifact.  Also
      *  what keeps later cycles honest: corruption forces jobs back
      *  to pending, so resumes keep exercising the crash points. */

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "exp/checkpoint.hh"
 #include "exp/rundir.hh"
@@ -14,17 +13,6 @@
 
 namespace cgp::exp
 {
-
-unsigned
-retryBackoffMs(std::uint64_t seed, unsigned attempt, unsigned baseMs)
-{
-    if (baseMs == 0)
-        baseMs = 1;
-    const unsigned shift = attempt < 6 ? attempt : 6;
-    const unsigned jitter = static_cast<unsigned>(
-        jobSeed(seed, attempt) % baseMs);
-    return (baseMs << shift) + jitter;
-}
 
 Workload
 InMemoryProvider::resolve(const std::string &name)
@@ -140,7 +128,6 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
     }
 
     std::mutex record_mu;
-    std::vector<unsigned> attempts(pending.size(), 1);
 
     const auto runOneJob = [&](std::size_t k) {
         const JobSpec &job = run.jobs[pending[k]];
@@ -169,35 +156,13 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
                 makeSealedCheckpointStore(options.runDir);
         }
 
-        SimResult r;
-        for (unsigned attempt = 1;; ++attempt) {
-            attempts[k] = attempt;
-            try {
-                // Transient-failure injection for the retry path.
-                if (fault::hit("exp.job") ==
-                    fault::FaultKind::TransientIo) {
-                    throw fault::TransientIoError(
-                        "injected transient failure in job " +
-                        std::to_string(job.index));
-                }
-                r = runSimulation(workloads.at(job.workload), cfg);
-                break;
-            } catch (const fault::TransientIoError &e) {
-                if (attempt > options.retries)
-                    throw;
-                const unsigned delay =
-                    retryBackoffMs(job.seed, attempt);
-                if (options.verbose) {
-                    cgp_warn("[", spec.name, ":", job.index,
-                             "] transient failure (", e.what(),
-                             "); retry ", attempt, "/",
-                             options.retries, " after ", delay,
-                             "ms");
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay));
-            }
+        // Injection point: fail this job with a non-timeout error.
+        if (fault::hit("exp.job") == fault::FaultKind::TransientIo) {
+            throw fault::TransientIoError(
+                "injected transient failure in job " +
+                std::to_string(job.index));
         }
+        SimResult r = runSimulation(workloads.at(job.workload), cfg);
         // Sweeps can distinguish configs describe() cannot
         // (CGHC geometry): the label is the result identity.
         r.config = job.label;
@@ -217,19 +182,12 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
     SchedulerOptions sched;
     sched.threads = options.threads;
     sched.policy = options.onFail.value_or(spec.policy);
-    sched.hangTimeoutSeconds = options.hangTimeoutSeconds;
 
     // Remap scheduler job indices (positions in `pending`) back to
-    // campaign job indices and attach the attempt counts.
+    // campaign job indices; `pending` ascends, so the order holds.
     const auto remap = [&](std::vector<JobFailure> failures) {
-        for (JobFailure &f : failures) {
-            f.attempts = attempts[f.index];
+        for (JobFailure &f : failures)
             f.index = run.jobs[pending[f.index]].index;
-        }
-        std::sort(failures.begin(), failures.end(),
-                  [](const JobFailure &a, const JobFailure &b) {
-                      return a.index < b.index;
-                  });
         return failures;
     };
 
@@ -265,7 +223,6 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
 
     run.quarantined = dir.quarantined();
     run.threadsUsed = stats.threads;
-    run.steals = stats.steals;
     run.wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0)

@@ -1,7 +1,7 @@
 /**
  * @file
  * The campaign engine: expand a CampaignSpec into jobs, resolve the
- * workloads once, run the pending jobs on the work-stealing pool,
+ * workloads once, run the pending jobs on the worker pool,
  * and persist every completion into the run directory.
  *
  * Determinism contract: results are keyed by job index, every
@@ -73,9 +73,6 @@ struct EngineOptions
     /** Per-job progress through util/logging (cgp_inform). */
     bool verbose = true;
 
-    /** Transient-failure retries per job (0 = fail on first). */
-    unsigned retries = 0;
-
     /** Override the spec's failure policy (CLI --on-fail). */
     std::optional<FailurePolicy> onFail;
 
@@ -83,12 +80,9 @@ struct EngineOptions
      *  exceeds it fails as a "timeout". */
     std::uint64_t watchdogCycles = 0;
 
-    /** Per-job wall-clock budget in seconds (0 = none). */
+    /** Per-job wall-clock budget in seconds (0 = none); a job that
+     *  exceeds it fails as a "timeout". */
     double watchdogWallSeconds = 0.0;
-
-    /** Hung-shard monitor budget in seconds (0 = no monitor);
-     *  see SchedulerOptions::hangTimeoutSeconds. */
-    double hangTimeoutSeconds = 0.0;
 };
 
 /** A finished (or resumed-and-finished) campaign. */
@@ -105,7 +99,6 @@ struct CampaignRun
     std::size_t executed = 0; ///< simulated in this invocation
     std::size_t skipped = 0;  ///< loaded from the run directory
     unsigned threadsUsed = 1;
-    std::uint64_t steals = 0;
     double wallSeconds = 0.0; ///< this invocation only
 
     /** Jobs that terminally failed (Degrade policy), by campaign
@@ -129,16 +122,6 @@ struct CampaignRun
     const SimResult &at(const std::string &workload,
                         const std::string &label) const;
 };
-
-/**
- * Deterministic exponential backoff before retry @p attempt
- * (1-based) of the job with seed @p jobSeed: base * 2^min(attempt,6)
- * milliseconds plus a seed-derived jitter below @p baseMs.  Pure
- * function of its arguments — the same job backs off identically at
- * any thread count.
- */
-unsigned retryBackoffMs(std::uint64_t jobSeed, unsigned attempt,
-                        unsigned baseMs = 10);
 
 /**
  * Run @p spec to completion.  Under the Strict policy (the default)

@@ -238,13 +238,11 @@ printFailures(const CampaignRun &run, std::ostream &os)
     if (run.failures.empty())
         return;
     TablePrinter t("Failed jobs (degraded campaign)");
-    t.setHeader({"job", "workload", "config", "kind", "attempts",
-                 "error"});
+    t.setHeader({"job", "workload", "config", "kind", "error"});
     for (const JobFailure &f : run.failures) {
         t.addRow({std::to_string(f.index),
                   run.jobs[f.index].workload,
-                  run.jobs[f.index].label, f.kind,
-                  std::to_string(f.attempts), f.message});
+                  run.jobs[f.index].label, f.kind, f.message});
     }
     t.print(os);
 }

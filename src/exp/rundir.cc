@@ -260,7 +260,6 @@ RunDir::writeManifest() const
             Json err = Json::object();
             err.set("kind", fit->second.kind);
             err.set("message", fit->second.message);
-            err.set("attempts", fit->second.attempts);
             e.set("error", std::move(err));
         } else {
             e.set("status", "pending");
@@ -386,8 +385,6 @@ loadRunDir(const std::string &path)
             f.index = j.index;
             f.kind = err->at("kind").asString();
             f.message = err->at("message").asString();
-            f.attempts =
-                static_cast<unsigned>(err->at("attempts").asUint());
             run.failures.emplace(j.index, std::move(f));
         }
         const std::string file =

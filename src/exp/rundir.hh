@@ -108,7 +108,7 @@ class RunDir
     void markDone(std::size_t index);
 
     /** Record a terminal failure; the manifest entry becomes
-     *  status "failed" with the kind/message/attempts attached. */
+     *  status "failed" with the kind/message attached. */
     void markFailed(const JobFailure &failure);
 
     /** Rewrite the manifest to match the in-memory statuses. */

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "fault/fault.hh"
-#include "util/logging.hh"
 #include "util/watchdog.hh"
 
 namespace cgp::exp
@@ -21,58 +16,11 @@ namespace cgp::exp
 namespace
 {
 
-constexpr std::size_t noJob = static_cast<std::size_t>(-1);
-
-/** One worker's job deque (own pops at front, thieves at back). */
-struct WorkerQueue
-{
-    std::mutex mu;
-    std::deque<std::size_t> jobs;
-
-    std::optional<std::size_t>
-    popFront()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (jobs.empty())
-            return std::nullopt;
-        const std::size_t j = jobs.front();
-        jobs.pop_front();
-        return j;
-    }
-
-    std::optional<std::size_t>
-    stealBack()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (jobs.empty())
-            return std::nullopt;
-        const std::size_t j = jobs.back();
-        jobs.pop_back();
-        return j;
-    }
-};
-
-/**
- * Per-worker state the hung-job monitor inspects.  The mutex makes
- * the (job, start, token) triple atomic against the monitor, so a
- * cancel can never land on the *next* job after the hung one
- * finished at the wrong moment.
- */
-struct WorkerSlot
-{
-    std::mutex mu;
-    std::size_t job = noJob;
-    std::chrono::steady_clock::time_point start{};
-    CancelToken token;
-};
-
 const char *
 classifyKind(const std::exception &e)
 {
-    if (dynamic_cast<const TimeoutError *>(&e) != nullptr ||
-        dynamic_cast<const CancelledError *>(&e) != nullptr) {
+    if (dynamic_cast<const TimeoutError *>(&e) != nullptr)
         return "timeout";
-    }
     if (dynamic_cast<const fault::TransientIoError *>(&e) != nullptr)
         return "transient-io";
     return "error";
@@ -112,37 +60,29 @@ runJobs(std::size_t n, const SchedulerOptions &options,
         workers = static_cast<unsigned>(n);
     stats.threads = workers;
 
-    std::vector<WorkerQueue> queues(workers);
-    for (std::size_t i = 0; i < n; ++i)
-        queues[i % workers].jobs.push_back(i);
-
+    std::atomic<std::size_t> next{0};
     std::atomic<bool> cancelled{false};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::size_t> completed{0};
-    std::atomic<std::size_t> crashes{0};
     std::mutex fail_mu;
     std::vector<JobFailure> failures;
     std::exception_ptr crash;
 
-    std::vector<WorkerSlot> slots(workers);
-
-    const auto runOne = [&](unsigned self, std::size_t j) {
-        WorkerSlot &slot = slots[self];
+    const auto fail = [&](std::size_t j, const char *kind,
+                          const std::string &message) {
         {
-            std::lock_guard<std::mutex> lock(slot.mu);
-            slot.job = j;
-            slot.start = std::chrono::steady_clock::now();
-            slot.token.reset();
+            std::lock_guard<std::mutex> lock(fail_mu);
+            failures.push_back({j, kind, message});
         }
-        ScopedCancelToken scoped(slot.token);
+        if (options.policy == FailurePolicy::Strict)
+            cancelled.store(true, std::memory_order_relaxed);
+    };
+
+    const auto runOne = [&](std::size_t j) {
         try {
             fn(j);
-            completed.fetch_add(1, std::memory_order_relaxed);
         } catch (const fault::CrashInjected &) {
             // Simulated process death: both policies stop the world
             // and rethrow with the type intact (the chaos harness
             // catches CrashInjected specifically).
-            crashes.fetch_add(1, std::memory_order_relaxed);
             {
                 std::lock_guard<std::mutex> lock(fail_mu);
                 if (!crash)
@@ -150,117 +90,40 @@ runJobs(std::size_t n, const SchedulerOptions &options,
             }
             cancelled.store(true, std::memory_order_relaxed);
         } catch (const std::exception &e) {
-            JobFailure f;
-            f.index = j;
-            f.kind = classifyKind(e);
-            f.message = e.what();
-            {
-                std::lock_guard<std::mutex> lock(fail_mu);
-                failures.push_back(std::move(f));
-            }
-            if (options.policy == FailurePolicy::Strict)
-                cancelled.store(true, std::memory_order_relaxed);
+            fail(j, classifyKind(e), e.what());
         } catch (...) {
-            JobFailure f;
-            f.index = j;
-            f.kind = "error";
-            f.message = "unknown exception";
-            {
-                std::lock_guard<std::mutex> lock(fail_mu);
-                failures.push_back(std::move(f));
-            }
-            if (options.policy == FailurePolicy::Strict)
-                cancelled.store(true, std::memory_order_relaxed);
-        }
-        {
-            std::lock_guard<std::mutex> lock(slot.mu);
-            slot.job = noJob;
+            fail(j, "error", "unknown exception");
         }
     };
 
-    const auto workerLoop = [&](unsigned self) {
-        for (;;) {
-            if (cancelled.load(std::memory_order_relaxed))
+    const auto workerLoop = [&] {
+        while (!cancelled.load(std::memory_order_relaxed)) {
+            const std::size_t j =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (j >= n)
                 return;
-            std::optional<std::size_t> job =
-                queues[self].popFront();
-            if (!job) {
-                // Own queue dry: sweep the other queues once; if
-                // every one is empty the pool is done.
-                for (unsigned v = 1; v < workers && !job; ++v) {
-                    job = queues[(self + v) % workers].stealBack();
-                }
-                if (!job)
-                    return;
-                steals.fetch_add(1, std::memory_order_relaxed);
-            }
-            runOne(self, *job);
+            runOne(j);
         }
     };
-
-    // Hung-shard monitor: flips the CancelToken of any worker that
-    // has sat on one job longer than the budget.  The simulation
-    // loop polls the token and unwinds with CancelledError, which
-    // classifies as a "timeout" failure above.
-    std::thread monitor;
-    std::mutex mon_mu;
-    std::condition_variable mon_cv;
-    bool mon_stop = false;
-    if (options.hangTimeoutSeconds > 0.0) {
-        monitor = std::thread([&] {
-            const std::chrono::duration<double> budget(
-                options.hangTimeoutSeconds);
-            const auto poll = std::chrono::milliseconds(std::max<long>(
-                5,
-                static_cast<long>(options.hangTimeoutSeconds * 250)));
-            std::unique_lock<std::mutex> lock(mon_mu);
-            while (!mon_cv.wait_for(lock, poll,
-                                    [&] { return mon_stop; })) {
-                for (WorkerSlot &slot : slots) {
-                    std::lock_guard<std::mutex> slock(slot.mu);
-                    if (slot.job == noJob || slot.token.cancelled())
-                        continue;
-                    if (std::chrono::steady_clock::now() - slot.start >
-                        budget) {
-                        cgp_warn("hung-job watchdog: cancelling job ",
-                                 slot.job, " after ",
-                                 options.hangTimeoutSeconds, "s");
-                        slot.token.cancel();
-                    }
-                }
-            }
-        });
-    }
 
     if (workers <= 1) {
-        workerLoop(0);
+        workerLoop();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop, w);
+            pool.emplace_back(workerLoop);
         for (std::thread &t : pool)
             t.join();
     }
 
-    if (monitor.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(mon_mu);
-            mon_stop = true;
-        }
-        mon_cv.notify_all();
-        monitor.join();
-    }
-
-    stats.steals = steals.load();
     std::sort(failures.begin(), failures.end(),
               [](const JobFailure &a, const JobFailure &b) {
                   return a.index < b.index;
               });
     stats.failures = failures;
-    const std::size_t ended = completed.load() + failures.size() +
-        crashes.load();
-    stats.cancelledJobs = n > ended ? n - ended : 0;
+    // Every index the counter handed out below n was started.
+    stats.cancelledJobs = n - std::min(next.load(), n);
 
     if (crash)
         std::rethrow_exception(crash);

@@ -1,12 +1,12 @@
 /**
  * @file
- * Work-stealing job scheduler for independent experiment jobs.
+ * Job scheduler for independent experiment jobs.
  *
- * runJobs() executes fn(0..n-1) on a pool of worker threads.  Jobs
- * are dealt round-robin into per-worker deques; a worker drains its
- * own deque from the front and, when empty, steals from the back of
- * a victim's, so long-running jobs (the big DB workloads) do not
- * strand short ones behind them.  Completion *order* is therefore
+ * runJobs() executes fn(0..n-1) on a pool of worker threads.  The
+ * workers share one job counter: each takes the next unstarted index
+ * until none is left, so no worker idles while a job is unstarted
+ * and long-running jobs (the big DB workloads) do not strand short
+ * ones behind them.  Completion *order* is therefore
  * nondeterministic — callers must key results by job index, never by
  * completion sequence; the campaign engine writes into a
  * pre-allocated results vector for exactly this reason.
@@ -26,21 +26,15 @@
  * whole-process death (the chaos harness depends on it unwinding the
  * entire campaign), so it always cancels everything and is rethrown
  * with its type intact.  Everything else is classified: TimeoutError
- * / CancelledError -> "timeout", fault::TransientIoError ->
- * "transient-io", any other exception -> "error".
- *
- * Hung-shard watchdog: with hangTimeoutSeconds > 0 a monitor thread
- * watches every worker; a worker that has sat on one job longer than
- * the budget gets its CancelToken flipped.  The simulation loop
- * polls the token cooperatively (util/watchdog) and unwinds with
- * CancelledError, so a livelocked config becomes a recorded
- * "timeout" failure instead of wedging the campaign.
+ * (a job over its cycle or wall-clock budget, util/watchdog) ->
+ * "timeout", fault::TransientIoError -> "transient-io", any other
+ * exception -> "error".
  */
 
 #ifndef CGP_EXP_SCHEDULER_HH
 #define CGP_EXP_SCHEDULER_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -64,13 +58,12 @@ const char *toString(FailurePolicy policy);
  */
 FailurePolicy failurePolicyFromString(const std::string &s);
 
-/** One job that ultimately failed (after any retries). */
+/** One job that failed. */
 struct JobFailure
 {
-    std::size_t index = 0;  ///< scheduler job index
-    std::string kind;       ///< "timeout" | "transient-io" | "error"
-    std::string message;    ///< the exception's what()
-    unsigned attempts = 1;  ///< filled in by the engine (retries)
+    std::size_t index = 0; ///< scheduler job index
+    std::string kind;      ///< "timeout" | "transient-io" | "error"
+    std::string message;   ///< the exception's what()
 };
 
 /** Thrown by runJobs under Strict when any job failed. */
@@ -99,16 +92,11 @@ struct SchedulerOptions
     unsigned threads = 0;
 
     FailurePolicy policy = FailurePolicy::Strict;
-
-    /** Wall-clock seconds one job may run before the hung-shard
-     *  monitor cancels it (0 = no monitor). */
-    double hangTimeoutSeconds = 0.0;
 };
 
 struct ScheduleStats
 {
-    unsigned threads = 1;     ///< workers actually spawned
-    std::uint64_t steals = 0; ///< jobs taken from another worker
+    unsigned threads = 1; ///< workers actually spawned
 
     /** Failures in job-index order (Degrade; also carried by the
      *  CampaignAborted thrown under Strict). */

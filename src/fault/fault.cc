@@ -33,7 +33,7 @@ FaultInjector::crashPoints()
         "exp.record",     ///< campaign engine, after a job result and
                           ///< manifest are durable (job survives)
         "exp.job",            ///< inside a campaign job, before the
-                              ///< simulation runs (retry/degrade path)
+                              ///< simulation runs (degrade path)
         "exp.mid_record",     ///< job file durable, manifest stale
         "exp.artifact_write", ///< inside the durable atomic write
                               ///< (TornWrite tears the artifact)

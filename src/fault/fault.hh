@@ -8,9 +8,9 @@
  * times — and the instrumented call site interprets the fired
  * FaultKind: a Crash unwinds via CrashInjected (the chaos loop kills
  * the campaign there and resumes it), a TornWrite leaves a truncated
- * artifact behind, and a TransientIo makes the site throw a retryable
- * TransientIoError (fail-soft prefetchers degrade, campaign jobs
- * retry).
+ * artifact behind, and a TransientIo makes the site throw a
+ * TransientIoError (fail-soft prefetchers degrade, a campaign job
+ * fails as "transient-io").
  *
  * Injection is deterministic: firing depends only on the armed
  * schedule and the hit sequence, never on wall-clock or an unseeded
@@ -37,7 +37,7 @@ enum class FaultKind : std::uint8_t
 {
     Crash,      ///< process dies at the point (CrashInjected)
     TornWrite,  ///< an artifact write is left half-done, then crash
-    TransientIo ///< the operation errors once; retryable
+    TransientIo ///< the operation errors (TransientIoError)
 };
 
 const char *toString(FaultKind kind);

@@ -4,85 +4,55 @@
 
 #include "server/metering.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace cgp::server
 {
-
-LegacyInterleaveSource::LegacyInterleaveSource(
-    const std::vector<const TraceBuffer *> &threads,
-    std::uint64_t quantumInstrs, const TraceBuffer *switchStub)
-    : threads_(threads), quantumInstrs_(quantumInstrs),
-      stub_(switchStub), rng_(0x5c4ed),
-      cursor_(threads.size(), 0), last_(~std::size_t{0})
-{
-    cgp_assert(!threads_.empty(), "no threads to interleave");
-    cgp_assert(quantumInstrs_ > 0, "zero scheduling quantum");
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-        cgp_assert(threads_[i] != nullptr, "null thread trace");
-        if (!threads_[i]->empty())
-            runnable_.push_back(i);
-    }
-}
-
-void
-LegacyInterleaveSource::bind()
-{
-    // Same decision sequence as the legacy merger: one pick, one
-    // conditional re-pick, then the quantum draw — rng call order
-    // is part of the byte-compat contract.
-    pick_ = runnable_[rng_.nextBelow(runnable_.size())];
-    if (runnable_.size() > 1 && pick_ == last_)
-        pick_ = runnable_[rng_.nextBelow(runnable_.size())];
-    last_ = pick_;
-    quantum_ = quantumInstrs_ / 2 + rng_.nextBelow(quantumInstrs_);
-    used_ = 0;
-    bound_ = true;
-    pendingSwitch_ = true;
-    stubCursor_ = 0;
-}
-
-TraceSource::Pull
-LegacyInterleaveSource::next(TraceEvent &out)
-{
-    for (;;) {
-        if (!bound_) {
-            if (runnable_.empty())
-                return Pull::End;
-            bind();
-        }
-        if (pendingSwitch_) {
-            pendingSwitch_ = false;
-            out = TraceEvent::make(EventKind::Switch, pick_);
-            return Pull::Event;
-        }
-        if (stub_ != nullptr && stubCursor_ < stub_->size()) {
-            out = stub_->at(stubCursor_++);
-            return Pull::Event;
-        }
-        const TraceBuffer &t = *threads_[pick_];
-        if (cursor_[pick_] < t.size() && used_ < quantum_) {
-            const TraceEvent e = t.at(cursor_[pick_]++);
-            used_ += eventCost(e);
-            out = e;
-            return Pull::Event;
-        }
-        if (cursor_[pick_] >= t.size()) {
-            runnable_.erase(std::find(runnable_.begin(),
-                                      runnable_.end(), pick_));
-        }
-        bound_ = false;
-    }
-}
 
 TraceBuffer
 legacyMerge(const std::vector<const TraceBuffer *> &threads,
             std::uint64_t quantumInstrs, const TraceBuffer *switchStub)
 {
-    LegacyInterleaveSource src(threads, quantumInstrs, switchStub);
+    cgp_assert(!threads.empty(), "no threads to interleave");
+    cgp_assert(quantumInstrs > 0, "zero scheduling quantum");
+    std::vector<std::size_t> runnable;
+    for (std::size_t i = 0; i < threads.size(); ++i) {
+        cgp_assert(threads[i] != nullptr, "null thread trace");
+        if (!threads[i]->empty())
+            runnable.push_back(i);
+    }
+
+    Rng rng(0x5c4ed);
+    std::vector<std::size_t> cursor(threads.size(), 0);
+    std::size_t last = ~std::size_t{0};
     TraceBuffer out;
-    TraceEvent e = TraceEvent::make(EventKind::Work, 0);
-    while (src.next(e) == TraceSource::Pull::Event)
-        out.append(e);
+    while (!runnable.empty()) {
+        // One pick, one conditional re-pick, then the quantum draw:
+        // rng call order is part of the byte-compat contract.
+        std::size_t pick = runnable[rng.nextBelow(runnable.size())];
+        if (runnable.size() > 1 && pick == last)
+            pick = runnable[rng.nextBelow(runnable.size())];
+        last = pick;
+        const std::uint64_t quantum =
+            quantumInstrs / 2 + rng.nextBelow(quantumInstrs);
+
+        out.append(TraceEvent::make(EventKind::Switch, pick));
+        if (switchStub != nullptr) {
+            for (std::size_t i = 0; i < switchStub->size(); ++i)
+                out.append(switchStub->at(i));
+        }
+        const TraceBuffer &t = *threads[pick];
+        std::size_t &c = cursor[pick];
+        for (std::uint64_t used = 0; c < t.size() && used < quantum;
+             ++c) {
+            used += eventCost(t.at(c));
+            out.append(t.at(c));
+        }
+        if (c >= t.size()) {
+            runnable.erase(
+                std::find(runnable.begin(), runnable.end(), pick));
+        }
+    }
     return out;
 }
 

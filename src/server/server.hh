@@ -94,8 +94,8 @@ class DbServer
     DbServer(const ServerConfig &config, ServerWiring wiring);
     ~DbServer();
 
-    /** Run to completion (throws TimeoutError / CancelledError via
-     *  the per-core watchdogs) and finalize all memory state. */
+    /** Run to completion (throws TimeoutError via the per-core
+     *  watchdogs) and finalize all memory state. */
     void run();
 
     /** Global cycle count (max over cores). */

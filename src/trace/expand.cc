@@ -15,9 +15,6 @@ ExpanderConfig
 checked(const ExpanderConfig &config)
 {
     cgp_assert(config.instrScale > 0.0, "instrScale must be positive");
-    cgp_assert(config.stackLoadEvery > 0 && config.stackStoreEvery > 0 &&
-                   config.mulEvery > 0,
-               "work-kind periods must be positive");
     return config;
 }
 
@@ -74,9 +71,9 @@ InstructionExpander::switchThread(std::uint64_t id)
     ThreadState &ts = it->second;
     if (inserted) {
         ts.stackBase = stackSegmentBase + id * stackSegmentStride;
-        ts.loadIn = config_.stackLoadEvery;
-        ts.storeIn = config_.stackStoreEvery;
-        ts.mulIn = config_.mulEvery;
+        ts.loadIn = stackLoadEvery;
+        ts.storeIn = stackStoreEvery;
+        ts.mulIn = mulEvery;
     }
     curState_ = &ts;
 }
@@ -230,9 +227,9 @@ InstructionExpander::makeWorkInst(Activation &act, DynInst &out)
     // is a multiple of stackLoadEvery, else a stack store when it is
     // one of stackStoreEvery, else a multiply when it is one of
     // mulEvery; every countdown ticks on every instruction.
-    const bool load = countDown(ts.loadIn, config_.stackLoadEvery);
-    const bool store = countDown(ts.storeIn, config_.stackStoreEvery);
-    const bool mul = countDown(ts.mulIn, config_.mulEvery);
+    const bool load = countDown(ts.loadIn, stackLoadEvery);
+    const bool store = countDown(ts.storeIn, stackStoreEvery);
+    const bool mul = countDown(ts.mulIn, mulEvery);
 
     out = makeInst(act, load ? InstKind::Load
                        : store ? InstKind::Store
@@ -295,12 +292,12 @@ InstructionExpander::emitWorkRun(std::uint64_t budget, WarmSink &sink)
         }
         pc += step * instrBytes;
         ts.workCounter += step;
-        ts.loadIn = countedDown(ts.loadIn, step, config_.stackLoadEvery);
+        ts.loadIn = countedDown(ts.loadIn, step, stackLoadEvery);
         ts.storeIn =
-            countedDown(ts.storeIn, step, config_.stackStoreEvery);
+            countedDown(ts.storeIn, step, stackStoreEvery);
         left -= step;
     }
-    ts.mulIn = countedDown(ts.mulIn, n, config_.mulEvery);
+    ts.mulIn = countedDown(ts.mulIn, n, mulEvery);
     act.offset = static_cast<std::uint16_t>(act.offset + n);
     workLeft_ -= n;
     emitted_ += n;

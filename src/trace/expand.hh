@@ -43,15 +43,6 @@ struct ExpanderConfig
      * for OM images.
      */
     double instrScale = 1.0;
-
-    /** Every k-th work instruction is a stack-local load. */
-    unsigned stackLoadEvery = 5;
-
-    /** Every k-th work instruction is a stack-local store. */
-    unsigned stackStoreEvery = 17;
-
-    /** Every k-th work instruction needs the multiplier FU. */
-    unsigned mulEvery = 23;
 };
 
 /**
@@ -79,6 +70,13 @@ class WarmSink
 class InstructionExpander
 {
   public:
+    /// @{ The work mix: every k-th work instruction is a stack-local
+    /// load, else a stack-local store, else a multiply.
+    static constexpr unsigned stackLoadEvery = 5;
+    static constexpr unsigned stackStoreEvery = 17;
+    static constexpr unsigned mulEvery = 23;
+    /// @}
+
     InstructionExpander(const FunctionRegistry &registry,
                         const CodeImage &image,
                         const TraceBuffer &trace,

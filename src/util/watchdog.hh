@@ -1,30 +1,26 @@
 /**
  * @file
- * Cooperative cancellation and run budgets for long simulations.
+ * Run budgets for long simulations.
  *
  * The campaign engine runs thousands of jobs; one livelocked config
- * must not wedge the whole run.  Three mechanisms cooperate:
+ * must not wedge the whole run.  Two budgets, both enforced by the
+ * core's own loop (Core::checkWatchdog), stop a runaway job:
  *
  *  - a *cycle budget* (CoreConfig::maxCycles): deterministic — a
  *    runaway simulation throws TimeoutError at the same cycle on
  *    every machine, so the job's "timed-out" classification is
  *    reproducible and resume-stable;
  *  - a *wall-clock budget* (CoreConfig::maxWallSeconds): a safety
- *    net against configs that are merely pathologically slow;
- *  - a *CancelToken*: the scheduler's hung-shard monitor flips the
- *    token of a worker that has sat on one job too long, and the
- *    simulation loop polls it (every few thousand cycles) and
- *    unwinds with CancelledError.
+ *    net against configs that are merely pathologically slow,
+ *    checked every few thousand cycles.
  *
- * The token is published thread-locally (ScopedCancelToken) so the
- * deep simulation loop needs no plumbing: it calls cancelRequested()
- * and gets the token of whatever job its thread is running.
+ * Either way the job unwinds with TimeoutError, which the campaign
+ * scheduler records as a "timeout" failure.
  */
 
 #ifndef CGP_UTIL_WATCHDOG_HH
 #define CGP_UTIL_WATCHDOG_HH
 
-#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -39,78 +35,6 @@ class TimeoutError : public std::runtime_error
         : std::runtime_error(what)
     {
     }
-};
-
-/** A run was cancelled by the hung-shard monitor. */
-class CancelledError : public std::runtime_error
-{
-  public:
-    explicit CancelledError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
-};
-
-/**
- * One job's cancellation flag.  The owner (a scheduler worker)
- * arms it per job; the monitor thread sets it; the simulation
- * polls it through the thread-local registration.
- */
-class CancelToken
-{
-  public:
-    void
-    cancel()
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
-    }
-
-    bool
-    cancelled() const
-    {
-        return cancelled_.load(std::memory_order_relaxed);
-    }
-
-    void
-    reset()
-    {
-        cancelled_.store(false, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<bool> cancelled_{false};
-};
-
-/// @{ Thread-local current token (nullptr = nothing to poll).
-CancelToken *currentCancelToken();
-void setCurrentCancelToken(CancelToken *token);
-/// @}
-
-/** True iff this thread's job has been asked to stop. */
-inline bool
-cancelRequested()
-{
-    const CancelToken *t = currentCancelToken();
-    return t != nullptr && t->cancelled();
-}
-
-/** RAII: publish @p token as this thread's token for a scope. */
-class ScopedCancelToken
-{
-  public:
-    explicit ScopedCancelToken(CancelToken &token)
-        : prev_(currentCancelToken())
-    {
-        setCurrentCancelToken(&token);
-    }
-
-    ~ScopedCancelToken() { setCurrentCancelToken(prev_); }
-
-    ScopedCancelToken(const ScopedCancelToken &) = delete;
-    ScopedCancelToken &operator=(const ScopedCancelToken &) = delete;
-
-  private:
-    CancelToken *prev_;
 };
 
 } // namespace cgp

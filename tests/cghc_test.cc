@@ -7,10 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "prefetch/cghc.hh"
 
 namespace cgp
 {
+
+// Without a printer gtest names each CghcGeometryTest case by the raw
+// bytes of its parameter, padding included, so the names changed from
+// run to run.
+void
+PrintTo(const CghcConfig &c, std::ostream *os)
+{
+    *os << c.describe();
+}
+
 namespace
 {
 

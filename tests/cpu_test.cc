@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "codegen/layout.hh"
 #include "cpu/core.hh"
@@ -415,26 +417,18 @@ TEST(CoreSkip, CycleBudgetTripsAtTheSameCycle)
     }
 }
 
-TEST(CoreSkip, CancelIsSeenAcrossSkips)
+TEST(CoreSkip, WallBudgetIsSeenAcrossSkips)
 {
-    {
-        CancelToken token;
-        token.cancel();
-        ScopedCancelToken scope(token);
-        SlowMachine s;
-        EXPECT_THROW(s.core->run(), CancelledError);
-    }
-
-    // Cancelled during the first I-miss: the skip over the rest of
-    // the stall crosses the stride, so skipIdle itself throws.
-    CancelToken token;
-    ScopedCancelToken scope(token);
-    SlowMachine s;
+    // The budget runs out during the first I-miss: the skip over the
+    // rest of the stall crosses the stride, so skipIdle itself throws.
+    CoreConfig cfg;
+    cfg.maxWallSeconds = 0.5;
+    SlowMachine s(cfg);
     s.core->beginRun();
     s.core->stepCycle(); // the miss
     s.core->stepCycle(); // a dead cycle
-    token.cancel();
-    EXPECT_THROW(s.core->skipIdle(), CancelledError);
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    EXPECT_THROW(s.core->skipIdle(), TimeoutError);
     EXPECT_LT(s.core->cycles(), 4096u);
 }
 

@@ -258,7 +258,6 @@ TEST(ChaosLoop, ConvergesByteIdenticalThroughKillsAndCorruption)
     exp::ChaosLoopConfig config;
     config.cycles = 25;
     config.threads = 2;
-    config.retries = 2;
     config.dir = (std::filesystem::temp_directory_path() /
                   "cgp-chaos-unit")
                      .string();

@@ -18,7 +18,6 @@
 #include "util/ring.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
-#include "util/watchdog.hh"
 
 namespace cgp
 {
@@ -313,30 +312,6 @@ TEST(Crc32, DetectsSingleBitFlips)
     }
     // Truncation is also caught.
     EXPECT_NE(crc32(text.substr(0, text.size() / 2)), clean);
-}
-
-TEST(Watchdog, CancelTokenRoundTrip)
-{
-    CancelToken token;
-    EXPECT_FALSE(token.cancelled());
-    token.cancel();
-    EXPECT_TRUE(token.cancelled());
-    token.reset();
-    EXPECT_FALSE(token.cancelled());
-}
-
-TEST(Watchdog, ScopedTokenBindsThread)
-{
-    EXPECT_FALSE(cancelRequested()); // no token installed
-    CancelToken token;
-    {
-        ScopedCancelToken scoped(token);
-        EXPECT_FALSE(cancelRequested());
-        token.cancel();
-        EXPECT_TRUE(cancelRequested());
-    }
-    // Uninstalled on scope exit.
-    EXPECT_FALSE(cancelRequested());
 }
 
 } // namespace
