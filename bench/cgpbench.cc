@@ -12,7 +12,6 @@
  *       BENCH_<name>.json per campaign.
  *         --threads N       worker threads (default: hardware)
  *         --dir D           parent directory for resumable run dirs
- *         --seed S          override the campaign seed
  *         --artifact-dir D  where BENCH_*.json goes (default ".")
  *         --fresh           discard any previous run dir first
  *         --quiet           suppress per-job progress logging
@@ -47,15 +46,23 @@
  *       then assert a final clean resume reproduces the
  *       uninterrupted BENCH byte-for-byte.
  *         --cycles N        kill/resume cycles (default 25)
+ *         --seed S          seed of the fault and corruption schedule
+ *
+ * A numeric option value must parse as a whole: `--watchdog-cycles
+ * 1e6` or `--watchdog-wall abc` is an error (exit 2) before any job
+ * runs.
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exp/artifact.hh"
@@ -80,8 +87,7 @@ struct Options
     std::string dir;
     std::string artifactDir = ".";
     std::string artifactFile; // single campaign only
-    bool seedSet = false;
-    std::uint64_t seed = 0;
+    std::optional<std::uint64_t> chaosSeed;
     bool fresh = false;
     bool quiet = false;
     std::optional<FailurePolicy> onFail;
@@ -96,14 +102,14 @@ usage()
     std::cerr
         << "usage: cgpbench list\n"
         << "       cgpbench run <campaign|figures|ablations|all>...\n"
-        << "           [--threads N] [--dir D] [--seed S]\n"
+        << "           [--threads N] [--dir D]\n"
         << "           [--artifact-dir D] [--artifact FILE]\n"
         << "           [--fresh] [--quiet]\n"
         << "           [--on-fail strict|degrade]\n"
         << "           [--watchdog-cycles N] [--watchdog-wall S]\n"
         << "       cgpbench resume <dir | name --dir D>\n"
         << "           [--threads N] [--quiet]\n"
-        << "           [--on-fail strict|degrade] [--seed S]\n"
+        << "           [--on-fail strict|degrade]\n"
         << "       cgpbench report <dir | name --dir D>\n"
         << "       cgpbench show table1|callgraph|anatomy\n"
         << "       cgpbench verify <dir | name --dir D>\n"
@@ -112,8 +118,31 @@ usage()
     return 2;
 }
 
+/**
+ * Parse the whole of @p text as a number.  Rejects an empty string,
+ * trailing characters ("1e6" as an integer), a sign on an unsigned
+ * type, out-of-range values, and negative or non-finite reals.
+ */
+template <typename T>
 bool
-parseOptions(int argc, char **argv, int first, Options &opt)
+parseNumber(const char *text, T &out)
+{
+    const char *end = text + std::strlen(text);
+    T v{};
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(v) || v < 0)
+            return false;
+    }
+    out = v;
+    return true;
+}
+
+/** @p chaos: the command is `chaos`, the only one that takes --seed. */
+bool
+parseOptions(int argc, char **argv, int first, bool chaos, Options &opt)
 {
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
@@ -125,23 +154,30 @@ parseOptions(int argc, char **argv, int first, Options &opt)
             }
             return argv[++i];
         };
-        if (a == "--threads") {
+        const auto number = [&](auto &out) {
             const char *v = value();
             if (!v)
                 return false;
-            opt.threads =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            if (!parseNumber(v, out)) {
+                std::cerr << "cgpbench: " << a << ": invalid value '"
+                          << v << "'\n";
+                return false;
+            }
+            return true;
+        };
+        if (a == "--threads") {
+            if (!number(opt.threads))
+                return false;
         } else if (a == "--dir") {
             const char *v = value();
             if (!v)
                 return false;
             opt.dir = v;
-        } else if (a == "--seed") {
-            const char *v = value();
-            if (!v)
+        } else if (a == "--seed" && chaos) {
+            std::uint64_t seed = 0;
+            if (!number(seed))
                 return false;
-            opt.seedSet = true;
-            opt.seed = std::strtoull(v, nullptr, 10);
+            opt.chaosSeed = seed;
         } else if (a == "--artifact-dir") {
             const char *v = value();
             if (!v)
@@ -163,21 +199,14 @@ parseOptions(int argc, char **argv, int first, Options &opt)
                 return false;
             }
         } else if (a == "--watchdog-cycles") {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.watchdogCycles))
                 return false;
-            opt.watchdogCycles = std::strtoull(v, nullptr, 10);
         } else if (a == "--watchdog-wall") {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.watchdogWall))
                 return false;
-            opt.watchdogWall = std::strtod(v, nullptr);
         } else if (a == "--cycles") {
-            const char *v = value();
-            if (!v)
+            if (!number(opt.chaosCycles))
                 return false;
-            opt.chaosCycles =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (a == "--fresh") {
             opt.fresh = true;
         } else if (a == "--quiet") {
@@ -286,9 +315,7 @@ cmdRun(const Options &opt)
     PaperWorkloadBank bank;
     std::size_t failed = 0;
     for (const std::string &name : names) {
-        CampaignSpec spec = paperCampaign(name);
-        if (opt.seedSet)
-            spec.seed = opt.seed;
+        const CampaignSpec spec = paperCampaign(name);
         EngineOptions eopt = engineOptions(opt);
         if (!opt.dir.empty()) {
             eopt.runDir = opt.dir + "/" + name;
@@ -328,13 +355,8 @@ cmdResume(const Options &opt)
     // prepare step then quarantines the bad manifest, rebuilds it,
     // and keeps every job file whose seal still matches.
     std::string campaign;
-    std::uint64_t seed = 0;
-    bool seedKnown = false;
     try {
-        const LoadedRun loaded = loadRunDir(dir);
-        campaign = loaded.campaign;
-        seed = loaded.seed;
-        seedKnown = true;
+        campaign = loadRunDir(dir).campaign;
     } catch (const std::exception &e) {
         campaign = std::filesystem::path(dir).filename().string();
         std::cerr << "cgpbench resume: manifest unreadable ("
@@ -342,11 +364,7 @@ cmdResume(const Options &opt)
                   << campaign << "\" from the directory name\n";
     }
 
-    CampaignSpec spec = paperCampaign(campaign);
-    if (seedKnown)
-        spec.seed = seed;
-    if (opt.seedSet)
-        spec.seed = opt.seed;
+    const CampaignSpec spec = paperCampaign(campaign);
 
     PaperWorkloadBank bank;
     EngineOptions eopt = engineOptions(opt);
@@ -365,7 +383,6 @@ toCampaignRun(const LoadedRun &loaded)
     run.name = loaded.campaign;
     run.title = loaded.title;
     run.fingerprint = loaded.fingerprint;
-    run.seed = loaded.seed;
     run.jobs = loaded.jobs;
     run.results.resize(loaded.jobs.size());
     for (const auto &[index, r] : loaded.results)
@@ -397,7 +414,6 @@ cmdReport(const Options &opt)
     std::cout << "Campaign:    " << run.campaign << " — "
               << run.title << "\n"
               << "Fingerprint: " << run.fingerprint << "\n"
-              << "Seed:        " << run.seed << "\n"
               << "Jobs:        " << run.results.size() << "/"
               << run.jobs.size() << " complete, "
               << run.failures.size() << " failed\n\n";
@@ -522,17 +538,15 @@ cmdChaos(const Options &opt)
                      "kills and resumes a persistent run dir)\n";
         return 2;
     }
-    CampaignSpec spec = paperCampaign(opt.names[0]);
-    if (opt.seedSet)
-        spec.seed = opt.seed;
+    const CampaignSpec spec = paperCampaign(opt.names[0]);
 
     ChaosLoopConfig config;
     config.cycles = opt.chaosCycles;
     config.threads = opt.threads != 0 ? opt.threads : 2;
     config.dir = opt.dir + "/" + spec.name + "-chaos";
     config.verbose = !opt.quiet;
-    if (opt.seedSet)
-        config.seed = opt.seed;
+    if (opt.chaosSeed)
+        config.seed = *opt.chaosSeed;
 
     PaperWorkloadBank bank;
     ChaosLoopHarness harness(spec, bank, config);
@@ -563,7 +577,7 @@ main(int argc, char **argv)
     const std::string cmd = argv[1];
 
     Options opt;
-    if (!parseOptions(argc, argv, 2, opt))
+    if (!parseOptions(argc, argv, 2, cmd == "chaos", opt))
         return 2;
 
     try {

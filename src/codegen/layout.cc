@@ -24,15 +24,6 @@ layoutName(LayoutKind kind)
     return "?";
 }
 
-std::uint16_t
-CodeImage::blockPosition(FunctionId fid, std::uint16_t block) const
-{
-    cgp_assert(fid < funcs_.size(), "bad function id ", fid);
-    const auto &fe = funcs_[fid];
-    cgp_assert(block < fe.positions.size(), "bad block index ", block);
-    return fe.positions[block];
-}
-
 CodeImage
 LayoutBuilder::buildOriginal() const
 {
@@ -283,13 +274,11 @@ LayoutBuilder::assemble(
 
         auto &fe = image.funcs_[fid];
         fe.blockAddrs.assign(f.blocks.size(), invalidAddr);
-        fe.positions.assign(f.blocks.size(), 0);
 
         Addr fcursor = cursor;
         for (std::uint16_t pos = 0; pos < order.size(); ++pos) {
             const std::uint16_t b = order[pos];
             fe.blockAddrs[b] = fcursor;
-            fe.positions[b] = pos;
             fcursor += f.blocks[b].sizeBytes();
         }
         fe.base = fe.blockAddrs[order[0]];

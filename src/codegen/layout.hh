@@ -77,13 +77,6 @@ class CodeImage
     /** Function order in memory (ids, ascending address). */
     const std::vector<FunctionId> &order() const { return order_; }
 
-    /**
-     * Layout position of @p block within its function (0 = first).
-     * Used by tests to validate layout properties.
-     */
-    std::uint16_t blockPosition(FunctionId fid,
-                                std::uint16_t block) const;
-
     /** Which layout policy built this image. */
     LayoutKind kind() const { return kind_; }
 
@@ -93,8 +86,7 @@ class CodeImage
     struct FuncEntry
     {
         Addr base = invalidAddr;
-        std::vector<Addr> blockAddrs;     // by block index
-        std::vector<std::uint16_t> positions; // by block index
+        std::vector<Addr> blockAddrs; // by block index
     };
 
     LayoutKind kind_ = LayoutKind::Original;

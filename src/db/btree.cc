@@ -354,59 +354,6 @@ BTree::search(TxnId txn, std::int32_t key, Rid &out)
     return found;
 }
 
-bool
-BTree::remove(TxnId txn, std::int32_t key, Rid rid)
-{
-    TraceScope ts(ctx_.rec, ctx_.fn.btRemove);
-    ts.work(10);
-
-    // Duplicates can spill across leaves: walk the leaf chain from
-    // the covering leaf until the key range is exhausted.
-    PageId pid = descendToLeaf(txn, key, nullptr);
-    while (pid != invalidPageId) {
-        locks_.acquire(txn, pid, LockMode::Exclusive);
-        std::uint8_t *frame = pool_.fix(pid);
-        NodeView node(frame);
-
-        bool removed = false;
-        bool past_key = false;
-        {
-            TraceScope ls(ctx_.rec, ctx_.fn.btLeafRemove);
-            ls.work(14);
-            std::uint16_t pos = node.lowerBound(key);
-            for (; pos < node.count() && node.key(pos) == key;
-                 ++pos) {
-                if (node.rid(pos) == rid) {
-                    for (std::uint16_t i = pos;
-                         i + 1 < node.count(); ++i) {
-                        node.setKey(i, node.key(i + 1));
-                        node.setRid(i, node.rid(i + 1));
-                    }
-                    node.setCount(static_cast<std::uint16_t>(
-                        node.count() - 1));
-                    removed = true;
-                    break;
-                }
-            }
-            past_key = pos < node.count() && node.key(pos) > key;
-            ls.branch(removed);
-        }
-
-        const PageId next_leaf = node.link();
-        pool_.unfix(pid, removed);
-        locks_.release(txn, pid);
-
-        if (removed) {
-            --size_;
-            return true;
-        }
-        if (past_key)
-            return false;
-        pid = next_leaf;
-    }
-    return false;
-}
-
 BTree::RangeScan::RangeScan(BTree &tree, TxnId txn, std::int32_t lo,
                             std::int32_t hi)
     : tree_(tree), txn_(txn), hi_(hi)

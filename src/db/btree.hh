@@ -36,15 +36,6 @@ class BTree
      */
     bool search(TxnId txn, std::int32_t key, Rid &out);
 
-    /**
-     * Remove one (key, rid) pair.  Deletion is lazy, as in most
-     * production B-trees (e.g. PostgreSQL): entries are removed
-     * from their leaf without eager merging, so empty leaves may
-     * remain linked until a rebuild.
-     * @return true if a matching entry was removed.
-     */
-    bool remove(TxnId txn, std::int32_t key, Rid rid);
-
     /** Range iterator over keys in [lo, hi]. */
     class RangeScan
     {

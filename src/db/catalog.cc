@@ -41,12 +41,6 @@ Catalog::index(const std::string &table_name, const std::string &column)
 }
 
 bool
-Catalog::hasTable(const std::string &name) const
-{
-    return tables_.find(name) != tables_.end();
-}
-
-bool
 Catalog::hasIndex(const std::string &table_name,
                   const std::string &column) const
 {

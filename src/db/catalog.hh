@@ -44,7 +44,6 @@ class Catalog
     BTree &index(const std::string &table_name,
                  const std::string &column);
 
-    bool hasTable(const std::string &name) const;
     bool hasIndex(const std::string &table_name,
                   const std::string &column) const;
 

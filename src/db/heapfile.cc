@@ -147,29 +147,6 @@ HeapFile::getRec(TxnId txn, Rid rid)
     return out;
 }
 
-void
-HeapFile::updateRec(TxnId txn, Rid rid, const Tuple &tuple)
-{
-    TraceScope ts(ctx_.rec, ctx_.fn.hfUpdateRec);
-    ts.work(8);
-
-    locks_.acquire(txn, rid.page, LockMode::Exclusive);
-    std::uint8_t *frame = pool_.fix(rid.page);
-    {
-        TraceScope us(ctx_.rec, ctx_.fn.pageUpdate);
-        us.work(14);
-        SlottedPage page(frame);
-        const bool ok = page.update(rid.slot, tuple.data(),
-                                    tuple.size());
-        cgp_assert(ok, "updateRec failed");
-        us.storeAt(pool_.frameAddr(rid.page,
-                                   64u + rid.slot * tuple.size()));
-    }
-    log_.append(txn, LogRecordType::Update, rid.page, rid.slot);
-    pool_.unfix(rid.page, true);
-    locks_.release(txn, rid.page);
-}
-
 HeapFile::Scan::Scan(HeapFile &file, TxnId txn)
     : file_(file), txn_(txn)
 {

@@ -38,9 +38,6 @@ class HeapFile
     /** Fetch a record by RID. */
     Tuple getRec(TxnId txn, Rid rid);
 
-    /** Overwrite a record in place. */
-    void updateRec(TxnId txn, Rid rid, const Tuple &tuple);
-
     const Schema *schema() const { return schema_; }
     std::uint64_t recordCount() const { return records_; }
     std::size_t pageCount() const { return pages_.size(); }

@@ -144,12 +144,4 @@ HashAggregate::close()
     materialized_ = false;
 }
 
-void
-HashAggregate::rewind()
-{
-    child_.rewind();
-    groups_.clear();
-    consumeChild();
-}
-
 } // namespace cgp::db

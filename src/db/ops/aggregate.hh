@@ -48,7 +48,6 @@ class HashAggregate : public Operator
     void open() override;
     bool next(Tuple &out) override;
     void close() override;
-    void rewind() override;
     const Schema *schema() const override { return &outSchema_; }
 
     std::uint64_t groupCount() const { return groups_.size(); }

@@ -56,12 +56,4 @@ IndexSelect::close()
     }
 }
 
-void
-IndexSelect::rewind()
-{
-    if (scan_.has_value())
-        scan_->close();
-    scan_.emplace(index_, txn_, lo_, hi_);
-}
-
 } // namespace cgp::db

@@ -32,7 +32,6 @@ class IndexSelect : public Operator
     void open() override;
     bool next(Tuple &out) override;
     void close() override;
-    void rewind() override;
 
     const Schema *schema() const override { return file_.schema(); }
 

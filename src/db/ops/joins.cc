@@ -5,74 +5,6 @@
 namespace cgp::db
 {
 
-NestedLoopsJoin::NestedLoopsJoin(DbContext &ctx, Operator &outer,
-                                 Operator &inner,
-                                 std::size_t outer_col,
-                                 std::size_t inner_col)
-    : ctx_(ctx), outer_(outer), inner_(inner), outerCol_(outer_col),
-      innerCol_(inner_col),
-      outSchema_(concatSchemas(*outer.schema(), *inner.schema()))
-{
-}
-
-void
-NestedLoopsJoin::open()
-{
-    TraceScope ts(ctx_.rec, ctx_.fn.nljOpen);
-    ts.work(16);
-    outer_.open();
-    inner_.open();
-    haveOuter_ = false;
-}
-
-bool
-NestedLoopsJoin::next(Tuple &out)
-{
-    TraceScope ts(ctx_.rec, ctx_.fn.nljNext);
-    ts.work(8);
-
-    while (true) {
-        if (!haveOuter_) {
-            if (!outer_.next(outerTuple_))
-                return false;
-            haveOuter_ = true;
-            inner_.rewind();
-        }
-        Tuple inner_tuple;
-        while (inner_.next(inner_tuple)) {
-            const auto a = tracedGetInt(ctx_, outerTuple_,
-                                        outerCol_, callsite::nlj);
-            const auto b = tracedGetInt(ctx_, inner_tuple,
-                                        innerCol_, callsite::nlj);
-            const bool match = a == b;
-            ts.branch(match);
-            if (match) {
-                out = concatTuples(&outSchema_, outerTuple_,
-                                   inner_tuple);
-                return true;
-            }
-        }
-        haveOuter_ = false;
-    }
-}
-
-void
-NestedLoopsJoin::close()
-{
-    TraceScope ts(ctx_.rec, ctx_.fn.nljClose);
-    ts.work(5);
-    outer_.close();
-    inner_.close();
-}
-
-void
-NestedLoopsJoin::rewind()
-{
-    outer_.rewind();
-    inner_.rewind();
-    haveOuter_ = false;
-}
-
 IndexedNLJoin::IndexedNLJoin(DbContext &ctx, Operator &outer,
                              BTree &inner_index, HeapFile &inner_file,
                              TxnId txn, std::size_t outer_col,
@@ -151,15 +83,6 @@ IndexedNLJoin::close()
     TraceScope ts(ctx_.rec, ctx_.fn.inljClose);
     ts.work(5);
     outer_.close();
-}
-
-void
-IndexedNLJoin::rewind()
-{
-    outer_.rewind();
-    haveOuter_ = false;
-    matches_.clear();
-    matchIdx_ = 0;
 }
 
 GraceHashJoin::GraceHashJoin(DbContext &ctx, BufferPool &pool,
@@ -313,15 +236,6 @@ GraceHashJoin::close()
     left_.close();
     right_.close();
     opened_ = false;
-}
-
-void
-GraceHashJoin::rewind()
-{
-    close();
-    left_.rewind();
-    right_.rewind();
-    open();
 }
 
 } // namespace cgp::db

@@ -1,9 +1,8 @@
 /**
  * @file
- * Join operators: nested loops, indexed nested loops, and grace
- * hash join (which materializes temporary partitions through the
- * storage manager — the paper's Create_rec example cites exactly
- * this use).
+ * Join operators: indexed nested loops, and grace hash join (which
+ * materializes temporary partitions through the storage manager —
+ * the paper's Create_rec example cites exactly this use).
  */
 
 #ifndef CGP_DB_OPS_JOINS_HH
@@ -21,30 +20,6 @@
 namespace cgp::db
 {
 
-/** Plain nested loops: rescans the inner per outer tuple. */
-class NestedLoopsJoin : public Operator
-{
-  public:
-    NestedLoopsJoin(DbContext &ctx, Operator &outer, Operator &inner,
-                    std::size_t outer_col, std::size_t inner_col);
-
-    void open() override;
-    bool next(Tuple &out) override;
-    void close() override;
-    void rewind() override;
-    const Schema *schema() const override { return &outSchema_; }
-
-  private:
-    DbContext &ctx_;
-    Operator &outer_;
-    Operator &inner_;
-    std::size_t outerCol_;
-    std::size_t innerCol_;
-    Schema outSchema_;
-    Tuple outerTuple_;
-    bool haveOuter_ = false;
-};
-
 /** Indexed nested loops: probes a B+-tree per outer tuple. */
 class IndexedNLJoin : public Operator
 {
@@ -61,7 +36,6 @@ class IndexedNLJoin : public Operator
     void open() override;
     bool next(Tuple &out) override;
     void close() override;
-    void rewind() override;
     const Schema *schema() const override { return &outSchema_; }
 
   private:
@@ -99,7 +73,6 @@ class GraceHashJoin : public Operator
     void open() override;
     bool next(Tuple &out) override;
     void close() override;
-    void rewind() override;
     const Schema *schema() const override { return &outSchema_; }
 
   private:

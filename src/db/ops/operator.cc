@@ -18,60 +18,37 @@ Predicate::andInt(std::size_t col, CmpOp op, std::int32_t lo,
     return *this;
 }
 
-Predicate &
-Predicate::andString(std::size_t col, const std::string &value)
-{
-    Term t;
-    t.col = col;
-    t.op = CmpOp::Eq;
-    t.isString = true;
-    t.strValue = value;
-    terms_.push_back(t);
-    return *this;
-}
-
 bool
 Predicate::eval(DbContext &ctx, const Tuple &t, std::size_t site) const
 {
     TraceScope ds(ctx.rec, ctx.fn.predDispatchC[ctx.opClass()]);
     ds.work(8);
     for (const Term &term : terms_) {
+        TraceScope es(ctx.rec, ctx.fn.predEvalRangeC[ctx.opClass()]);
+        es.work(8);
+        const std::int32_t v = tracedGetInt(ctx, t, term.col, site);
         bool pass = false;
-        if (term.isString) {
-            TraceScope es(ctx.rec, ctx.fn.predEvalEq.site(site));
-            es.work(10);
-            pass = tracedGetString(ctx, t, term.col, site) ==
-                term.strValue;
-            es.branch(pass);
-        } else {
-            TraceScope es(ctx.rec,
-                          ctx.fn.predEvalRangeC[ctx.opClass()]);
-            (void)site;
-            es.work(8);
-            const std::int32_t v =
-                tracedGetInt(ctx, t, term.col, site);
-            switch (term.op) {
-              case CmpOp::Eq:
-                pass = v == term.lo;
-                break;
-              case CmpOp::Lt:
-                pass = v < term.lo;
-                break;
-              case CmpOp::Le:
-                pass = v <= term.lo;
-                break;
-              case CmpOp::Gt:
-                pass = v > term.lo;
-                break;
-              case CmpOp::Ge:
-                pass = v >= term.lo;
-                break;
-              case CmpOp::Between:
-                pass = v >= term.lo && v <= term.hi;
-                break;
-            }
-            es.branch(pass);
+        switch (term.op) {
+          case CmpOp::Eq:
+            pass = v == term.lo;
+            break;
+          case CmpOp::Lt:
+            pass = v < term.lo;
+            break;
+          case CmpOp::Le:
+            pass = v <= term.lo;
+            break;
+          case CmpOp::Gt:
+            pass = v > term.lo;
+            break;
+          case CmpOp::Ge:
+            pass = v >= term.lo;
+            break;
+          case CmpOp::Between:
+            pass = v >= term.lo && v <= term.hi;
+            break;
         }
+        es.branch(pass);
         if (!pass)
             return false;
     }
@@ -86,15 +63,6 @@ tracedGetInt(DbContext &ctx, const Tuple &t, std::size_t col,
     (void)site;
     ts.work(5);
     return t.getInt(col);
-}
-
-std::string
-tracedGetString(DbContext &ctx, const Tuple &t, std::size_t col,
-                std::size_t site)
-{
-    TraceScope ts(ctx.rec, ctx.fn.tupGetString.site(site));
-    ts.work(7);
-    return t.getString(col);
 }
 
 std::uint64_t

@@ -10,7 +10,6 @@
 #define CGP_DB_OPS_OPERATOR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "db/context.hh"
@@ -30,9 +29,6 @@ class Operator
     virtual bool next(Tuple &out) = 0;
 
     virtual void close() = 0;
-
-    /** Reset to the start (for nested-loops inner re-scan). */
-    virtual void rewind() = 0;
 
     virtual const Schema *schema() const = 0;
 };
@@ -64,8 +60,8 @@ enum class CmpOp : std::uint8_t
 };
 
 /**
- * Conjunctive predicate over INT32 columns (plus optional CHAR
- * equality), the shape every Wisconsin/TPC-H filter needs.
+ * Conjunctive predicate over INT32 columns, the shape every
+ * Wisconsin/TPC-H filter needs.
  */
 class Predicate
 {
@@ -76,15 +72,12 @@ class Predicate
         CmpOp op = CmpOp::Eq;
         std::int32_t lo = 0;
         std::int32_t hi = 0;
-        bool isString = false;
-        std::string strValue;
     };
 
     Predicate() = default;
 
     Predicate &andInt(std::size_t col, CmpOp op, std::int32_t lo,
                       std::int32_t hi = 0);
-    Predicate &andString(std::size_t col, const std::string &value);
 
     /** Evaluate (traced: one data-dependent branch per term).
      *  @param site call-site id selecting the inlined copies. */
@@ -102,11 +95,6 @@ class Predicate
 std::int32_t tracedGetInt(DbContext &ctx, const Tuple &t,
                           std::size_t col,
                           std::size_t site = callsite::misc);
-
-/** Traced accessor: read a CHAR column. */
-std::string tracedGetString(DbContext &ctx, const Tuple &t,
-                            std::size_t col,
-                            std::size_t site = callsite::misc);
 
 /** Traced tuple hash over one column. */
 std::uint64_t tracedHash(DbContext &ctx, const Tuple &t,

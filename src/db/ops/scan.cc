@@ -54,12 +54,4 @@ SeqScan::close()
     }
 }
 
-void
-SeqScan::rewind()
-{
-    if (scan_.has_value())
-        scan_->close();
-    scan_.emplace(file_, txn_);
-}
-
 } // namespace cgp::db

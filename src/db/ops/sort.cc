@@ -64,69 +64,4 @@ Sort::close()
     rows_.clear();
 }
 
-void
-Sort::rewind()
-{
-    cursor_ = 0;
-}
-
-namespace
-{
-
-Schema
-projectSchema(const Schema &in, const std::vector<std::size_t> &cols)
-{
-    std::vector<Column> out;
-    for (std::size_t c : cols)
-        out.push_back(in.column(c));
-    return Schema(std::move(out));
-}
-
-} // anonymous namespace
-
-Project::Project(DbContext &ctx, Operator &child,
-                 std::vector<std::size_t> cols)
-    : ctx_(ctx), child_(child), cols_(std::move(cols)),
-      outSchema_(projectSchema(*child.schema(), cols_))
-{
-}
-
-void
-Project::open()
-{
-    child_.open();
-}
-
-bool
-Project::next(Tuple &out)
-{
-    TraceScope ts(ctx_.rec, ctx_.fn.projNext);
-    ts.work(6);
-    Tuple t;
-    if (!child_.next(t))
-        return false;
-    Tuple p(&outSchema_);
-    for (std::size_t i = 0; i < cols_.size(); ++i) {
-        const Column &c = outSchema_.column(i);
-        if (c.type == ColumnType::Int32)
-            p.setInt(i, t.getInt(cols_[i]));
-        else
-            p.setString(i, t.getString(cols_[i]));
-    }
-    out = p;
-    return true;
-}
-
-void
-Project::close()
-{
-    child_.close();
-}
-
-void
-Project::rewind()
-{
-    child_.rewind();
-}
-
 } // namespace cgp::db

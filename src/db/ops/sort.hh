@@ -1,7 +1,7 @@
 /**
  * @file
- * Sort (materializing) and Project operators — needed by the TPC-H
- * order-by queries and for trimming join outputs.
+ * Sort (materializing) operator — needed by the TPC-H order-by
+ * queries.
  */
 
 #ifndef CGP_DB_OPS_SORT_HH
@@ -29,7 +29,6 @@ class Sort : public Operator
     void open() override;
     bool next(Tuple &out) override;
     void close() override;
-    void rewind() override;
     const Schema *schema() const override { return child_.schema(); }
 
   private:
@@ -42,25 +41,6 @@ class Sort : public Operator
     std::uint64_t limit_;
     std::vector<Tuple> rows_;
     std::size_t cursor_ = 0;
-};
-
-class Project : public Operator
-{
-  public:
-    Project(DbContext &ctx, Operator &child,
-            std::vector<std::size_t> cols);
-
-    void open() override;
-    bool next(Tuple &out) override;
-    void close() override;
-    void rewind() override;
-    const Schema *schema() const override { return &outSchema_; }
-
-  private:
-    DbContext &ctx_;
-    Operator &child_;
-    std::vector<std::size_t> cols_;
-    Schema outSchema_;
 };
 
 } // namespace cgp::db

@@ -82,20 +82,4 @@ SlottedPage::read(std::uint16_t slot, std::uint16_t *len) const
     return frame_ + s->offset;
 }
 
-bool
-SlottedPage::update(std::uint16_t slot, const std::uint8_t *bytes,
-                    std::uint16_t len)
-{
-    if (slot >= header()->slots)
-        return false;
-    Slot *s = slotEntry(slot);
-    if (s->length != len)
-        return false;
-    if (s->offset < sizeof(Header) ||
-        static_cast<std::uint32_t>(s->offset) + s->length > pageBytes)
-        return false;
-    std::memcpy(frame_ + s->offset, bytes, len);
-    return true;
-}
-
 } // namespace cgp::db

@@ -48,10 +48,6 @@ class SlottedPage
     const std::uint8_t *read(std::uint16_t slot,
                              std::uint16_t *len = nullptr) const;
 
-    /** Overwrite a record in place (same length only). */
-    bool update(std::uint16_t slot, const std::uint8_t *bytes,
-                std::uint16_t len);
-
   private:
     struct Header
     {

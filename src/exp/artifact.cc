@@ -29,10 +29,9 @@ Json
 benchJson(const CampaignRun &run)
 {
     Json j = Json::object();
-    j.set("schema", 2);
+    j.set("schema", 3);
     j.set("bench", run.name);
     j.set("title", run.title);
-    j.set("seed", run.seed);
     j.set("fingerprint", run.fingerprint);
 
     Json exec = Json::object();
@@ -64,7 +63,6 @@ benchJson(const CampaignRun &run)
         e.set("index", job.index);
         e.set("workload", job.workload);
         e.set("config", job.label);
-        e.set("seed", job.seed);
 
         const bool failed = std::any_of(
             run.failures.begin(), run.failures.end(),

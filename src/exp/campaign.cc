@@ -92,18 +92,6 @@ expandConfigs(const CampaignSpec &spec)
     }
 }
 
-std::uint64_t
-jobSeed(std::uint64_t campaignSeed, std::uint64_t index)
-{
-    // splitmix64 over (seed ^ golden-ratio-spaced index).
-    std::uint64_t z =
-        campaignSeed ^ (index * 0x9e3779b97f4a7c15ull);
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 std::vector<JobSpec>
 expandJobs(const CampaignSpec &spec)
 {
@@ -121,7 +109,6 @@ expandJobs(const CampaignSpec &spec)
             j.workload = w;
             j.config = c.config;
             j.label = c.label;
-            j.seed = jobSeed(spec.seed, j.index);
             jobs.push_back(std::move(j));
         }
     }
@@ -143,11 +130,8 @@ fingerprint(const CampaignSpec &spec,
         h *= 0x100000001b3ull;
     };
     mix(spec.name);
-    mix(std::to_string(spec.seed));
-    for (const JobSpec &j : jobs) {
+    for (const JobSpec &j : jobs)
         mix(j.key());
-        mix(std::to_string(j.seed));
-    }
     char buf[20];
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(h));

@@ -8,9 +8,8 @@
  * config.  Axes combine cartesian: every combination, first axis
  * slowest-varying.
  * Expansion yields a flat, stable job list — workload-major, config
- * order as swept — where every job carries its own derived seed, so
- * a campaign's job list is a pure function of its spec regardless of
- * how many threads later execute it.
+ * order as swept — so a campaign's job list is a pure function of
+ * its spec regardless of how many threads later execute it.
  */
 
 #ifndef CGP_EXP_CAMPAIGN_HH
@@ -79,9 +78,6 @@ struct CampaignSpec
     /** Labels for explicitConfigs (optional; describe() otherwise). */
     std::vector<std::string> explicitLabels;
 
-    /** Campaign seed; every job derives its own seed from it. */
-    std::uint64_t seed = 0;
-
     /**
      * What a job failure does to the rest of the campaign.  Not part
      * of the fingerprint: the job list is identical either way, so a
@@ -97,7 +93,6 @@ struct JobSpec
     std::string workload;
     SimConfig config;
     std::string label; ///< config label (result's `config` field)
-    std::uint64_t seed = 0;
 
     /** Identity within a campaign (resume matching, matrices). */
     std::string
@@ -116,9 +111,6 @@ std::vector<ExpandedConfig> expandConfigs(const CampaignSpec &spec);
 
 /** Expand the full job list, workload-major. */
 std::vector<JobSpec> expandJobs(const CampaignSpec &spec);
-
-/** Deterministic per-job seed: mixes the campaign seed and index. */
-std::uint64_t jobSeed(std::uint64_t campaignSeed, std::uint64_t index);
 
 /**
  * Spec fingerprint over the expanded job identities (16 hex chars).

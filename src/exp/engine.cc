@@ -83,7 +83,6 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
     CampaignRun run;
     run.name = spec.name;
     run.title = spec.title;
-    run.seed = spec.seed;
     run.jobs = expandJobs(spec);
     run.fingerprint = fingerprint(spec, run.jobs);
     run.results.resize(run.jobs.size());

@@ -91,7 +91,6 @@ struct CampaignRun
     std::string name;
     std::string title;
     std::string fingerprint;
-    std::uint64_t seed = 0;
 
     std::vector<JobSpec> jobs;      ///< expansion order
     std::vector<SimResult> results; ///< by job index

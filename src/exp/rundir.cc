@@ -23,7 +23,27 @@ namespace cgp::exp
 namespace
 {
 
-constexpr int manifestSchema = 2;
+constexpr int manifestSchema = 3;
+
+/**
+ * Refuse a run dir whose manifest @p m has another schema (or none):
+ * its keys mean something else to this build, so it can be neither
+ * resumed nor reported.
+ */
+void
+requireSchema(const Json &m, const std::string &path)
+{
+    const Json *s = m.find("schema");
+    const std::int64_t schema =
+        s != nullptr && s->isNumber() ? s->asInt() : 0;
+    if (schema == manifestSchema)
+        return;
+    throw std::runtime_error(
+        "run directory " + path + " has schema " +
+        std::to_string(schema) + ", but this build reads schema " +
+        std::to_string(manifestSchema) +
+        "; start it again with --fresh");
+}
 
 /**
  * Lock paths held by *this* process.  The pid in the lock file only
@@ -194,7 +214,6 @@ RunDir::prepare(const CampaignSpec &spec,
         return;
     campaign_ = spec.name;
     title_ = spec.title;
-    seed_ = spec.seed;
     fingerprint_ = fingerprint;
     jobs_ = jobs;
     done_.assign(jobs.size(), false);
@@ -205,12 +224,12 @@ RunDir::prepare(const CampaignSpec &spec,
     sweepTmpFiles();
 
     if (std::filesystem::exists(manifestPath())) {
+        Json m;
         bool valid = false;
         std::string existing;
         std::string why;
         try {
-            const Json m =
-                Json::parse(readFileOrThrow(manifestPath()));
+            m = Json::parse(readFileOrThrow(manifestPath()));
             if (!verifySealedJson(m)) {
                 why = "manifest CRC seal mismatch";
             } else {
@@ -224,11 +243,14 @@ RunDir::prepare(const CampaignSpec &spec,
             // Corruption, not a user error: quarantine and rebuild
             // the manifest from the job files.
             quarantineFile(manifestPath(), why);
-        } else if (existing != fingerprint_) {
-            throw std::runtime_error(
-                "run directory " + path_ +
-                " holds a different campaign/spec (fingerprint " +
-                existing + " != " + fingerprint_ + ")");
+        } else {
+            requireSchema(m, path_);
+            if (existing != fingerprint_) {
+                throw std::runtime_error(
+                    "run directory " + path_ +
+                    " holds a different campaign/spec (fingerprint " +
+                    existing + " != " + fingerprint_ + ")");
+            }
         }
     }
     writeManifest();
@@ -241,7 +263,6 @@ RunDir::writeManifest() const
     m.set("schema", manifestSchema);
     m.set("campaign", campaign_);
     m.set("title", title_);
-    m.set("seed", seed_);
     m.set("fingerprint", fingerprint_);
     Json jobs = Json::array();
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
@@ -250,7 +271,6 @@ RunDir::writeManifest() const
         e.set("index", j.index);
         e.set("workload", j.workload);
         e.set("config", j.label);
-        e.set("seed", j.seed);
         e.set("file", jobFileName(j.index));
         const auto fit = failed_.find(i);
         if (done_[i]) {
@@ -297,8 +317,7 @@ RunDir::loadCompleted(const std::vector<JobSpec> &jobs)
                 why = "foreign fingerprint";
             } else if (f.at("index").asUint() != j.index ||
                        f.at("workload").asString() != j.workload ||
-                       f.at("config").asString() != j.label ||
-                       f.at("seed").asUint() != j.seed) {
+                       f.at("config").asString() != j.label) {
                 why = "job identity mismatch";
             } else {
                 out.emplace(j.index,
@@ -329,7 +348,6 @@ RunDir::recordResult(const JobSpec &job, const SimResult &result)
     f.set("index", job.index);
     f.set("workload", job.workload);
     f.set("config", job.label);
-    f.set("seed", job.seed);
     f.set("result", toJson(result));
     writeFileAtomicDurable(jobFilePath(job.index), sealedJsonText(f));
 
@@ -370,16 +388,15 @@ loadRunDir(const std::string &path)
     LoadedRun run;
     const Json m =
         Json::parse(readFileOrThrow(path + "/manifest.json"));
+    requireSchema(m, path);
     run.campaign = m.at("campaign").asString();
     run.title = m.at("title").asString();
     run.fingerprint = m.at("fingerprint").asString();
-    run.seed = m.at("seed").asUint();
     for (const Json &e : m.at("jobs").items()) {
         JobSpec j;
         j.index = e.at("index").asUint();
         j.workload = e.at("workload").asString();
         j.label = e.at("config").asString();
-        j.seed = e.at("seed").asUint();
         if (const Json *err = e.find("error"); err != nullptr) {
             JobFailure f;
             f.index = j.index;
@@ -452,6 +469,11 @@ verifyRunDir(const std::string &path)
         return report;
     }
     report.manifestOk = true;
+    try {
+        requireSchema(m, path);
+    } catch (const std::runtime_error &e) {
+        report.issues.push_back({"manifest.json", e.what()});
+    }
     report.campaign = m.at("campaign").asString();
     report.fingerprint = m.at("fingerprint").asString();
 

@@ -78,11 +78,11 @@ class RunDir
     /**
      * Create the directory, take its lock, sweep orphaned *.tmp
      * files, quarantine a corrupt manifest, and install the job
-     * list.  An existing *valid* manifest must carry the same
-     * fingerprint.
-     * @throws std::runtime_error if the directory already holds a
-     * different campaign (fingerprint mismatch) or is locked by a
-     * live process.
+     * list.  An existing *valid* manifest must carry this build's
+     * schema and the same fingerprint.
+     * @throws std::runtime_error if the directory already holds
+     * another schema or a different campaign (fingerprint mismatch),
+     * or is locked by a live process.
      */
     void prepare(const CampaignSpec &spec,
                  const std::vector<JobSpec> &jobs,
@@ -139,7 +139,6 @@ class RunDir
     std::string fingerprint_;
     std::string campaign_;
     std::string title_;
-    std::uint64_t seed_ = 0;
     std::vector<JobSpec> jobs_;
     std::vector<bool> done_;
     std::map<std::size_t, JobFailure> failed_;
@@ -154,8 +153,7 @@ struct LoadedRun
     std::string campaign;
     std::string title;
     std::string fingerprint;
-    std::uint64_t seed = 0;
-    /** Jobs in manifest order (index, workload, label, seed). */
+    /** Jobs in manifest order (index, workload, label). */
     std::vector<JobSpec> jobs;
     /** Results by job index; missing entries were never completed. */
     std::map<std::size_t, SimResult> results;
@@ -165,7 +163,8 @@ struct LoadedRun
 
 /**
  * Read a run directory for reporting (`cgpbench report`).
- * @throws std::runtime_error if the manifest is missing/corrupt.
+ * @throws std::runtime_error if the manifest is missing/corrupt or
+ * of another schema.
  */
 LoadedRun loadRunDir(const std::string &path);
 
@@ -194,9 +193,9 @@ struct VerifyReport
 };
 
 /**
- * Audit @p path without modifying it: manifest parse + seal, every
- * done job's file parse + seal + fingerprint, orphaned tmp files,
- * quarantine inventory.  Backs `cgpbench verify`.
+ * Audit @p path without modifying it: manifest parse + seal +
+ * schema, every done job's file parse + seal + fingerprint, orphaned
+ * tmp files, quarantine inventory.  Backs `cgpbench verify`.
  */
 VerifyReport verifyRunDir(const std::string &path);
 

@@ -61,13 +61,6 @@ FaultInjector::arm(std::string_view point, const FaultSpec &spec)
 }
 
 void
-FaultInjector::disarm(std::string_view point)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    armed_.erase(std::string(point));
-}
-
-void
 FaultInjector::disarmAll()
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -108,16 +101,6 @@ FaultInjector::hitCount(std::string_view point) const
     std::lock_guard<std::mutex> lock(mu_);
     auto it = hits_.find(std::string(point));
     return it == hits_.end() ? 0 : it->second;
-}
-
-void
-FaultInjector::resetCounters()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    hits_.clear();
-    fired_.clear();
-    for (auto &[point, armed] : armed_)
-        armed.firedCount = 0;
 }
 
 namespace

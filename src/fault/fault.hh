@@ -97,7 +97,6 @@ class FaultInjector
     /** Arm @p spec at @p point (replaces any previous arming). */
     void arm(std::string_view point, const FaultSpec &spec);
 
-    void disarm(std::string_view point);
     void disarmAll();
 
     /**
@@ -113,9 +112,6 @@ class FaultInjector
 
     /** Every fault that fired, in order. */
     const std::vector<FaultEvent> &fired() const { return fired_; }
-
-    /** Reset hit counters and the fired list; armings survive. */
-    void resetCounters();
 
   private:
     struct Armed

@@ -1,5 +1,6 @@
 #include "util/logging.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -12,53 +13,10 @@ namespace
 
 LogLevel printThreshold = LogLevel::Info;
 
-/** Fixed-capacity ring of the last N events. */
-struct LogRing
-{
-    std::vector<LogEvent> slots;
-    std::size_t capacity = 256;
-    std::size_t head = 0; ///< next write position
-    std::uint64_t seq = 0;
-
-    void
-    record(LogLevel level, const std::string &msg)
-    {
-        LogEvent ev{++seq, level, msg};
-        if (slots.size() < capacity) {
-            slots.push_back(std::move(ev));
-            head = slots.size() % capacity;
-        } else {
-            slots[head] = std::move(ev);
-            head = (head + 1) % capacity;
-        }
-    }
-
-    std::vector<LogEvent>
-    snapshot() const
-    {
-        std::vector<LogEvent> out;
-        out.reserve(slots.size());
-        if (slots.size() < capacity) {
-            out = slots;
-        } else {
-            for (std::size_t i = 0; i < slots.size(); ++i)
-                out.push_back(slots[(head + i) % slots.size()]);
-        }
-        return out;
-    }
-};
-
-LogRing &
-ring()
-{
-    static LogRing r;
-    return r;
-}
-
 /**
- * Guards the ring and the print path.  The experiment engine logs
- * per-job progress from worker threads; the lock keeps ring updates
- * race-free and whole messages unsplit on the output streams.
+ * Guards the print path.  The experiment engine logs per-job
+ * progress from worker threads; the lock keeps whole messages
+ * unsplit on the output streams.
  */
 std::mutex &
 logMutex()
@@ -97,42 +55,6 @@ logLevel()
     return printThreshold;
 }
 
-void
-setLogRingCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    LogRing &r = ring();
-    r.capacity = capacity == 0 ? 1 : capacity;
-    r.slots.clear();
-    r.head = 0;
-}
-
-std::vector<LogEvent>
-recentEvents()
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    return ring().snapshot();
-}
-
-void
-clearRecentEvents()
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    LogRing &r = ring();
-    r.slots.clear();
-    r.head = 0;
-}
-
-void
-dumpRecentEvents(std::FILE *out)
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    for (const LogEvent &ev : ring().snapshot())
-        std::fprintf(out, "[%llu] %s: %s\n",
-                     static_cast<unsigned long long>(ev.seq),
-                     toString(ev.level), ev.message.c_str());
-}
-
 namespace detail
 {
 
@@ -156,10 +78,6 @@ setThrowOnError(bool enable)
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
-    {
-        std::lock_guard<std::mutex> lock(logMutex());
-        ring().record(LogLevel::Error, "panic: " + msg);
-    }
     if (throwOnError)
         throw std::logic_error("panic: " + msg);
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
@@ -169,10 +87,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    {
-        std::lock_guard<std::mutex> lock(logMutex());
-        ring().record(LogLevel::Error, "fatal: " + msg);
-    }
     if (throwOnError)
         throw std::runtime_error("fatal: " + msg);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
@@ -183,7 +97,6 @@ void
 logImpl(LogLevel level, const std::string &msg)
 {
     std::lock_guard<std::mutex> lock(logMutex());
-    ring().record(level, msg);
     if (level < printThreshold)
         return;
     if (level >= LogLevel::Warn)

@@ -4,21 +4,14 @@
  * invariant violations (aborts), fatal() for user configuration errors
  * (clean exit), error()/warn()/inform()/debug() for leveled advisory
  * output.
- *
- * Every message — printed or filtered — is also recorded in a
- * fixed-capacity ring buffer of the last N events so a crashed or
- * fault-injected run can be inspected post-mortem (dumpRecentEvents,
- * recentEvents).
  */
 
 #ifndef CGP_UTIL_LOGGING_HH
 #define CGP_UTIL_LOGGING_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <sstream>
 #include <string>
-#include <vector>
 
 namespace cgp
 {
@@ -34,33 +27,9 @@ enum class LogLevel : std::uint8_t
 
 const char *toString(LogLevel level);
 
-/** One recorded log message (ring-buffer entry). */
-struct LogEvent
-{
-    std::uint64_t seq = 0; ///< monotonically increasing event number
-    LogLevel level = LogLevel::Info;
-    std::string message;
-};
-
-/**
- * Minimum level printed to stderr/stdout (default Info).  The ring
- * buffer records all levels regardless, so post-mortem dumps still
- * see Debug events of a quiet run.
- */
+/** Minimum level printed to stderr/stdout (default Info). */
 void setLogLevel(LogLevel level);
 LogLevel logLevel();
-
-/** Resize the ring buffer (drops recorded events); default 256. */
-void setLogRingCapacity(std::size_t capacity);
-
-/** Last N recorded events, oldest first. */
-std::vector<LogEvent> recentEvents();
-
-/** Drop all recorded events. */
-void clearRecentEvents();
-
-/** Write the ring contents to @p out ("post-mortem dump"). */
-void dumpRecentEvents(std::FILE *out);
 
 namespace detail
 {

@@ -215,64 +215,6 @@ TEST(BTree, NoPinnedPagesLeakAfterScans)
     }
 }
 
-TEST(BTree, RemoveMakesKeyUnfindable)
-{
-    TreeFixture fx;
-    for (int k = 0; k < 100; ++k)
-        fx.tree.insert(fx.txn, k, Rid{static_cast<PageId>(k), 0});
-    ASSERT_TRUE(fx.tree.remove(fx.txn, 50, Rid{50, 0}));
-    Rid out;
-    EXPECT_FALSE(fx.tree.search(fx.txn, 50, out));
-    EXPECT_EQ(fx.tree.size(), 99u);
-    EXPECT_TRUE(fx.tree.validate(fx.txn));
-    // Second removal of the same entry fails.
-    EXPECT_FALSE(fx.tree.remove(fx.txn, 50, Rid{50, 0}));
-}
-
-TEST(BTree, RemoveSpecificDuplicate)
-{
-    TreeFixture fx;
-    for (std::uint16_t s = 0; s < 4; ++s)
-        fx.tree.insert(fx.txn, 7, Rid{1, s});
-    ASSERT_TRUE(fx.tree.remove(fx.txn, 7, Rid{1, 2}));
-    BTree::RangeScan scan(fx.tree, fx.txn, 7, 7);
-    std::set<std::uint16_t> slots;
-    std::int32_t k;
-    Rid rid;
-    while (scan.next(k, rid))
-        slots.insert(rid.slot);
-    EXPECT_EQ(slots, (std::set<std::uint16_t>{0, 1, 3}));
-}
-
-TEST(BTree, RemoveAcrossLeafBoundaries)
-{
-    TreeFixture fx;
-    // Force splits, then remove entries from several leaves.
-    const int n = 1500;
-    for (int k = 0; k < n; ++k)
-        fx.tree.insert(fx.txn, k, Rid{static_cast<PageId>(k), 0});
-    ASSERT_GT(fx.tree.height(), 1u);
-    for (int k = 0; k < n; k += 3) {
-        ASSERT_TRUE(
-            fx.tree.remove(fx.txn, k, Rid{static_cast<PageId>(k), 0}))
-            << "key " << k;
-    }
-    EXPECT_EQ(fx.tree.size(), static_cast<std::uint64_t>(n - 500));
-    EXPECT_TRUE(fx.tree.validate(fx.txn));
-    Rid out;
-    EXPECT_FALSE(fx.tree.search(fx.txn, 0, out));
-    EXPECT_TRUE(fx.tree.search(fx.txn, 1, out));
-}
-
-TEST(BTree, RemoveMissingKeyReturnsFalse)
-{
-    TreeFixture fx;
-    fx.tree.insert(fx.txn, 10, Rid{1, 0});
-    EXPECT_FALSE(fx.tree.remove(fx.txn, 11, Rid{1, 0}));
-    EXPECT_FALSE(fx.tree.remove(fx.txn, 10, Rid{2, 0})); // wrong rid
-    EXPECT_EQ(fx.tree.size(), 1u);
-}
-
 } // namespace
 } // namespace cgp::db
 

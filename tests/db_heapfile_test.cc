@@ -1,7 +1,7 @@
 /**
  * @file
- * Heap file tests: Create_rec / getRec / updateRec round trips and
- * scan completeness across page boundaries.
+ * Heap file tests: Create_rec / getRec round trips and scan
+ * completeness across page boundaries.
  */
 
 #include <gtest/gtest.h>
@@ -48,16 +48,6 @@ TEST(HeapFile, CreateAndGetRoundTrip)
     EXPECT_EQ(t.getInt(0), 42);
     EXPECT_EQ(t.getString(1), "row42");
     EXPECT_EQ(fx.file.recordCount(), 1u);
-}
-
-TEST(HeapFile, UpdateInPlace)
-{
-    HeapFixture fx;
-    const Rid rid = fx.file.createRec(fx.txn, fx.makeRow(1));
-    Tuple t = fx.makeRow(1);
-    t.setString(1, "updated");
-    fx.file.updateRec(fx.txn, rid, t);
-    EXPECT_EQ(fx.file.getRec(fx.txn, rid).getString(1), "updated");
 }
 
 TEST(HeapFile, SpillsAcrossPages)

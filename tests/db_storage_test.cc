@@ -106,24 +106,6 @@ TEST(SlottedPage, InsertAndRead)
     EXPECT_EQ(page.read(99), nullptr);
 }
 
-TEST(SlottedPage, UpdateInPlace)
-{
-    std::vector<std::uint8_t> frame(pageBytes, 0);
-    SlottedPage page(frame.data());
-    page.init();
-    const char rec[] = "aaaa";
-    const char upd[] = "bbbb";
-    const auto s = page.insert(
-        reinterpret_cast<const std::uint8_t *>(rec), sizeof(rec));
-    EXPECT_TRUE(page.update(
-        s, reinterpret_cast<const std::uint8_t *>(upd), sizeof(upd)));
-    std::uint16_t len = 0;
-    EXPECT_EQ(std::memcmp(page.read(s, &len), upd, sizeof(upd)), 0);
-    // Wrong length refused.
-    EXPECT_FALSE(page.update(
-        s, reinterpret_cast<const std::uint8_t *>(upd), 2));
-}
-
 TEST(SlottedPage, FillsUntilFull)
 {
     std::vector<std::uint8_t> frame(pageBytes, 0);

@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <regex>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -100,10 +99,9 @@ TEST(Campaign, ExplicitConfigLabelsFallBackToDescribe)
     EXPECT_EQ(named[1].label, "second");
 }
 
-TEST(Campaign, JobsAreWorkloadMajorWithDerivedSeeds)
+TEST(Campaign, JobsAreWorkloadMajor)
 {
     CampaignSpec s = twoAxisSpec();
-    s.seed = 42;
     const auto jobs = expandJobs(s);
     ASSERT_EQ(jobs.size(), 8u);
     EXPECT_EQ(jobs[0].workload, "w1");
@@ -112,18 +110,9 @@ TEST(Campaign, JobsAreWorkloadMajorWithDerivedSeeds)
     EXPECT_EQ(jobs[0].label, "D2+OM");
     EXPECT_EQ(jobs[3].label, "D4+O5");
     EXPECT_EQ(jobs[4].label, "D2+OM");
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(jobs[i].index, i);
-        EXPECT_EQ(jobs[i].seed, jobSeed(42, i));
-    }
     EXPECT_EQ(jobs[0].key(), "w1|D2+OM");
-
-    // Seeds are distinct and reproducible.
-    std::set<std::uint64_t> seeds;
-    for (const auto &j : jobs)
-        seeds.insert(j.seed);
-    EXPECT_EQ(seeds.size(), jobs.size());
-    EXPECT_EQ(expandJobs(s)[3].seed, jobs[3].seed);
 }
 
 TEST(Campaign, FingerprintPinsJobIdentity)
@@ -132,10 +121,6 @@ TEST(Campaign, FingerprintPinsJobIdentity)
     const std::string fp = fingerprint(s, expandJobs(s));
     EXPECT_EQ(fp.size(), 16u);
     EXPECT_EQ(fp, fingerprint(s, expandJobs(s)));
-
-    CampaignSpec seeded = s;
-    seeded.seed = 1;
-    EXPECT_NE(fp, fingerprint(seeded, expandJobs(seeded)));
 
     CampaignSpec fewer = s;
     fewer.workloads.pop_back();
@@ -505,9 +490,47 @@ TEST_F(EngineTest, RunDirRejectsDifferentCampaign)
     runCampaign(spec(), provider(), opt);
 
     CampaignSpec other = spec();
-    other.seed = 99; // different fingerprint
+    other.workloads = {"tiny-b"}; // different fingerprint
     EXPECT_THROW(runCampaign(other, provider(), opt),
                  std::runtime_error);
+    fs::remove_all(dir);
+}
+
+TEST_F(EngineTest, RunDirRefusesOtherSchema)
+{
+    const std::string dir = freshDir("schema");
+    EngineOptions opt;
+    opt.threads = 1;
+    opt.verbose = false;
+    opt.runDir = dir;
+    runCampaign(spec(), provider(), opt);
+
+    // A validly sealed manifest from the schema-2 layout.
+    const std::string manifest = dir + "/manifest.json";
+    Json m = Json::parse(readFileOrThrow(manifest));
+    m.remove("crc32");
+    m.set("schema", 2);
+    writeFileAtomicDurable(manifest, sealedJsonText(m));
+
+    const auto expectRefusal = [](const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("schema 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("schema 3"), std::string::npos) << what;
+        EXPECT_NE(what.find("--fresh"), std::string::npos) << what;
+    };
+    try {
+        runCampaign(spec(), provider(), opt);
+        ADD_FAILURE() << "resume accepted a schema-2 run dir";
+    } catch (const std::runtime_error &e) {
+        expectRefusal(e);
+    }
+    try {
+        loadRunDir(dir);
+        ADD_FAILURE() << "report accepted a schema-2 run dir";
+    } catch (const std::runtime_error &e) {
+        expectRefusal(e);
+    }
+    EXPECT_FALSE(verifyRunDir(dir).ok());
     fs::remove_all(dir);
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the fault-injection subsystem and the hardening it
  * exists to exercise: the injector's deterministic schedules and
- * compiled-in crash points, the leveled log ring buffer, the
- * fail-soft prefetcher wrapper, and the campaign chaos loop.
+ * compiled-in crash points, the fail-soft prefetcher wrapper, and the
+ * campaign chaos loop.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "prefetch/nextline.hh"
 #include "sample/controller.hh"
 #include "trace/expand.hh"
-#include "util/logging.hh"
 
 namespace cgp
 {
@@ -84,50 +83,6 @@ TEST(FaultInjector, CrashKindThrowsFromTheHit)
     } catch (const fault::CrashInjected &e) {
         EXPECT_EQ(e.point(), "exp.job");
     }
-}
-
-// ---------------------------------------------------------------
-// Logging levels and the ring buffer
-
-TEST(Logging, RingRecordsFilteredLevelsToo)
-{
-    clearRecentEvents();
-    const LogLevel prev = logLevel();
-    setLogLevel(LogLevel::Error); // print nothing below Error
-    cgp_debug("quiet debug ", 1);
-    cgp_inform("quiet info");
-    cgp_warn("quiet warn");
-    cgp_error("loud error");
-    setLogLevel(prev);
-
-    const auto events = recentEvents();
-    ASSERT_GE(events.size(), 4u);
-    const auto &tail4 = events[events.size() - 4];
-    EXPECT_EQ(tail4.level, LogLevel::Debug);
-    EXPECT_NE(tail4.message.find("quiet debug 1"), std::string::npos);
-    EXPECT_EQ(events.back().level, LogLevel::Error);
-    EXPECT_NE(events.back().message.find("loud error"),
-              std::string::npos);
-    // Sequence numbers increase monotonically.
-    for (std::size_t i = 1; i < events.size(); ++i)
-        EXPECT_GT(events[i].seq, events[i - 1].seq);
-}
-
-TEST(Logging, RingKeepsOnlyTheLastNEvents)
-{
-    setLogRingCapacity(4);
-    const LogLevel prev = logLevel();
-    setLogLevel(LogLevel::Error); // keep the test run quiet
-    for (int i = 0; i < 10; ++i)
-        cgp_inform("event ", i);
-    setLogLevel(prev);
-
-    const auto events = recentEvents();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_NE(events[0].message.find("event 6"), std::string::npos);
-    EXPECT_NE(events[3].message.find("event 9"), std::string::npos);
-
-    setLogRingCapacity(256); // restore the default for other tests
 }
 
 // ---------------------------------------------------------------

@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Print the executable lines of src/ that no campaign run reaches.
+
+Build the coverage tree first (gcov instrumentation, -O0):
+
+    cmake --preset coverage && cmake --build --preset coverage -j
+
+then run
+
+    python3 tools/unreached.py [campaign ...] [--build build-coverage]
+
+The script clears old counters, runs `cgpbench run smoke server-smoke
+sampled-smoke` plus any campaigns named on the command line, and the
+three `cgpbench show` pages, all at CGP_SCALE=0.03 (unless CGP_SCALE is
+set).  It then asks gcov for every object compiled from src/ and
+prints, per module and per file, the executable lines that never ran.
+An object with a .gcno but no .gcda was compiled but not linked into
+cgpbench; gcov reports all its lines as unrun.
+
+The report is a measurement, not a gate: the script always exits 0.
+"""
+
+import argparse
+import collections
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
+BASE_CAMPAIGNS = ["smoke", "server-smoke", "sampled-smoke"]
+SHOW_PAGES = ["table1", "callgraph", "anatomy"]
+
+
+def run_workloads(cgpbench, campaigns, env):
+    """Run the campaigns and show pages; return False if one failed."""
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        cmds = [[cgpbench, "run", *campaigns, "--threads", "2", "--quiet",
+                 "--dir", tmp, "--fresh", "--artifact-dir", tmp]]
+        cmds += [[cgpbench, "show", page] for page in SHOW_PAGES]
+        for cmd in cmds:
+            r = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.PIPE, text=True)
+            if r.returncode != 0:
+                ok = False
+                print("warning: %s exited %d: %s" %
+                      (" ".join(cmd[1:3]), r.returncode, r.stderr.strip()))
+    return ok
+
+
+def line_counts(objdir):
+    """(source file, line) -> max execution count over every object."""
+    counts = {}
+    for root, _, files in os.walk(objdir):
+        for name in sorted(files):
+            if not name.endswith(".gcno"):
+                continue
+            r = subprocess.run(["gcov", "--stdout", "--json-format",
+                                os.path.join(root, name)],
+                               cwd=root, stdout=subprocess.PIPE,
+                               stderr=subprocess.DEVNULL, text=True)
+            for doc in r.stdout.splitlines():
+                if not doc.startswith("{"):
+                    continue
+                for f in json.loads(doc).get("files", []):
+                    path = os.path.realpath(
+                        os.path.join(root, f["file"]))
+                    if not path.startswith(SRC + os.sep):
+                        continue
+                    for ln in f.get("lines", []):
+                        key = (path, ln["line_number"])
+                        counts[key] = max(counts.get(key, 0), ln["count"])
+    return counts
+
+
+def report(counts):
+    per_file = collections.defaultdict(lambda: [0, 0])  # [unrun, lines]
+    for (path, _), count in counts.items():
+        entry = per_file[os.path.relpath(path, SRC)]
+        entry[1] += 1
+        if count == 0:
+            entry[0] += 1
+    per_module = collections.defaultdict(lambda: [0, 0])
+    for rel, (unrun, lines) in per_file.items():
+        module = rel.split(os.sep)[0]
+        per_module[module][0] += unrun
+        per_module[module][1] += lines
+
+    def pct(unrun, lines):
+        return 100.0 * unrun / lines if lines else 0.0
+
+    print("%-12s %7s %7s %7s" % ("module", "unrun", "lines", "unrun%"))
+    total = [0, 0]
+    for module in sorted(per_module):
+        unrun, lines = per_module[module]
+        total[0] += unrun
+        total[1] += lines
+        print("%-12s %7d %7d %6.1f%%" %
+              ("src/" + module, unrun, lines, pct(unrun, lines)))
+    print("%-12s %7d %7d %6.1f%%" %
+          ("total", total[0], total[1], pct(*total)))
+    print()
+    print("%-36s %7s %7s" % ("file", "unrun", "lines"))
+    for rel in sorted(per_file):
+        unrun, lines = per_file[rel]
+        if unrun:
+            print("%-36s %7d %7d" % ("src/" + rel, unrun, lines))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("campaigns", nargs="*",
+                    help="campaigns to run besides " +
+                    " ".join(BASE_CAMPAIGNS))
+    ap.add_argument("--build", default=os.path.join(REPO, "build-coverage"),
+                    help="coverage build tree (default: build-coverage)")
+    args = ap.parse_args()
+
+    cgpbench = os.path.join(args.build, "bench", "cgpbench")
+    objdir = os.path.join(args.build, "src")
+    if not os.path.isfile(cgpbench):
+        print("no %s; build it with: cmake --preset coverage && "
+              "cmake --build --preset coverage -j" % cgpbench)
+        return
+    for root, _, files in os.walk(args.build):
+        for name in files:
+            if name.endswith(".gcda"):
+                os.remove(os.path.join(root, name))
+
+    env = dict(os.environ)
+    env.setdefault("CGP_SCALE", "0.03")
+    campaigns = BASE_CAMPAIGNS + [c for c in args.campaigns
+                                  if c not in BASE_CAMPAIGNS]
+    print("Unrun executable lines of src/ at CGP_SCALE=%s after "
+          "`cgpbench run %s` and `cgpbench show %s`" %
+          (env["CGP_SCALE"], " ".join(campaigns), "|".join(SHOW_PAGES)))
+    if not run_workloads(cgpbench, campaigns, env):
+        print("warning: a run failed; its lines may read as unrun")
+    print()
+    report(line_counts(objdir))
+
+
+if __name__ == "__main__":
+    try:
+        main()
+    except Exception as e:  # a measurement never fails the caller
+        print("unreached.py: %s" % e, file=sys.stderr)
+    sys.exit(0)
