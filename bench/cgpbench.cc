@@ -340,6 +340,18 @@ resolveRunDir(const Options &opt)
     return opt.dir + "/" + opt.names[0];
 }
 
+/** The command that starts the run dir @p dir (laid out as
+ *  <dir>/<campaign>) again from nothing: what a run dir of another
+ *  schema needs, since no resume can read it. */
+std::string
+freshCommand(const std::string &dir)
+{
+    const std::filesystem::path path(dir);
+    const std::string parent = path.parent_path().string();
+    return "cgpbench run " + path.filename().string() + " --dir " +
+        (parent.empty() ? "." : parent) + " --fresh";
+}
+
 int
 cmdResume(const Options &opt)
 {
@@ -357,6 +369,11 @@ cmdResume(const Options &opt)
     std::string campaign;
     try {
         campaign = loadRunDir(dir).campaign;
+    } catch (const SchemaMismatch &e) {
+        std::cerr << "cgpbench resume: " << e.what()
+                  << "\nStart it again with: " << freshCommand(dir)
+                  << "\n";
+        return 1;
     } catch (const std::exception &e) {
         campaign = std::filesystem::path(dir).filename().string();
         std::cerr << "cgpbench resume: manifest unreadable ("
@@ -403,6 +420,11 @@ cmdReport(const Options &opt)
     LoadedRun run;
     try {
         run = loadRunDir(dir);
+    } catch (const SchemaMismatch &e) {
+        std::cerr << "cgpbench report: " << e.what()
+                  << "\nStart it again with: " << freshCommand(dir)
+                  << "\n";
+        return 1;
     } catch (const std::exception &e) {
         std::cerr << "cgpbench report: " << e.what()
                   << "\nAudit with: cgpbench verify " << dir
@@ -518,9 +540,15 @@ cmdVerify(const Options &opt)
         for (const VerifyIssue &i : report.issues)
             t.addRow({i.file, i.problem});
         t.print(std::cout);
-        std::cout << "\nA resume (cgpbench resume " << dir
-                  << ") quarantines these and re-runs the "
-                     "affected jobs.\n";
+        if (report.schemaMismatch) {
+            std::cout << "\nThis build cannot read it; start it "
+                         "again with: "
+                      << freshCommand(dir) << "\n";
+        } else {
+            std::cout << "\nA resume (cgpbench resume " << dir
+                      << ") quarantines these and re-runs the "
+                         "affected jobs.\n";
+        }
     }
     std::cout << (report.ok() ? "\nOK\n" : "\nNOT OK\n");
     return report.ok() ? 0 : 1;

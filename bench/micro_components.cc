@@ -12,11 +12,14 @@
 #include "codegen/layout.hh"
 #include "codegen/registry.hh"
 #include "cpu/core.hh"
+#include "exp/integrity.hh"
+#include "harness/simconfig.hh"
 #include "harness/workload.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "prefetch/cghc.hh"
 #include "prefetch/cgp.hh"
+#include "sample/checkpoint.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
 #include "util/rng.hh"
@@ -306,6 +309,74 @@ BM_TraceSerializeRoundTrip(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceSerializeRoundTrip);
+
+/** The DB workload set at perfbench's scale (built once). */
+const cgp::DbWorkloadSet &
+dbSet()
+{
+    static const cgp::DbWorkloadSet set =
+        cgp::WorkloadFactory::buildDbSet(0.03);
+    return set;
+}
+
+/** The OM layout pass over the DB binary and its merged profile. */
+void
+BM_LayoutPettisHansen(benchmark::State &state)
+{
+    using namespace cgp;
+    const DbWorkloadSet &set = dbSet();
+    const LayoutBuilder builder(*set.registry);
+    for (auto _ : state) {
+        const CodeImage image = builder.buildPettisHansen(*set.omProfile);
+        benchmark::DoNotOptimize(image.textLimit());
+    }
+}
+BENCHMARK(BM_LayoutPettisHansen);
+
+/**
+ * Cutting a warm-state checkpoint: buildCheckpoint plus
+ * sealedJsonText of wisc-prof on O5+OM+CGP_4 after a 100K-instruction
+ * functional warm-up, the prefix the sampled runs checkpoint.
+ */
+void
+BM_CheckpointSeal(benchmark::State &state)
+{
+    using namespace cgp;
+    const DbWorkloadSet &set = dbSet();
+    const Workload *w = nullptr;
+    for (const Workload &candidate : set.workloads) {
+        if (candidate.name == "wisc-prof")
+            w = &candidate;
+    }
+    const SimConfig config =
+        SimConfig::withCgp(LayoutKind::PettisHansen, 4);
+    const CodeImage image = LayoutBuilder(*w->registry)
+                                .build(config.layout, *w->omProfile);
+    InstructionExpander stream(*w->registry, image, *w->trace);
+    MemoryHierarchy mem(config.mem);
+    CgpPrefetcher cgp(mem.l1i(), config.cghc, config.depth);
+    Core core(stream, mem, &cgp, config.core);
+    const std::uint64_t warmup = 100'000;
+    const std::uint64_t consumed = core.fastForward(warmup);
+
+    sample::CheckpointParts parts;
+    parts.l1i = &mem.l1i();
+    parts.l1d = &mem.l1d();
+    parts.l2 = &mem.l2();
+    parts.branch = &core.branchUnit();
+    parts.core = &core;
+    cgp.addCheckpointParts(parts);
+    const std::string label = config.describe();
+    for (auto _ : state) {
+        const std::string text = exp::sealedJsonText(
+            sample::buildCheckpoint(parts, w->name, label, warmup,
+                                    consumed));
+        benchmark::DoNotOptimize(text.data());
+        state.SetBytesProcessed(state.bytes_processed() +
+                                static_cast<std::int64_t>(text.size()));
+    }
+}
+BENCHMARK(BM_CheckpointSeal);
 
 } // namespace
 

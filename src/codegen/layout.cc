@@ -1,9 +1,7 @@
 #include "codegen/layout.hh"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -121,7 +119,7 @@ LayoutBuilder::orderBlocksPettisHansen(
     }
 
     // Chain weight = sum of entries of its blocks in the edge map.
-    std::unordered_map<int, std::uint64_t> weight;
+    std::vector<std::uint64_t> weight(n, 0);
     for (const auto &[e, w] : edges) {
         weight[chainOf[e.first]] += w;
         weight[chainOf[e.second]] += w;
@@ -164,14 +162,14 @@ LayoutBuilder::orderBlocksPettisHansen(
     for (int c : hot_chains)
         emit_chain(chains[c]);
 
-    // Cold blocks in original relative order for determinism.
+    // Cold blocks in original relative order for determinism
+    // (originalOrder is a permutation of the blocks).
+    std::vector<std::size_t> position(n);
+    for (std::size_t i = 0; i < n; ++i)
+        position[f.originalOrder[i]] = i;
     std::sort(cold_blocks.begin(), cold_blocks.end(),
-              [&f](std::uint16_t a, std::uint16_t b) {
-                  const auto pa = std::find(f.originalOrder.begin(),
-                                            f.originalOrder.end(), a);
-                  const auto pb = std::find(f.originalOrder.begin(),
-                                            f.originalOrder.end(), b);
-                  return pa < pb;
+              [&position](std::uint16_t a, std::uint16_t b) {
+                  return position[a] < position[b];
               });
     out.insert(out.end(), cold_blocks.begin(), cold_blocks.end());
 
@@ -230,15 +228,14 @@ LayoutBuilder::orderFunctionsPettisHansen(
         if (!chains[c].empty())
             chain_ids.push_back(static_cast<int>(c));
     }
-    auto chain_weight = [&](int c) {
-        std::uint64_t w = 0;
+    std::vector<std::uint64_t> chain_weight(n, 0);
+    for (int c : chain_ids) {
         for (auto f : chains[c])
-            w += profile.entryCount(f);
-        return w;
-    };
+            chain_weight[c] += profile.entryCount(f);
+    }
     std::stable_sort(chain_ids.begin(), chain_ids.end(),
-                     [&](int a, int b) {
-                         return chain_weight(a) > chain_weight(b);
+                     [&chain_weight](int a, int b) {
+                         return chain_weight[a] > chain_weight[b];
                      });
 
     std::vector<FunctionId> out;

@@ -379,12 +379,12 @@ struct Core::WarmHooks final : WarmSink
 void
 Core::warmFetchLine(Addr pc)
 {
+    // Warming trains and never issues: the prefetcher's fetch-line
+    // hook only issues, so it is not called here.
     const Addr line = mem_.l1i().lineAlign(pc);
     if (!config_.perfectICache && line != lastFetchLine_) {
         mem_.l1i().warmAccess(line, false);
         lastFetchLine_ = line;
-        if (prefetcher_ != nullptr)
-            prefetcher_->onFetchLine(line, now_);
     }
 }
 

@@ -138,7 +138,9 @@ class Core
      * With @p warm_state (the default) every consumed instruction
      * still updates the caches (via Cache::warmAccess), the branch
      * structures, the CGHC and the D-prefetch tables, with all
-     * statistics counters frozen.  The instruction peek() may hold
+     * statistics counters frozen.  Warming trains and never issues:
+     * the I-engine sees onCall/onReturn but not onFetchLine, and
+     * the caches drop every prefetch.  The instruction peek() may hold
      * is warmed first; the rest come from InstructionExpander::warm,
      * so a run of plain work instructions costs one fetch-line check
      * per line it touches (warmFetchRun), a stack reference costs
@@ -242,8 +244,9 @@ class Core
 
     /// @{ Functional warming (fastForward).
     struct WarmHooks;
-    /** Warm the I-side for a fetch at @p pc: the L1-I line and the
-     *  prefetcher's fetch-line hook, on a line change only. */
+    /** Warm the L1-I line of a fetch at @p pc, on a line change
+     *  only.  The prefetcher's fetch-line hook is not called: it
+     *  only issues, and warming issues nothing. */
     void warmFetchLine(Addr pc);
     /** warmFetchLine for @p count instructions at consecutive pcs
      *  from @p first: once for the first and once per line boundary

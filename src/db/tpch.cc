@@ -206,7 +206,7 @@ Tpch::queryName(int query)
 }
 
 std::uint64_t
-Tpch::runQuery(DbSystem &db, int query, const Scale &scale, Rng &rng)
+Tpch::runQuery(DbSystem &db, int query, Rng &rng)
 {
     DbContext &ctx = db.ctx();
     ctx.queryClass = static_cast<std::size_t>(8 + query);

@@ -45,8 +45,7 @@ class Tpch
      * Run one TPC-H query (1, 2, 3, 5 or 6).
      * @return result row count.
      */
-    static std::uint64_t runQuery(DbSystem &db, int query,
-                                  const Scale &scale, Rng &rng);
+    static std::uint64_t runQuery(DbSystem &db, int query, Rng &rng);
 
     static const char *queryName(int query);
 

@@ -25,11 +25,8 @@ namespace
 
 constexpr int manifestSchema = 3;
 
-/**
- * Refuse a run dir whose manifest @p m has another schema (or none):
- * its keys mean something else to this build, so it can be neither
- * resumed nor reported.
- */
+/** Throw SchemaMismatch unless manifest @p m has this build's
+ *  schema. */
 void
 requireSchema(const Json &m, const std::string &path)
 {
@@ -38,7 +35,7 @@ requireSchema(const Json &m, const std::string &path)
         s != nullptr && s->isNumber() ? s->asInt() : 0;
     if (schema == manifestSchema)
         return;
-    throw std::runtime_error(
+    throw SchemaMismatch(
         "run directory " + path + " has schema " +
         std::to_string(schema) + ", but this build reads schema " +
         std::to_string(manifestSchema) +
@@ -471,7 +468,8 @@ verifyRunDir(const std::string &path)
     report.manifestOk = true;
     try {
         requireSchema(m, path);
-    } catch (const std::runtime_error &e) {
+    } catch (const SchemaMismatch &e) {
+        report.schemaMismatch = true;
         report.issues.push_back({"manifest.json", e.what()});
     }
     report.campaign = m.at("campaign").asString();

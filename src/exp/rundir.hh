@@ -52,6 +52,7 @@
 #define CGP_EXP_RUNDIR_HH
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,17 @@
 
 namespace cgp::exp
 {
+
+/**
+ * A run directory whose manifest has another schema (or none): its
+ * keys mean something else to this build, so it can be neither
+ * resumed nor reported, only started again with --fresh.
+ */
+class SchemaMismatch : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 class RunDir
 {
@@ -163,8 +175,8 @@ struct LoadedRun
 
 /**
  * Read a run directory for reporting (`cgpbench report`).
- * @throws std::runtime_error if the manifest is missing/corrupt or
- * of another schema.
+ * @throws SchemaMismatch if the manifest is of another schema,
+ * std::runtime_error if it is missing or corrupt.
  */
 LoadedRun loadRunDir(const std::string &path);
 
@@ -186,6 +198,7 @@ struct VerifyReport
     std::size_t jobsFailed = 0;  ///< manifest status "failed"
     std::size_t jobsPending = 0; ///< manifest status "pending"
     std::size_t jobFilesOk = 0;  ///< job files passing all checks
+    bool schemaMismatch = false; ///< manifest of another schema
     std::vector<VerifyIssue> issues;
     std::vector<std::string> quarantineEntries;
 

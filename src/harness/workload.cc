@@ -29,13 +29,12 @@ recordWiscQuery(db::DbSystem &dbsys, int query, std::uint32_t n,
 }
 
 TraceBuffer
-recordTpchQuery(db::DbSystem &dbsys, int query,
-                const db::Tpch::Scale &scale, std::uint64_t seed)
+recordTpchQuery(db::DbSystem &dbsys, int query, std::uint64_t seed)
 {
     TraceBuffer buf;
     dbsys.record(buf);
     Rng rng(seed);
-    db::Tpch::runQuery(dbsys, query, scale, rng);
+    db::Tpch::runQuery(dbsys, query, rng);
     return buf;
 }
 
@@ -198,7 +197,7 @@ WorkloadFactory::buildDbSet(double s)
     }
     for (int q : {1, 2, 3, 5, 6}) {
         mixed_queries->push_back(
-            recordTpchQuery(db_tpch, q, tpch_scale,
+            recordTpchQuery(db_tpch, q,
                             static_cast<std::uint64_t>(70 + q)));
     }
     auto wisc_tpch_trace = schedule(*mixed_queries, *stub);

@@ -40,7 +40,7 @@ CgpPrefetcher::onCall(Addr callee_start, Addr caller_start, Cycle now)
 {
     if (callee_start != invalidAddr) {
         const auto probe = cghc_.callPrefetchAccess(callee_start);
-        if (probe.prefetchTarget != invalidAddr) {
+        if (probe.prefetchTarget != invalidAddr && !warming_) {
             // The prefetch issues the cycle after the CGHC hit
             // (§3.3); an L2-CGHC hit adds that level's latency.
             prefetchFunction(probe.prefetchTarget, now + probe.delay);
@@ -60,7 +60,7 @@ CgpPrefetcher::onReturn(Addr returnee_start, Addr returning_start,
 {
     if (returnee_start != invalidAddr) {
         const auto probe = cghc_.returnPrefetchAccess(returnee_start);
-        if (probe.prefetchTarget != invalidAddr)
+        if (probe.prefetchTarget != invalidAddr && !warming_)
             prefetchFunction(probe.prefetchTarget, now + probe.delay);
     }
     if (returning_start != invalidAddr) {

@@ -40,9 +40,11 @@ class CgpPrefetcher : public InstrPrefetcher
 
     const char *name() const override { return "cgp"; }
 
-    /** Forwarded to the CGHC: its counters freeze while warming. */
+    /** Forwarded to the CGHC, whose counters freeze while warming;
+     *  the CGHC still trains, but no function prefetch issues. */
     void setWarming(bool warming) override
     {
+        warming_ = warming;
         cghc_.setWarming(warming);
     }
 
@@ -61,6 +63,7 @@ class CgpPrefetcher : public InstrPrefetcher
     Cghc cghc_;
     NextNLinePrefetcher nl_;
     unsigned depth_;
+    bool warming_ = false;
 };
 
 } // namespace cgp

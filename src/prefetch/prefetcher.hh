@@ -33,7 +33,9 @@ class InstrPrefetcher
   public:
     virtual ~InstrPrefetcher() = default;
 
-    /** Demand fetch moved to a new I-cache line. */
+    /** Demand fetch moved to a new I-cache line.  Detailed fetch
+     *  only: functional warming never calls it, so an engine must
+     *  not train anything here (warming trains and never issues). */
     virtual void onFetchLine(Addr line_addr, Cycle now)
     {
         (void)line_addr;
@@ -70,8 +72,9 @@ class InstrPrefetcher
     /**
      * Functional-warming notification (SMARTS fast-forward): the
      * engine's internal statistics counters should freeze while its
-     * predictive state keeps training.  Issued prefetches are
-     * already suppressed at the cache, so most engines ignore this.
+     * predictive state keeps training through onCall/onReturn.
+     * Issued prefetches are already dropped at the cache, so most
+     * engines ignore this; an engine may also skip issuing.
      */
     virtual void setWarming(bool warming) { (void)warming; }
 

@@ -29,7 +29,7 @@ Json
 Json::array()
 {
     Json j;
-    j.type_ = Type::Array;
+    j.v_.emplace<Array>();
     return j;
 }
 
@@ -37,140 +37,148 @@ Json
 Json::object()
 {
     Json j;
-    j.type_ = Type::Object;
+    j.v_.emplace<Object>();
     return j;
 }
 
 bool
 Json::asBool() const
 {
-    if (type_ != Type::Bool)
-        typeError("bool", type_);
-    return bool_;
+    if (const bool *b = std::get_if<bool>(&v_))
+        return *b;
+    typeError("bool", type());
 }
 
 std::int64_t
 Json::asInt() const
 {
-    switch (type_) {
+    switch (type()) {
       case Type::Int:
-        return int_;
-      case Type::Uint:
-        if (uint_ > static_cast<std::uint64_t>(INT64_MAX))
+        return std::get<std::int64_t>(v_);
+      case Type::Uint: {
+        const std::uint64_t u = std::get<std::uint64_t>(v_);
+        if (u > static_cast<std::uint64_t>(INT64_MAX))
             throw std::runtime_error("json: uint out of int64 range");
-        return static_cast<std::int64_t>(uint_);
+        return static_cast<std::int64_t>(u);
+      }
       case Type::Double:
-        return static_cast<std::int64_t>(dbl_);
+        return static_cast<std::int64_t>(std::get<double>(v_));
       default:
-        typeError("number", type_);
+        typeError("number", type());
     }
 }
 
 std::uint64_t
 Json::asUint() const
 {
-    switch (type_) {
+    switch (type()) {
       case Type::Uint:
-        return uint_;
-      case Type::Int:
-        if (int_ < 0)
+        return std::get<std::uint64_t>(v_);
+      case Type::Int: {
+        const std::int64_t i = std::get<std::int64_t>(v_);
+        if (i < 0)
             throw std::runtime_error("json: negative value as uint");
-        return static_cast<std::uint64_t>(int_);
-      case Type::Double:
-        if (dbl_ < 0)
+        return static_cast<std::uint64_t>(i);
+      }
+      case Type::Double: {
+        const double d = std::get<double>(v_);
+        if (d < 0)
             throw std::runtime_error("json: negative value as uint");
-        return static_cast<std::uint64_t>(dbl_);
+        return static_cast<std::uint64_t>(d);
+      }
       default:
-        typeError("number", type_);
+        typeError("number", type());
     }
 }
 
 double
 Json::asDouble() const
 {
-    switch (type_) {
+    switch (type()) {
       case Type::Double:
-        return dbl_;
+        return std::get<double>(v_);
       case Type::Int:
-        return static_cast<double>(int_);
+        return static_cast<double>(std::get<std::int64_t>(v_));
       case Type::Uint:
-        return static_cast<double>(uint_);
+        return static_cast<double>(std::get<std::uint64_t>(v_));
       default:
-        typeError("number", type_);
+        typeError("number", type());
     }
 }
 
 const std::string &
 Json::asString() const
 {
-    if (type_ != Type::String)
-        typeError("string", type_);
-    return str_;
+    if (const std::string *s = std::get_if<std::string>(&v_))
+        return *s;
+    typeError("string", type());
 }
 
 void
 Json::push(Json v)
 {
-    if (type_ == Type::Null)
-        type_ = Type::Array;
-    if (type_ != Type::Array)
-        typeError("array", type_);
-    arr_.push_back(std::move(v));
+    if (isNull())
+        v_.emplace<Array>();
+    Array *arr = std::get_if<Array>(&v_);
+    if (arr == nullptr)
+        typeError("array", type());
+    arr->push_back(std::move(v));
 }
 
 std::size_t
 Json::size() const
 {
-    if (type_ == Type::Array)
-        return arr_.size();
-    if (type_ == Type::Object)
-        return obj_.size();
-    typeError("array or object", type_);
+    if (const Array *arr = std::get_if<Array>(&v_))
+        return arr->size();
+    if (const Object *obj = std::get_if<Object>(&v_))
+        return obj->size();
+    typeError("array or object", type());
 }
 
 const Json &
 Json::operator[](std::size_t i) const
 {
-    if (type_ != Type::Array)
-        typeError("array", type_);
-    if (i >= arr_.size())
+    const Array &arr = items();
+    if (i >= arr.size())
         throw std::runtime_error("json: array index out of range");
-    return arr_[i];
+    return arr[i];
 }
 
 const Json::Array &
 Json::items() const
 {
-    if (type_ != Type::Array)
-        typeError("array", type_);
-    return arr_;
+    if (const Array *arr = std::get_if<Array>(&v_))
+        return *arr;
+    typeError("array", type());
 }
 
 Json &
 Json::set(std::string key, Json v)
 {
-    if (type_ == Type::Null)
-        type_ = Type::Object;
-    if (type_ != Type::Object)
-        typeError("object", type_);
-    for (auto &[k, existing] : obj_) {
+    if (isNull())
+        v_.emplace<Object>();
+    Object *obj = std::get_if<Object>(&v_);
+    if (obj == nullptr)
+        typeError("object", type());
+    for (auto &[k, existing] : *obj) {
         if (k == key) {
             existing = std::move(v);
             return *this;
         }
     }
-    obj_.emplace_back(std::move(key), std::move(v));
+    obj->emplace_back(std::move(key), std::move(v));
     return *this;
 }
 
 bool
 Json::remove(std::string_view key)
 {
-    if (type_ != Type::Object)
+    Object *obj = std::get_if<Object>(&v_);
+    if (obj == nullptr)
         return false;
-    for (auto it = obj_.begin(); it != obj_.end(); ++it) {
+    for (auto it = obj->begin(); it != obj->end(); ++it) {
         if (it->first == key) {
-            obj_.erase(it);
+            obj->erase(it);
             return true;
         }
     }
@@ -180,9 +188,10 @@ Json::remove(std::string_view key)
 const Json *
 Json::find(std::string_view key) const
 {
-    if (type_ != Type::Object)
+    const Object *obj = std::get_if<Object>(&v_);
+    if (obj == nullptr)
         return nullptr;
-    for (const auto &[k, v] : obj_) {
+    for (const auto &[k, v] : *obj) {
         if (k == key)
             return &v;
     }
@@ -203,9 +212,9 @@ Json::at(std::string_view key) const
 const Json::Object &
 Json::members() const
 {
-    if (type_ != Type::Object)
-        typeError("object", type_);
-    return obj_;
+    if (const Object *obj = std::get_if<Object>(&v_))
+        return *obj;
+    typeError("object", type());
 }
 
 bool
@@ -213,33 +222,21 @@ Json::operator==(const Json &other) const
 {
     if (isNumber() && other.isNumber()) {
         // Compare across Int/Uint/Double by value.
-        if (type_ == Type::Double || other.type_ == Type::Double)
+        if (type() == Type::Double || other.type() == Type::Double)
             return asDouble() == other.asDouble();
-        const bool neg_a = type_ == Type::Int && int_ < 0;
-        const bool neg_b =
-            other.type_ == Type::Int && other.int_ < 0;
-        if (neg_a != neg_b)
+        const auto negative = [](const Json &j) {
+            const std::int64_t *i = std::get_if<std::int64_t>(&j.v_);
+            return i != nullptr && *i < 0;
+        };
+        const bool neg_a = negative(*this);
+        if (neg_a != negative(other))
             return false;
         if (neg_a)
-            return int_ == other.int_;
+            return asInt() == other.asInt();
         return asUint() == other.asUint();
     }
-    if (type_ != other.type_)
-        return false;
-    switch (type_) {
-      case Type::Null:
-        return true;
-      case Type::Bool:
-        return bool_ == other.bool_;
-      case Type::String:
-        return str_ == other.str_;
-      case Type::Array:
-        return arr_ == other.arr_;
-      case Type::Object:
-        return obj_ == other.obj_;
-      default:
-        return false; // numbers handled above
-    }
+    // Same alternative and equal value; numbers are handled above.
+    return v_ == other.v_;
 }
 
 namespace
@@ -301,72 +298,81 @@ void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
     char buf[40];
-    switch (type_) {
+    switch (type()) {
       case Type::Null:
         out += "null";
         break;
       case Type::Bool:
-        out += bool_ ? "true" : "false";
+        out += std::get<bool>(v_) ? "true" : "false";
         break;
       case Type::Int:
-        out.append(buf, std::to_chars(buf, buf + sizeof buf, int_).ptr);
+        out.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                      std::get<std::int64_t>(v_))
+                            .ptr);
         break;
       case Type::Uint:
-        out.append(buf, std::to_chars(buf, buf + sizeof buf, uint_).ptr);
+        out.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                      std::get<std::uint64_t>(v_))
+                            .ptr);
         break;
-      case Type::Double:
-        if (!std::isfinite(dbl_)) {
+      case Type::Double: {
+        const double d = std::get<double>(v_);
+        if (!std::isfinite(d)) {
             out += "null"; // JSON has no inf/nan
-        } else if (dbl_ == std::floor(dbl_) &&
-                   std::fabs(dbl_) < 9.0e15) {
+        } else if (d == std::floor(d) && std::fabs(d) < 9.0e15) {
             // Keep a fraction marker so the value parses back as a
             // double, not an integer (round-trip type stability).
-            std::snprintf(buf, sizeof buf, "%.1f", dbl_);
+            std::snprintf(buf, sizeof buf, "%.1f", d);
             out += buf;
         } else {
-            std::snprintf(buf, sizeof buf, "%.17g", dbl_);
+            std::snprintf(buf, sizeof buf, "%.17g", d);
             out += buf;
         }
         break;
+      }
       case Type::String:
-        escapeString(out, str_);
+        escapeString(out, std::get<std::string>(v_));
         break;
-      case Type::Array:
-        if (arr_.empty()) {
+      case Type::Array: {
+        const Array &arr = std::get<Array>(v_);
+        if (arr.empty()) {
             out += "[]";
             break;
         }
         out += '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i > 0)
                 out += ',';
             if (indent >= 0)
                 newlineIndent(out, indent, depth + 1);
-            arr_[i].dumpTo(out, indent, depth + 1);
+            arr[i].dumpTo(out, indent, depth + 1);
         }
         if (indent >= 0)
             newlineIndent(out, indent, depth);
         out += ']';
         break;
-      case Type::Object:
-        if (obj_.empty()) {
+      }
+      case Type::Object: {
+        const Object &obj = std::get<Object>(v_);
+        if (obj.empty()) {
             out += "{}";
             break;
         }
         out += '{';
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i > 0)
                 out += ',';
             if (indent >= 0)
                 newlineIndent(out, indent, depth + 1);
-            escapeString(out, obj_[i].first);
+            escapeString(out, obj[i].first);
             out += indent >= 0 ? ": " : ":";
-            obj_[i].second.dumpTo(out, indent, depth + 1);
+            obj[i].second.dumpTo(out, indent, depth + 1);
         }
         if (indent >= 0)
             newlineIndent(out, indent, depth);
         out += '}';
         break;
+      }
     }
 }
 

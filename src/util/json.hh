@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace cgp
@@ -44,32 +45,32 @@ class Json
 
     Json() = default;
     Json(std::nullptr_t) {}
-    Json(bool b) : type_(Type::Bool), bool_(b) {}
-    Json(int v) : type_(Type::Int), int_(v) {}
-    Json(long v) : type_(Type::Int), int_(v) {}
-    Json(long long v) : type_(Type::Int), int_(v) {}
-    Json(unsigned v) : type_(Type::Uint), uint_(v) {}
-    Json(unsigned long v) : type_(Type::Uint), uint_(v) {}
-    Json(unsigned long long v) : type_(Type::Uint), uint_(v) {}
-    Json(double v) : type_(Type::Double), dbl_(v) {}
-    Json(const char *s) : type_(Type::String), str_(s) {}
-    Json(std::string_view s) : type_(Type::String), str_(s) {}
-    Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
+    Json(bool b) : v_(b) {}
+    Json(int v) : v_(static_cast<std::int64_t>(v)) {}
+    Json(long v) : v_(static_cast<std::int64_t>(v)) {}
+    Json(long long v) : v_(static_cast<std::int64_t>(v)) {}
+    Json(unsigned v) : v_(static_cast<std::uint64_t>(v)) {}
+    Json(unsigned long v) : v_(static_cast<std::uint64_t>(v)) {}
+    Json(unsigned long long v) : v_(static_cast<std::uint64_t>(v)) {}
+    Json(double v) : v_(v) {}
+    Json(const char *s) : v_(std::string(s)) {}
+    Json(std::string_view s) : v_(std::string(s)) {}
+    Json(std::string s) : v_(std::move(s)) {}
 
     static Json array();
     static Json object();
 
-    Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
+    Type type() const { return static_cast<Type>(v_.index()); }
+    bool isNull() const { return type() == Type::Null; }
+    bool isBool() const { return type() == Type::Bool; }
     bool isNumber() const
     {
-        return type_ == Type::Int || type_ == Type::Uint ||
-            type_ == Type::Double;
+        return type() == Type::Int || type() == Type::Uint ||
+            type() == Type::Double;
     }
-    bool isString() const { return type_ == Type::String; }
-    bool isArray() const { return type_ == Type::Array; }
-    bool isObject() const { return type_ == Type::Object; }
+    bool isString() const { return type() == Type::String; }
+    bool isArray() const { return type() == Type::Array; }
+    bool isObject() const { return type() == Type::Object; }
 
     /// @{ Scalar accessors; throw std::runtime_error on type
     /// mismatch (numbers convert between each other).
@@ -128,14 +129,11 @@ class Json
   private:
     void dumpTo(std::string &out, int indent, int depth) const;
 
-    Type type_ = Type::Null;
-    bool bool_ = false;
-    std::int64_t int_ = 0;
-    std::uint64_t uint_ = 0;
-    double dbl_ = 0.0;
-    std::string str_;
-    Array arr_;
-    Object obj_;
+    /** The active member only, in Type order (index() == type()):
+     *  a document node is one string's size plus the tag. */
+    std::variant<std::monostate, bool, std::int64_t, std::uint64_t,
+                 double, std::string, Array, Object>
+        v_;
 };
 
 } // namespace cgp

@@ -432,5 +432,93 @@ TEST(CoreSkip, WallBudgetIsSeenAcrossSkips)
     EXPECT_LT(s.core->cycles(), 4096u);
 }
 
+/** Counts every hook and forwards it to a CGP_4 engine. */
+class CountingPrefetcher final : public InstrPrefetcher
+{
+  public:
+    explicit CountingPrefetcher(Cache &l1i)
+        : cgp_(l1i, CghcConfig::twoLevel2K32K(), 4)
+    {
+    }
+
+    void
+    onFetchLine(Addr line_addr, Cycle now) override
+    {
+        ++fetchLines;
+        cgp_.onFetchLine(line_addr, now);
+    }
+
+    void
+    onCall(Addr callee_start, Addr caller_start, Cycle now) override
+    {
+        ++calls;
+        cgp_.onCall(callee_start, caller_start, now);
+    }
+
+    void
+    onReturn(Addr returnee_start, Addr returning_start,
+             Cycle now) override
+    {
+        ++returns;
+        cgp_.onReturn(returnee_start, returning_start, now);
+    }
+
+    void setWarming(bool warming) override { cgp_.setWarming(warming); }
+    const char *name() const override { return "counting"; }
+
+    std::uint64_t fetchLines = 0;
+    std::uint64_t calls = 0;
+    std::uint64_t returns = 0;
+
+  private:
+    CgpPrefetcher cgp_;
+};
+
+TEST(CoreWarm, FastForwardTrainsWithoutIssuing)
+{
+    Machine m;
+    m.record(200);
+    m.image = LayoutBuilder(m.reg).buildOriginal();
+
+    // The detailed run predicts every control instruction once, as
+    // warming does: each return reaches onReturn, and each call whose
+    // target the BTB predicts reaches onCall.
+    InstructionExpander detailed_stream(m.reg, m.image, m.trace);
+    MemoryHierarchy detailed_mem;
+    CountingPrefetcher detailed(detailed_mem.l1i());
+    Core detailed_core(detailed_stream, detailed_mem, &detailed,
+                       CoreConfig{});
+    detailed_core.run();
+    ASSERT_GT(detailed.fetchLines, 0u);
+
+    std::uint64_t returns = 0;
+    {
+        InstructionExpander ex(m.reg, m.image, m.trace);
+        DynInst inst;
+        while (ex.next(inst))
+            returns += inst.kind == InstKind::Return ? 1 : 0;
+    }
+
+    InstructionExpander stream(m.reg, m.image, m.trace);
+    MemoryHierarchy mem;
+    CountingPrefetcher pf(mem.l1i());
+    Core core(stream, mem, &pf, CoreConfig{});
+    const std::uint64_t warmed = core.fastForward(~0ull);
+    EXPECT_EQ(warmed, detailed_core.committedInstrs());
+
+    // Warming trains through the call and return hooks and never
+    // issues: no fetch-line hook, no L1-I prefetch, none squashed.
+    EXPECT_EQ(pf.fetchLines, 0u);
+    EXPECT_EQ(pf.returns, returns);
+    EXPECT_EQ(pf.returns, detailed.returns);
+    EXPECT_EQ(pf.calls, detailed.calls);
+    EXPECT_GT(pf.calls, 0u);
+    EXPECT_LE(pf.calls, stream.emittedCalls());
+    for (const AccessSource src :
+         {AccessSource::PrefetchNL, AccessSource::PrefetchCGHC})
+        EXPECT_EQ(mem.l1i().prefetchesIssued(src), 0u);
+    EXPECT_EQ(mem.l1i().squashedPrefetches(), 0u);
+}
+
 } // namespace
 } // namespace cgp

@@ -175,8 +175,7 @@ TEST_P(TpchQueryTest, QueriesRunAndProduceRows)
     TraceBuffer buf;
     fx.db.record(buf);
     Rng rng(77 + static_cast<std::uint64_t>(q));
-    const std::uint64_t rows =
-        Tpch::runQuery(fx.db, q, fx.scale, rng);
+    const std::uint64_t rows = Tpch::runQuery(fx.db, q, rng);
 
     switch (q) {
       case 1:

@@ -9,6 +9,9 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/json.hh"
 
@@ -146,6 +149,45 @@ TEST(Json, LargeIntegersSurviveRoundTrip)
     const Json back = Json::parse(o.dump());
     EXPECT_EQ(back.at("big").asUint(), big);
     EXPECT_EQ(back.at("neg").asInt(), neg);
+}
+
+TEST(Json, ValueIsCompact)
+{
+    // One active member: a node is a string's size plus the tag.
+    EXPECT_LE(sizeof(Json), 40u);
+
+    Json arr = Json::array();
+    arr.push(1);
+    arr.push("two");
+    arr.push(Json::object());
+    Json obj = Json::object();
+    obj.set("a", -3).set("b", Json::array()).set("c", 2.5);
+    // One value of each type, in Type order.
+    const std::vector<Json> samples = {
+        Json(),      Json(true),  Json(-7),
+        Json(18446744073709551615ull),
+        Json(0.125), Json("text \"quoted\""), arr, obj};
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        ASSERT_EQ(static_cast<std::size_t>(samples[i].type()), i);
+
+    for (const Json &from : samples) {
+        const std::string want = from.dump();
+        Json copy(from);
+        EXPECT_EQ(copy.dump(), want);
+        const Json moved(std::move(copy));
+        EXPECT_EQ(moved.dump(), want);
+        for (const Json &to : samples) {
+            Json copied_over(to);
+            copied_over = from;
+            EXPECT_EQ(copied_over.dump(), want)
+                << to.dump() << " <- " << want;
+            Json moved_over(to);
+            moved_over = Json(from);
+            EXPECT_EQ(moved_over.dump(), want)
+                << to.dump() << " <- " << want;
+        }
+        EXPECT_EQ(from.dump(), want);
+    }
 }
 
 } // namespace

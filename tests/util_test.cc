@@ -11,6 +11,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "util/bitops.hh"
 #include "util/crc.hh"
@@ -312,6 +314,60 @@ TEST(Crc32, DetectsSingleBitFlips)
     }
     // Truncation is also caught.
     EXPECT_NE(crc32(text.substr(0, text.size() / 2)), clean);
+}
+
+/** Bit-at-a-time CRC32 update: the definition crc32Update must
+ *  reproduce however many bytes it folds per step. */
+std::uint32_t
+bytewiseCrc32Update(std::uint32_t crc, std::string_view data)
+{
+    for (const char ch : data) {
+        crc ^= static_cast<std::uint8_t>(ch);
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference)
+{
+    // An 8-byte-aligned buffer, so offsets 0..7 cover every start
+    // alignment of the 8-byte steps.
+    std::vector<std::uint64_t> storage(4096 / 8 + 2);
+    Rng rng(0xc0ffee);
+    for (std::uint64_t &word : storage)
+        word = rng.next();
+    const char *base = reinterpret_cast<const char *>(storage.data());
+
+    // Every length up to 64 (each tail length of every alignment),
+    // then random lengths up to 4 KiB, and 4 KiB itself.
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 64; ++len)
+        lengths.push_back(len);
+    for (int i = 0; i < 48; ++i)
+        lengths.push_back(65 + rng.nextBelow(4096 - 65));
+    lengths.push_back(4096);
+
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (const std::size_t len : lengths) {
+            const std::string_view data(base + align, len);
+            EXPECT_EQ(crc32(data),
+                      crc32Final(bytewiseCrc32Update(crc32Init, data)))
+                << "alignment " << align << " length " << len;
+        }
+    }
+
+    // Chained updates agree at every split point of 1 KiB.
+    const std::string_view kib(base + 3, 1024);
+    const std::uint32_t want =
+        crc32Final(bytewiseCrc32Update(crc32Init, kib));
+    for (std::size_t split = 0; split <= kib.size(); ++split) {
+        const std::uint32_t head =
+            crc32Update(crc32Init, kib.substr(0, split));
+        EXPECT_EQ(crc32Final(crc32Update(head, kib.substr(split))),
+                  want)
+            << "split at " << split;
+    }
 }
 
 } // namespace
