@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot
  * components: CGHC accesses, cache lookups, branch prediction, trace
- * expansion throughput, and the cycle-level core over a whole trace.
+ * expansion throughput, the OM profiling replay, and the
+ * cycle-level core over a whole trace.
  * These bound the simulator's own speed, not the modeled machine's.
  */
 
@@ -226,6 +227,29 @@ BM_CoreStep(benchmark::State &state)
     coreBench(state, false);
 }
 BENCHMARK(BM_CoreStep);
+
+/**
+ * The OM profiling replay (profileOf in harness/workload.cc): smoke-a
+ * drained through an O5 expander with a profile attached, so every
+ * call, entry and block crossing lands in the profile's counters.
+ */
+void
+BM_ProfileReplay(benchmark::State &state)
+{
+    using namespace cgp;
+    const Workload &w = smokeA();
+    const CodeImage image = LayoutBuilder(*w.registry).buildOriginal();
+    for (auto _ : state) {
+        InstructionExpander ex(*w.registry, image, *w.trace);
+        ExecutionProfile profile;
+        ex.setProfile(&profile);
+        const std::uint64_t n = ex.advance(~0ull);
+        benchmark::DoNotOptimize(profile.totalCalls());
+        state.SetItemsProcessed(
+            state.items_processed() + static_cast<std::int64_t>(n));
+    }
+}
+BENCHMARK(BM_ProfileReplay);
 
 void
 BM_BTreeInsert(benchmark::State &state)

@@ -58,12 +58,8 @@ main()
     std::cout << "Direct callees of HeapFile::createRec (the call "
                  "sequence a CGHC entry predicts):\n";
     std::vector<std::pair<std::uint64_t, std::string>> callees;
-    for (const auto &[edge, weight] : profile.callEdges()) {
-        if (edge.first == create_rec) {
-            callees.push_back(
-                {weight, registry->function(edge.second).name});
-        }
-    }
+    for (const auto &e : profile.callees(create_rec))
+        callees.push_back({e.weight, registry->function(e.callee).name});
     std::sort(callees.rbegin(), callees.rend());
     for (const auto &[weight, name] : callees)
         std::cout << "  " << name << "  (x" << weight << ")\n";

@@ -74,7 +74,7 @@ LayoutBuilder::orderBlocksPettisHansen(
     // connects one chain's tail to another chain's head.  Then emit
     // the entry chain first, remaining chains by weight, and
     // never-executed (cold) blocks last in original relative order.
-    const auto &edges = profile.blockEdges(f.id);
+    const auto edges = profile.blockEdges(f.id);
 
     const std::size_t n = f.blocks.size();
     std::vector<int> chainOf(n);
@@ -87,8 +87,8 @@ LayoutBuilder::orderBlocksPettisHansen(
                           std::pair<std::uint16_t, std::uint16_t>>>
         sorted;
     sorted.reserve(edges.size());
-    for (const auto &[e, w] : edges)
-        sorted.push_back({w, e});
+    for (const auto &e : edges)
+        sorted.push_back({e.weight, {e.from, e.to}});
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) {
                   if (a.first != b.first)
@@ -118,11 +118,11 @@ LayoutBuilder::orderBlocksPettisHansen(
         chains[ct].clear();
     }
 
-    // Chain weight = sum of entries of its blocks in the edge map.
+    // Chain weight = sum of the weights of the edges at its blocks.
     std::vector<std::uint64_t> weight(n, 0);
-    for (const auto &[e, w] : edges) {
-        weight[chainOf[e.first]] += w;
-        weight[chainOf[e.second]] += w;
+    for (const auto &e : edges) {
+        weight[chainOf[e.from]] += e.weight;
+        weight[chainOf[e.to]] += e.weight;
     }
 
     const int entry_chain = chainOf[entry];
@@ -193,9 +193,12 @@ LayoutBuilder::orderFunctionsPettisHansen(
 
     std::vector<std::pair<std::uint64_t,
                           std::pair<FunctionId, FunctionId>>> sorted;
-    for (const auto &[e, w] : profile.callEdges()) {
-        if (e.first != e.second)
-            sorted.push_back({w, e});
+    for (FunctionId caller = 0; caller < profile.functionCount();
+         ++caller) {
+        for (const auto &e : profile.callees(caller)) {
+            if (caller != e.callee)
+                sorted.push_back({e.weight, {caller, e.callee}});
+        }
     }
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) {

@@ -1,123 +1,94 @@
 #include "codegen/profile.hh"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/logging.hh"
 
 namespace cgp
 {
 
-const ExecutionProfile::BlockEdgeMap ExecutionProfile::emptyEdges_;
-
 void
-ExecutionProfile::onCall(FunctionId caller, FunctionId callee)
+ExecutionProfile::addCall(Counts &c, FunctionId callee, std::uint64_t w)
 {
-    ++callEdges_[{caller, callee}];
-    ++totalCalls_;
+    for (CallEdge &e : c.callees) {
+        if (e.callee == callee) {
+            e.weight += w;
+            std::swap(e, c.callees.front());
+            return;
+        }
+    }
+    c.callees.push_back({callee, w});
+    std::swap(c.callees.back(), c.callees.front());
 }
 
 void
-ExecutionProfile::onBlockEdge(FunctionId fid, std::uint16_t from,
-                              std::uint16_t to)
+ExecutionProfile::addBlockEdge(Counts &c, std::uint16_t from,
+                               std::uint16_t to, std::uint64_t w)
 {
-    ++blockEdges_[fid][{from, to}];
-}
-
-void
-ExecutionProfile::onDecision(FunctionId fid, std::uint16_t site,
-                             bool taken)
-{
-    auto &d = decisions_[{fid, site}];
-    if (taken)
-        ++d.first;
-    else
-        ++d.second;
-}
-
-void
-ExecutionProfile::onEntry(FunctionId fid)
-{
-    ++entries_[fid];
+    if (from >= c.firstFrom.size())
+        c.firstFrom.resize(static_cast<std::size_t>(from) + 1, noEdge);
+    // Walk the source's chain; the hit moves to its front.
+    for (std::uint32_t *link = &c.firstFrom[from]; *link != noEdge;
+         link = &c.nextFrom[*link]) {
+        const std::uint32_t i = *link;
+        if (c.blockEdges[i].to == to) {
+            c.blockEdges[i].weight += w;
+            *link = c.nextFrom[i];
+            c.nextFrom[i] = c.firstFrom[from];
+            c.firstFrom[from] = i;
+            return;
+        }
+    }
+    c.nextFrom.push_back(c.firstFrom[from]);
+    c.firstFrom[from] = static_cast<std::uint32_t>(c.blockEdges.size());
+    c.blockEdges.push_back({from, to, w});
 }
 
 void
 ExecutionProfile::merge(const ExecutionProfile &other)
 {
-    for (const auto &[edge, w] : other.callEdges_)
-        callEdges_[edge] += w;
-    for (const auto &[fid, n] : other.entries_)
-        entries_[fid] += n;
-    for (const auto &[fid, edges] : other.blockEdges_) {
-        auto &mine = blockEdges_[fid];
-        for (const auto &[e, w] : edges)
-            mine[e] += w;
-    }
-    for (const auto &[site, tn] : other.decisions_) {
-        auto &d = decisions_[site];
-        d.first += tn.first;
-        d.second += tn.second;
+    cgp_assert(&other != this, "cannot merge a profile into itself");
+    for (FunctionId fid = 0; fid < other.funcs_.size(); ++fid) {
+        const Counts &theirs = other.funcs_[fid];
+        Counts &mine = counts(fid);
+        mine.entries += theirs.entries;
+        for (const CallEdge &e : theirs.callees)
+            addCall(mine, e.callee, e.weight);
+        for (const BlockEdge &e : theirs.blockEdges)
+            addBlockEdge(mine, e.from, e.to, e.weight);
     }
     totalCalls_ += other.totalCalls_;
 }
 
-std::uint64_t
-ExecutionProfile::callWeight(FunctionId caller, FunctionId callee) const
+std::span<const ExecutionProfile::CallEdge>
+ExecutionProfile::callees(FunctionId caller) const
 {
-    auto it = callEdges_.find({caller, callee});
-    return it == callEdges_.end() ? 0 : it->second;
+    if (caller >= funcs_.size())
+        return {};
+    return funcs_[caller].callees;
+}
+
+std::span<const ExecutionProfile::BlockEdge>
+ExecutionProfile::blockEdges(FunctionId fid) const
+{
+    if (fid >= funcs_.size())
+        return {};
+    return funcs_[fid].blockEdges;
 }
 
 std::uint64_t
 ExecutionProfile::entryCount(FunctionId fid) const
 {
-    auto it = entries_.find(fid);
-    return it == entries_.end() ? 0 : it->second;
-}
-
-const ExecutionProfile::BlockEdgeMap &
-ExecutionProfile::blockEdges(FunctionId fid) const
-{
-    auto it = blockEdges_.find(fid);
-    return it == blockEdges_.end() ? emptyEdges_ : it->second;
-}
-
-double
-ExecutionProfile::decisionBias(FunctionId fid, std::uint16_t site) const
-{
-    auto it = decisions_.find({fid, site});
-    if (it == decisions_.end())
-        return 0.5;
-    const auto [taken, not_taken] = it->second;
-    const auto total = taken + not_taken;
-    return total == 0
-        ? 0.5
-        : static_cast<double>(taken) / static_cast<double>(total);
-}
-
-std::size_t
-ExecutionProfile::distinctCallees(FunctionId fid) const
-{
-    std::size_t n = 0;
-    auto it = callEdges_.lower_bound({fid, 0});
-    for (; it != callEdges_.end() && it->first.first == fid; ++it)
-        ++n;
-    return n;
+    return fid < funcs_.size() ? funcs_[fid].entries : 0;
 }
 
 CallGraphAnalyzer::CallGraphAnalyzer(const ExecutionProfile &profile)
 {
-    FunctionId current = invalidFunctionId;
-    std::size_t count = 0;
-    for (const auto &[edge, w] : profile.callEdges()) {
-        (void)w;
-        if (edge.first != current) {
-            if (current != invalidFunctionId)
-                calleeCounts_.push_back(count);
-            current = edge.first;
-            count = 0;
-        }
-        ++count;
+    for (FunctionId fid = 0; fid < profile.functionCount(); ++fid) {
+        if (const std::size_t n = profile.callees(fid).size())
+            calleeCounts_.push_back(n);
     }
-    if (current != invalidFunctionId)
-        calleeCounts_.push_back(count);
 }
 
 double

@@ -21,13 +21,15 @@ SoftwareCgpPrefetcher::SoftwareCgpPrefetcher(
     // order its callees by observed frequency and keep the top
     // max_callees — these are the targets of the inserted prefetch
     // instructions at the function's successive call sites.
-    std::unordered_map<FunctionId,
-                       std::vector<std::pair<std::uint64_t,
-                                             FunctionId>>> edges;
-    for (const auto &[edge, weight] : profile.callEdges())
-        edges[edge.first].push_back({weight, edge.second});
-
-    for (auto &[caller, callees] : edges) {
+    std::vector<std::pair<std::uint64_t, FunctionId>> callees;
+    for (FunctionId caller = 0; caller < profile.functionCount();
+         ++caller) {
+        const auto edges = profile.callees(caller);
+        if (edges.empty())
+            continue;
+        callees.clear();
+        for (const auto &e : edges)
+            callees.push_back({e.weight, e.callee});
         std::sort(callees.rbegin(), callees.rend());
         FuncInfo info;
         for (const auto &[w, callee] : callees) {

@@ -437,9 +437,6 @@ InstructionExpander::processBranch(bool taken)
     br.target = image_.blockAddr(act.fid, site.arm);
     push(br);
 
-    if (profile_ != nullptr)
-        profile_->onDecision(act.fid, site_idx, taken);
-
     if (!taken) {
         ++act.offset;
         return;

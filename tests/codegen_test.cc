@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <ostream>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "codegen/function.hh"
 #include "codegen/profile.hh"
 #include "codegen/registry.hh"
+#include "util/rng.hh"
 
 namespace cgp
 {
@@ -134,6 +139,31 @@ TEST(Registry, TotalCodeBytesSumsBodies)
                   reg.function(b).sizeBytes());
 }
 
+/** The profile's call edges as a (caller, callee) -> weight map. */
+std::map<std::pair<FunctionId, FunctionId>, std::uint64_t>
+callMap(const ExecutionProfile &p)
+{
+    std::map<std::pair<FunctionId, FunctionId>, std::uint64_t> out;
+    for (FunctionId caller = 0; caller < p.functionCount(); ++caller) {
+        for (const auto &e : p.callees(caller))
+            EXPECT_TRUE(out.emplace(std::pair(caller, e.callee), e.weight)
+                            .second)
+                << "duplicate call edge " << caller << "->" << e.callee;
+    }
+    return out;
+}
+
+/** The block edges of @p fid as a (from, to) -> weight map. */
+std::map<std::pair<std::uint16_t, std::uint16_t>, std::uint64_t>
+blockMap(const ExecutionProfile &p, FunctionId fid)
+{
+    std::map<std::pair<std::uint16_t, std::uint16_t>, std::uint64_t> out;
+    for (const auto &e : p.blockEdges(fid))
+        EXPECT_TRUE(out.emplace(std::pair(e.from, e.to), e.weight).second)
+            << "duplicate block edge " << e.from << "->" << e.to;
+    return out;
+}
+
 TEST(Profile, RecordsAndMerges)
 {
     ExecutionProfile p, q;
@@ -142,20 +172,23 @@ TEST(Profile, RecordsAndMerges)
     p.onCall(1, 2);
     p.onEntry(1);
     q.onCall(0, 1);
-    q.onDecision(3, 0, true);
-    q.onDecision(3, 0, false);
     q.onBlockEdge(1, 0, 2);
 
     p.merge(q);
-    EXPECT_EQ(p.callWeight(0, 1), 3u);
-    EXPECT_EQ(p.callWeight(1, 2), 1u);
-    EXPECT_EQ(p.callWeight(9, 9), 0u);
+    const std::map<std::pair<FunctionId, FunctionId>, std::uint64_t>
+        calls{{{0, 1}, 3}, {{1, 2}, 1}};
+    EXPECT_EQ(callMap(p), calls);
+    EXPECT_TRUE(p.callees(9).empty());
     EXPECT_EQ(p.entryCount(1), 1u);
+    EXPECT_EQ(p.entryCount(0), 0u);
+    EXPECT_EQ(p.entryCount(9), 0u);
     EXPECT_EQ(p.totalCalls(), 4u);
-    EXPECT_NEAR(p.decisionBias(3, 0), 0.5, 1e-9);
-    EXPECT_NEAR(p.decisionBias(4, 0), 0.5, 1e-9);
-    EXPECT_EQ(p.blockEdges(1).at({0, 2}), 1u);
+    ASSERT_EQ(p.blockEdges(1).size(), 1u);
+    EXPECT_EQ(p.blockEdges(1)[0].from, 0u);
+    EXPECT_EQ(p.blockEdges(1)[0].to, 2u);
+    EXPECT_EQ(p.blockEdges(1)[0].weight, 1u);
     EXPECT_TRUE(p.blockEdges(7).empty());
+    EXPECT_TRUE(p.blockEdges(9).empty());
 }
 
 TEST(Profile, DistinctCallees)
@@ -165,9 +198,93 @@ TEST(Profile, DistinctCallees)
     p.onCall(5, 2);
     p.onCall(5, 2);
     p.onCall(6, 1);
-    EXPECT_EQ(p.distinctCallees(5), 2u);
-    EXPECT_EQ(p.distinctCallees(6), 1u);
-    EXPECT_EQ(p.distinctCallees(7), 0u);
+    EXPECT_EQ(p.callees(5).size(), 2u);
+    EXPECT_EQ(p.callees(6).size(), 1u);
+    EXPECT_EQ(p.callees(7).size(), 0u);
+}
+
+TEST(Profile, MatchesOrderedReference)
+{
+    // A seeded mix of events over ~50 functions into two profiles,
+    // then merged: every view must equal what ordered maps count.
+    constexpr FunctionId functions = 50;
+    std::map<std::pair<FunctionId, FunctionId>, std::uint64_t> calls;
+    std::map<std::tuple<FunctionId, std::uint16_t, std::uint16_t>,
+             std::uint64_t>
+        blocks;
+    std::map<FunctionId, std::uint64_t> entries;
+    std::uint64_t total_calls = 0;
+
+    Rng rng(23);
+    ExecutionProfile halves[2];
+    for (int i = 0; i < 200'000; ++i) {
+        ExecutionProfile &p = halves[rng.nextBelow(2)];
+        const auto fid = static_cast<FunctionId>(rng.nextBelow(functions));
+        switch (rng.nextBelow(3)) {
+          case 0: {
+            // Skewed callees: a few hot targets, a long tail.
+            const auto callee = static_cast<FunctionId>(
+                rng.nextBool(0.7) ? rng.nextBelow(4)
+                                  : rng.nextBelow(functions));
+            p.onCall(fid, callee);
+            ++calls[{fid, callee}];
+            ++total_calls;
+            break;
+          }
+          case 1:
+            p.onEntry(fid);
+            ++entries[fid];
+            break;
+          default: {
+            // Block ids up to 300 so some functions grow the
+            // per-block index in several steps.
+            const auto bound = 1 + fid * 6;
+            const auto from =
+                static_cast<std::uint16_t>(rng.nextBelow(bound));
+            const auto to = static_cast<std::uint16_t>(
+                rng.nextBool(0.8) ? (from + 1) % bound
+                                  : rng.nextBelow(bound));
+            p.onBlockEdge(fid, from, to);
+            ++blocks[{fid, from, to}];
+            break;
+          }
+        }
+    }
+    ExecutionProfile merged = halves[0];
+    merged.merge(halves[1]);
+    // Merging into an empty profile copies the other one.
+    ExecutionProfile copy;
+    copy.merge(merged);
+
+    for (const ExecutionProfile *p : {&merged, &copy}) {
+        EXPECT_EQ(p->totalCalls(), total_calls);
+        EXPECT_EQ(p->totalCalls(),
+                  halves[0].totalCalls() + halves[1].totalCalls());
+        EXPECT_EQ(callMap(*p), calls);
+        for (FunctionId fid = 0; fid < functions + 2; ++fid) {
+            const auto it = entries.find(fid);
+            EXPECT_EQ(p->entryCount(fid),
+                      it == entries.end() ? 0 : it->second)
+                << fid;
+            std::map<std::pair<std::uint16_t, std::uint16_t>,
+                     std::uint64_t>
+                want;
+            for (const auto &[key, w] : blocks) {
+                if (std::get<0>(key) == fid)
+                    want[{std::get<1>(key), std::get<2>(key)}] = w;
+            }
+            EXPECT_EQ(blockMap(*p, fid), want) << fid;
+        }
+        const CallGraphAnalyzer a(*p);
+        std::map<FunctionId, std::size_t> distinct;
+        for (const auto &[edge, w] : calls)
+            ++distinct[edge.first];
+        EXPECT_EQ(a.callerCount(), distinct.size());
+        std::size_t max = 0;
+        for (const auto &[fid, n] : distinct)
+            max = std::max(max, n);
+        EXPECT_EQ(a.maxDistinctCallees(), max);
+    }
 }
 
 TEST(CallGraphAnalyzer, FractionBelowThreshold)
