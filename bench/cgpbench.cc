@@ -273,6 +273,28 @@ artifactPath(const Options &opt, const std::string &campaign)
         : opt.artifactDir + "/BENCH_" + campaign + ".json";
 }
 
+/** The command that starts the run dir @p dir (laid out as
+ *  <dir>/<campaign>) again from nothing: what a run dir of another
+ *  schema needs, since no resume can read it. */
+std::string
+freshCommand(const std::string &dir)
+{
+    const std::filesystem::path path(dir);
+    const std::string parent = path.parent_path().string();
+    return "cgpbench run " + path.filename().string() + " --dir " +
+        (parent.empty() ? "." : parent) + " --fresh";
+}
+
+/** Print why the run dir @p dir was refused (by @p cmd) and the
+ *  command that starts it again; returns the exit code. */
+int
+refuse(const char *cmd, const std::exception &why, const std::string &dir)
+{
+    std::cerr << "cgpbench " << cmd << ": " << why.what()
+              << "\nStart it again with: " << freshCommand(dir) << "\n";
+    return 1;
+}
+
 /** Run one campaign, print it, write its BENCH artifact and a
  *  summary line; returns the number of terminally failed jobs. */
 std::size_t
@@ -322,7 +344,12 @@ cmdRun(const Options &opt)
             if (opt.fresh)
                 std::filesystem::remove_all(eopt.runDir);
         }
-        failed += runAndEmit(spec, bank, eopt, artifactPath(opt, name));
+        try {
+            failed +=
+                runAndEmit(spec, bank, eopt, artifactPath(opt, name));
+        } catch (const ForeignRunDir &e) {
+            return refuse("run", e, eopt.runDir);
+        }
     }
     // A degraded campaign completed but is not healthy; make the
     // exit code say so for CI.
@@ -338,18 +365,6 @@ resolveRunDir(const Options &opt)
     if (opt.dir.empty())
         return opt.names[0];
     return opt.dir + "/" + opt.names[0];
-}
-
-/** The command that starts the run dir @p dir (laid out as
- *  <dir>/<campaign>) again from nothing: what a run dir of another
- *  schema needs, since no resume can read it. */
-std::string
-freshCommand(const std::string &dir)
-{
-    const std::filesystem::path path(dir);
-    const std::string parent = path.parent_path().string();
-    return "cgpbench run " + path.filename().string() + " --dir " +
-        (parent.empty() ? "." : parent) + " --fresh";
 }
 
 int
@@ -370,10 +385,7 @@ cmdResume(const Options &opt)
     try {
         campaign = loadRunDir(dir).campaign;
     } catch (const SchemaMismatch &e) {
-        std::cerr << "cgpbench resume: " << e.what()
-                  << "\nStart it again with: " << freshCommand(dir)
-                  << "\n";
-        return 1;
+        return refuse("resume", e, dir);
     } catch (const std::exception &e) {
         campaign = std::filesystem::path(dir).filename().string();
         std::cerr << "cgpbench resume: manifest unreadable ("
@@ -386,9 +398,13 @@ cmdResume(const Options &opt)
     PaperWorkloadBank bank;
     EngineOptions eopt = engineOptions(opt);
     eopt.runDir = dir;
-    const std::size_t failed =
-        runAndEmit(spec, bank, eopt, artifactPath(opt, campaign));
-    return failed == 0 ? 0 : 3;
+    try {
+        const std::size_t failed =
+            runAndEmit(spec, bank, eopt, artifactPath(opt, campaign));
+        return failed == 0 ? 0 : 3;
+    } catch (const ForeignRunDir &e) {
+        return refuse("resume", e, dir);
+    }
 }
 
 /** The run-dir view as a finished run, for the shared printers.
@@ -421,10 +437,7 @@ cmdReport(const Options &opt)
     try {
         run = loadRunDir(dir);
     } catch (const SchemaMismatch &e) {
-        std::cerr << "cgpbench report: " << e.what()
-                  << "\nStart it again with: " << freshCommand(dir)
-                  << "\n";
-        return 1;
+        return refuse("report", e, dir);
     } catch (const std::exception &e) {
         std::cerr << "cgpbench report: " << e.what()
                   << "\nAudit with: cgpbench verify " << dir

@@ -251,6 +251,24 @@ BM_ProfileReplay(benchmark::State &state)
 }
 BENCHMARK(BM_ProfileReplay);
 
+/** Checkpoint replay (warmPrefix in sample/controller.cc): smoke-a
+ *  skipped through an O5 expander with no profile attached. */
+void
+BM_Advance(benchmark::State &state)
+{
+    using namespace cgp;
+    const Workload &w = smokeA();
+    const CodeImage image = LayoutBuilder(*w.registry).buildOriginal();
+    for (auto _ : state) {
+        InstructionExpander ex(*w.registry, image, *w.trace);
+        const std::uint64_t n = ex.advance(~0ull);
+        benchmark::DoNotOptimize(ex.emittedLoads());
+        state.SetItemsProcessed(
+            state.items_processed() + static_cast<std::int64_t>(n));
+    }
+}
+BENCHMARK(BM_Advance);
+
 void
 BM_BTreeInsert(benchmark::State &state)
 {

@@ -291,6 +291,21 @@ LayoutBuilder::assemble(
         }
     }
     image.limit_ = cursor;
+
+    image.walkBegin_.reserve(registry_.size() + 1);
+    for (const Function &f : registry_.functions()) {
+        const auto &fe = image.funcs_[f.id];
+        image.walkBegin_.push_back(
+            static_cast<std::uint32_t>(image.walk_.size()));
+        for (const std::uint16_t b : f.hotWalk)
+            image.walk_.push_back(
+                {fe.blockAddrs[b], f.blocks[b].instrs, b});
+        for (const BasicBlock &b : f.blocks)
+            image.maxBlockInstrs_ =
+                std::max(image.maxBlockInstrs_, b.instrs);
+    }
+    image.walkBegin_.push_back(
+        static_cast<std::uint32_t>(image.walk_.size()));
     return image;
 }
 

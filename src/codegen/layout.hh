@@ -19,6 +19,7 @@
 #define CGP_CODEGEN_LAYOUT_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "codegen/function.hh"
@@ -49,8 +50,27 @@ class CodeImage
     /** Base of the synthetic text segment. */
     static constexpr Addr textBase = 0x0040'0000;
 
-    /// @{ Inline: the expander asks for addresses on every call
-    /// and block crossing.
+    /** One position of a function's hot walk, bound to this image:
+     *  what the expander reads at every block crossing. */
+    struct WalkStep
+    {
+        Addr addr;            ///< the block's address
+        std::uint16_t instrs; ///< its instruction count
+        std::uint16_t block;  ///< its index in Function::blocks
+    };
+
+    /// @{ Inline: the expander asks for these on every call and
+    /// block crossing.
+    /** Function @p fid's hot walk, one step per position (the
+     *  image's flat walk table, cut at @p fid). */
+    std::span<const WalkStep>
+    walk(FunctionId fid) const
+    {
+        cgp_assert(fid < funcs_.size(), "bad function id ", fid);
+        return {walk_.data() + walkBegin_[fid],
+                walkBegin_[fid + 1] - walkBegin_[fid]};
+    }
+
     /** Starting address of function @p fid. */
     Addr
     funcStart(FunctionId fid) const
@@ -74,6 +94,9 @@ class CodeImage
     /** One past the highest text address. */
     Addr textLimit() const { return limit_; }
 
+    /** Instructions in the image's longest block. */
+    std::uint16_t maxBlockInstrs() const { return maxBlockInstrs_; }
+
     /** Function order in memory (ids, ascending address). */
     const std::vector<FunctionId> &order() const { return order_; }
 
@@ -93,6 +116,11 @@ class CodeImage
     std::vector<FuncEntry> funcs_;
     std::vector<FunctionId> order_;
     Addr limit_ = textBase;
+    /** Every function's hot walk, by id: function f's steps are
+     *  walk_[walkBegin_[f] .. walkBegin_[f + 1]). */
+    std::vector<WalkStep> walk_;
+    std::vector<std::uint32_t> walkBegin_;
+    std::uint16_t maxBlockInstrs_ = 0;
 };
 
 /**

@@ -117,9 +117,10 @@ expandJobs(const CampaignSpec &spec)
 
 std::string
 fingerprint(const CampaignSpec &spec,
-            const std::vector<JobSpec> &jobs)
+            const std::vector<JobSpec> &jobs, std::string_view identity)
 {
-    // FNV-1a over the campaign identity and every job identity.
+    // FNV-1a over the campaign identity, every job identity and what
+    // the workloads were built from.
     std::uint64_t h = 0xcbf29ce484222325ull;
     const auto mix = [&h](std::string_view s) {
         for (const char c : s) {
@@ -132,6 +133,8 @@ fingerprint(const CampaignSpec &spec,
     mix(spec.name);
     for (const JobSpec &j : jobs)
         mix(j.key());
+    if (!identity.empty())
+        mix(identity);
     char buf[20];
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(h));

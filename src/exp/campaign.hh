@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/scheduler.hh"
@@ -113,12 +114,15 @@ std::vector<ExpandedConfig> expandConfigs(const CampaignSpec &spec);
 std::vector<JobSpec> expandJobs(const CampaignSpec &spec);
 
 /**
- * Spec fingerprint over the expanded job identities (16 hex chars).
- * Two specs that expand to the same jobs are interchangeable for
- * resume purposes; anything else must not share a run directory.
+ * Spec fingerprint over the expanded job identities and the
+ * workloads' @p identity (WorkloadProvider::identity(); not mixed in
+ * when empty), 16 hex chars.  Two specs that expand to the same jobs
+ * over the same workloads are interchangeable for resume purposes;
+ * anything else must not share a run directory.
  */
 std::string fingerprint(const CampaignSpec &spec,
-                        const std::vector<JobSpec> &jobs);
+                        const std::vector<JobSpec> &jobs,
+                        std::string_view identity = {});
 
 } // namespace cgp::exp
 

@@ -1,6 +1,7 @@
 #include "exp/campaigns.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "exp/figures.hh"
@@ -69,6 +70,20 @@ smokeWorkloadNames()
     return names;
 }
 
+PaperWorkloadBank::PaperWorkloadBank()
+    : scale_(WorkloadFactory::scale())
+{
+}
+
+std::string
+PaperWorkloadBank::identity() const
+{
+    // The shortest text that reads back as the same double.
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, scale_).ptr;
+    return "scale=" + std::string(buf, end);
+}
+
 Workload
 PaperWorkloadBank::resolve(const std::string &name)
 {
@@ -79,7 +94,7 @@ PaperWorkloadBank::resolve(const std::string &name)
     const auto &db = dbWorkloadNames();
     if (!dbBuilt_ &&
         std::find(db.begin(), db.end(), name) != db.end()) {
-        DbWorkloadSet set = WorkloadFactory::buildDbSet();
+        DbWorkloadSet set = WorkloadFactory::buildDbSet(scale_);
         for (Workload &w : set.workloads)
             cache_.emplace(w.name, std::move(w));
         dbBuilt_ = true;
@@ -90,7 +105,7 @@ PaperWorkloadBank::resolve(const std::string &name)
         const std::vector<std::string> cpu = cpu2000WorkloadNames();
         if (std::find(cpu.begin(), cpu.end(), name) != cpu.end()) {
             for (Workload &w :
-                 WorkloadFactory::buildCpu2000Suite())
+                 WorkloadFactory::buildCpu2000Suite(scale_))
                 cache_.emplace(w.name, std::move(w));
             cpuBuilt_ = true;
             return cache_.at(name);
@@ -101,7 +116,7 @@ PaperWorkloadBank::resolve(const std::string &name)
         const auto program = name == "smoke-a"
             ? smokeProgram("smoke-a", 60, 50.0)
             : smokeProgram("smoke-b", 90, 70.0);
-        Workload w = WorkloadFactory::buildSpec(program);
+        Workload w = WorkloadFactory::buildSpec(program, scale_);
         cache_.emplace(name, w);
         return w;
     }

@@ -32,9 +32,17 @@ namespace cgp::exp
 class PaperWorkloadBank final : public WorkloadProvider
 {
   public:
+    /** Builds every workload at WorkloadFactory::scale(), read
+     *  once, here. */
+    PaperWorkloadBank();
+
     Workload resolve(const std::string &name) override;
 
+    /** "scale=<the scale>". */
+    std::string identity() const override;
+
   private:
+    double scale_;
     std::map<std::string, Workload> cache_;
     bool dbBuilt_ = false;
     bool cpuBuilt_ = false;

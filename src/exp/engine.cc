@@ -84,7 +84,7 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
     run.name = spec.name;
     run.title = spec.title;
     run.jobs = expandJobs(spec);
-    run.fingerprint = fingerprint(spec, run.jobs);
+    run.fingerprint = fingerprint(spec, run.jobs, provider.identity());
     run.results.resize(run.jobs.size());
 
     RunDir dir(options.runDir);

@@ -42,6 +42,12 @@ class WorkloadProvider
 
     /** @throws std::invalid_argument for an unknown name. */
     virtual Workload resolve(const std::string &name) = 0;
+
+    /** What decides the workloads besides their names (the paper
+     *  bank's scale), mixed into the run's fingerprint so a run
+     *  directory is never resumed over other workloads; empty when
+     *  the names say it all. */
+    virtual std::string identity() const { return {}; }
 };
 
 /** Provider over a fixed list of already-built workloads. */

@@ -243,9 +243,10 @@ RunDir::prepare(const CampaignSpec &spec,
         } else {
             requireSchema(m, path_);
             if (existing != fingerprint_) {
-                throw std::runtime_error(
+                throw ForeignRunDir(
                     "run directory " + path_ +
-                    " holds a different campaign/spec (fingerprint " +
+                    " holds another campaign, spec or workload scale "
+                    "(fingerprint " +
                     existing + " != " + fingerprint_ + ")");
             }
         }

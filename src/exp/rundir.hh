@@ -74,6 +74,19 @@ class SchemaMismatch : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/**
+ * A run directory of this schema whose fingerprint is not the run's:
+ * it holds another campaign, another spec, or workloads built at
+ * another scale, so resuming it would mix their results (and replay
+ * its warm checkpoints over other traces); it can only be started
+ * again with --fresh.
+ */
+class ForeignRunDir : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 class RunDir
 {
   public:
@@ -92,9 +105,10 @@ class RunDir
      * files, quarantine a corrupt manifest, and install the job
      * list.  An existing *valid* manifest must carry this build's
      * schema and the same fingerprint.
-     * @throws std::runtime_error if the directory already holds
-     * another schema or a different campaign (fingerprint mismatch),
-     * or is locked by a live process.
+     * @throws SchemaMismatch if the directory holds another schema,
+     * ForeignRunDir if it holds another fingerprint (another
+     * campaign, spec or workload scale), std::runtime_error if it is
+     * locked by a live process.
      */
     void prepare(const CampaignSpec &spec,
                  const std::vector<JobSpec> &jobs,

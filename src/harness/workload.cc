@@ -1,7 +1,12 @@
 #include "harness/workload.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "db/dbsys.hh"
 #include "db/tpch.hh"
@@ -87,10 +92,24 @@ profileOf(const FunctionRegistry &registry, const TraceBuffer &trace)
     InstructionExpander expander(registry, o5, trace);
     ExecutionProfile profile;
     expander.setProfile(&profile);
-    // The profile hooks fire inside the expander: draining it fills
-    // the profile without handing out a DynInst.
+    // The profile hooks fire inside the expander: advance() walks
+    // the trace a block at a time, so draining it fills the profile
+    // without building an instruction.
     expander.advance(~0ull);
     return profile;
+}
+
+/** max(@p perUnit * @p s, @p floor) rows, as the DB counts them.
+ *  @throws std::invalid_argument when that does not fit. */
+std::uint32_t
+rowCount(double s, double perUnit, double floor)
+{
+    const double rows = std::max(perUnit * s, floor);
+    if (!(rows <= std::numeric_limits<std::uint32_t>::max()))
+        throw std::invalid_argument(
+            "workload scale " + std::to_string(s) +
+            " needs more rows than a table holds");
+    return static_cast<std::uint32_t>(rows);
 }
 
 } // anonymous namespace
@@ -98,13 +117,19 @@ profileOf(const FunctionRegistry &registry, const TraceBuffer &trace)
 double
 WorkloadFactory::scale()
 {
-    if (const char *env = std::getenv("CGP_SCALE")) {
-        const double v = std::atof(env);
-        if (v > 0.0)
-            return v;
-        cgp_warn("ignoring bad CGP_SCALE value '", env, "'");
-    }
-    return 0.25;
+    constexpr double fallback = 0.25;
+    const char *env = std::getenv("CGP_SCALE");
+    if (env == nullptr)
+        return fallback;
+    // The whole value must parse, to a finite positive number.
+    const char *end = env + std::strlen(env);
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ec == std::errc() && ptr == end && std::isfinite(v) && v > 0.0)
+        return v;
+    cgp_warn("ignoring bad CGP_SCALE value '", env, "'; using ",
+             fallback);
+    return fallback;
 }
 
 std::uint64_t
@@ -128,12 +153,9 @@ WorkloadFactory::buildDbSet(double s)
 {
     if (!(s > 0.0))
         throw std::invalid_argument("workload scale must be > 0");
-    const auto wisc_prof_n =
-        static_cast<std::uint32_t>(std::max(1000.0 * s, 200.0));
-    const auto wisc_large_n =
-        static_cast<std::uint32_t>(std::max(10000.0 * s, 500.0));
-    const auto tpch_lines =
-        static_cast<std::uint32_t>(std::max(8000.0 * s, 400.0));
+    const std::uint32_t wisc_prof_n = rowCount(s, 1000.0, 200.0);
+    const std::uint32_t wisc_large_n = rowCount(s, 10000.0, 500.0);
+    const std::uint32_t tpch_lines = rowCount(s, 8000.0, 400.0);
 
     DbWorkloadSet set;
     set.registry = std::make_shared<FunctionRegistry>();

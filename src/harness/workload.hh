@@ -56,8 +56,10 @@ class WorkloadFactory
 {
   public:
     /**
-     * Scale factor applied to tuple counts (CGP_SCALE environment
-     * variable; default keeps full-suite simulations to minutes).
+     * Scale factor applied to tuple counts: the CGP_SCALE environment
+     * variable when all of it parses as a finite number > 0, else
+     * (with a warning) the default, 0.25, which keeps full-suite
+     * simulations to minutes.
      */
     static double scale();
 
@@ -71,7 +73,7 @@ class WorkloadFactory
     /** Same, at an explicit scale.  Builds are deterministic: the
      *  same @p scale always produces the same traces regardless of
      *  the environment.  Throws std::invalid_argument unless
-     *  scale > 0. */
+     *  scale > 0 and every table's row count fits in 32 bits. */
     static DbWorkloadSet buildDbSet(double scale);
 
     /** Build one SPEC proxy workload (train input) + its profile

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -38,6 +39,14 @@ countedDown(std::uint32_t left, std::uint64_t n, unsigned period)
     const auto step =
         static_cast<std::uint32_t>(n < period ? n : n % period);
     return left > step ? left - step : left + period - step;
+}
+
+/** How many of the work instructions after the @p done-th, up to
+ *  the (done + n)-th, are multiples of @p period. */
+std::uint64_t
+multiplesIn(std::uint64_t done, std::uint64_t n, unsigned period)
+{
+    return (done + n) / period - done / period;
 }
 
 } // namespace
@@ -143,45 +152,51 @@ InstructionExpander::count(InstKind kind)
 }
 
 std::uint32_t
+InstructionExpander::successorIdx(const Activation &act)
+{
+    return act.walkIdx + 1 == act.walkLen ? 0 : act.walkIdx + 1;
+}
+
+std::uint32_t
+InstructionExpander::dispatchIdx(const Activation &act)
+{
+    const std::uint32_t idx = act.pendingDispatch % act.walkLen;
+    return idx == 0 ? 1 % act.walkLen : idx;
+}
+
+std::uint32_t
 InstructionExpander::nextWalkIdx(const Activation &act) const
 {
-    const Function &f = registry_.function(act.fid);
-    const std::size_t walk_len = f.hotWalk.size();
+    const std::uint32_t walk_len = act.walkLen;
     const std::uint32_t cc = act.crossCount + 1u;
-    if (act.pendingDispatch != ~0u && cc >= dispatchAfterBlocks) {
-        std::size_t idx = act.pendingDispatch % walk_len;
-        if (idx == 0)
-            idx = 1 % walk_len;
-        return static_cast<std::uint32_t>(idx);
-    }
+    if (act.pendingDispatch != ~0u && cc >= dispatchAfterBlocks)
+        return dispatchIdx(act);
     if (act.pendingDispatch == ~0u && walk_len >= 6 &&
         cc % (5 + (act.pathMix & 3)) == 0) {
         // Mid-body control flow: the path occasionally jumps to
         // another region of the body (if/else ladders, switch
         // dispatch), bounding the sequential run lengths the NL
         // prefetcher can exploit (the paper's ~43-instruction runs).
-        const std::uint32_t delta = 2 +
-            ((act.pathMix >> 8) %
-             static_cast<std::uint32_t>(walk_len - 2));
-        return static_cast<std::uint32_t>(
-            (act.walkIdx + delta) % walk_len);
+        const std::uint32_t delta =
+            2 + ((act.pathMix >> 8) % (walk_len - 2));
+        return (act.walkIdx + delta) % walk_len;
     }
-    return static_cast<std::uint32_t>((act.walkIdx + 1) % walk_len);
+    return successorIdx(act);
 }
 
 void
 InstructionExpander::setupBlock(Activation &act)
 {
-    const Function &f = registry_.function(act.fid);
-    const BasicBlock &b = f.blocks[act.block];
+    const WalkStep &b = act.walk[act.walkIdx];
     act.offset = 0;
-    act.blockBase = image_.blockAddr(act.fid, act.block);
+    act.blockBase = b.addr;
 
     // Where does the walk go after this block, and is that block the
     // fall-through neighbour in this layout?
     act.nextWalk = nextWalkIdx(act);
-    act.nextAddr = image_.blockAddr(act.fid, f.hotWalk[act.nextWalk]);
-    const bool adjacent = act.nextAddr == act.blockBase + b.sizeBytes();
+    act.nextAddr = act.walk[act.nextWalk].addr;
+    const bool adjacent =
+        act.nextAddr == b.addr + static_cast<Addr>(b.instrs) * instrBytes;
     act.needJump = !adjacent;
     act.usable = adjacent
         ? b.instrs
@@ -191,18 +206,28 @@ InstructionExpander::setupBlock(Activation &act)
 void
 InstructionExpander::advanceWalk(Activation &act)
 {
-    const Function &f = registry_.function(act.fid);
-    const std::uint16_t from = act.block;
+    const std::uint16_t from = act.walk[act.walkIdx].block;
     act.walkIdx = act.nextWalk;
     ++act.crossCount;
     if (act.crossCount >= dispatchAfterBlocks)
         act.pendingDispatch = ~0u;
-    act.block = f.hotWalk[act.walkIdx];
     if (profile_ != nullptr)
-        profile_->onBlockEdge(act.fid, from, act.block);
+        profile_->onBlockEdge(act.fid, from,
+                              act.walk[act.walkIdx].block);
     setupBlock(act);
 }
 
+template <bool Emit, typename Make>
+void
+InstructionExpander::emit(InstKind kind, Make &&make)
+{
+    if constexpr (Emit)
+        push(make());
+    else
+        count(kind);
+}
+
+template <bool Emit>
 void
 InstructionExpander::crossIfNeeded(Activation &act)
 {
@@ -210,10 +235,12 @@ InstructionExpander::crossIfNeeded(Activation &act)
         return;
 
     if (act.needJump) {
-        DynInst jmp = makeInst(act, InstKind::Jump);
-        jmp.taken = true;
-        jmp.target = act.nextAddr;
-        push(jmp);
+        emit<Emit>(InstKind::Jump, [&] {
+            DynInst jmp = makeInst(act, InstKind::Jump);
+            jmp.taken = true;
+            jmp.target = act.nextAddr;
+            return jmp;
+        });
     }
     advanceWalk(act);
 }
@@ -247,7 +274,7 @@ InstructionExpander::emitWorkInstr(WarmSink *direct)
 {
     Activation *act = top();
     cgp_assert(act != nullptr, "work outside any function");
-    crossIfNeeded(*act);
+    crossIfNeeded<true>(*act);
 
     DynInst inst;
     makeWorkInst(*act, inst);
@@ -304,45 +331,52 @@ InstructionExpander::emitWorkRun(std::uint64_t budget, WarmSink &sink)
     return n;
 }
 
+template <bool Emit>
 void
 InstructionExpander::processCall(FunctionId callee)
 {
     cgp_assert(callee < registry_.size(), "call to unknown function");
 
     auto &ts = thread();
+    const Addr target = image_.funcStart(callee);
     FunctionId caller = invalidFunctionId;
     if (Activation *act = top(); act != nullptr) {
-        crossIfNeeded(*act);
+        crossIfNeeded<Emit>(*act);
         caller = act->fid;
-        DynInst call = makeInst(*act, InstKind::Call);
-        call.taken = true;
-        call.target = image_.funcStart(callee);
-        call.otherFunc = callee;
-        call.otherFuncStart = call.target;
-        push(call);
+        emit<Emit>(InstKind::Call, [&] {
+            DynInst call = makeInst(*act, InstKind::Call);
+            call.taken = true;
+            call.target = target;
+            call.otherFunc = callee;
+            call.otherFuncStart = target;
+            return call;
+        });
         ++act->offset;
     } else {
         // Root call: synthesize a per-thread call site outside the
         // text segment ("main" is untraced).
-        DynInst call;
-        call.pc = image_.textLimit() + 64 + curThread_ * 256;
-        call.kind = InstKind::Call;
-        call.taken = true;
-        call.target = image_.funcStart(callee);
-        call.func = invalidFunctionId;
-        call.funcStart = invalidAddr;
-        call.otherFunc = callee;
-        call.otherFuncStart = call.target;
-        push(call);
+        emit<Emit>(InstKind::Call, [&] {
+            DynInst call;
+            call.pc = image_.textLimit() + 64 + curThread_ * 256;
+            call.kind = InstKind::Call;
+            call.taken = true;
+            call.target = target;
+            call.func = invalidFunctionId;
+            call.funcStart = invalidAddr;
+            call.otherFunc = callee;
+            call.otherFuncStart = target;
+            return call;
+        });
     }
 
-    Activation act{};
-    act.funcBase = image_.funcStart(callee);
+    const std::span<const WalkStep> walk = image_.walk(callee);
+    cgp_assert(!walk.empty(), "function with empty walk");
+    Activation &act = ts.stack.emplace_back();
+    act.funcBase = target;
+    act.walk = walk.data();
+    act.walkLen = static_cast<std::uint32_t>(walk.size());
     act.fid = callee;
     act.walkIdx = 0;
-    const Function &f = registry_.function(callee);
-    cgp_assert(!f.hotWalk.empty(), "function with empty walk");
-    act.block = f.hotWalk[0];
     act.decisionRR = 0;
     // Argument-dependent path diversity: after a short sequential
     // prologue (so entry-region prefetches are useful, as in real
@@ -362,10 +396,8 @@ InstructionExpander::processCall(FunctionId callee)
         (phase * 0x9e3779b9u);
     act.pathMix = mix;
     act.crossCount = 0;
-    act.pendingDispatch =
-        f.hotWalk.size() >= 4 ? (mix >> 3) * 3 + 1 : ~0u;
-    ts.stack.push_back(act);
-    setupBlock(ts.stack.back());
+    act.pendingDispatch = act.walkLen >= 4 ? (mix >> 3) * 3 + 1 : ~0u;
+    setupBlock(act);
 
     if (profile_ != nullptr) {
         if (caller != invalidFunctionId)
@@ -374,6 +406,7 @@ InstructionExpander::processCall(FunctionId callee)
     }
 }
 
+template <bool Emit>
 void
 InstructionExpander::processReturn()
 {
@@ -381,45 +414,46 @@ InstructionExpander::processReturn()
     cgp_assert(!ts.stack.empty(), "return with empty stack");
 
     Activation &act = ts.stack.back();
-    crossIfNeeded(act);
-    DynInst ret = makeInst(act, InstKind::Return);
-    ret.taken = true;
-
+    crossIfNeeded<Emit>(act);
+    emit<Emit>(InstKind::Return, [&] {
+        DynInst ret = makeInst(act, InstKind::Return);
+        ret.taken = true;
+        if (ts.stack.size() > 1) {
+            const Activation &caller = ts.stack[ts.stack.size() - 2];
+            ret.target = curPc(caller);
+            ret.otherFunc = caller.fid;
+            ret.otherFuncStart = caller.funcBase;
+        } else {
+            ret.target = image_.textLimit() + 64 + curThread_ * 256
+                + instrBytes;
+            ret.otherFunc = invalidFunctionId;
+            ret.otherFuncStart = invalidAddr;
+        }
+        return ret;
+    });
     ts.stack.pop_back();
-    if (!ts.stack.empty()) {
-        const Activation &caller = ts.stack.back();
-        ret.target = curPc(caller);
-        ret.otherFunc = caller.fid;
-        ret.otherFuncStart = caller.funcBase;
-    } else {
-        ret.target = image_.textLimit() + 64 + curThread_ * 256
-            + instrBytes;
-        ret.otherFunc = invalidFunctionId;
-        ret.otherFuncStart = invalidAddr;
-    }
-    push(ret);
 }
 
+template <bool Emit>
 void
 InstructionExpander::processBranch(bool taken)
 {
     Activation *actp = top();
     cgp_assert(actp != nullptr, "branch outside any function");
     Activation &act = *actp;
-    crossIfNeeded(act);
+    crossIfNeeded<Emit>(act);
 
     const Function &f = registry_.function(act.fid);
 
     if (f.decisions.empty()) {
         // Function declared without decision sites: a plain biased
         // branch toward the next walk block.
-        const std::size_t walk_len = f.hotWalk.size();
-        const std::uint16_t next =
-            f.hotWalk[(act.walkIdx + 1) % walk_len];
-        DynInst br = makeInst(act, InstKind::CondBranch);
-        br.taken = taken;
-        br.target = image_.blockAddr(act.fid, next);
-        push(br);
+        emit<Emit>(InstKind::CondBranch, [&] {
+            DynInst br = makeInst(act, InstKind::CondBranch);
+            br.taken = taken;
+            br.target = act.walk[successorIdx(act)].addr;
+            return br;
+        });
         if (taken)
             advanceWalk(act);
         else
@@ -431,11 +465,14 @@ InstructionExpander::processBranch(bool taken)
         static_cast<std::uint16_t>(act.decisionRR % f.decisions.size());
     act.decisionRR = static_cast<std::uint8_t>(act.decisionRR + 1);
     const DecisionSite &site = f.decisions[site_idx];
+    const Addr arm_base = image_.blockAddr(act.fid, site.arm);
 
-    DynInst br = makeInst(act, InstKind::CondBranch);
-    br.taken = taken;
-    br.target = image_.blockAddr(act.fid, site.arm);
-    push(br);
+    emit<Emit>(InstKind::CondBranch, [&] {
+        DynInst br = makeInst(act, InstKind::CondBranch);
+        br.taken = taken;
+        br.target = arm_base;
+        return br;
+    });
 
     if (!taken) {
         ++act.offset;
@@ -445,69 +482,71 @@ InstructionExpander::processBranch(bool taken)
     // Execute the arm block, then rejoin the walk at the next hot
     // block (jumping back if the layout separates them).
     if (profile_ != nullptr)
-        profile_->onBlockEdge(act.fid, act.block, site.arm);
+        profile_->onBlockEdge(act.fid, act.walk[act.walkIdx].block,
+                              site.arm);
 
-    std::uint16_t resume_walk;
-    if (act.pendingDispatch != ~0u) {
-        std::size_t idx = act.pendingDispatch % f.hotWalk.size();
-        if (idx == 0)
-            idx = 1 % f.hotWalk.size();
-        resume_walk = static_cast<std::uint16_t>(idx);
-        act.pendingDispatch = ~0u;
-    } else {
-        resume_walk = static_cast<std::uint16_t>(
-            (act.walkIdx + 1) % f.hotWalk.size());
-    }
-    const std::uint16_t resume = f.hotWalk[resume_walk];
+    const std::uint32_t resume_walk = act.pendingDispatch != ~0u
+        ? dispatchIdx(act)
+        : successorIdx(act);
+    act.pendingDispatch = ~0u;
+    const WalkStep &resume = act.walk[resume_walk];
 
     const BasicBlock &arm = f.blocks[site.arm];
-    const Addr arm_base = image_.blockAddr(act.fid, site.arm);
-    for (std::uint16_t i = 0; i + 1 < arm.instrs; ++i) {
-        DynInst inst;
-        inst.pc = arm_base + static_cast<Addr>(i) * instrBytes;
-        inst.kind = InstKind::IntOp;
-        inst.func = act.fid;
-        inst.funcStart = act.funcBase;
-        push(inst);
-    }
-    const Addr resume_addr = image_.blockAddr(act.fid, resume);
     const Addr arm_end = arm_base + arm.sizeBytes();
-    DynInst tail;
-    tail.pc = arm_end - instrBytes;
-    tail.func = act.fid;
-    tail.funcStart = act.funcBase;
-    if (resume_addr == arm_end) {
-        tail.kind = InstKind::IntOp;
+    const bool fallsThrough = resume.addr == arm_end;
+    if constexpr (Emit) {
+        for (std::uint16_t i = 0; i + 1 < arm.instrs; ++i) {
+            DynInst inst;
+            inst.pc = arm_base + static_cast<Addr>(i) * instrBytes;
+            inst.kind = InstKind::IntOp;
+            inst.func = act.fid;
+            inst.funcStart = act.funcBase;
+            push(inst);
+        }
     } else {
-        tail.kind = InstKind::Jump;
-        tail.taken = true;
-        tail.target = resume_addr;
+        emitted_ += arm.instrs - 1;
     }
-    push(tail);
+    emit<Emit>(fallsThrough ? InstKind::IntOp : InstKind::Jump, [&] {
+        DynInst tail;
+        tail.pc = arm_end - instrBytes;
+        tail.func = act.fid;
+        tail.funcStart = act.funcBase;
+        if (fallsThrough) {
+            tail.kind = InstKind::IntOp;
+        } else {
+            tail.kind = InstKind::Jump;
+            tail.taken = true;
+            tail.target = resume.addr;
+        }
+        return tail;
+    });
 
     if (profile_ != nullptr)
-        profile_->onBlockEdge(act.fid, site.arm, resume);
+        profile_->onBlockEdge(act.fid, site.arm, resume.block);
 
     act.walkIdx = resume_walk;
-    act.block = resume;
     setupBlock(act);
 }
 
+template <bool Emit>
 void
 InstructionExpander::processMem(EventKind kind, Addr addr)
 {
     Activation *actp = top();
     cgp_assert(actp != nullptr, "memory access outside any function");
-    crossIfNeeded(*actp);
+    crossIfNeeded<Emit>(*actp);
 
-    DynInst inst = makeInst(
-        *actp,
-        kind == EventKind::Load ? InstKind::Load : InstKind::Store);
-    inst.memAddr = addr;
-    push(inst);
+    const InstKind ikind =
+        kind == EventKind::Load ? InstKind::Load : InstKind::Store;
+    emit<Emit>(ikind, [&] {
+        DynInst inst = makeInst(*actp, ikind);
+        inst.memAddr = addr;
+        return inst;
+    });
     ++actp->offset;
 }
 
+template <bool Emit>
 bool
 InstructionExpander::pullEvent()
 {
@@ -526,10 +565,10 @@ InstructionExpander::pullEvent()
     }
     switch (e.kind()) {
       case EventKind::Call:
-        processCall(static_cast<FunctionId>(e.payload()));
+        processCall<Emit>(static_cast<FunctionId>(e.payload()));
         break;
       case EventKind::Return:
-        processReturn();
+        processReturn<Emit>();
         break;
       case EventKind::Work: {
         const auto scaled = std::llround(
@@ -539,11 +578,11 @@ InstructionExpander::pullEvent()
         break;
       }
       case EventKind::Branch:
-        processBranch(e.payload() != 0);
+        processBranch<Emit>(e.payload() != 0);
         break;
       case EventKind::Load:
       case EventKind::Store:
-        processMem(e.kind(), e.payload());
+        processMem<Emit>(e.kind(), e.payload());
         break;
       case EventKind::Switch:
         switchThread(e.payload());
@@ -565,7 +604,7 @@ InstructionExpander::take(DynInst &out)
         readIdx_ = 0;
         while (ready_.empty()) {
             if (workLeft_ == 0) {
-                if (!pullEvent())
+                if (!pullEvent<true>())
                     return false;
                 continue;
             }
@@ -626,7 +665,7 @@ InstructionExpander::warm(std::uint64_t n, WarmSink &sink)
                     done += emitWorkRun(n - done, sink);
                 else
                     done += emitWorkInstr(&sink) ? 1 : 0;
-            } else if (!pullEvent()) {
+            } else if (!pullEvent<true>()) {
                 break;
             }
         }
@@ -634,16 +673,95 @@ InstructionExpander::warm(std::uint64_t n, WarmSink &sink)
     return done;
 }
 
+void
+InstructionExpander::skipWork(std::uint64_t budget)
+{
+    Activation *act = top();
+    cgp_assert(act != nullptr, "work outside any function");
+    std::uint64_t left = budget;
+    std::uint64_t work = 0;
+    bool jumpCut = false;
+    while (workLeft_ > 0 && left > 0) {
+        std::uint64_t room = act->offset < act->usable
+            ? act->usable - act->offset
+            : 0;
+        if (room == 0) {
+            if (act->needJump) {
+                if (left == 1) {
+                    jumpCut = true;
+                    break;
+                }
+                --left; // crossIfNeeded counts the jump
+            }
+            crossIfNeeded<false>(*act);
+            // The instruction that crossed goes out even into a
+            // block with no usable slot, as in emitWorkInstr.
+            room = std::max<std::uint64_t>(act->usable, 1);
+        }
+        const std::uint64_t n =
+            std::min<std::uint64_t>({left, workLeft_, room});
+        act->offset = static_cast<std::uint16_t>(act->offset + n);
+        workLeft_ -= n;
+        emitted_ += n;
+        work += n;
+        left -= n;
+    }
+
+    // The kinds follow from the thread's work counter (see
+    // makeWorkInst): a load wins where a load and a store fall
+    // together.
+    auto &ts = thread();
+    constexpr unsigned both = std::lcm(stackLoadEvery, stackStoreEvery);
+    loads_ += multiplesIn(ts.workCounter, work, stackLoadEvery);
+    stores_ += multiplesIn(ts.workCounter, work, stackStoreEvery) -
+        multiplesIn(ts.workCounter, work, both);
+    ts.workCounter += work;
+    ts.loadIn = countedDown(ts.loadIn, work, stackLoadEvery);
+    ts.storeIn = countedDown(ts.storeIn, work, stackStoreEvery);
+    ts.mulIn = countedDown(ts.mulIn, work, mulEvery);
+
+    // The budget ends on a cross jump: next() would leave the work
+    // instruction queued behind it.
+    if (jumpCut)
+        emitWorkInstr(nullptr);
+}
+
 std::uint64_t
 InstructionExpander::advance(std::uint64_t n)
 {
-    struct Discard final : WarmSink
-    {
-        void pcRun(Addr, std::uint64_t) override {}
-        void stackRef(Addr, Addr, bool) override {}
-        void inst(const DynInst &) override {}
-    } discard;
-    return warm(n, discard);
+    // An event queues at most a cross jump, its own instruction and
+    // the block of a decision arm.
+    const std::uint64_t eventMax = 2 + image_.maxBlockInstrs();
+    std::uint64_t done = 0;
+    while (done < n) {
+        const std::uint64_t left = n - done;
+        std::uint64_t k;
+        if (readIdx_ < ready_.size()) {
+            k = std::min<std::uint64_t>(left, ready_.size() - readIdx_);
+            readIdx_ += k;
+        } else {
+            ready_.clear();
+            readIdx_ = 0;
+            const std::uint64_t before = emitted_;
+            if (workLeft_ > 0)
+                skipWork(left);
+            else if (!(left >= eventMax ? pullEvent<false>()
+                                        : pullEvent<true>()))
+                break;
+            // Counted instructions are done; queued ones leave
+            // through the branch above.
+            k = emitted_ - before - ready_.size();
+        }
+        // Each instruction next() hands out carries one pending hint.
+        if (!pendingHints_.empty()) {
+            const auto hints = static_cast<std::ptrdiff_t>(
+                std::min<std::uint64_t>(k, pendingHints_.size()));
+            pendingHints_.erase(pendingHints_.begin(),
+                                pendingHints_.begin() + hints);
+        }
+        done += k;
+    }
+    return done;
 }
 
 } // namespace cgp

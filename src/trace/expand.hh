@@ -130,11 +130,18 @@ class InstructionExpander
     std::uint64_t warm(std::uint64_t n, WarmSink &sink);
 
     /**
-     * Replay @p n instructions, discarding them (warm() with a sink
-     * that ignores everything).  Expansion is deterministic, so
-     * advancing a fresh expander by the number of instructions a
-     * warm-up consumed reconstructs its internal state exactly: the
-     * replay half of warm-state checkpoint restore.
+     * Skip @p n instructions, leaving the expander in exactly the
+     * state @p n calls of next() would leave: its walk, countdowns,
+     * counters, pending hints and the profile all move, but no
+     * instruction is built for what fits in the budget whole.  A
+     * work burst moves a block at a time; an event whose
+     * instructions fit is only counted; one the budget may cut is
+     * queued, and the rest of the budget consumes the queue.
+     * Expansion is deterministic, so advancing a fresh expander by
+     * the number of instructions a warm-up consumed reconstructs
+     * its internal state exactly: the replay half of warm-state
+     * checkpoint restore, and with a profile attached the OM
+     * profile run.
      * @return instructions actually advanced (short only when the
      *         trace ended or a streaming source ran dry).
      */
@@ -160,16 +167,20 @@ class InstructionExpander
     /// @}
 
   private:
+    using WalkStep = CodeImage::WalkStep;
+
     /** One live function invocation on a thread's stack. */
     struct Activation
     {
         /** image_.funcStart(fid), cached at the call. */
         Addr funcBase;
-        /** image_.blockAddr(fid, block), cached by setupBlock. */
+        /** walk[walkIdx].addr, cached by setupBlock. */
         Addr blockBase;
+        /** image_.walk(fid), cached at the call. */
+        const WalkStep *walk;
+        std::uint32_t walkLen;
         FunctionId fid;
-        std::uint32_t walkIdx;   ///< position in hotWalk
-        std::uint16_t block;     ///< current block index
+        std::uint32_t walkIdx;   ///< position in the hot walk
         std::uint16_t offset;    ///< instructions emitted in block
         std::uint16_t usable;    ///< slots before a cross is needed
         bool needJump;           ///< cross requires a jump instr
@@ -233,9 +244,26 @@ class InstructionExpander
      */
     std::uint64_t emitWorkRun(std::uint64_t budget, WarmSink &sink);
 
-    /** Process one trace event; false when the source is dry or has
-     *  ended. */
-    bool pullEvent();
+    /**
+     * Count the current Work burst out for advance(), up to
+     * @p budget instructions, a block at a time.  A cross jump the
+     * budget would cut off from its work instruction is queued with
+     * it, as next() queues them.
+     */
+    void skipWork(std::uint64_t budget);
+
+    /**
+     * Process one trace event; false when the source is dry or has
+     * ended.  With @p Emit false the event's instructions are only
+     * counted, never built or queued: the caller guarantees they all
+     * fit in its budget.
+     */
+    template <bool Emit> bool pullEvent();
+
+    /** Queue the instruction @p make builds, or with @p Emit false
+     *  only count one of @p kind. */
+    template <bool Emit, typename Make>
+    void emit(InstKind kind, Make &&make);
 
     /** next() without the hint: the ready queue's head, else work
      *  built in @p out, else what the next events queue. */
@@ -245,10 +273,10 @@ class InstructionExpander
      *  use. */
     void switchThread(std::uint64_t id);
 
-    void processCall(FunctionId callee);
-    void processReturn();
-    void processBranch(bool taken);
-    void processMem(EventKind kind, Addr addr);
+    template <bool Emit> void processCall(FunctionId callee);
+    template <bool Emit> void processReturn();
+    template <bool Emit> void processBranch(bool taken);
+    template <bool Emit> void processMem(EventKind kind, Addr addr);
 
     /** Address the @p k-th work instruction of @p ts touches when it
      *  is a stack load (@p load) or store. */
@@ -259,10 +287,16 @@ class InstructionExpander
     Addr curPc(const Activation &act) const;
 
     /** Emit the cross jump / walk advance when a block is exhausted. */
-    void crossIfNeeded(Activation &act);
+    template <bool Emit> void crossIfNeeded(Activation &act);
 
     /** The walk position entered after the current block. */
     std::uint32_t nextWalkIdx(const Activation &act) const;
+
+    /** The walk position after the current one, wrapping. */
+    static std::uint32_t successorIdx(const Activation &act);
+
+    /** The walk position @p act's pending path dispatch names. */
+    static std::uint32_t dispatchIdx(const Activation &act);
 
     /** Advance the hot walk (recording the profile edge). */
     void advanceWalk(Activation &act);

@@ -125,6 +125,13 @@ TEST(Campaign, FingerprintPinsJobIdentity)
     CampaignSpec fewer = s;
     fewer.workloads.pop_back();
     EXPECT_NE(fp, fingerprint(fewer, expandJobs(fewer)));
+
+    // What the workloads were built from is part of the identity;
+    // an empty one leaves the fingerprint as it is.
+    EXPECT_EQ(fp, fingerprint(s, expandJobs(s), ""));
+    const std::string at1 = fingerprint(s, expandJobs(s), "scale=1");
+    EXPECT_NE(fp, at1);
+    EXPECT_NE(at1, fingerprint(s, expandJobs(s), "scale=2"));
 }
 
 TEST(Campaign, PaperRegistryExpands)
@@ -493,6 +500,46 @@ TEST_F(EngineTest, RunDirRejectsDifferentCampaign)
     other.workloads = {"tiny-b"}; // different fingerprint
     EXPECT_THROW(runCampaign(other, provider(), opt),
                  std::runtime_error);
+    fs::remove_all(dir);
+}
+
+/** The engine test workloads, claiming to be built from @p id. */
+class IdentifiedProvider final : public WorkloadProvider
+{
+  public:
+    IdentifiedProvider(WorkloadProvider &inner, std::string id)
+        : inner_(inner), id_(std::move(id))
+    {
+    }
+
+    Workload
+    resolve(const std::string &name) override
+    {
+        return inner_.resolve(name);
+    }
+
+    std::string identity() const override { return id_; }
+
+  private:
+    WorkloadProvider &inner_;
+    std::string id_;
+};
+
+TEST_F(EngineTest, RunDirRejectsWorkloadsBuiltOtherwise)
+{
+    const std::string dir = freshDir("identity");
+    EngineOptions opt;
+    opt.threads = 1;
+    opt.verbose = false;
+    opt.runDir = dir;
+    IdentifiedProvider small(provider(), "scale=0.03");
+    runCampaign(spec(), small, opt);
+
+    IdentifiedProvider large(provider(), "scale=0.06");
+    EXPECT_THROW(runCampaign(spec(), large, opt), ForeignRunDir);
+    const CampaignRun again = runCampaign(spec(), small, opt);
+    EXPECT_EQ(again.executed, 0u);
+    EXPECT_EQ(again.skipped, 4u);
     fs::remove_all(dir);
 }
 

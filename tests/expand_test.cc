@@ -3,16 +3,20 @@
  * Tests for the instruction expander: structural invariants of the
  * emitted stream, layout independence of the dynamic behaviour, and
  * the control-flow bookkeeping CGP depends on (call/return pairing,
- * function identity, return targets), and the functional-warming
- * path (warm/advance) against a pure next() expansion.
+ * function identity, return targets), the functional-warming path
+ * (warm) and the block-granular advance() against a pure next()
+ * expansion.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "codegen/layout.hh"
+#include "harness/workload.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
 #include "util/rng.hh"
@@ -690,6 +694,208 @@ TEST(ExpanderWarm, DrySourceStopsShortAndResumes)
     for (std::size_t i = 0; i < ref.size(); ++i)
         ASSERT_TRUE(matches(ref[i], sink.insts[i], sink.via[i], i));
     EXPECT_TRUE(sameCounters(whole, ex));
+}
+
+// ---------------------------------------------------------------
+// advance(): a walk over whole blocks against next()
+// ---------------------------------------------------------------
+
+/** Where the chunk boundaries of checkAdvance() fell. */
+struct AdvanceCuts
+{
+    std::uint64_t chunks = 0;
+    /** Right after a jump: a cross or an arm's tail. */
+    std::uint64_t afterJump = 0;
+    /** Right after a taken branch: inside its event. */
+    std::uint64_t afterTakenBranch = 0;
+    /** Between two plain work instructions of one block. */
+    std::uint64_t midBurst = 0;
+    /** Runs that ended by asking for the rest of the trace. */
+    std::uint64_t restOfTrace = 0;
+};
+
+/**
+ * Drive one expander by advance() in random chunks, with short runs
+ * of next() between them, and a second by next() alone: after every
+ * chunk the counters agree, and every instruction next() hands out
+ * equals the reference's.  @p maxChunk scales the chunk sizes; the
+ * @p restAt-th advance() asks for the rest of the trace (0: none
+ * does).
+ */
+void
+checkAdvance(const FunctionRegistry &reg, const CodeImage &image,
+             const TraceBuffer &trace, std::uint64_t seed,
+             std::uint64_t maxChunk, std::uint64_t restAt,
+             AdvanceCuts &cuts)
+{
+    InstructionExpander ex(reg, image, trace);
+    InstructionExpander lockstep(reg, image, trace);
+    Rng rng(seed);
+    DynInst last, inst, want;
+    std::uint64_t pos = 0, advances = 0;
+    bool cut = false;
+    for (;;) {
+        std::uint64_t asked = 0, got = 0;
+        if (rng.nextBool(0.7)) {
+            switch (rng.nextBelow(4)) {
+              case 0: asked = rng.nextBelow(3); break;
+              case 1: asked = 3 + rng.nextBelow(40); break;
+              case 2: asked = rng.nextBelow(maxChunk); break;
+              default: asked = rng.nextBelow(20 * maxChunk); break;
+            }
+            // The rest of the trace, as profileOf asks, but here
+            // after a start.
+            if (++advances == restAt) {
+                asked = ~0ull;
+                ++cuts.restOfTrace;
+            }
+            got = ex.advance(asked);
+            ASSERT_LE(got, asked);
+            for (std::uint64_t i = 0; i < got; ++i)
+                ASSERT_TRUE(lockstep.next(last));
+            cut = got > 0;
+        } else {
+            asked = 1 + rng.nextBelow(3);
+            while (got < asked && ex.next(inst)) {
+                ASSERT_TRUE(lockstep.next(want));
+                ASSERT_TRUE(matches(want, inst, Via::Whole, pos + got));
+                if (cut && got == 0) {
+                    ++cuts.chunks;
+                    cuts.afterJump += last.kind == InstKind::Jump;
+                    cuts.afterTakenBranch +=
+                        last.kind == InstKind::CondBranch && last.taken;
+                    cuts.midBurst += isPlainWork(last) &&
+                        isPlainWork(inst) &&
+                        inst.pc == last.pc + instrBytes;
+                }
+                last = inst;
+                ++got;
+            }
+            cut = false;
+        }
+        pos += got;
+        // A short chunk means the trace ended; one more next() makes
+        // the reference see the end too.
+        if (got < asked) {
+            ASSERT_FALSE(lockstep.next(want));
+        }
+        ASSERT_TRUE(sameCounters(lockstep, ex)) << "at " << pos;
+        if (got < asked)
+            break;
+    }
+    EXPECT_TRUE(ex.endOfStream());
+    EXPECT_GT(pos, 0u);
+}
+
+TEST(ExpanderWarm, AdvanceChunksThenNextMatchPureNextExpansion)
+{
+    WarmFixture s;
+    LayoutBuilder builder(s.reg);
+    AdvanceCuts cuts;
+    for (const CodeImage &image :
+         {builder.buildOriginal(),
+          builder.buildPettisHansen(ExecutionProfile())}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE(seed);
+            checkAdvance(s.reg, image, s.trace, seed, 60,
+                         seed % 2 == 0 ? 30 * seed : 0, cuts);
+        }
+    }
+    // The chunking must have cut events and bursts where the walk
+    // has to stop exactly.
+    EXPECT_GT(cuts.chunks, 500u);
+    EXPECT_GT(cuts.afterJump, 0u);
+    EXPECT_GT(cuts.afterTakenBranch, 0u);
+    EXPECT_GT(cuts.midBurst, 0u);
+    EXPECT_GT(cuts.restOfTrace, 0u);
+}
+
+/** The DB workloads at the smallest scale the tests use (built
+ *  once). */
+const DbWorkloadSet &
+smallDbSet()
+{
+    static const DbWorkloadSet set = WorkloadFactory::buildDbSet(0.03);
+    return set;
+}
+
+TEST(ExpanderWarm, AdvanceChunksMatchNextOnADbTrace)
+{
+    const DbWorkloadSet &set = smallDbSet();
+    const Workload &w = set.workloads.front(); // wisc-prof
+    LayoutBuilder builder(*set.registry);
+    AdvanceCuts cuts;
+    std::uint64_t seed = 1;
+    for (const CodeImage &image :
+         {builder.buildOriginal(),
+          builder.buildPettisHansen(*set.omProfile)}) {
+        SCOPED_TRACE(seed);
+        checkAdvance(*set.registry, image, *w.trace, seed++, 500, 0,
+                     cuts);
+    }
+    EXPECT_GT(cuts.chunks, 100u);
+    EXPECT_GT(cuts.afterJump, 0u);
+    EXPECT_GT(cuts.midBurst, 0u);
+}
+
+/** Both profiles hold the same counts: entries, calls, and each
+ *  function's call and block edges as sorted multisets. */
+::testing::AssertionResult
+sameProfile(const ExecutionProfile &want, const ExecutionProfile &got)
+{
+    if (want.totalCalls() != got.totalCalls())
+        return ::testing::AssertionFailure()
+            << "total calls " << got.totalCalls() << " vs "
+            << want.totalCalls();
+    const auto calls = [](const ExecutionProfile &p, FunctionId f) {
+        std::vector<std::pair<FunctionId, std::uint64_t>> out;
+        for (const auto &e : p.callees(f))
+            out.emplace_back(e.callee, e.weight);
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    const auto edges = [](const ExecutionProfile &p, FunctionId f) {
+        std::vector<std::tuple<std::uint16_t, std::uint16_t,
+                               std::uint64_t>>
+            out;
+        for (const auto &e : p.blockEdges(f))
+            out.emplace_back(e.from, e.to, e.weight);
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    const std::size_t n =
+        std::max(want.functionCount(), got.functionCount());
+    for (FunctionId f = 0; f < n; ++f) {
+        if (want.entryCount(f) != got.entryCount(f) ||
+            calls(want, f) != calls(got, f) ||
+            edges(want, f) != edges(got, f))
+            return ::testing::AssertionFailure()
+                << "function " << f << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** The profile next() fills and the one advance(~0ull) fills over
+ *  the O5 image, as the OM profile run builds it. */
+void
+checkAdvanceProfile(const FunctionRegistry &reg, const TraceBuffer &trace)
+{
+    const CodeImage image = LayoutBuilder(reg).buildOriginal();
+    ExecutionProfile byNext, byAdvance;
+    const std::size_t n = expandAll(reg, image, trace, &byNext).size();
+    InstructionExpander ex(reg, image, trace);
+    ex.setProfile(&byAdvance);
+    EXPECT_EQ(ex.advance(~0ull), n);
+    EXPECT_GT(byNext.totalCalls(), 0u);
+    EXPECT_TRUE(sameProfile(byNext, byAdvance));
+}
+
+TEST(ExpanderWarm, AdvanceFillsTheProfileNextFills)
+{
+    WarmFixture s;
+    checkAdvanceProfile(s.reg, s.trace);
+    const DbWorkloadSet &set = smallDbSet();
+    checkAdvanceProfile(*set.registry, *set.workloads.front().trace);
 }
 
 } // namespace

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "harness/simulator.hh"
 #include "harness/workload.hh"
@@ -164,6 +167,36 @@ TEST(WorkloadFactory, ScaleReadsEnvironment)
     EXPECT_GT(s, 0.0);
     EXPECT_LT(s, 1000.0);
     EXPECT_GT(WorkloadFactory::quantumInstrs(), 0u);
+}
+
+TEST(WorkloadFactory, ScaleParsesTheWholeValue)
+{
+    const char *ambient = std::getenv("CGP_SCALE");
+    const std::string saved = ambient != nullptr ? ambient : "";
+    const auto scaleOf = [](const char *text) {
+        ::setenv("CGP_SCALE", text, 1);
+        return WorkloadFactory::scale();
+    };
+    EXPECT_EQ(scaleOf("0.06"), 0.06);
+    EXPECT_EQ(scaleOf("1e9"), 1e9);
+    // Anything else falls back to the default.
+    for (const char *bad :
+         {"0.5x", "x0.5", "", " 0.5", "inf", "-inf", "nan", "0", "-0.5",
+          "1e999"})
+        EXPECT_EQ(scaleOf(bad), 0.25) << "'" << bad << "'";
+    if (ambient != nullptr)
+        ::setenv("CGP_SCALE", saved.c_str(), 1);
+    else
+        ::unsetenv("CGP_SCALE");
+
+    // A scale whose row counts overflow 32 bits is refused before
+    // anything is built.
+    for (const double s :
+         {1e9, 429'497.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_THROW(WorkloadFactory::buildDbSet(s),
+                     std::invalid_argument)
+            << s;
 }
 
 TEST(WorkloadFactory, ExplicitScaleBuildsAreDeterministic)
