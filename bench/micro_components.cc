@@ -276,7 +276,8 @@ BM_BTreeInsert(benchmark::State &state)
     using namespace cgp::db;
     FunctionRegistry reg;
     TraceBuffer buf;
-    DbContext ctx(reg, buf);
+    DbContext ctx(reg);
+    ctx.retarget(buf);
     Volume vol(ctx);
     BufferPool pool(ctx, vol, 1024);
     LockManager locks(ctx);
@@ -301,7 +302,8 @@ BM_HeapFileScan(benchmark::State &state)
     using namespace cgp::db;
     FunctionRegistry reg;
     TraceBuffer buf;
-    DbContext ctx(reg, buf);
+    DbContext ctx(reg);
+    ctx.retarget(buf);
     Volume vol(ctx);
     BufferPool pool(ctx, vol, 1024);
     LockManager locks(ctx);

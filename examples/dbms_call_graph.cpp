@@ -24,8 +24,9 @@ main()
     using namespace cgp;
 
     auto registry = std::make_shared<FunctionRegistry>();
+    db::DbSystem dbsys(*registry);
     TraceBuffer trace;
-    db::DbSystem dbsys(*registry, trace);
+    dbsys.record(trace);
 
     // A heap file to insert into (the Figure 2 scenario).
     db::Schema schema({{"id", db::ColumnType::Int32, 4},

@@ -26,8 +26,7 @@ main()
               << "-tuple Wisconsin database (big1, big2, small + "
                  "indexes)...\n";
     auto registry = std::make_shared<FunctionRegistry>();
-    TraceBuffer load_trace;
-    db::DbSystem dbsys(*registry, load_trace);
+    db::DbSystem dbsys(*registry);
     db::Wisconsin::load(dbsys, n);
     std::cout << "  " << registry->size()
               << " traced DBMS functions, "

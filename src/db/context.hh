@@ -256,8 +256,8 @@ struct DbFuncs
 
 /**
  * Shared execution context threaded through the database system.
- * One DbContext per database instance; the recorder can be retargeted
- * between queries so each query thread records into its own buffer.
+ * One DbContext per database instance; the recorder records nothing
+ * until retargeted, then into the buffer of the query running.
  */
 struct DbContext
 {
@@ -268,9 +268,8 @@ struct DbContext
      */
     static constexpr double dbWorkScale = 5.0;
 
-    DbContext(FunctionRegistry &reg, TraceBuffer &initial_buffer)
-        : fn(DbFuncs::declareAll(reg)),
-          rec(initial_buffer, dbWorkScale), rng(0x5eed'cafe)
+    explicit DbContext(FunctionRegistry &reg)
+        : fn(DbFuncs::declareAll(reg)), rng(0x5eed'cafe)
     {
     }
 

@@ -5,9 +5,8 @@
 namespace cgp::db
 {
 
-DbSystem::DbSystem(FunctionRegistry &registry,
-                   TraceBuffer &initial_buffer, const DbConfig &config)
-    : ctx_(registry, initial_buffer), volume_(ctx_),
+DbSystem::DbSystem(FunctionRegistry &registry, const DbConfig &config)
+    : ctx_(registry), volume_(ctx_),
       pool_(ctx_, volume_, config.bufferFrames,
             config.bufferSegment),
       locks_(ctx_),

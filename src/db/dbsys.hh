@@ -38,8 +38,10 @@ struct DbConfig
 class DbSystem
 {
   public:
-    DbSystem(FunctionRegistry &registry, TraceBuffer &initial_buffer,
-             const DbConfig &config = {});
+    /** Records no trace until record() names a buffer, so the load
+     *  phase leaves none. */
+    explicit DbSystem(FunctionRegistry &registry,
+                      const DbConfig &config = {});
 
     /** Create an empty table. */
     TableInfo &createTable(const std::string &name, Schema schema);

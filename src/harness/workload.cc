@@ -162,10 +162,9 @@ WorkloadFactory::buildDbSet(double s)
     FunctionRegistry &reg = *set.registry;
 
     // ---- wisc-prof: queries 1, 5, 9 on the small database --------
-    TraceBuffer scratch;
     db::DbConfig small_cfg;
     small_cfg.bufferFrames = 2048;
-    db::DbSystem db_prof(reg, scratch, small_cfg);
+    db::DbSystem db_prof(reg, small_cfg);
     db::Wisconsin::load(db_prof, wisc_prof_n);
     auto prof_queries = std::make_shared<std::vector<TraceBuffer>>();
     prof_queries->push_back(
@@ -179,10 +178,9 @@ WorkloadFactory::buildDbSet(double s)
     auto wisc_prof_trace = schedule(*prof_queries, *stub);
 
     // ---- wisc-large-1: same queries, full-size database ----------
-    TraceBuffer scratch1;
     db::DbConfig large_cfg;
     large_cfg.bufferFrames = 4096;
-    db::DbSystem db_large(reg, scratch1, large_cfg);
+    db::DbSystem db_large(reg, large_cfg);
     db::Wisconsin::load(db_large, wisc_large_n);
     auto large1_queries = std::make_shared<std::vector<TraceBuffer>>();
     large1_queries->push_back(
@@ -203,11 +201,10 @@ WorkloadFactory::buildDbSet(double s)
     auto wisc_large2_trace = schedule(*large2_queries, *stub);
 
     // ---- wisc+tpch: eight Wisconsin + five TPC-H queries ----------
-    TraceBuffer scratch2;
     db::DbConfig tpch_cfg;
     tpch_cfg.bufferFrames = 8192;
     tpch_cfg.bufferSegment = 0x3000'0000;
-    db::DbSystem db_tpch(reg, scratch2, tpch_cfg);
+    db::DbSystem db_tpch(reg, tpch_cfg);
     const auto tpch_scale = db::Tpch::Scale::fromLineitems(tpch_lines);
     db::Tpch::load(db_tpch, tpch_scale);
 

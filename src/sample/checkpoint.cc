@@ -118,8 +118,7 @@ buildCheckpoint(const CheckpointParts &parts,
 }
 
 std::uint64_t
-applyCheckpoint(const Json &doc, const CheckpointParts &parts,
-                const std::string &workload,
+checkCheckpoint(const Json &doc, const std::string &workload,
                 const std::string &configLabel,
                 std::uint64_t warmup_instrs)
 {
@@ -135,7 +134,12 @@ applyCheckpoint(const Json &doc, const CheckpointParts &parts,
     if (consumed > warmup_instrs)
         throw std::runtime_error(
             "checkpoint consumed count exceeds warmup budget");
+    return consumed;
+}
 
+void
+applyCheckpoint(const Json &doc, const CheckpointParts &parts)
+{
     const Json &state = doc.at("state");
     applySection(state, "l1i", parts.l1i);
     applySection(state, "l1d", parts.l1d);
@@ -148,7 +152,6 @@ applyCheckpoint(const Json &doc, const CheckpointParts &parts,
     if (parts.core)
         parts.core->setLastFetchLine(
             state.at("core").at("last_fetch_line").asUint());
-    return consumed;
 }
 
 } // namespace cgp::sample

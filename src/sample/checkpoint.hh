@@ -81,19 +81,25 @@ Json buildCheckpoint(const CheckpointParts &parts,
                      std::uint64_t consumed);
 
 /**
- * Validate @p doc's metadata against the expected identity, then
- * load every state section into @p parts.  Metadata is checked
- * *before* any structure is mutated, so an identity mismatch leaves
- * the machine untouched.  Throws std::runtime_error on mismatch or
- * malformed state.
+ * Validate @p doc's metadata against the expected identity without
+ * touching any machine state.  Throws std::runtime_error on an
+ * unknown format, an identity mismatch or a consumed count past the
+ * warmup budget: the caller may then re-warm from scratch.
  * @return the recorded consumed-instruction count for the caller to
  *         replay through InstructionExpander::advance().
  */
-std::uint64_t applyCheckpoint(const Json &doc,
-                              const CheckpointParts &parts,
+std::uint64_t checkCheckpoint(const Json &doc,
                               const std::string &workload,
                               const std::string &configLabel,
                               std::uint64_t warmup_instrs);
+
+/**
+ * Load every state section of a checkCheckpoint()-validated @p doc
+ * into @p parts.  Throws std::runtime_error on malformed state,
+ * possibly after earlier sections loaded: the machine is then
+ * neither reset nor restored.
+ */
+void applyCheckpoint(const Json &doc, const CheckpointParts &parts);
 
 } // namespace sample
 } // namespace cgp

@@ -1,6 +1,7 @@
 #include "sample/controller.hh"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "cpu/core.hh"
@@ -38,19 +39,24 @@ warmPrefix(Core &core, InstructionExpander &stream,
 
     if (store && config.checkpoints.load) {
         if (auto doc = config.checkpoints.load(key)) {
+            std::optional<std::uint64_t> consumed;
             try {
-                const std::uint64_t consumed = applyCheckpoint(
-                    *doc, parts, workload, configLabel,
-                    config.warmupInstrs);
-                if (stream.advance(consumed) != consumed)
+                consumed = checkCheckpoint(*doc, workload, configLabel,
+                                           config.warmupInstrs);
+            } catch (const std::exception &) {
+                // The metadata checks touch no state: a rejected
+                // checkpoint leaves the machine in its reset state,
+                // so re-warm from scratch.
+            }
+            if (consumed) {
+                // Past the metadata the machine is no longer in its
+                // reset state: a failure from here fails the run.
+                applyCheckpoint(*doc, parts);
+                if (stream.advance(*consumed) != *consumed)
                     throw std::runtime_error(
                         "trace shorter than checkpoint replay");
                 stats.checkpointUsed = true;
-                return consumed;
-            } catch (const std::exception &) {
-                // Identity metadata is validated before any state
-                // is touched, so a rejected checkpoint leaves the
-                // machine in its reset state: re-warm from scratch.
+                return *consumed;
             }
         }
     }

@@ -109,7 +109,7 @@ InstructionExpander::curPc(const Activation &act) const
 }
 
 DynInst
-InstructionExpander::makeInst(const Activation &act, InstKind kind)
+InstructionExpander::makeInst(const Activation &act, InstKind kind) const
 {
     DynInst inst;
     inst.pc = curPc(act);
@@ -234,15 +234,18 @@ InstructionExpander::crossIfNeeded(Activation &act)
     if (act.offset < act.usable)
         return;
 
-    if (act.needJump) {
-        emit<Emit>(InstKind::Jump, [&] {
-            DynInst jmp = makeInst(act, InstKind::Jump);
-            jmp.taken = true;
-            jmp.target = act.nextAddr;
-            return jmp;
-        });
-    }
+    if (act.needJump)
+        emit<Emit>(InstKind::Jump, [&] { return crossJump(act); });
     advanceWalk(act);
+}
+
+DynInst
+InstructionExpander::crossJump(const Activation &act) const
+{
+    DynInst jmp = makeInst(act, InstKind::Jump);
+    jmp.taken = true;
+    jmp.target = act.nextAddr;
+    return jmp;
 }
 
 void
@@ -269,66 +272,43 @@ InstructionExpander::makeWorkInst(Activation &act, DynInst &out)
     --workLeft_;
 }
 
-bool
-InstructionExpander::emitWorkInstr(WarmSink *direct)
+void
+InstructionExpander::emitWorkInstr()
 {
     Activation *act = top();
     cgp_assert(act != nullptr, "work outside any function");
     crossIfNeeded<true>(*act);
-
-    DynInst inst;
-    makeWorkInst(*act, inst);
-    if (direct != nullptr && readIdx_ == ready_.size() &&
-        inst.kind != InstKind::Load && inst.kind != InstKind::Store) {
-        direct->pcRun(inst.pc, 1);
-        return true;
-    }
-    ready_.push_back(inst);
-    return false;
+    makeWorkInst(*act, ready_.emplace_back());
 }
 
-std::uint64_t
-InstructionExpander::emitWorkRun(std::uint64_t budget, WarmSink &sink)
+void
+InstructionExpander::warmWork(Addr pc, std::uint64_t done,
+                              std::uint64_t n, WarmSink &sink) const
 {
-    Activation &act = *top();
-    auto &ts = thread();
-    const std::uint64_t n = std::min<std::uint64_t>(
-        {budget, workLeft_,
-         static_cast<std::uint64_t>(act.usable - act.offset)});
-    Addr pc = curPc(act);
-    std::uint64_t left = n;
+    const ThreadState &ts = *curState_;
+    const std::uint64_t end = done + n;
+    // The next stack load and store: the first multiples of their
+    // periods past the done-th work instruction.
+    std::uint64_t load = (done / stackLoadEvery + 1) * stackLoadEvery;
+    std::uint64_t store = (done / stackStoreEvery + 1) * stackStoreEvery;
     for (;;) {
-        // The segment ends at the next stack reference (the loadIn-th
-        // or storeIn-th instruction from here) when it falls inside.
-        const std::uint32_t refAt = std::min(ts.loadIn, ts.storeIn);
-        const std::uint64_t step = std::min<std::uint64_t>(refAt, left);
-        if (step == 0)
-            break;
-        const bool ref = refAt <= left;
-        const std::uint64_t plain = ref ? step - 1 : step;
+        const std::uint64_t ref = std::min(load, store);
+        const std::uint64_t plain = std::min(ref - 1, end) - done;
         if (plain > 0)
             sink.pcRun(pc, plain);
-        if (ref) {
-            // A load when both countdowns end here, as in
-            // emitWorkInstr.
-            const bool load = ts.loadIn == refAt;
-            sink.stackRef(pc + plain * instrBytes,
-                          stackSlot(ts, ts.workCounter + refAt, load),
-                          !load);
-            ++(load ? loads_ : stores_);
-        }
-        pc += step * instrBytes;
-        ts.workCounter += step;
-        ts.loadIn = countedDown(ts.loadIn, step, stackLoadEvery);
-        ts.storeIn =
-            countedDown(ts.storeIn, step, stackStoreEvery);
-        left -= step;
+        if (ref > end)
+            return;
+        // A load where a load and a store fall together, as in
+        // makeWorkInst.
+        pc += plain * instrBytes;
+        sink.stackRef(pc, stackSlot(ts, ref, ref == load), ref != load);
+        pc += instrBytes;
+        done = ref;
+        if (ref == load)
+            load += stackLoadEvery;
+        if (ref == store)
+            store += stackStoreEvery;
     }
-    ts.mulIn = countedDown(ts.mulIn, n, mulEvery);
-    act.offset = static_cast<std::uint16_t>(act.offset + n);
-    workLeft_ -= n;
-    emitted_ += n;
-    return n;
 }
 
 template <bool Emit>
@@ -615,7 +595,7 @@ InstructionExpander::take(DynInst &out)
                 makeWorkInst(*act, out);
                 return true;
             }
-            emitWorkInstr(nullptr);
+            emitWorkInstr();
         }
     }
     out = ready_[readIdx_++];
@@ -637,47 +617,13 @@ InstructionExpander::next(DynInst &out)
     return true;
 }
 
-std::uint64_t
-InstructionExpander::warm(std::uint64_t n, WarmSink &sink)
-{
-    std::uint64_t done = 0;
-    DynInst inst;
-    while (done < n) {
-        if (!pendingHints_.empty()) {
-            // A hint rides on the next instruction: next() attaches
-            // it.
-            if (!next(inst))
-                break;
-            sink.inst(inst);
-            ++done;
-        } else if (readIdx_ < ready_.size()) {
-            sink.inst(ready_[readIdx_++]);
-            ++done;
-        } else {
-            // Nothing queued and no hint to carry: work can go to
-            // the sink without a DynInst, the rest of the block at a
-            // time unless the next instruction crosses a block.
-            ready_.clear();
-            readIdx_ = 0;
-            if (workLeft_ > 0) {
-                const Activation *act = top();
-                if (act != nullptr && act->offset < act->usable)
-                    done += emitWorkRun(n - done, sink);
-                else
-                    done += emitWorkInstr(&sink) ? 1 : 0;
-            } else if (!pullEvent<true>()) {
-                break;
-            }
-        }
-    }
-    return done;
-}
-
+template <bool Warm>
 void
-InstructionExpander::skipWork(std::uint64_t budget)
+InstructionExpander::walkWork(std::uint64_t budget, WarmSink *sink)
 {
     Activation *act = top();
     cgp_assert(act != nullptr, "work outside any function");
+    auto &ts = thread();
     std::uint64_t left = budget;
     std::uint64_t work = 0;
     bool jumpCut = false;
@@ -692,6 +638,8 @@ InstructionExpander::skipWork(std::uint64_t budget)
                     break;
                 }
                 --left; // crossIfNeeded counts the jump
+                if constexpr (Warm)
+                    sink->inst(crossJump(*act));
             }
             crossIfNeeded<false>(*act);
             // The instruction that crossed goes out even into a
@@ -700,6 +648,8 @@ InstructionExpander::skipWork(std::uint64_t budget)
         }
         const std::uint64_t n =
             std::min<std::uint64_t>({left, workLeft_, room});
+        if constexpr (Warm)
+            warmWork(curPc(*act), ts.workCounter + work, n, *sink);
         act->offset = static_cast<std::uint16_t>(act->offset + n);
         workLeft_ -= n;
         emitted_ += n;
@@ -710,7 +660,6 @@ InstructionExpander::skipWork(std::uint64_t budget)
     // The kinds follow from the thread's work counter (see
     // makeWorkInst): a load wins where a load and a store fall
     // together.
-    auto &ts = thread();
     constexpr unsigned both = std::lcm(stackLoadEvery, stackStoreEvery);
     loads_ += multiplesIn(ts.workCounter, work, stackLoadEvery);
     stores_ += multiplesIn(ts.workCounter, work, stackStoreEvery) -
@@ -723,30 +672,45 @@ InstructionExpander::skipWork(std::uint64_t budget)
     // The budget ends on a cross jump: next() would leave the work
     // instruction queued behind it.
     if (jumpCut)
-        emitWorkInstr(nullptr);
+        emitWorkInstr();
 }
 
+template <bool Warm>
 std::uint64_t
-InstructionExpander::advance(std::uint64_t n)
+InstructionExpander::walk(std::uint64_t n, WarmSink *sink)
 {
     // An event queues at most a cross jump, its own instruction and
     // the block of a decision arm.
     const std::uint64_t eventMax = 2 + image_.maxBlockInstrs();
     std::uint64_t done = 0;
     while (done < n) {
+        if (Warm && !pendingHints_.empty()) {
+            // A hint rides on the next instruction: next() attaches
+            // it.
+            DynInst inst;
+            if (!next(inst))
+                break;
+            sink->inst(inst);
+            ++done;
+            continue;
+        }
         const std::uint64_t left = n - done;
         std::uint64_t k;
         if (readIdx_ < ready_.size()) {
             k = std::min<std::uint64_t>(left, ready_.size() - readIdx_);
+            if constexpr (Warm) {
+                for (std::uint64_t i = 0; i < k; ++i)
+                    sink->inst(ready_[readIdx_ + i]);
+            }
             readIdx_ += k;
         } else {
             ready_.clear();
             readIdx_ = 0;
             const std::uint64_t before = emitted_;
             if (workLeft_ > 0)
-                skipWork(left);
-            else if (!(left >= eventMax ? pullEvent<false>()
-                                        : pullEvent<true>()))
+                walkWork<Warm>(left, sink);
+            else if (!(!Warm && left >= eventMax ? pullEvent<false>()
+                                                 : pullEvent<true>()))
                 break;
             // Counted instructions are done; queued ones leave
             // through the branch above.
@@ -762,6 +726,18 @@ InstructionExpander::advance(std::uint64_t n)
         done += k;
     }
     return done;
+}
+
+std::uint64_t
+InstructionExpander::warm(std::uint64_t n, WarmSink &sink)
+{
+    return walk<true>(n, &sink);
+}
+
+std::uint64_t
+InstructionExpander::advance(std::uint64_t n)
+{
+    return walk<false>(n, nullptr);
 }
 
 } // namespace cgp

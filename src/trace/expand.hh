@@ -115,35 +115,23 @@ class InstructionExpander
     /**
      * Functional-warming expansion: hand the next @p n instructions
      * to @p sink, leaving the expander in exactly the state @p n
-     * calls of next() would leave.  Work that would be handed out at
-     * once — no hint riding on it, nothing queued ahead of it, no
-     * block cross due — is cut into segments that end at the next
-     * stack load or store, the block's usable limit, the end of the
-     * burst or the budget: its plain instructions reach
-     * sink.pcRun() as one run and a stack reference reaches
-     * sink.stackRef(), with no DynInst built.  Every other
-     * instruction goes through the ready queue and reaches
-     * sink.inst() whole.
+     * calls of next() would leave.  Work with no hint riding on it
+     * and nothing queued ahead of it reaches sink.pcRun() as plain
+     * runs and sink.stackRef() as stack references, with no DynInst
+     * built; every other instruction reaches sink.inst() whole.
      * @return instructions handed out (short only when the trace
      *         ended or a streaming source ran dry).
      */
     std::uint64_t warm(std::uint64_t n, WarmSink &sink);
 
     /**
-     * Skip @p n instructions, leaving the expander in exactly the
-     * state @p n calls of next() would leave: its walk, countdowns,
-     * counters, pending hints and the profile all move, but no
-     * instruction is built for what fits in the budget whole.  A
-     * work burst moves a block at a time; an event whose
-     * instructions fit is only counted; one the budget may cut is
-     * queued, and the rest of the budget consumes the queue.
-     * Expansion is deterministic, so advancing a fresh expander by
-     * the number of instructions a warm-up consumed reconstructs
-     * its internal state exactly: the replay half of warm-state
-     * checkpoint restore, and with a profile attached the OM
-     * profile run.
-     * @return instructions actually advanced (short only when the
-     *         trace ended or a streaming source ran dry).
+     * warm() without a sink: skip @p n instructions.  Instructions
+     * that fit in the budget whole are only counted.  Expansion is
+     * deterministic, so advancing a fresh expander by the number of
+     * instructions a warm-up consumed reconstructs its internal
+     * state exactly: the replay half of warm-state checkpoint
+     * restore, and with a profile attached the OM profile run.
+     * @return instructions actually advanced.
      */
     std::uint64_t advance(std::uint64_t n);
 
@@ -218,15 +206,9 @@ class InstructionExpander
         /// @}
     };
 
-    /**
-     * Drain one more instruction from the current Work burst, after
-     * the block cross it may need.  With @p direct set, an IntOp or
-     * MulOp with nothing queued ahead of it goes to direct->pcRun()
-     * instead of the ready queue (the caller guarantees no hint is
-     * pending).
-     * @return true when the instruction went to @p direct.
-     */
-    bool emitWorkInstr(WarmSink *direct);
+    /** Queue one more instruction of the current Work burst, after
+     *  the block cross (and its jump) it may need. */
+    void emitWorkInstr();
 
     /** Build the work instruction at @p act's current slot into
      *  @p out: tick the countdowns, pick the stack slot, count it
@@ -234,23 +216,32 @@ class InstructionExpander
     void makeWorkInst(Activation &act, DynInst &out);
 
     /**
-     * Hand the current Work burst to @p sink up to the block's usable
-     * limit or @p budget instructions, in segments: each a run of
-     * plain instructions, then the stack reference that ends it when
-     * one falls inside.  The caller guarantees nothing is queued, no
-     * hint is pending and the top activation needs no cross
-     * (offset < usable).
-     * @return instructions handed out (at least one).
+     * The one walk behind warm() (@p Warm, handing out to @p sink)
+     * and advance() (no sink).  Queued instructions leave first; a
+     * pending hint makes the next instruction go through next().
+     * A Work burst goes to walkWork().  An event's instructions are
+     * queued, or without a sink only counted when they all fit in
+     * the budget.
      */
-    std::uint64_t emitWorkRun(std::uint64_t budget, WarmSink &sink);
+    template <bool Warm> std::uint64_t walk(std::uint64_t n, WarmSink *sink);
 
     /**
-     * Count the current Work burst out for advance(), up to
-     * @p budget instructions, a block at a time.  A cross jump the
-     * budget would cut off from its work instruction is queued with
-     * it, as next() queues them.
+     * Walk the current Work burst up to @p budget instructions, a
+     * block at a time, and move the counters by quotients of the
+     * work counter.  With @p Warm each block's work goes to
+     * warmWork() and each cross jump to sink->inst().  A cross jump
+     * the budget would cut off from its work instruction is queued
+     * with it, as next() queues them.  The caller guarantees nothing
+     * is queued and, with @p Warm, no hint is pending.
      */
-    void skipWork(std::uint64_t budget);
+    template <bool Warm> void walkWork(std::uint64_t budget, WarmSink *sink);
+
+    /** Hand @p sink the current thread's work instructions
+     *  @p done + 1 to @p done + @p n, at consecutive pcs from @p pc:
+     *  plain runs, each ended by the stack reference that falls
+     *  inside. */
+    void warmWork(Addr pc, std::uint64_t done, std::uint64_t n,
+                  WarmSink &sink) const;
 
     /**
      * Process one trace event; false when the source is dry or has
@@ -289,6 +280,9 @@ class InstructionExpander
     /** Emit the cross jump / walk advance when a block is exhausted. */
     template <bool Emit> void crossIfNeeded(Activation &act);
 
+    /** The jump that leaves @p act's exhausted block. */
+    DynInst crossJump(const Activation &act) const;
+
     /** The walk position entered after the current block. */
     std::uint32_t nextWalkIdx(const Activation &act) const;
 
@@ -311,7 +305,7 @@ class InstructionExpander
     void count(InstKind kind);
 
     /** Fill common fields from the current activation. */
-    DynInst makeInst(const Activation &act, InstKind kind);
+    DynInst makeInst(const Activation &act, InstKind kind) const;
 
     ThreadState &thread() { return *curState_; }
     Activation *top();

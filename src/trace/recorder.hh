@@ -36,11 +36,14 @@ class TraceRecorder
     {
     }
 
+    /** A recorder with no buffer: it records nothing. */
+    TraceRecorder() = default;
+
     void
     call(FunctionId fid)
     {
         cgp_assert(fid != invalidFunctionId, "call to invalid function");
-        buf_->append(TraceEvent::make(EventKind::Call, fid));
+        append(TraceEvent::make(EventKind::Call, fid));
         ++depth_;
     }
 
@@ -48,7 +51,7 @@ class TraceRecorder
     ret()
     {
         cgp_assert(depth_ > 0, "return with empty call stack");
-        buf_->append(TraceEvent::make(EventKind::Return, 0));
+        append(TraceEvent::make(EventKind::Return, 0));
         --depth_;
     }
 
@@ -59,29 +62,28 @@ class TraceRecorder
         const auto scaled = static_cast<std::uint32_t>(
             static_cast<double>(instrs) * workScale_ + 0.5);
         if (scaled > 0)
-            buf_->append(TraceEvent::make(EventKind::Work, scaled));
+            append(TraceEvent::make(EventKind::Work, scaled));
     }
 
     /** A data-dependent branch with recorded direction. */
     void
     branch(bool taken)
     {
-        buf_->append(TraceEvent::make(EventKind::Branch,
-                                      taken ? 1 : 0));
+        append(TraceEvent::make(EventKind::Branch, taken ? 1 : 0));
     }
 
     void
     loadAt(Addr addr)
     {
-        buf_->append(TraceEvent::make(EventKind::Load,
-                                      addr & TraceEvent::payloadMask));
+        append(TraceEvent::make(EventKind::Load,
+                                addr & TraceEvent::payloadMask));
     }
 
     void
     storeAt(Addr addr)
     {
-        buf_->append(TraceEvent::make(EventKind::Store,
-                                      addr & TraceEvent::payloadMask));
+        append(TraceEvent::make(EventKind::Store,
+                                addr & TraceEvent::payloadMask));
     }
 
     /**
@@ -96,7 +98,7 @@ class TraceRecorder
     {
         if (addr == invalidAddr || (addr & ~hintAddrMask) != 0)
             return;
-        buf_->append(makeHintEvent(kind, addr));
+        append(makeHintEvent(kind, addr));
     }
 
     /** Current call nesting depth (0 at top level). */
@@ -104,10 +106,15 @@ class TraceRecorder
 
     double workScale() const { return workScale_; }
 
-    TraceBuffer &buffer() { return *buf_; }
-
   private:
-    TraceBuffer *buf_;
+    void
+    append(TraceEvent e)
+    {
+        if (buf_ != nullptr)
+            buf_->append(e);
+    }
+
+    TraceBuffer *buf_ = nullptr;
     double workScale_ = 1.0;
     unsigned depth_ = 0;
 };

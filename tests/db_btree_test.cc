@@ -20,8 +20,7 @@ namespace
 struct TreeFixture
 {
     FunctionRegistry reg;
-    TraceBuffer buf;
-    DbContext ctx{reg, buf};
+    DbContext ctx{reg};
     Volume vol{ctx};
     BufferPool pool{ctx, vol, 512};
     LockManager locks{ctx};

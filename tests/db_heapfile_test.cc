@@ -18,8 +18,7 @@ namespace
 struct HeapFixture
 {
     FunctionRegistry reg;
-    TraceBuffer buf;
-    DbContext ctx{reg, buf};
+    DbContext ctx{reg};
     Volume vol{ctx};
     BufferPool pool{ctx, vol, 256};
     LockManager locks{ctx};

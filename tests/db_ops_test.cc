@@ -26,8 +26,7 @@ namespace
 struct OpsFixture
 {
     FunctionRegistry reg;
-    TraceBuffer buf;
-    DbSystem db{reg, buf};
+    DbSystem db{reg};
     TxnId txn = 0;
 
     OpsFixture()

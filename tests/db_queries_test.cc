@@ -22,8 +22,7 @@ namespace
 TEST(Wisconsin, GeneratorProducesStandardColumns)
 {
     FunctionRegistry reg;
-    TraceBuffer scratch;
-    DbSystem db(reg, scratch);
+    DbSystem db(reg);
     const std::uint32_t n = 500;
     Wisconsin::load(db, n);
 
@@ -69,8 +68,7 @@ class WisconsinQueryTest : public ::testing::TestWithParam<int>
     db()
     {
         static FunctionRegistry reg;
-        static TraceBuffer scratch;
-        static DbSystem instance(reg, scratch);
+        static DbSystem instance(reg);
         static bool loaded = false;
         if (!loaded) {
             Wisconsin::load(instance, n);
@@ -125,8 +123,7 @@ TEST(Wisconsin, QueryNamesAreDescriptive)
 struct TpchFixture
 {
     FunctionRegistry reg;
-    TraceBuffer scratch;
-    DbSystem db{reg, scratch};
+    DbSystem db{reg};
     Tpch::Scale scale = Tpch::Scale::fromLineitems(2000);
 
     TpchFixture() { Tpch::load(db, scale); }

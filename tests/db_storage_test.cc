@@ -26,8 +26,7 @@ namespace
 struct Fixture
 {
     FunctionRegistry reg;
-    TraceBuffer buf;
-    DbContext ctx{reg, buf};
+    DbContext ctx{reg};
 };
 
 TEST(Tuple, SchemaLayout)

@@ -697,7 +697,7 @@ TEST(ExpanderWarm, DrySourceStopsShortAndResumes)
 }
 
 // ---------------------------------------------------------------
-// advance(): a walk over whole blocks against next()
+// advance(), warm() and next() mixed on one expander against next()
 // ---------------------------------------------------------------
 
 /** Where the chunk boundaries of checkAdvance() fell. */
@@ -712,15 +712,17 @@ struct AdvanceCuts
     std::uint64_t midBurst = 0;
     /** Runs that ended by asking for the rest of the trace. */
     std::uint64_t restOfTrace = 0;
+    /** Instructions warm() handed out without a DynInst. */
+    std::uint64_t warmDirect = 0;
 };
 
 /**
- * Drive one expander by advance() in random chunks, with short runs
- * of next() between them, and a second by next() alone: after every
- * chunk the counters agree, and every instruction next() hands out
- * equals the reference's.  @p maxChunk scales the chunk sizes; the
- * @p restAt-th advance() asks for the rest of the trace (0: none
- * does).
+ * Drive one expander by advance() and warm() in random chunks, with
+ * short runs of next() between them, and a second by next() alone:
+ * after every chunk the counters agree, and every instruction warm()
+ * or next() hands out matches the reference's.  @p maxChunk scales
+ * the chunk sizes; the @p restAt-th advance() asks for the rest of
+ * the trace (0: none does).
  */
 void
 checkAdvance(const FunctionRegistry &reg, const CodeImage &image,
@@ -736,13 +738,16 @@ checkAdvance(const FunctionRegistry &reg, const CodeImage &image,
     bool cut = false;
     for (;;) {
         std::uint64_t asked = 0, got = 0;
-        if (rng.nextBool(0.7)) {
+        const std::uint64_t pick = rng.nextBelow(10);
+        if (pick < 7) {
             switch (rng.nextBelow(4)) {
               case 0: asked = rng.nextBelow(3); break;
               case 1: asked = 3 + rng.nextBelow(40); break;
               case 2: asked = rng.nextBelow(maxChunk); break;
               default: asked = rng.nextBelow(20 * maxChunk); break;
             }
+        }
+        if (pick < 4) {
             // The rest of the trace, as profileOf asks, but here
             // after a start.
             if (++advances == restAt) {
@@ -753,6 +758,18 @@ checkAdvance(const FunctionRegistry &reg, const CodeImage &image,
             ASSERT_LE(got, asked);
             for (std::uint64_t i = 0; i < got; ++i)
                 ASSERT_TRUE(lockstep.next(last));
+            cut = got > 0;
+        } else if (pick < 7) {
+            CaptureSink sink;
+            got = ex.warm(asked, sink);
+            ASSERT_LE(got, asked);
+            ASSERT_EQ(sink.insts.size(), got);
+            for (std::uint64_t i = 0; i < got; ++i) {
+                ASSERT_TRUE(lockstep.next(last));
+                ASSERT_TRUE(matches(last, sink.insts[i], sink.via[i],
+                                    pos + i));
+                cuts.warmDirect += sink.via[i] != Via::Whole;
+            }
             cut = got > 0;
         } else {
             asked = 1 + rng.nextBelow(3);
@@ -808,6 +825,7 @@ TEST(ExpanderWarm, AdvanceChunksThenNextMatchPureNextExpansion)
     EXPECT_GT(cuts.afterTakenBranch, 0u);
     EXPECT_GT(cuts.midBurst, 0u);
     EXPECT_GT(cuts.restOfTrace, 0u);
+    EXPECT_GT(cuts.warmDirect, 0u);
 }
 
 /** The DB workloads at the smallest scale the tests use (built
@@ -836,6 +854,7 @@ TEST(ExpanderWarm, AdvanceChunksMatchNextOnADbTrace)
     EXPECT_GT(cuts.chunks, 100u);
     EXPECT_GT(cuts.afterJump, 0u);
     EXPECT_GT(cuts.midBurst, 0u);
+    EXPECT_GT(cuts.warmDirect, 0u);
 }
 
 /** Both profiles hold the same counts: entries, calls, and each

@@ -479,7 +479,7 @@ TEST(SampleCheckpointRoundTrip, MismatchedIdentityTriggersRewarm)
         proxyWorkload("ckpt-id2", 60, 60.0, 200'000);
 
     // Capture a checkpoint for `other`, then serve it for *every*
-    // key: applyCheckpoint must reject it on the metadata check
+    // key: checkCheckpoint must reject it on the metadata check
     // (before mutating anything) and the run re-warms from scratch.
     MemStore store;
     SimConfig cfg = sampledConfig(SimConfig::o5Om());
@@ -499,6 +499,43 @@ TEST(SampleCheckpointRoundTrip, MismatchedIdentityTriggersRewarm)
     const SimResult rewarmed = runSimulation(w, poisoned);
     EXPECT_FALSE(rewarmed.sampled.checkpointUsed);
     EXPECT_EQ(dumpNormalized(fresh), dumpNormalized(rewarmed));
+}
+
+TEST(SampleCheckpointRoundTrip, FailureAfterSectionsLoadedFailsTheRun)
+{
+    // A checkpoint whose l2 section is null passes the metadata
+    // checks, loads l1i and l1d, then throws: the machine is neither
+    // reset nor restored, so the run must fail rather than re-warm.
+    const Workload w = proxyWorkload("ckpt-l2", 60, 60.0, 200'000);
+    MemStore store;
+    SimConfig cfg = sampledConfig(SimConfig::o5Om());
+    cfg.sample.checkpoints = store.hooks();
+    runSimulation(w, cfg);
+    ASSERT_EQ(store.docs.size(), 1u);
+    Json &doc = store.docs.begin()->second;
+    Json state = doc.at("state");
+    ASSERT_FALSE(state.at("l2").isNull());
+    state.set("l2", nullptr);
+    doc.set("state", std::move(state));
+
+    EXPECT_THROW(runSimulation(w, cfg), std::runtime_error);
+}
+
+TEST(SampleCheckpointRoundTrip, ShortReplayFailsTheRun)
+{
+    // A checkpoint cut on a longer trace of the same name passes
+    // every metadata check, but its replay runs off the end of the
+    // shorter trace: the run must fail rather than re-warm a stream
+    // already consumed.
+    const Workload longer = proxyWorkload("ckpt-short", 60, 60.0, 200'000);
+    const Workload shorter = proxyWorkload("ckpt-short", 60, 60.0, 20'000);
+    MemStore store;
+    SimConfig cfg = sampledConfig(SimConfig::o5Om());
+    cfg.sample.checkpoints = store.hooks();
+    runSimulation(longer, cfg);
+    ASSERT_EQ(store.docs.size(), 1u);
+
+    EXPECT_THROW(runSimulation(shorter, cfg), std::runtime_error);
 }
 
 TEST(SampleCheckpointStore, SealedStoreRoundTripsOnDisk)

@@ -83,6 +83,25 @@ TEST(Recorder, ScopeBalancesCallsAndReturns)
     EXPECT_EQ(buf.at(5).kind(), EventKind::Return);
 }
 
+TEST(Recorder, WithoutBufferRecordsNothingButBalances)
+{
+    TraceRecorder rec;
+    {
+        TraceScope outer(rec, 1);
+        outer.work(10);
+        outer.loadAt(0x1000);
+        EXPECT_EQ(rec.depth(), 1u);
+    }
+    EXPECT_EQ(rec.depth(), 0u);
+
+    // Assigning a recorder with a buffer starts recording.
+    TraceBuffer buf;
+    rec = TraceRecorder(buf);
+    rec.call(2);
+    rec.ret();
+    EXPECT_EQ(buf.size(), 2u);
+}
+
 TEST(Recorder, WorkScaleMultipliesPayloads)
 {
     TraceBuffer buf;

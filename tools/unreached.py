@@ -118,6 +118,9 @@ def main():
     ap.add_argument("--build", default=os.path.join(REPO, "build-coverage"),
                     help="coverage build tree (default: build-coverage)")
     args = ap.parse_args()
+    # gcov runs in each object's directory: every path it is handed
+    # must be absolute.
+    args.build = os.path.abspath(args.build)
 
     cgpbench = os.path.join(args.build, "bench", "cgpbench")
     objdir = os.path.join(args.build, "src")
@@ -140,7 +143,10 @@ def main():
     if not run_workloads(cgpbench, campaigns, env):
         print("warning: a run failed; its lines may read as unrun")
     print()
-    report(line_counts(objdir))
+    counts = line_counts(objdir)
+    if not counts:
+        print("warning: gcov found no src/ line under %s" % objdir)
+    report(counts)
 
 
 if __name__ == "__main__":
