@@ -37,7 +37,8 @@
  *
  *   cgpbench verify <dir>
  *       Audit a run directory's artifact integrity (CRC seals,
- *       fingerprints, orphaned tmp files, quarantine inventory)
+ *       fingerprints, job identities, orphaned tmp files,
+ *       quarantine inventory)
  *       without modifying it.  Exit 0 iff everything checks out.
  *
  *   cgpbench chaos <campaign> --dir D [options]
@@ -379,8 +380,8 @@ cmdResume(const Options &opt)
     // The manifest normally tells us which campaign the dir holds.
     // If it is corrupt or torn, fall back to the directory name
     // (run dirs are laid out as <dir>/<campaign>): the engine's
-    // prepare step then quarantines the bad manifest, rebuilds it,
-    // and keeps every job file whose seal still matches.
+    // prepare step then quarantines the bad manifest, rewrites it,
+    // and keeps every job file that still checks out.
     std::string campaign;
     try {
         campaign = loadRunDir(dir).campaign;
@@ -537,7 +538,9 @@ cmdVerify(const Options &opt)
                   << "Job files:   " << report.jobFilesOk
                   << " verified OK\n";
     } else {
-        std::cout << "Manifest:    INVALID\n";
+        std::cout << "Manifest:    "
+                  << (report.schemaMismatch ? "another schema" : "INVALID")
+                  << "\n";
     }
     if (!report.quarantineEntries.empty()) {
         std::cout << "Quarantine:  "

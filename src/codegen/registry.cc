@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/fnv.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -64,23 +65,6 @@ FunctionTraits::huge()
     return t;
 }
 
-namespace
-{
-
-/** Stable 64-bit hash of a function name (FNV-1a). */
-std::uint64_t
-hashName(const std::string &name)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : name) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // anonymous namespace
-
 FunctionId
 FunctionRegistry::declare(const std::string &name,
                           const FunctionTraits &traits)
@@ -133,7 +117,7 @@ FunctionRegistry::synthesize(FunctionId id, const std::string &name,
 
     // Seed from the name so bodies are stable across runs and across
     // declaration-order changes.
-    Rng rng(hashName(name));
+    Rng rng(fnv1a(name));
 
     // --- Hot walk -------------------------------------------------
     // Split hotInstrs into blocks of 4..12 instructions.

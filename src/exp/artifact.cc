@@ -98,7 +98,6 @@ benchJson(const CampaignRun &run)
         jobs.push(std::move(e));
     }
     j.set("jobs", std::move(jobs));
-    sealJson(j);
     return j;
 }
 
@@ -108,7 +107,7 @@ writeBenchJson(const std::string &path, const CampaignRun &run)
     // Crash here = the campaign completed but the report did not; a
     // resume re-reads the run dir and rewrites the BENCH cheaply.
     fault::hit("exp.pre_bench");
-    writeFileAtomicDurable(path, benchJson(run).dump(2) + "\n");
+    writeFileAtomicDurable(path, sealedJsonText(benchJson(run)));
 }
 
 void

@@ -23,10 +23,10 @@
 namespace cgp::exp
 {
 
-/** Full machine-readable form of a finished campaign. */
+/** Full machine-readable form of a finished campaign, unsealed. */
 Json benchJson(const CampaignRun &run);
 
-/** Write benchJson() to @p path (pretty-printed). */
+/** Write benchJson() to @p path, sealed (exp/integrity). */
 void writeBenchJson(const std::string &path,
                     const CampaignRun &run);
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "util/fnv.hh"
+
 namespace cgp::exp
 {
 
@@ -121,14 +123,9 @@ fingerprint(const CampaignSpec &spec,
 {
     // FNV-1a over the campaign identity, every job identity and what
     // the workloads were built from.
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = fnv1aBasis;
     const auto mix = [&h](std::string_view s) {
-        for (const char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 0x100000001b3ull;
-        }
-        h ^= 0xff; // field separator
-        h *= 0x100000001b3ull;
+        h = fnv1a("\xff", fnv1a(s, h)); // 0xff ends each field
     };
     mix(spec.name);
     for (const JobSpec &j : jobs)

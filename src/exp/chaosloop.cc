@@ -32,7 +32,6 @@ chaosPoints()
     static const std::vector<ChaosPoint> points = {
         {"exp.job", fault::FaultKind::Crash},
         {"exp.pre_record", fault::FaultKind::Crash},
-        {"exp.mid_record", fault::FaultKind::Crash},
         {"exp.record", fault::FaultKind::Crash},
         {"exp.artifact_write", fault::FaultKind::Crash},
         {"exp.artifact_write", fault::FaultKind::TornWrite},
@@ -114,8 +113,8 @@ ChaosLoopHarness::run()
 
     // The hit budget a fault can be delayed by.  Deliberately small:
     // once the campaign has completed, a resumed cycle only touches
-    // its crash points a handful of times (manifest rewrite plus
-    // whatever corruption forced back to pending), so a fault
+    // its crash points a handful of times (the lock and the manifest
+    // plus whatever corruption forced back to pending), so a fault
     // scheduled deep into the run would never fire and the cycle
     // would audit nothing.
     const std::uint64_t maxHits = reference.jobs.size() + 4;

@@ -6,10 +6,11 @@
  * pair of key-value callbacks; this module binds them to the same
  * integrity machinery the per-job artifacts use: every checkpoint
  * is a CRC32-sealed JSON document written with the durable
- * tmp-rename path (exp/integrity), and a damaged artifact — torn
- * write, bit flip, truncation, unparsable text — is moved to the
- * store's quarantine/ directory (never deleted) and reported as a
- * miss, so the sampler transparently re-warms.
+ * tmp-rename path and read back through readSealedJson
+ * (exp/integrity), and a damaged artifact — torn write, bit flip,
+ * truncation, unparsable text — goes to the store's quarantine/
+ * directory through quarantineFile and is reported as a miss, so the
+ * sampler transparently re-warms.
  *
  * Layout, under the run directory:
  *

@@ -92,23 +92,17 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
 
     // Jobs whose result files survived a previous invocation are
     // loaded, not re-run.
+    std::map<std::size_t, SimResult> done;
+    if (options.resume)
+        done = dir.loadCompleted();
+    run.skipped = done.size();
     std::vector<std::size_t> pending;
-    if (options.resume && dir.enabled()) {
-        std::map<std::size_t, SimResult> done =
-            dir.loadCompleted(run.jobs);
-        for (auto &[index, result] : done) {
-            run.results[index] = std::move(result);
-            dir.markDone(index);
-        }
-        dir.flushManifest();
-        run.skipped = done.size();
-        for (const JobSpec &j : run.jobs) {
-            if (done.find(j.index) == done.end())
-                pending.push_back(j.index);
-        }
-    } else {
-        for (const JobSpec &j : run.jobs)
+    for (const JobSpec &j : run.jobs) {
+        const auto it = done.find(j.index);
+        if (it == done.end())
             pending.push_back(j.index);
+        else
+            run.results[j.index] = std::move(it->second);
     }
 
     if (options.verbose && run.skipped > 0) {
@@ -201,24 +195,21 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
             "' aborted (strict policy): " +
             std::to_string(failures.size()) + " job(s) failed";
         for (const JobFailure &f : failures) {
-            dir.markFailed(f);
             msg += "\n  job " + std::to_string(f.index) + " [" +
                 f.kind + "]: " + f.message;
         }
-        dir.flushManifest();
+        dir.recordFailures(failures);
         throw CampaignAborted(msg, std::move(failures));
     }
 
     run.failures = remap(stats.failures);
+    dir.recordFailures(run.failures);
     for (const JobFailure &f : run.failures) {
-        dir.markFailed(f);
         if (options.verbose) {
             cgp_warn("[", spec.name, ":", f.index, "] failed (",
                      f.kind, "): ", f.message);
         }
     }
-    if (!run.failures.empty())
-        dir.flushManifest();
 
     run.quarantined = dir.quarantined();
     run.threadsUsed = stats.threads;

@@ -6,12 +6,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "fault/fault.hh"
 #include "util/crc.hh"
+#include "util/logging.hh"
 
 namespace cgp::exp
 {
@@ -48,12 +50,6 @@ syncPath(const std::string &path, bool required)
 
 } // anonymous namespace
 
-void
-sealJson(Json &obj)
-{
-    obj.set(sealKey, static_cast<unsigned long>(payloadCrc(obj)));
-}
-
 std::string
 sealedJsonText(const Json &obj)
 {
@@ -85,6 +81,42 @@ verifySealedJson(const Json &obj)
     if (seal == nullptr || !seal->isNumber())
         return false;
     return seal->asUint() == payloadCrc(obj);
+}
+
+SealedRead
+readSealedJson(const std::string &path)
+{
+    SealedRead read;
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec))
+        return read;
+    try {
+        Json doc = Json::parse(readFileOrThrow(path));
+        if (verifySealedJson(doc))
+            read.doc = std::move(doc);
+        else
+            read.problem = "CRC seal mismatch (torn write or bit flip)";
+    } catch (const std::exception &e) {
+        read.problem = std::string("unreadable: ") + e.what();
+    }
+    return read;
+}
+
+void
+quarantineFile(const std::string &file, const std::string &qdir,
+               const std::string &why)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(qdir, ec);
+    const std::string base =
+        std::filesystem::path(file).filename().string();
+    std::string dest = qdir + "/" + base;
+    for (int n = 1; std::filesystem::exists(dest, ec); ++n)
+        dest = qdir + "/" + base + "." + std::to_string(n);
+    std::filesystem::rename(file, dest, ec);
+    if (ec)
+        std::filesystem::remove(file, ec);
+    cgp_warn("quarantined ", file, ": ", why);
 }
 
 std::string

@@ -3,11 +3,12 @@
  * Artifact integrity for the experiment engine.
  *
  * Every JSON artifact the engine persists — per-job result files,
- * the run-directory manifest, BENCH_*.json — is *sealed*: a "crc32"
- * member carries the CRC32 of the pretty-printed document with the
- * seal itself removed.  A torn write, bit flip, or truncation is
- * detected by verifySealedJson() on resume; the corrupt file is
- * quarantined and its job re-run instead of poisoning results.
+ * the run-directory manifest, warm checkpoints, BENCH_*.json — is
+ * *sealed* by sealedJsonText(): a "crc32" member carries the CRC32
+ * of the pretty-printed document with the seal itself removed.  A
+ * torn write, bit flip, or truncation is caught by readSealedJson()
+ * on resume; the corrupt file goes to quarantineFile() and its job
+ * re-runs instead of poisoning results.
  *
  * writeFileAtomicDurable() is the one write path for all sealed
  * artifacts: tmp file -> flush -> fsync -> rename -> fsync(dir), so
@@ -22,6 +23,7 @@
 #ifndef CGP_EXP_INTEGRITY_HH
 #define CGP_EXP_INTEGRITY_HH
 
+#include <optional>
 #include <string>
 
 #include "util/json.hh"
@@ -30,17 +32,10 @@ namespace cgp::exp
 {
 
 /**
- * Stamp @p obj (a JSON object) with its "crc32" seal.  Any existing
- * seal is replaced; the CRC covers obj.dump(2) without the seal.
- */
-void sealJson(Json &obj);
-
-/**
- * The sealed file text of @p obj, an unsealed JSON object: exactly
- * what sealJson(obj) and then obj.dump(2) + "\n" would produce, but
- * from a single dump(2) and without copying the document (the seal
- * becomes the last member).  Checkpoints, job files and manifests
- * are written through it.
+ * The sealed file text of @p obj, an unsealed JSON object: obj with
+ * a last "crc32" member (the CRC32 of obj.dump(2)), dumped with
+ * dump(2) + "\n", from a single dump and without copying the
+ * document.  Every sealed artifact is written through it.
  * @throws std::invalid_argument if @p obj is not an object or
  *         already carries a seal.
  */
@@ -49,10 +44,30 @@ std::string sealedJsonText(const Json &obj);
 /** True iff @p obj carries a seal matching its other members. */
 bool verifySealedJson(const Json &obj);
 
+/** A sealed artifact read back: missing (neither member set), usable
+ *  (doc) or unusable (problem). */
+struct SealedRead
+{
+    std::optional<Json> doc;
+    std::string problem;
+};
+
+/** Read, parse and seal-check the artifact at @p path. */
+SealedRead readSealedJson(const std::string &path);
+
+/**
+ * Move the damaged artifact @p file into @p qdir (created on demand)
+ * under a free name, so a human can autopsy it, and warn with
+ * @p why.  If the rename fails the file is removed instead, so it
+ * cannot poison the run.
+ */
+void quarantineFile(const std::string &file, const std::string &qdir,
+                    const std::string &why);
+
 /**
  * The resume-stable portion of a BENCH document: the document with
  * the volatile "execution" section (threads, wall time, executed vs
- * skipped counts) and the seal stripped.  Two runs of the same
+ * skipped counts) and any seal stripped.  Two runs of the same
  * campaign — interrupted any number of times or not at all — must
  * produce byte-identical deterministic text; the chaos audit
  * byte-compares exactly this.

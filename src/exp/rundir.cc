@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -57,6 +58,50 @@ lockKey(const std::string &path)
     std::error_code ec;
     const auto abs = std::filesystem::absolute(path, ec);
     return ec ? path : abs.lexically_normal().string();
+}
+
+/** A job file read back: missing (neither member set), usable
+ *  (result) or unusable (problem). */
+struct JobFileRead
+{
+    std::optional<SimResult> result;
+    std::string problem;
+};
+
+/**
+ * The one check of a job file, shared by resume, report and verify:
+ * @p job's file in run dir @p dir must be sealed and carry
+ * @p fingerprint and the job's own index, workload and config.
+ */
+JobFileRead
+readJobFile(const std::string &dir, const JobSpec &job,
+            const std::string &fingerprint)
+{
+    SealedRead sealed =
+        readSealedJson(dir + "/" + RunDir::jobFileName(job.index));
+    JobFileRead read;
+    read.problem = std::move(sealed.problem);
+    if (!sealed.doc)
+        return read;
+    const Json &f = *sealed.doc;
+    try {
+        const std::uint64_t index = f.at("index").asUint();
+        const std::string &workload = f.at("workload").asString();
+        const std::string &config = f.at("config").asString();
+        if (f.at("fingerprint").asString() != fingerprint) {
+            read.problem = "foreign fingerprint";
+        } else if (index != job.index || workload != job.workload ||
+                   config != job.label) {
+            read.problem = "job identity mismatch: holds job " +
+                std::to_string(index) + " (" + workload + ", " +
+                config + ")";
+        } else {
+            read.result = simResultFromJson(f.at("result"));
+        }
+    } catch (const std::exception &e) {
+        read.problem = std::string("unreadable: ") + e.what();
+    }
+    return read;
 }
 
 bool
@@ -118,11 +163,16 @@ RunDir::acquireLock()
         }
     }
     if (std::filesystem::exists(lockPath)) {
+        // An unreadable lock is stale, and so is one without its
+        // newline: a torn write whose digits may name another live
+        // process.
         long pid = 0;
         try {
-            pid = std::stol(readFileOrThrow(lockPath));
+            const std::string text = readFileOrThrow(lockPath);
+            if (!text.empty() && text.back() == '\n')
+                pid = std::stol(text);
         } catch (const std::exception &) {
-            pid = 0; // unreadable lock: treat as stale
+            pid = 0;
         }
         if (pid == static_cast<long>(::getpid()) ||
             !processAlive(pid)) {
@@ -182,24 +232,10 @@ RunDir::sweepTmpFiles()
 }
 
 void
-RunDir::quarantineFile(const std::string &file,
-                       const std::string &why)
+RunDir::quarantine(const std::string &file, const std::string &why)
 {
-    std::filesystem::create_directories(quarantineDir());
-    const std::string base =
-        std::filesystem::path(file).filename().string();
-    std::string dest = quarantineDir() + "/" + base;
-    for (int n = 1; std::filesystem::exists(dest); ++n)
-        dest = quarantineDir() + "/" + base + "." + std::to_string(n);
-    std::error_code ec;
-    std::filesystem::rename(file, dest, ec);
-    if (ec) {
-        // Cross-device or permission trouble: fall back to delete so
-        // the corrupt artifact at least cannot poison the run.
-        std::filesystem::remove(file, ec);
-    }
+    quarantineFile(file, quarantineDir(), why);
     ++quarantined_;
-    cgp_warn("quarantined ", base, ": ", why);
 }
 
 void
@@ -213,49 +249,33 @@ RunDir::prepare(const CampaignSpec &spec,
     title_ = spec.title;
     fingerprint_ = fingerprint;
     jobs_ = jobs;
-    done_.assign(jobs.size(), false);
-    failed_.clear();
 
     std::filesystem::create_directories(path_);
     acquireLock();
     sweepTmpFiles();
 
-    if (std::filesystem::exists(manifestPath())) {
-        Json m;
-        bool valid = false;
-        std::string existing;
-        std::string why;
-        try {
-            m = Json::parse(readFileOrThrow(manifestPath()));
-            if (!verifySealedJson(m)) {
-                why = "manifest CRC seal mismatch";
-            } else {
-                existing = m.at("fingerprint").asString();
-                valid = true;
-            }
-        } catch (const std::exception &e) {
-            why = std::string("manifest unreadable: ") + e.what();
-        }
-        if (!valid) {
-            // Corruption, not a user error: quarantine and rebuild
-            // the manifest from the job files.
-            quarantineFile(manifestPath(), why);
-        } else {
-            requireSchema(m, path_);
-            if (existing != fingerprint_) {
-                throw ForeignRunDir(
-                    "run directory " + path_ +
-                    " holds another campaign, spec or workload scale "
-                    "(fingerprint " +
-                    existing + " != " + fingerprint_ + ")");
-            }
+    const SealedRead existing = readSealedJson(manifestPath());
+    if (!existing.problem.empty()) {
+        // Corruption, not a user error: quarantine and rewrite the
+        // manifest; the job files still say what is done.
+        quarantine(manifestPath(), "manifest " + existing.problem);
+    } else if (existing.doc) {
+        requireSchema(*existing.doc, path_);
+        const std::string &other =
+            existing.doc->at("fingerprint").asString();
+        if (other != fingerprint_) {
+            throw ForeignRunDir(
+                "run directory " + path_ +
+                " holds another campaign, spec or workload scale "
+                "(fingerprint " +
+                other + " != " + fingerprint_ + ")");
         }
     }
-    writeManifest();
+    writeManifest({});
 }
 
 void
-RunDir::writeManifest() const
+RunDir::writeManifest(const std::vector<JobFailure> &failures) const
 {
     Json m = Json::object();
     m.set("schema", manifestSchema);
@@ -263,24 +283,20 @@ RunDir::writeManifest() const
     m.set("title", title_);
     m.set("fingerprint", fingerprint_);
     Json jobs = Json::array();
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        const JobSpec &j = jobs_[i];
+    for (const JobSpec &j : jobs_) {
         Json e = Json::object();
         e.set("index", j.index);
         e.set("workload", j.workload);
         e.set("config", j.label);
         e.set("file", jobFileName(j.index));
-        const auto fit = failed_.find(i);
-        if (done_[i]) {
-            e.set("status", "done");
-        } else if (fit != failed_.end()) {
-            e.set("status", "failed");
+        const auto failure = std::find_if(
+            failures.begin(), failures.end(),
+            [&j](const JobFailure &f) { return f.index == j.index; });
+        if (failure != failures.end()) {
             Json err = Json::object();
-            err.set("kind", fit->second.kind);
-            err.set("message", fit->second.message);
+            err.set("kind", failure->kind);
+            err.set("message", failure->message);
             e.set("error", std::move(err));
-        } else {
-            e.set("status", "pending");
         }
         jobs.push(std::move(e));
     }
@@ -288,45 +304,16 @@ RunDir::writeManifest() const
     writeFileAtomicDurable(manifestPath(), sealedJsonText(m));
 }
 
-void
-RunDir::flushManifest() const
-{
-    if (enabled())
-        writeManifest();
-}
-
 std::map<std::size_t, SimResult>
-RunDir::loadCompleted(const std::vector<JobSpec> &jobs)
+RunDir::loadCompleted()
 {
     std::map<std::size_t, SimResult> out;
-    if (!enabled())
-        return out;
-    for (const JobSpec &j : jobs) {
-        const std::string path = jobFilePath(j.index);
-        if (!std::filesystem::exists(path))
-            continue;
-        std::string why;
-        try {
-            const Json f = Json::parse(readFileOrThrow(path));
-            if (!verifySealedJson(f)) {
-                why = "CRC seal mismatch (torn write or bit flip)";
-            } else if (f.at("fingerprint").asString() !=
-                       fingerprint_) {
-                why = "foreign fingerprint";
-            } else if (f.at("index").asUint() != j.index ||
-                       f.at("workload").asString() != j.workload ||
-                       f.at("config").asString() != j.label) {
-                why = "job identity mismatch";
-            } else {
-                out.emplace(j.index,
-                            simResultFromJson(f.at("result")));
-                continue;
-            }
-        } catch (const std::exception &e) {
-            why = std::string("unreadable: ") + e.what();
-        }
-        // Invalid artifact: quarantine it and let the job re-run.
-        quarantineFile(path, why);
+    for (const JobSpec &j : jobs_) {
+        JobFileRead read = readJobFile(path_, j, fingerprint_);
+        if (read.result)
+            out.emplace(j.index, std::move(*read.result));
+        else if (!read.problem.empty())
+            quarantine(jobFilePath(j.index), read.problem);
     }
     return out;
 }
@@ -349,44 +336,31 @@ RunDir::recordResult(const JobSpec &job, const SimResult &result)
     f.set("result", toJson(result));
     writeFileAtomicDurable(jobFilePath(job.index), sealedJsonText(f));
 
-    // Crash here = the job file is durable but the manifest still
-    // says "pending"; resume rebuilds statuses from the job files.
-    fault::hit("exp.mid_record");
-
-    done_[job.index] = true;
-    failed_.erase(job.index);
-    writeManifest();
-
-    // Crash here = the process dies with the job fully recorded; a
+    // Crash here = the process dies with the job file durable; a
     // resumed campaign must skip it.
     fault::hit("exp.record");
 }
 
 void
-RunDir::markDone(std::size_t index)
+RunDir::recordFailures(const std::vector<JobFailure> &failures) const
 {
-    if (!enabled())
-        return;
-    done_[index] = true;
-    failed_.erase(index);
-}
-
-void
-RunDir::markFailed(const JobFailure &failure)
-{
-    if (!enabled())
-        return;
-    if (failure.index < done_.size() && !done_[failure.index])
-        failed_[failure.index] = failure;
+    if (enabled() && !failures.empty())
+        writeManifest(failures);
 }
 
 LoadedRun
 loadRunDir(const std::string &path)
 {
-    LoadedRun run;
-    const Json m =
-        Json::parse(readFileOrThrow(path + "/manifest.json"));
+    const std::string manifest = path + "/manifest.json";
+    const SealedRead read = readSealedJson(manifest);
+    if (!read.doc) {
+        throw std::runtime_error(
+            manifest + ": " +
+            (read.problem.empty() ? "missing" : read.problem));
+    }
+    const Json &m = *read.doc;
     requireSchema(m, path);
+    LoadedRun run;
     run.campaign = m.at("campaign").asString();
     run.title = m.at("title").asString();
     run.fingerprint = m.at("fingerprint").asString();
@@ -402,18 +376,11 @@ loadRunDir(const std::string &path)
             f.message = err->at("message").asString();
             run.failures.emplace(j.index, std::move(f));
         }
-        const std::string file =
-            path + "/" + e.at("file").asString();
-        try {
-            const Json f = Json::parse(readFileOrThrow(file));
-            if (verifySealedJson(f) &&
-                f.at("fingerprint").asString() == run.fingerprint) {
-                run.results.emplace(
-                    j.index, simResultFromJson(f.at("result")));
-            }
-        } catch (const std::exception &) {
-            // Incomplete job: reported as missing.
-        }
+        JobFileRead job = readJobFile(path, j, run.fingerprint);
+        if (job.result)
+            run.results.emplace(j.index, std::move(*job.result));
+        else if (!job.problem.empty())
+            run.rejected.emplace(j.index, std::move(job.problem));
         run.jobs.push_back(std::move(j));
     }
     return run;
@@ -452,62 +419,28 @@ verifyRunDir(const std::string &path)
         }
     }
 
-    Json m;
+    LoadedRun run;
     try {
-        m = Json::parse(readFileOrThrow(path + "/manifest.json"));
-    } catch (const std::exception &e) {
-        report.issues.push_back(
-            {"manifest.json",
-             std::string("unreadable: ") + e.what()});
-        return report;
-    }
-    if (!verifySealedJson(m)) {
-        report.issues.push_back(
-            {"manifest.json", "CRC seal mismatch"});
-        return report;
-    }
-    report.manifestOk = true;
-    try {
-        requireSchema(m, path);
+        run = loadRunDir(path);
     } catch (const SchemaMismatch &e) {
         report.schemaMismatch = true;
         report.issues.push_back({"manifest.json", e.what()});
+        return report;
+    } catch (const std::exception &e) {
+        report.issues.push_back({"manifest.json", e.what()});
+        return report;
     }
-    report.campaign = m.at("campaign").asString();
-    report.fingerprint = m.at("fingerprint").asString();
-
-    for (const Json &e : m.at("jobs").items()) {
-        ++report.jobsTotal;
-        const std::string status = e.at("status").asString();
-        const std::string file = e.at("file").asString();
-        if (status == "failed")
-            ++report.jobsFailed;
-        else if (status == "pending")
-            ++report.jobsPending;
-        else
-            ++report.jobsDone;
-        if (status != "done") {
-            // A pending/failed job may legitimately have no file.
-            continue;
-        }
-        try {
-            const Json f =
-                Json::parse(readFileOrThrow(path + "/" + file));
-            if (!verifySealedJson(f)) {
-                report.issues.push_back(
-                    {file, "CRC seal mismatch"});
-            } else if (f.at("fingerprint").asString() !=
-                       report.fingerprint) {
-                report.issues.push_back(
-                    {file, "foreign fingerprint"});
-            } else {
-                ++report.jobFilesOk;
-            }
-        } catch (const std::exception &ex) {
-            report.issues.push_back(
-                {file, std::string("unreadable: ") + ex.what()});
-        }
-    }
+    report.manifestOk = true;
+    report.campaign = run.campaign;
+    report.fingerprint = run.fingerprint;
+    report.jobsTotal = run.jobs.size();
+    report.jobsDone = report.jobFilesOk = run.results.size();
+    for (const auto &[index, failure] : run.failures)
+        report.jobsFailed += run.results.count(index) == 0 ? 1 : 0;
+    report.jobsPending =
+        report.jobsTotal - report.jobsDone - report.jobsFailed;
+    for (const auto &[index, problem] : run.rejected)
+        report.issues.push_back({RunDir::jobFileName(index), problem});
     return report;
 }
 

@@ -5,27 +5,31 @@
  *
  * Layout:
  *
- *     <dir>/manifest.json   campaign identity + per-job status (sealed)
+ *     <dir>/manifest.json   campaign identity, job list, last run's
+ *                           failures (sealed)
  *     <dir>/job-0000.json   one completed job: spec echo + SimResult
  *     <dir>/quarantine/     artifacts that failed integrity checks
  *     <dir>/.lock           pid of the process that owns the dir
  *
- * The per-job files are the source of truth for completion — a job
- * counts as done iff its file exists, parses, passes its CRC32 seal
- * (exp/integrity), and carries the campaign fingerprint and matching
- * job key.  The manifest is a human- and tool-friendly summary that
- * is rewritten (durable tmp+rename, see writeFileAtomicDurable)
- * after every completion; a crash between a job file and its
- * manifest update therefore loses nothing, because resume rescans
- * the job files and rebuilds the statuses.
+ * The job files are the only record of completion: a job is done iff
+ * its file exists, parses, passes its CRC32 seal (exp/integrity), and
+ * carries the campaign fingerprint and the job's own index, workload
+ * and config.  One reader makes that check, so resume
+ * (RunDir::loadCompleted), report (loadRunDir) and verify
+ * (verifyRunDir) accept and reject exactly the same files.  The
+ * manifest holds what the job files cannot: the run's identity, its
+ * job list, and an "error" object on each job that failed in the
+ * last run.  prepare() writes it, and it is written again only when
+ * the run records failures; recording a result writes the job file
+ * (durable tmp+rename, see writeFileAtomicDurable) and nothing else.
  *
  * Integrity: every artifact is sealed with a "crc32" member.  On
  * open, orphaned *.tmp files from a killed writer are swept, and any
  * artifact that is truncated, bit-flipped, unparsable, or from a
- * different spec is moved to <dir>/quarantine/ — never deleted, so a
- * human can autopsy it — and its job transparently re-runs.  A
- * manifest that fails its integrity check is quarantined and rebuilt
- * from the job files; a *valid* manifest with a different
+ * different spec or job is moved to <dir>/quarantine/ (see
+ * quarantineFile) so a human can autopsy it, and its job
+ * transparently re-runs.  A manifest that fails its integrity check
+ * is quarantined and rewritten; a *valid* manifest with a different
  * fingerprint still throws, because that is a user error (two
  * campaigns sharing a directory), not corruption.
  *
@@ -39,11 +43,10 @@
  * property the determinism tests pin down.
  *
  * Crash points "exp.pre_record" (before the job file: the job is
- * lost), "exp.mid_record" (job file durable, manifest stale: resume
- * rebuilds), and "exp.record" (after job file + manifest: the job
- * survives) let the fault injector simulate a kill on every side of
- * the durability boundary; "exp.artifact_write" (inside the write
- * path) can additionally tear the artifact being written.
+ * lost) and "exp.record" (after the job file: the job survives) let
+ * the fault injector simulate a kill on both sides of the durability
+ * boundary; "exp.artifact_write" (inside the write path) can
+ * additionally tear the artifact being written.
  *
  * Not internally synchronized: the engine serializes record calls.
  */
@@ -115,30 +118,20 @@ class RunDir
                  const std::string &fingerprint);
 
     /**
-     * Scan job files and return results of every validly completed
-     * job, keyed by job index.  Files that are unparsable, fail
-     * their CRC seal, or belong to a different spec are quarantined
+     * Read every job's file and return the results of the usable
+     * ones, keyed by job index.  Files that are unparsable, fail
+     * their CRC seal, or hold another spec or job are quarantined
      * (their jobs re-run); missing files are simply pending.
      */
-    std::map<std::size_t, SimResult>
-    loadCompleted(const std::vector<JobSpec> &jobs);
+    std::map<std::size_t, SimResult> loadCompleted();
 
-    /**
-     * Persist one completed job: write its sealed file (durable
-     * atomic rename), then rewrite the manifest with the job marked
-     * "done".
-     */
+    /** Persist one completed job: its sealed file, written with a
+     *  durable atomic rename. */
     void recordResult(const JobSpec &job, const SimResult &result);
 
-    /** Mark @p index done without rewriting its file (resume). */
-    void markDone(std::size_t index);
-
-    /** Record a terminal failure; the manifest entry becomes
-     *  status "failed" with the kind/message attached. */
-    void markFailed(const JobFailure &failure);
-
-    /** Rewrite the manifest to match the in-memory statuses. */
-    void flushManifest() const;
+    /** Rewrite the manifest with the run's terminal @p failures
+     *  attached to their jobs; no write when there are none. */
+    void recordFailures(const std::vector<JobFailure> &failures) const;
 
     /** Artifacts quarantined so far by this RunDir. */
     std::size_t quarantined() const { return quarantined_; }
@@ -153,21 +146,17 @@ class RunDir
     std::string quarantineDir() const;
 
   private:
-    void writeManifest() const;
+    void writeManifest(const std::vector<JobFailure> &failures) const;
     void acquireLock();
     void releaseLock();
     void sweepTmpFiles();
-    /** Move @p file into quarantine/ (never deletes data). */
-    void quarantineFile(const std::string &file,
-                        const std::string &why);
+    void quarantine(const std::string &file, const std::string &why);
 
     std::string path_;
     std::string fingerprint_;
     std::string campaign_;
     std::string title_;
     std::vector<JobSpec> jobs_;
-    std::vector<bool> done_;
-    std::map<std::size_t, JobFailure> failed_;
     std::size_t quarantined_ = 0;
     std::size_t sweptTmp_ = 0;
     bool holdsLock_ = false;
@@ -181,14 +170,17 @@ struct LoadedRun
     std::string fingerprint;
     /** Jobs in manifest order (index, workload, label). */
     std::vector<JobSpec> jobs;
-    /** Results by job index; missing entries were never completed. */
+    /** Results by job index, from the usable job files. */
     std::map<std::size_t, SimResult> results;
+    /** Job files present but unusable, with the reason, by index. */
+    std::map<std::size_t, std::string> rejected;
     /** Jobs the manifest records as terminally failed. */
     std::map<std::size_t, JobFailure> failures;
 };
 
 /**
- * Read a run directory for reporting (`cgpbench report`).
+ * Read a run directory for reporting (`cgpbench report`); a job whose
+ * file is missing or unusable has no result.
  * @throws SchemaMismatch if the manifest is of another schema,
  * std::runtime_error if it is missing or corrupt.
  */
@@ -208,10 +200,10 @@ struct VerifyReport
     std::string campaign;
     std::string fingerprint;
     std::size_t jobsTotal = 0;
-    std::size_t jobsDone = 0;    ///< manifest status "done"
-    std::size_t jobsFailed = 0;  ///< manifest status "failed"
-    std::size_t jobsPending = 0; ///< manifest status "pending"
-    std::size_t jobFilesOk = 0;  ///< job files passing all checks
+    std::size_t jobsDone = 0;    ///< jobs with a usable job file
+    std::size_t jobsFailed = 0;  ///< not done, manifest "error"
+    std::size_t jobsPending = 0; ///< neither done nor failed
+    std::size_t jobFilesOk = 0;  ///< usable job files (= jobsDone)
     bool schemaMismatch = false; ///< manifest of another schema
     std::vector<VerifyIssue> issues;
     std::vector<std::string> quarantineEntries;
@@ -220,9 +212,10 @@ struct VerifyReport
 };
 
 /**
- * Audit @p path without modifying it: manifest parse + seal +
- * schema, every done job's file parse + seal + fingerprint, orphaned
- * tmp files, quarantine inventory.  Backs `cgpbench verify`.
+ * Audit @p path without modifying it: the manifest and every job
+ * file present, read as loadRunDir reads them (each unusable file is
+ * an issue), orphaned tmp files, quarantine inventory.  Backs
+ * `cgpbench verify`.
  */
 VerifyReport verifyRunDir(const std::string &path);
 

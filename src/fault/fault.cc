@@ -30,11 +30,10 @@ FaultInjector::crashPoints()
         "prefetch.train", ///< prefetcher call/return trace observation
         "exp.pre_record", ///< campaign engine, before a job result is
                           ///< persisted (the job is lost on crash)
-        "exp.record",     ///< campaign engine, after a job result and
-                          ///< manifest are durable (job survives)
+        "exp.record",     ///< campaign engine, after a job result is
+                          ///< durable (the job survives)
         "exp.job",            ///< inside a campaign job, before the
                               ///< simulation runs (degrade path)
-        "exp.mid_record",     ///< job file durable, manifest stale
         "exp.artifact_write", ///< inside the durable atomic write
                               ///< (TornWrite tears the artifact)
         "exp.pre_bench",      ///< before the BENCH_*.json is written

@@ -9,6 +9,7 @@
 #include "dprefetch/stride.hh"
 #include "mem/cache.hh"
 #include "prefetch/cghc.hh"
+#include "util/fnv.hh"
 
 namespace cgp::sample
 {
@@ -17,16 +18,6 @@ namespace
 {
 
 constexpr int checkpointFormat = 1;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::string
 toHex(std::uint64_t v)
@@ -61,13 +52,9 @@ checkpointKey(const std::string &workload,
               const std::string &configLabel,
               std::uint64_t warmup_instrs)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, workload);
-    h = fnv1a(h, "|");
-    h = fnv1a(h, configLabel);
-    h = fnv1a(h, "|");
-    h = fnv1a(h, std::to_string(warmup_instrs));
-    return "warm-" + toHex(h);
+    return "warm-" +
+        toHex(fnv1a(workload + "|" + configLabel + "|" +
+                    std::to_string(warmup_instrs)));
 }
 
 Json

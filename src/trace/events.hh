@@ -49,8 +49,6 @@ enum class DataHintKind : std::uint8_t
     NumKinds = 5
 };
 
-const char *dataHintKindName(DataHintKind kind);
-
 /** One packed event: kind in the top 4 bits, payload below. */
 class TraceEvent
 {

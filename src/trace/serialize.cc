@@ -1,8 +1,10 @@
 #include "trace/serialize.hh"
 
+#include <array>
 #include <fstream>
 #include <vector>
 
+#include "util/fnv.hh"
 #include "util/logging.hh"
 
 namespace cgp
@@ -11,25 +13,28 @@ namespace cgp
 namespace
 {
 
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t word)
+/** @p w as the file stores it: 8 bytes, least significant first. */
+std::array<char, 8>
+wordBytes(std::uint64_t w)
 {
-    for (int b = 0; b < 8; ++b) {
-        h ^= (word >> (b * 8)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    std::array<char, 8> bytes;
+    for (int b = 0; b < 8; ++b)
+        bytes[b] = static_cast<char>((w >> (b * 8)) & 0xff);
+    return bytes;
 }
 
-constexpr std::uint64_t fnvInit = 0xcbf29ce484222325ull;
+/** Continue the checksum @p h over the stored bytes of @p w. */
+std::uint64_t
+hashWord(std::uint64_t h, std::uint64_t w)
+{
+    const std::array<char, 8> bytes = wordBytes(w);
+    return fnv1a({bytes.data(), bytes.size()}, h);
+}
 
 void
 putWord(std::ostream &os, std::uint64_t w)
 {
-    std::uint8_t bytes[8];
-    for (int b = 0; b < 8; ++b)
-        bytes[b] = static_cast<std::uint8_t>((w >> (b * 8)) & 0xff);
-    os.write(reinterpret_cast<const char *>(bytes), 8);
+    os.write(wordBytes(w).data(), 8);
 }
 
 bool
@@ -54,11 +59,11 @@ saveTrace(const TraceBuffer &trace, std::ostream &os)
     putWord(os, (static_cast<std::uint64_t>(traceFileVersion) << 32));
     putWord(os, trace.size());
 
-    std::uint64_t checksum = fnvInit;
+    std::uint64_t checksum = fnv1aBasis;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const std::uint64_t raw = trace.at(i).raw();
         putWord(os, raw);
-        checksum = fnv1a(checksum, raw);
+        checksum = hashWord(checksum, raw);
     }
     putWord(os, checksum);
     return static_cast<bool>(os);
@@ -91,7 +96,7 @@ loadTrace(TraceBuffer &trace, std::istream &is)
     if (!getWord(is, count))
         return false;
 
-    std::uint64_t checksum = fnvInit;
+    std::uint64_t checksum = fnv1aBasis;
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t raw = 0;
         if (!getWord(is, raw)) {
@@ -99,7 +104,7 @@ loadTrace(TraceBuffer &trace, std::istream &is)
             cgp_warn("trace load: truncated event stream");
             return false;
         }
-        checksum = fnv1a(checksum, raw);
+        checksum = hashWord(checksum, raw);
         trace.append(TraceEvent::fromRaw(raw));
     }
 

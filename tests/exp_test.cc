@@ -24,6 +24,7 @@
 #include "exp/scheduler.hh"
 #include "fault/fault.hh"
 #include "harness/workload.hh"
+#include "util/crc.hh"
 #include "util/watchdog.hh"
 
 namespace cgp::exp
@@ -281,15 +282,21 @@ TEST(Integrity, SealedTextIsSealThenDump)
     Json scalar = Json::object();
     scalar.set("only", 18446744073709551615ull);
 
+    // The text is the dump of the sealed document, whose last member
+    // is the CRC32 of the unsealed document's dump.
     for (const Json &doc : {Json::object(), scalar, nested}) {
-        Json sealed = doc;
-        sealJson(sealed);
         const std::string text = sealedJsonText(doc);
+        const Json sealed = Json::parse(text);
         EXPECT_EQ(text, sealed.dump(2) + "\n");
-        EXPECT_TRUE(verifySealedJson(Json::parse(text)));
+        EXPECT_TRUE(verifySealedJson(sealed));
+        ASSERT_FALSE(sealed.members().empty());
+        EXPECT_EQ(sealed.members().back().first, "crc32");
+        EXPECT_EQ(sealed.at("crc32").asUint(), crc32(doc.dump(2)));
+        Json payload = sealed;
+        payload.remove("crc32");
+        EXPECT_EQ(payload, doc);
     }
-    Json sealed = nested;
-    sealJson(sealed);
+    const Json sealed = Json::parse(sealedJsonText(nested));
     EXPECT_THROW(sealedJsonText(sealed), std::invalid_argument);
     EXPECT_THROW(sealedJsonText(Json::array()), std::invalid_argument);
 }
@@ -426,7 +433,7 @@ TEST_F(EngineTest, KilledRunResumesWithoutRerunningCompletedJobs)
 
     // Phase 1: single-threaded so completion order is the job order,
     // killed by an injected crash right after the second job becomes
-    // durable ("exp.record" sits past the job file + manifest write).
+    // durable ("exp.record" sits past the job file write).
     fault::FaultInjector inj;
     inj.arm("exp.record", {fault::FaultKind::Crash, 1, 1});
     {
@@ -801,6 +808,23 @@ TEST_F(EngineTest, RunDirLockRejectsALiveOwnerAndStealsAStaleOne)
     fs::remove_all(dir);
 }
 
+TEST_F(EngineTest, RunDirStealsATornLock)
+{
+    // A torn lock write (the chaos loop's TornWrite at the first
+    // durable write) leaves the pid's leading digits without the
+    // newline; they may name a live process (here pid 1), but the
+    // lock is stale.
+    const std::string dir = freshDir("torn-lock");
+    fs::create_directories(dir);
+    std::ofstream(fs::path(dir) / ".lock") << "1";
+    EngineOptions opt;
+    opt.threads = 1;
+    opt.verbose = false;
+    opt.runDir = dir;
+    EXPECT_EQ(runCampaign(spec(), provider(), opt).executed, 4u);
+    fs::remove_all(dir);
+}
+
 TEST_F(EngineTest, RunDirLockIsExclusiveWithinTheProcess)
 {
     const std::string dir = freshDir("lock2");
@@ -815,47 +839,14 @@ TEST_F(EngineTest, RunDirLockIsExclusiveWithinTheProcess)
     fs::remove_all(dir);
 }
 
-TEST_F(EngineTest, MidRecordCrashKeepsTheDurableJobFile)
-{
-    EngineOptions ref_opt;
-    ref_opt.threads = 1;
-    ref_opt.verbose = false;
-    const CampaignRun ref = runCampaign(spec(), provider(), ref_opt);
-
-    const std::string dir = freshDir("midrecord");
-    fault::FaultInjector inj;
-    inj.arm("exp.mid_record", {fault::FaultKind::Crash, 0, 1});
-    {
-        fault::ScopedGlobalInjector scoped(inj);
-        EngineOptions opt;
-        opt.threads = 1;
-        opt.verbose = false;
-        opt.runDir = dir;
-        EXPECT_THROW(runCampaign(spec(), provider(), opt),
-                     fault::CrashInjected);
-    }
-    // The job file hit disk before the crash; the stale manifest
-    // (still "pending") must not lose it on resume.
-    EngineOptions opt;
-    opt.threads = 1;
-    opt.verbose = false;
-    opt.runDir = dir;
-    const CampaignRun resumed = runCampaign(spec(), provider(), opt);
-    EXPECT_EQ(resumed.skipped, 1u);
-    EXPECT_EQ(resumed.executed, 3u);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(resumed.results[i], ref.results[i]) << i;
-    fs::remove_all(dir);
-}
-
 TEST_F(EngineTest, TornJobFileWriteIsCaughtByTheSealOnResume)
 {
     const std::string dir = freshDir("torn");
     fault::FaultInjector inj;
     // Hits on the durable-write path: 1 = .lock, 2 = the prepare
-    // manifest, 3 = the resume flush, 4 = job 0's file — tear that.
+    // manifest, 3 = job 0's file — tear that.
     inj.arm("exp.artifact_write",
-            {fault::FaultKind::TornWrite, 3, 1});
+            {fault::FaultKind::TornWrite, 2, 1});
     {
         fault::ScopedGlobalInjector scoped(inj);
         EngineOptions opt;
@@ -879,6 +870,98 @@ TEST_F(EngineTest, TornJobFileWriteIsCaughtByTheSealOnResume)
     EXPECT_GE(resumed.quarantined, 1u);
     EXPECT_EQ(resumed.skipped, 0u);
     EXPECT_EQ(resumed.executed, 4u);
+    fs::remove_all(dir);
+}
+
+/** A finished engine-test run dir whose job-0001.json and
+ *  job-0002.json have traded places; returns the clean run. */
+CampaignRun
+runAndSwapJobFiles(const CampaignSpec &s, WorkloadProvider &provider,
+                   const std::string &dir)
+{
+    EngineOptions opt;
+    opt.threads = 1;
+    opt.verbose = false;
+    opt.runDir = dir;
+    CampaignRun run = runCampaign(s, provider, opt);
+    const fs::path a = fs::path(dir) / "job-0001.json";
+    const fs::path b = fs::path(dir) / "job-0002.json";
+    const fs::path t = fs::path(dir) / "swap";
+    fs::rename(a, t);
+    fs::rename(b, a);
+    fs::rename(t, b);
+    return run;
+}
+
+TEST_F(EngineTest, LoadRunDirRejectsSwappedJobFiles)
+{
+    const std::string dir = freshDir("swap-load");
+    const CampaignRun ref = runAndSwapJobFiles(spec(), provider(), dir);
+
+    // Each file is sealed and of this campaign, but holds the other
+    // job: neither job is done, and no number moves to the other.
+    const LoadedRun loaded = loadRunDir(dir);
+    ASSERT_EQ(loaded.results.size(), 2u);
+    EXPECT_EQ(loaded.results.at(0), ref.results[0]);
+    EXPECT_EQ(loaded.results.at(3), ref.results[3]);
+    ASSERT_EQ(loaded.rejected.size(), 2u);
+    EXPECT_NE(loaded.rejected.at(1).find("holds job 2"),
+              std::string::npos)
+        << loaded.rejected.at(1);
+    EXPECT_NE(loaded.rejected.at(2).find("holds job 1"),
+              std::string::npos)
+        << loaded.rejected.at(2);
+
+    // Resume rejects the same two files and re-runs their jobs.
+    EngineOptions opt;
+    opt.threads = 1;
+    opt.verbose = false;
+    opt.runDir = dir;
+    const CampaignRun resumed = runCampaign(spec(), provider(), opt);
+    EXPECT_EQ(resumed.quarantined, 2u);
+    EXPECT_EQ(resumed.skipped, 2u);
+    EXPECT_EQ(resumed.executed, 2u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(resumed.results[i], ref.results[i]) << i;
+    EXPECT_EQ(loadRunDir(dir).results.size(), 4u);
+    fs::remove_all(dir);
+}
+
+TEST_F(EngineTest, VerifyRunDirReportsSwappedJobFiles)
+{
+    const std::string dir = freshDir("swap-verify");
+    runAndSwapJobFiles(spec(), provider(), dir);
+
+    const VerifyReport report = verifyRunDir(dir);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.manifestOk);
+    EXPECT_EQ(report.jobsTotal, 4u);
+    EXPECT_EQ(report.jobsDone, 2u);
+    EXPECT_EQ(report.jobsPending, 2u);
+    EXPECT_EQ(report.jobFilesOk, 2u);
+    ASSERT_EQ(report.issues.size(), 2u);
+    EXPECT_EQ(report.issues[0].file, "job-0001.json");
+    EXPECT_EQ(report.issues[1].file, "job-0002.json");
+    fs::remove_all(dir);
+}
+
+TEST_F(EngineTest, RecordingAJobWritesOnlyItsFile)
+{
+    const std::string dir = freshDir("writes");
+    const auto durableWrites = [&dir] {
+        fault::FaultInjector inj;
+        fault::ScopedGlobalInjector scoped(inj);
+        EngineOptions opt;
+        opt.threads = 2;
+        opt.verbose = false;
+        opt.runDir = dir;
+        runCampaign(spec(), provider(), opt);
+        return inj.hitCount("exp.artifact_write");
+    };
+    // The lock, the manifest and one file per job.
+    EXPECT_EQ(durableWrites(), 6u);
+    // Resuming the finished dir records nothing.
+    EXPECT_LE(durableWrites(), 2u);
     fs::remove_all(dir);
 }
 

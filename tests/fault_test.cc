@@ -41,8 +41,8 @@ TEST(FaultInjector, RegistryKnowsTheCompiledInPoints)
     // (exp/rundir, exp/engine, exp/integrity, exp/artifact).
     const std::vector<std::string> want = {
         "prefetch.issue", "prefetch.train", "exp.pre_record",
-        "exp.record",     "exp.job",        "exp.mid_record",
-        "exp.artifact_write", "exp.pre_bench"};
+        "exp.record",     "exp.job",        "exp.artifact_write",
+        "exp.pre_bench"};
     EXPECT_EQ(fault::FaultInjector::crashPoints(), want);
     for (const std::string &point : want)
         EXPECT_TRUE(fault::FaultInjector::isRegistered(point));

@@ -568,7 +568,8 @@ TEST(SampleCheckpointStore, SealedStoreRoundTripsOnDisk)
 TEST(SampleCheckpointStore, WrittenFileIsSealThenDump)
 {
     // The store writes the sealed text from one dump; the bytes must
-    // be exactly what sealing the document and dumping it gives.
+    // be exactly the dump of the sealed document, and unsealing it
+    // must give back the saved document.
     const Workload w = proxyWorkload("store-bytes", 50, 55.0, 200'000);
     MemStore mem;
     SimConfig cfg = sampledConfig(
@@ -580,11 +581,13 @@ TEST(SampleCheckpointStore, WrittenFileIsSealThenDump)
 
     const std::string dir = freshDir("store-bytes");
     exp::makeSealedCheckpointStore(dir).save(key, Json(doc));
-    Json sealed = doc;
-    exp::sealJson(sealed);
     const std::string written = exp::readFileOrThrow(
         exp::checkpointStoreDir(dir) + "/" + key + ".json");
+    Json sealed = Json::parse(written);
     EXPECT_EQ(written, sealed.dump(2) + "\n");
+    EXPECT_TRUE(exp::verifySealedJson(sealed));
+    sealed.remove("crc32");
+    EXPECT_EQ(sealed, doc);
     fs::remove_all(dir);
 }
 

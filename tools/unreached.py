@@ -10,9 +10,10 @@ then run
     python3 tools/unreached.py [campaign ...] [--build build-coverage]
 
 The script clears old counters, runs `cgpbench run smoke server-smoke
-sampled-smoke` plus any campaigns named on the command line, and the
-three `cgpbench show` pages, all at CGP_SCALE=0.03 (unless CGP_SCALE is
-set).  It then asks gcov for every object compiled from src/ and
+sampled-smoke` plus any campaigns named on the command line, then
+`cgpbench resume`, `report` and `verify` on each campaign's run dir,
+and the three `cgpbench show` pages, all at CGP_SCALE=0.03 (unless
+CGP_SCALE is set).  It then asks gcov for every object compiled from src/ and
 prints, per module and per file, the executable lines that never ran.
 An object with a .gcno but no .gcda was compiled but not linked into
 cgpbench; gcov reports all its lines as unrun.
@@ -35,19 +36,35 @@ SHOW_PAGES = ["table1", "callgraph", "anatomy"]
 
 
 def run_workloads(cgpbench, campaigns, env):
-    """Run the campaigns and show pages; return False if one failed."""
+    """Run the campaigns, read each run dir back with resume, report
+    and verify, and run the show pages; return False if one failed."""
     ok = True
+
+    def run(*args):
+        nonlocal ok
+        r = subprocess.run([cgpbench, *args], env=env,
+                           stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True)
+        if r.returncode != 0:
+            ok = False
+            print("warning: %s exited %d: %s" %
+                  (" ".join(args[:2]), r.returncode, r.stderr.strip()))
+
     with tempfile.TemporaryDirectory() as tmp:
-        cmds = [[cgpbench, "run", *campaigns, "--threads", "2", "--quiet",
-                 "--dir", tmp, "--fresh", "--artifact-dir", tmp]]
-        cmds += [[cgpbench, "show", page] for page in SHOW_PAGES]
-        for cmd in cmds:
-            r = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
-                               stderr=subprocess.PIPE, text=True)
-            if r.returncode != 0:
-                ok = False
-                print("warning: %s exited %d: %s" %
-                      (" ".join(cmd[1:3]), r.returncode, r.stderr.strip()))
+        run("run", *campaigns, "--threads", "2", "--quiet",
+            "--dir", tmp, "--fresh", "--artifact-dir", tmp)
+        # Groups such as `all` expand inside cgpbench: read back every
+        # run dir the run left.
+        for name in sorted(os.listdir(tmp)):
+            run_dir = os.path.join(tmp, name)
+            if not os.path.isfile(os.path.join(run_dir, "manifest.json")):
+                continue
+            run("resume", run_dir, "--threads", "2", "--quiet",
+                "--artifact-dir", tmp)
+            run("report", run_dir)
+            run("verify", run_dir)
+        for page in SHOW_PAGES:
+            run("show", page)
     return ok
 
 
@@ -138,7 +155,8 @@ def main():
     campaigns = BASE_CAMPAIGNS + [c for c in args.campaigns
                                   if c not in BASE_CAMPAIGNS]
     print("Unrun executable lines of src/ at CGP_SCALE=%s after "
-          "`cgpbench run %s` and `cgpbench show %s`" %
+          "`cgpbench run %s`, `resume|report|verify` of each run dir "
+          "and `cgpbench show %s`" %
           (env["CGP_SCALE"], " ".join(campaigns), "|".join(SHOW_PAGES)))
     if not run_workloads(cgpbench, campaigns, env):
         print("warning: a run failed; its lines may read as unrun")
