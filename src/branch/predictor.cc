@@ -1,7 +1,9 @@
 #include "branch/predictor.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "sample/checkpoint.hh"
 #include "util/bitops.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -227,10 +229,19 @@ Btb::saveState() const
     j.set("sets", sets_);
     j.set("assoc", assoc_);
     j.set("tick", tick_);
+    // Filled entries only: an entry is written whole on its first
+    // update and never cleared, so an unfilled one is still
+    // default-constructed.
+    j.set("empty",
+          sample::emptyRuns(entries_.size(), [this](std::size_t i) {
+              return entries_[i].pc != invalidAddr;
+          }));
     Json pcs = Json::array();
     Json targets = Json::array();
     Json lrus = Json::array();
     for (const Entry &e : entries_) {
+        if (e.pc == invalidAddr)
+            continue;
         pcs.push(e.pc);
         targets.push(e.target);
         lrus.push(e.lru);
@@ -248,19 +259,23 @@ Btb::loadState(const Json &state)
         state.at("assoc").asUint() != assoc_) {
         throw std::runtime_error("BTB geometry mismatch");
     }
-    const Json &pcs = state.at("pc");
-    const Json &targets = state.at("target");
-    const Json &lrus = state.at("lru");
-    if (pcs.size() != entries_.size() ||
-        targets.size() != entries_.size() ||
-        lrus.size() != entries_.size()) {
-        throw std::runtime_error("BTB size mismatch");
-    }
+    const std::vector<std::size_t> filled =
+        sample::filledSlots(state.at("empty"), entries_.size(), "BTB");
+    const Json::Array &pcs =
+        sample::slotValues(state, "pc", filled.size(), "BTB");
+    const Json::Array &targets =
+        sample::slotValues(state, "target", filled.size(), "BTB");
+    const Json::Array &lrus =
+        sample::slotValues(state, "lru", filled.size(), "BTB");
     tick_ = state.at("tick").asUint();
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        entries_[i].pc = pcs[i].asUint();
-        entries_[i].target = targets[i].asUint();
-        entries_[i].lru = lrus[i].asUint();
+    std::fill(entries_.begin(), entries_.end(), Entry{});
+    for (std::size_t k = 0; k < filled.size(); ++k) {
+        Entry &e = entries_[filled[k]];
+        e.pc = pcs[k].asUint();
+        if (e.pc == invalidAddr)
+            throw std::runtime_error("BTB checkpoint fills an empty entry");
+        e.target = targets[k].asUint();
+        e.lru = lrus[k].asUint();
     }
 }
 

@@ -73,7 +73,8 @@ class Btb
 
     void update(Addr pc, Addr target);
 
-    /// @{ Warm-state checkpointing (entry array + LRU tick).
+    /// @{ Warm-state checkpointing: the filled entries (a sparse
+    /// section, see sample/checkpoint.hh) plus the LRU tick.
     Json saveState() const;
     void loadState(const Json &state);
     /// @}

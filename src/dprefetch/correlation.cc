@@ -151,10 +151,18 @@ CorrelationDataPrefetcher::saveState() const
           static_cast<std::uint64_t>(table_.size()));
     j.set("tick", tick_);
     j.set("last_miss_line", lastMissLine_);
+    // Valid entries only: no path invalidates an entry, so every
+    // invalid one is still default-constructed.
+    j.set("empty",
+          sample::emptyRuns(table_.size(), [this](std::size_t i) {
+              return table_[i].valid;
+          }));
     Json entries = Json::array();
     for (const Entry &e : table_) {
+        if (!e.valid)
+            continue;
         Json je = Json::object();
-        je.set("tag", e.valid ? Json(e.tag) : Json(nullptr));
+        je.set("tag", e.tag);
         je.set("lru", e.lru);
         Json succ = Json::array();
         for (Addr a : e.succ)
@@ -171,18 +179,19 @@ CorrelationDataPrefetcher::loadState(const Json &state)
 {
     if (state.at("entries").asUint() != table_.size())
         throw std::runtime_error("correlation table size mismatch");
-    const Json &entries = state.at("table");
-    if (entries.size() != table_.size())
-        throw std::runtime_error("correlation table field mismatch");
+    const std::vector<std::size_t> filled = sample::filledSlots(
+        state.at("empty"), table_.size(), "correlation");
+    const Json::Array &entries = sample::slotValues(
+        state, "table", filled.size(), "correlation");
     tick_ = state.at("tick").asUint();
     lastMissLine_ = state.at("last_miss_line").asUint();
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-        Entry &e = table_[i];
-        const Json &je = entries[i];
-        e.valid = !je.at("tag").isNull();
-        e.tag = e.valid ? je.at("tag").asUint() : invalidAddr;
+    std::fill(table_.begin(), table_.end(), Entry{});
+    for (std::size_t k = 0; k < filled.size(); ++k) {
+        Entry &e = table_[filled[k]];
+        const Json &je = entries[k];
+        e.valid = true;
+        e.tag = je.at("tag").asUint();
         e.lru = je.at("lru").asUint();
-        e.succ.clear();
         for (const Json &a : je.at("succ").items())
             e.succ.push_back(a.asUint());
     }

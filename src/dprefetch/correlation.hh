@@ -62,8 +62,9 @@ class CorrelationDataPrefetcher : public DataPrefetcher
     std::uint64_t prefetchesRequested() const { return requested_; }
     /// @}
 
-    /// @{ Warm-state checkpointing of the correlation (AMC) table
-    /// and the last-miss trigger.
+    /// @{ Warm-state checkpointing of the correlation (AMC) table's
+    /// valid entries (a sparse section, see sample/checkpoint.hh) and
+    /// the last-miss trigger.
     Json saveState() const;
     void loadState(const Json &state);
     void addCheckpointParts(sample::CheckpointParts &parts) override;

@@ -1,5 +1,6 @@
 #include "dprefetch/stride.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sample/checkpoint.hh"
@@ -104,11 +105,20 @@ StrideDataPrefetcher::saveState() const
     Json j = Json::object();
     j.set("entries",
           static_cast<std::uint64_t>(table_.size()));
+    // Allocated entries only: an entry is written whole when a PC
+    // claims it and never cleared, so an unclaimed one is still
+    // default-constructed.
+    j.set("empty",
+          sample::emptyRuns(table_.size(), [this](std::size_t i) {
+              return table_[i].pc != invalidAddr;
+          }));
     Json pcs = Json::array();
     Json lasts = Json::array();
     Json strides = Json::array();
     Json confs = Json::array();
     for (const Entry &e : table_) {
+        if (e.pc == invalidAddr)
+            continue;
         pcs.push(e.pc);
         lasts.push(e.lastAddr);
         strides.push(static_cast<long long>(e.stride));
@@ -126,21 +136,26 @@ StrideDataPrefetcher::loadState(const Json &state)
 {
     if (state.at("entries").asUint() != table_.size())
         throw std::runtime_error("stride table size mismatch");
-    const Json &pcs = state.at("pc");
-    const Json &lasts = state.at("last_addr");
-    const Json &strides = state.at("stride");
-    const Json &confs = state.at("confidence");
-    if (pcs.size() != table_.size() || lasts.size() != table_.size() ||
-        strides.size() != table_.size() ||
-        confs.size() != table_.size()) {
-        throw std::runtime_error("stride table field mismatch");
-    }
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-        table_[i].pc = pcs[i].asUint();
-        table_[i].lastAddr = lasts[i].asUint();
-        table_[i].stride = strides[i].asInt();
-        table_[i].confidence =
-            static_cast<unsigned>(confs[i].asUint());
+    const std::vector<std::size_t> filled =
+        sample::filledSlots(state.at("empty"), table_.size(), "stride");
+    const Json::Array &pcs =
+        sample::slotValues(state, "pc", filled.size(), "stride");
+    const Json::Array &lasts =
+        sample::slotValues(state, "last_addr", filled.size(), "stride");
+    const Json::Array &strides =
+        sample::slotValues(state, "stride", filled.size(), "stride");
+    const Json::Array &confs =
+        sample::slotValues(state, "confidence", filled.size(), "stride");
+    std::fill(table_.begin(), table_.end(), Entry{});
+    for (std::size_t k = 0; k < filled.size(); ++k) {
+        Entry &e = table_[filled[k]];
+        e.pc = pcs[k].asUint();
+        if (e.pc == invalidAddr)
+            throw std::runtime_error(
+                "stride checkpoint fills an empty entry");
+        e.lastAddr = lasts[k].asUint();
+        e.stride = strides[k].asInt();
+        e.confidence = static_cast<unsigned>(confs[k].asUint());
     }
 }
 

@@ -56,7 +56,8 @@ class StrideDataPrefetcher : public DataPrefetcher
     std::uint64_t prefetchesRequested() const { return requested_; }
     /// @}
 
-    /// @{ Warm-state checkpointing of the per-PC table.
+    /// @{ Warm-state checkpointing of the per-PC table's allocated
+    /// entries (a sparse section, see sample/checkpoint.hh).
     Json saveState() const;
     void loadState(const Json &state);
     void addCheckpointParts(sample::CheckpointParts &parts) override;

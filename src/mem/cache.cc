@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "mem/pfarbiter.hh"
+#include "sample/checkpoint.hh"
 #include "util/bitops.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -181,16 +182,23 @@ Cache::saveState() const
     j.set("assoc", config_.assoc);
     j.set("line_bytes", config_.lineBytes);
     j.set("tick", tick_);
+    // Valid lines only: no path invalidates a line, so every invalid
+    // one is still default-constructed.
+    j.set("empty",
+          sample::emptyRuns(lines_.size(), [this](std::size_t i) {
+              return lines_[i].valid;
+          }));
     Json tags = Json::array();
     Json lrus = Json::array();
     Json meta = Json::array();
     for (const Line &l : lines_) {
+        if (!l.valid)
+            continue;
         tags.push(l.tag);
         lrus.push(l.lru);
-        const unsigned flags = (l.valid ? 1u : 0u) |
-            (l.dirty ? 2u : 0u) | (l.prefetched ? 4u : 0u) |
-            (l.referenced ? 8u : 0u) |
-            (static_cast<unsigned>(l.source) << 4);
+        const unsigned flags = (l.dirty ? 1u : 0u) |
+            (l.prefetched ? 2u : 0u) | (l.referenced ? 4u : 0u) |
+            (static_cast<unsigned>(l.source) << 3);
         meta.push(flags);
     }
     j.set("tag", std::move(tags));
@@ -209,29 +217,29 @@ Cache::loadState(const Json &state)
         throw std::runtime_error(
             "cache checkpoint geometry mismatch for " + config_.name);
     }
-    const Json &tags = state.at("tag");
-    const Json &lrus = state.at("lru");
-    const Json &meta = state.at("meta");
-    if (tags.size() != lines_.size() || lrus.size() != lines_.size() ||
-        meta.size() != lines_.size()) {
-        throw std::runtime_error(
-            "cache checkpoint line count mismatch for " +
-            config_.name);
-    }
+    const std::string what = "cache " + config_.name;
+    const std::vector<std::size_t> filled =
+        sample::filledSlots(state.at("empty"), lines_.size(), what);
+    const Json::Array &tags =
+        sample::slotValues(state, "tag", filled.size(), what);
+    const Json::Array &lrus =
+        sample::slotValues(state, "lru", filled.size(), what);
+    const Json::Array &meta =
+        sample::slotValues(state, "meta", filled.size(), what);
     tick_ = state.at("tick").asUint();
     inflight_.clear();
     nextReady_ = std::numeric_limits<Cycle>::max();
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        Line &l = lines_[i];
-        l.tag = tags[i].asUint();
-        l.lru = lrus[i].asUint();
-        const unsigned flags =
-            static_cast<unsigned>(meta[i].asUint());
-        l.valid = (flags & 1u) != 0;
-        l.dirty = (flags & 2u) != 0;
-        l.prefetched = (flags & 4u) != 0;
-        l.referenced = (flags & 8u) != 0;
-        const unsigned src = flags >> 4;
+    std::fill(lines_.begin(), lines_.end(), Line{});
+    for (std::size_t k = 0; k < filled.size(); ++k) {
+        Line &l = lines_[filled[k]];
+        l.valid = true;
+        l.tag = tags[k].asUint();
+        l.lru = lrus[k].asUint();
+        const unsigned flags = static_cast<unsigned>(meta[k].asUint());
+        l.dirty = (flags & 1u) != 0;
+        l.prefetched = (flags & 2u) != 0;
+        l.referenced = (flags & 4u) != 0;
+        const unsigned src = flags >> 3;
         if (src >= numSources) {
             throw std::runtime_error(
                 "cache checkpoint has an invalid access source");

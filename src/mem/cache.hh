@@ -238,9 +238,12 @@ class Cache
     /** No in-flight fills (checkpoints require a quiesced cache). */
     bool inflightEmpty() const { return inflight_.empty(); }
 
-    /// @{ Warm-state checkpointing: tag/LRU/flag arrays plus the LRU
-    /// tick.  MSHRs must be empty at save time (asserted); loadState
-    /// verifies the serialized geometry matches this cache's.
+    /// @{ Warm-state checkpointing: the LRU tick plus the tag, LRU
+    /// and flags of each valid line (a sparse section, see
+    /// sample/checkpoint.hh).  MSHRs must be empty at save time
+    /// (asserted); loadState verifies the serialized geometry matches
+    /// this cache's, invalidates every line and fills in the saved
+    /// ones.
     Json saveState() const;
     void loadState(const Json &state);
     /// @}

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sample/checkpoint.hh"
 #include "util/bitops.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -336,14 +337,22 @@ Cghc::saveState() const
     Json j = Json::object();
     j.set("describe", config_.describe());
     j.set("tick", tick_);
+    // Valid entries only: victimWay hands out an invalid entry
+    // without reading it, and every use overwrites it whole.
     const auto level_to_json = [this](const std::vector<Entry> &lv) {
         Json out = Json::object();
+        out.set("empty",
+                sample::emptyRuns(lv.size(), [&lv](std::size_t i) {
+                    return lv[i].valid;
+                }));
         Json tags = Json::array();
         Json idxs = Json::array();
         Json lrus = Json::array();
         Json slots = Json::array();
         for (const Entry &e : lv) {
-            tags.push(e.valid ? Json(e.tag) : Json(nullptr));
+            if (!e.valid)
+                continue;
+            tags.push(e.tag);
             idxs.push((static_cast<unsigned>(e.index) << 8) |
                       static_cast<unsigned>(e.count));
             lrus.push(e.lru);
@@ -396,28 +405,30 @@ Cghc::loadState(const Json &state)
     tick_ = state.at("tick").asUint();
     const auto level_from_json = [this](std::vector<Entry> &lv,
                                         const Json &in) {
-        const Json &tags = in.at("tag");
-        const Json &idxs = in.at("index_count");
-        const Json &lrus = in.at("lru");
-        const Json &slots = in.at("slots");
-        if (tags.size() != lv.size() || idxs.size() != lv.size() ||
-            lrus.size() != lv.size() ||
-            slots.size() != lv.size() * config_.slots) {
-            throw std::runtime_error(
-                "CGHC checkpoint level size mismatch");
-        }
-        for (std::size_t i = 0; i < lv.size(); ++i) {
-            Entry &e = lv[i];
-            e.valid = !tags[i].isNull();
-            e.tag = e.valid ? tags[i].asUint() : invalidAddr;
+        const std::vector<std::size_t> filled =
+            sample::filledSlots(in.at("empty"), lv.size(), "CGHC");
+        const Json::Array &tags =
+            sample::slotValues(in, "tag", filled.size(), "CGHC");
+        const Json::Array &idxs = sample::slotValues(
+            in, "index_count", filled.size(), "CGHC");
+        const Json::Array &lrus =
+            sample::slotValues(in, "lru", filled.size(), "CGHC");
+        const Json::Array &slots = sample::slotValues(
+            in, "slots", filled.size(), "CGHC", config_.slots);
+        Entry blank;
+        blank.slots.assign(config_.slots, invalidAddr);
+        std::fill(lv.begin(), lv.end(), blank);
+        for (std::size_t k = 0; k < filled.size(); ++k) {
+            Entry &e = lv[filled[k]];
+            e.valid = true;
+            e.tag = tags[k].asUint();
             const unsigned ic =
-                static_cast<unsigned>(idxs[i].asUint());
+                static_cast<unsigned>(idxs[k].asUint());
             e.index = static_cast<std::uint8_t>(ic >> 8);
             e.count = static_cast<std::uint8_t>(ic & 0xFF);
-            e.lru = lrus[i].asUint();
-            e.slots.assign(config_.slots, invalidAddr);
+            e.lru = lrus[k].asUint();
             for (unsigned s = 0; s < config_.slots; ++s)
-                e.slots[s] = slots[i * config_.slots + s].asUint();
+                e.slots[s] = slots[k * config_.slots + s].asUint();
         }
     };
     if (config_.infinite) {

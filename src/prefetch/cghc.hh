@@ -121,9 +121,10 @@ class Cghc
      */
     void setWarming(bool warming) { warming_ = warming; }
 
-    /// @{ Warm-state checkpointing: both finite levels (or the
-    /// infinite map, serialized in sorted key order for determinism)
-    /// plus the LRU tick.
+    /// @{ Warm-state checkpointing: the valid entries of both finite
+    /// levels (sparse sections, see sample/checkpoint.hh; loadState
+    /// invalidates every other entry), or the infinite map in sorted
+    /// key order for determinism, plus the LRU tick.
     Json saveState() const;
     void loadState(const Json &state);
     /// @}

@@ -17,7 +17,7 @@ namespace cgp::sample
 namespace
 {
 
-constexpr int checkpointFormat = 1;
+constexpr int checkpointFormat = 2;
 
 std::string
 toHex(std::uint64_t v)
