@@ -7,10 +7,12 @@
  * fault (point, kind, hit number — all drawn from a seeded Rng, so a
  * failing triple replays exactly) at one of the engine's "exp.*"
  * crash points, run the campaign against a persistent run directory,
- * and let the injected crash kill it mid-flight.  Between cycles it
+ * and let the injected crash kill it mid-flight.  The point and hit
+ * number are drawn from the hits the previous cycle made, so the
+ * fault lands where a resume actually goes.  Between cycles it
  * optionally corrupts a surviving artifact — a bit flip or a
- * truncation of a job file or the manifest — exactly the damage a
- * torn sector or a buggy copy leaves behind.  After all cycles a
+ * truncation of a job file, the manifest or a warm checkpoint —
+ * exactly the damage a torn sector or a buggy copy leaves behind.  After all cycles a
  * clean resume must finish the campaign with zero manual
  * intervention (quarantine absorbs the corruption) and its BENCH
  * document, with the volatile execution section stripped
@@ -60,7 +62,9 @@ struct ChaosLoopResult
     unsigned crashes = 0;     ///< injected crashes that unwound a run
     unsigned cleanRuns = 0;   ///< cycles whose fault never fired
     unsigned corruptions = 0; ///< artifacts deliberately damaged
-    std::size_t quarantined = 0; ///< artifacts quarantined on resume
+    /** Artifacts quarantined on resume: job files, manifests and
+     *  warm checkpoints. */
+    std::size_t quarantined = 0;
     std::size_t executedJobs = 0; ///< simulations run across cycles
 
     /** Final BENCH (deterministic text) matches the reference. */

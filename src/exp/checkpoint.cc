@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "exp/integrity.hh"
+#include "fault/fault.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -45,6 +46,8 @@ makeSealedCheckpointStore(const std::string &runDir)
             std::filesystem::create_directories(dir);
             writeFileAtomicDurable(checkpointPath(dir, key),
                                    sealedJsonText(doc));
+        } catch (const fault::CrashInjected &) {
+            throw; // simulated process death, not an I/O failure
         } catch (const std::exception &e) {
             cgp_warn("could not save checkpoint ", key, ": ",
                      e.what());

@@ -36,7 +36,9 @@ namespace cgp::exp
  * Hooks backed by `<runDir>/checkpoints/`.  The directory is created
  * lazily on first save; load treats a missing directory as a miss.
  * I/O failures on save are logged and swallowed — a checkpoint is an
- * optimization, never worth failing the job over.
+ * optimization, never worth failing the job over — but an injected
+ * crash (fault::CrashInjected) still ends the run, as the process
+ * death it stands for would.
  */
 sample::CheckpointHooks
 makeSealedCheckpointStore(const std::string &runDir);

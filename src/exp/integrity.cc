@@ -125,6 +125,25 @@ deterministicBenchText(const Json &bench)
     Json copy = bench;
     copy.remove("execution");
     copy.remove(sealKey);
+    // Whether a sampled job warmed from a checkpoint, or cut one,
+    // depends on what earlier runs left in the store, not on what the
+    // job computed.
+    if (const Json *jobs = copy.find("jobs")) {
+        Json kept = Json::array();
+        for (Json job : jobs->items()) {
+            const Json *result = job.find("result");
+            if (result != nullptr && result->contains("sampled")) {
+                Json r = *result;
+                Json sampled = r.at("sampled");
+                sampled.remove("checkpoint_used");
+                sampled.remove("checkpoint_saved");
+                r.set("sampled", std::move(sampled));
+                job.set("result", std::move(r));
+            }
+            kept.push(std::move(job));
+        }
+        copy.set("jobs", std::move(kept));
+    }
     return copy.dump(2) + "\n";
 }
 

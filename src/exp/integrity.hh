@@ -67,7 +67,9 @@ void quarantineFile(const std::string &file, const std::string &qdir,
 /**
  * The resume-stable portion of a BENCH document: the document with
  * the volatile "execution" section (threads, wall time, executed vs
- * skipped counts) and any seal stripped.  Two runs of the same
+ * skipped counts), each sampled result's checkpoint_used and
+ * checkpoint_saved flags (they record what the warm-state store held
+ * when the job ran) and any seal stripped.  Two runs of the same
  * campaign — interrupted any number of times or not at all — must
  * produce byte-identical deterministic text; the chaos audit
  * byte-compares exactly this.
