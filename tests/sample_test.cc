@@ -22,14 +22,23 @@
 #include <string>
 #include <vector>
 
+#include "branch/predictor.hh"
+#include "codegen/layout.hh"
+#include "cpu/core.hh"
+#include "dprefetch/factory.hh"
 #include "exp/checkpoint.hh"
 #include "exp/engine.hh"
 #include "exp/integrity.hh"
 #include "harness/report.hh"
 #include "harness/simulator.hh"
 #include "harness/workload.hh"
+#include "mem/hierarchy.hh"
+#include "prefetch/cghc.hh"
+#include "prefetch/cgp.hh"
 #include "sample/checkpoint.hh"
 #include "sample/estimator.hh"
+#include "trace/expand.hh"
+#include "util/rng.hh"
 
 namespace cgp
 {
@@ -536,6 +545,351 @@ TEST(SampleCheckpointRoundTrip, ShortReplayFailsTheRun)
     ASSERT_EQ(store.docs.size(), 1u);
 
     EXPECT_THROW(runSimulation(shorter, cfg), std::runtime_error);
+}
+
+// ---------------------------------------------------------------
+// Sparse sections (checkpoint format 2)
+// ---------------------------------------------------------------
+
+/** Scalar values in @p j: what a section costs, before whitespace. */
+std::size_t
+countValues(const Json &j)
+{
+    if (j.isArray()) {
+        std::size_t n = 0;
+        for (const Json &v : j.items())
+            n += countValues(v);
+        return n;
+    }
+    if (j.isObject()) {
+        std::size_t n = 0;
+        for (const auto &[key, v] : j.members())
+            n += countValues(v);
+        return n;
+    }
+    return 1;
+}
+
+/** The caches, branch unit and a two-level CGHC, driven directly so
+ *  warm-up can fill far more of them than a short trace does. */
+struct TableMachine
+{
+    MemoryHierarchy mem;
+    BranchUnit branch{BranchPredictorConfig{}};
+    Cghc cghc{CghcConfig::twoLevel2K32K()};
+
+    sample::CheckpointParts
+    parts()
+    {
+        sample::CheckpointParts p;
+        p.l1i = &mem.l1i();
+        p.l1d = &mem.l1d();
+        p.l2 = &mem.l2();
+        p.branch = &branch;
+        p.cghc = &cghc;
+        return p;
+    }
+
+    /** Fill both L1s, most of the L2, most of the BTB and both CGHC
+     *  levels; the prefetched lines set every flag a line carries. */
+    void
+    warm(std::uint64_t seed)
+    {
+        Rng rng(seed);
+        for (Addr a = 0; a < 64 * 1024; a += 32)
+            mem.l1i().warmAccess(0x400000 + a, false);
+        for (int i = 0; i < 60'000; ++i) {
+            const Addr a = 0x10000000 + rng.nextBelow(4u << 20);
+            mem.l1d().warmAccess(a, rng.nextBool(0.3));
+        }
+        for (Addr a = 0; a < 64 * 32; a += 32)
+            mem.l1d().prefetch(0x20000000 + a, 0, AccessSource::DataPrefetch);
+        mem.tick(1000);
+        mem.l1d().access(0x20000000, 1000, AccessSource::DemandLoad, false);
+        for (int i = 0; i < 1000; ++i) {
+            const Addr pc = 0x400000 + 4 * rng.nextBelow(1u << 16);
+            branch.predictConditional(pc, rng.nextBool(0.6), pc + 64);
+            branch.predictCall(pc + 8, pc + 4096, pc & ~Addr{31});
+            if (rng.nextBool(0.4))
+                branch.predictReturn(pc + 12, pc + 12);
+        }
+        for (int i = 0; i < 4000; ++i) {
+            const Addr caller = 0x400000 + 32 * rng.nextBelow(4096);
+            const Addr callee = 0x400000 + 32 * rng.nextBelow(4096);
+            cghc.callPrefetchAccess(callee);
+            cghc.callUpdateAccess(caller, callee);
+            if (rng.nextBool(0.5)) {
+                cghc.returnPrefetchAccess(caller);
+                cghc.returnUpdateAccess(callee);
+            }
+        }
+    }
+};
+
+TEST(SampleCheckpointSparse, FilledTablesRoundTripWithinTheDenseSize)
+{
+    TableMachine warmed;
+    warmed.warm(27);
+    const Json doc =
+        sample::buildCheckpoint(warmed.parts(), "tables", "direct", 1, 1);
+    const Json &state = doc.at("state");
+
+    // The warm-up filled the L1s completely and most of the L2.
+    const HierarchyConfig geometry;
+    const auto lines = [](const CacheConfig &c) {
+        return static_cast<std::size_t>(c.sizeBytes / c.lineBytes);
+    };
+    EXPECT_EQ(state.at("l1i").at("tag").size(), lines(geometry.l1i));
+    EXPECT_EQ(state.at("l1d").at("tag").size(), lines(geometry.l1d));
+    EXPECT_EQ(state.at("l1i").at("empty").size(), 0u);
+    EXPECT_GT(state.at("l2").at("tag").size(), lines(geometry.l2) / 2);
+    EXPECT_LT(state.at("l2").at("tag").size(), lines(geometry.l2));
+
+    // No section holds more values than its format-1 dense arrays
+    // did: five header values and three per line for a cache; bits,
+    // history and the PHT, then sets, assoc, tick and three per BTB
+    // entry, then depth, top, size and two per RAS entry for the
+    // branch unit; describe, tick and per CGHC entry a tag, an
+    // index/count word, an LRU tick and the callee slots.
+    for (const char *name : {"l1i", "l1d", "l2"}) {
+        SCOPED_TRACE(name);
+        const Json &section = state.at(name);
+        const std::size_t dense = 5 +
+            3 * section.at("size_bytes").asUint() /
+                section.at("line_bytes").asUint();
+        EXPECT_LE(countValues(section), dense);
+    }
+    const BranchPredictorConfig bp;
+    const std::size_t denseBranch = 2 + (std::size_t{1} << bp.phtBits) +
+        3 + 3 * bp.btbEntries + 3 + 2 * bp.rasEntries;
+    EXPECT_LE(countValues(state.at("branch")), denseBranch);
+    EXPECT_GT(state.at("branch").at("btb").at("pc").size(),
+              bp.btbEntries / 2);
+    const CghcConfig cg = CghcConfig::twoLevel2K32K();
+    const std::size_t cghcEntries = (cg.l1Bytes + cg.l2Bytes) / 32;
+    EXPECT_LE(countValues(state.at("cghc")),
+              2 + cghcEntries * (3 + cg.slots));
+
+    // Restoring into fresh tables, or over tables another warm-up
+    // filled, and cutting again gives the same document, and the
+    // machines go on to answer alike.
+    TableMachine restored;
+    sample::applyCheckpoint(doc, restored.parts());
+    EXPECT_EQ(sample::buildCheckpoint(restored.parts(), "tables",
+                                      "direct", 1, 1)
+                  .dump(),
+              doc.dump());
+    TableMachine overwritten;
+    overwritten.warm(28);
+    sample::applyCheckpoint(doc, overwritten.parts());
+    EXPECT_EQ(sample::buildCheckpoint(overwritten.parts(), "tables",
+                                      "direct", 1, 1)
+                  .dump(),
+              doc.dump());
+    Rng rng(7);
+    for (int i = 0; i < 5000; ++i) {
+        const Addr a = 0x10000000 + rng.nextBelow(8u << 20);
+        const Cycle now = 2000 + 40 * static_cast<Cycle>(i);
+        for (TableMachine *m : {&warmed, &restored})
+            m->mem.tick(now);
+        const auto x =
+            warmed.mem.l1d().access(a, now, AccessSource::DemandLoad,
+                                    false);
+        const auto y =
+            restored.mem.l1d().access(a, now, AccessSource::DemandLoad,
+                                      false);
+        ASSERT_EQ(x.hit, y.hit) << i;
+        ASSERT_EQ(x.readyCycle, y.readyCycle) << i;
+        const Addr f = 0x400000 + 32 * rng.nextBelow(4096);
+        const auto p = warmed.cghc.callPrefetchAccess(f);
+        const auto q = restored.cghc.callPrefetchAccess(f);
+        ASSERT_EQ(p.hit, q.hit) << i;
+        ASSERT_EQ(p.prefetchTarget, q.prefetchTarget) << i;
+        const Addr pc = 0x400000 + 4 * rng.nextBelow(1u << 16);
+        const auto b = warmed.branch.predictJump(pc, pc + 128);
+        const auto c = restored.branch.predictJump(pc, pc + 128);
+        ASSERT_EQ(b.targetKnown, c.targetKnown) << i;
+        ASSERT_EQ(b.target, c.target) << i;
+    }
+}
+
+/**
+ * The machine a sampled single-stream run warms for @p config (the
+ * caches, branch unit, core and whichever engines the configuration
+ * builds), after a functional warm-up of @p warmup instructions.
+ */
+struct WarmedMachine
+{
+    WarmedMachine(const Workload &w, const SimConfig &config,
+                  std::uint64_t warmup)
+        : image(LayoutBuilder(*w.registry)
+                    .build(config.layout, *w.omProfile)),
+          stream(*w.registry, image, *w.trace), mem(config.mem),
+          dengine(makeDataPrefetcher(mem.l1d(), config.dprefetch))
+    {
+        if (config.prefetch == PrefetchKind::Cgp) {
+            cgp = std::make_unique<CgpPrefetcher>(mem.l1i(), config.cghc,
+                                                  config.depth);
+        }
+        core = std::make_unique<Core>(stream, mem, cgp.get(),
+                                      config.core, dengine.get());
+        if (warmup > 0)
+            core->fastForward(warmup);
+        parts.l1i = &mem.l1i();
+        parts.l1d = &mem.l1d();
+        parts.l2 = &mem.l2();
+        parts.branch = &core->branchUnit();
+        parts.core = core.get();
+        if (cgp != nullptr)
+            cgp->addCheckpointParts(parts);
+        if (dengine != nullptr)
+            dengine->addCheckpointParts(parts);
+    }
+
+    CodeImage image;
+    InstructionExpander stream;
+    MemoryHierarchy mem;
+    std::unique_ptr<CgpPrefetcher> cgp;
+    std::unique_ptr<DataPrefetcher> dengine;
+    std::unique_ptr<Core> core;
+    sample::CheckpointParts parts;
+};
+
+TEST(SampleCheckpointRoundTrip, SaveLoadSaveGivesTheSameDocument)
+{
+    const Workload w = proxyWorkload("ckpt-resave", 60, 60.0, 200'000);
+    for (const SimConfig &config :
+         {SimConfig::o5(),
+          SimConfig::withCgp(LayoutKind::PettisHansen, 4),
+          SimConfig::withIPlusD(DataPrefetchKind::Combined, true)}) {
+        SCOPED_TRACE(config.describe());
+        const std::uint64_t warmup = 40'000;
+        WarmedMachine warmed(w, config, warmup);
+        const Json doc = sample::buildCheckpoint(
+            warmed.parts, w.name, config.describe(), warmup, warmup);
+
+        WarmedMachine restored(w, config, 0);
+        sample::applyCheckpoint(doc, restored.parts);
+        EXPECT_EQ(sample::buildCheckpoint(restored.parts, w.name,
+                                          config.describe(), warmup,
+                                          warmup)
+                      .dump(2),
+                  doc.dump(2));
+    }
+}
+
+TEST(SampleCheckpointRoundTrip, MalformedRunsInASealedFileFailTheRun)
+{
+    // Each damaged run list is sealed afresh, so it passes the store's
+    // CRC and checkCheckpoint; the l2 section then fails to load after
+    // l1i and l1d did, which must fail the run as in
+    // FailureAfterSectionsLoadedFailsTheRun.
+    const Workload w = proxyWorkload("ckpt-runs", 60, 60.0, 200'000);
+    const std::string dir = freshDir("runs");
+    SimConfig cfg = sampledConfig(SimConfig::o5Om());
+    cfg.sample.checkpoints = exp::makeSealedCheckpointStore(dir);
+    const SimResult warmed = runSimulation(w, cfg);
+    ASSERT_TRUE(warmed.sampled.checkpointSaved);
+
+    fs::path artifact;
+    for (const auto &e : fs::directory_iterator(exp::checkpointStoreDir(dir))) {
+        if (e.is_regular_file())
+            artifact = e.path();
+    }
+    ASSERT_FALSE(artifact.empty());
+    exp::SealedRead read = exp::readSealedJson(artifact.string());
+    ASSERT_TRUE(read.doc.has_value()) << read.problem;
+    Json original = *read.doc;
+    original.remove("crc32");
+    const Json &l2 = original.at("state").at("l2");
+    std::vector<std::uint64_t> runs;
+    for (const Json &v : l2.at("empty").items())
+        runs.push_back(v.asUint());
+    ASSERT_GE(runs.size(), 6u);
+    const std::uint64_t lines = l2.at("size_bytes").asUint() /
+        l2.at("line_bytes").asUint();
+
+    const auto withRuns = [&](const std::vector<std::uint64_t> &r) {
+        Json empty = Json::array();
+        for (std::uint64_t v : r)
+            empty.push(v);
+        Json section = original.at("state").at("l2");
+        section.set("empty", std::move(empty));
+        Json state = original.at("state");
+        state.set("l2", std::move(section));
+        Json doc = original;
+        doc.set("state", std::move(state));
+        return doc;
+    };
+
+    // The untouched document restores: the damage below is all that
+    // fails.
+    exp::makeSealedCheckpointStore(dir).save(artifact.stem().string(),
+                                             withRuns(runs));
+    EXPECT_TRUE(runSimulation(w, cfg).sampled.checkpointUsed);
+
+    std::vector<std::pair<std::string, std::vector<std::uint64_t>>>
+        damaged;
+    {
+        auto r = runs; // run 0 reaches into run 1
+        r[1] = r[2] - r[0] + 1;
+        damaged.emplace_back("overlapping", r);
+    }
+    {
+        auto r = runs; // the last run leaves the table
+        r[r.size() - 1] = lines - r[r.size() - 2] + 1;
+        damaged.emplace_back("out of range", r);
+    }
+    {
+        auto r = runs; // runs 0 and 1 swapped
+        std::swap(r[0], r[2]);
+        std::swap(r[1], r[3]);
+        damaged.emplace_back("unsorted", r);
+    }
+    {
+        auto r = runs; // a start without its length
+        r.pop_back();
+        damaged.emplace_back("unpaired", r);
+    }
+    {
+        auto r = runs; // one slot more filled than the values cover
+        std::size_t len = 1;
+        while (len < r.size() && r[len] == 1)
+            len += 2;
+        ASSERT_LT(len, r.size());
+        --r[len];
+        damaged.emplace_back("one slot short", r);
+    }
+    {
+        auto r = runs; // a run split in two that touch
+        std::size_t len = 1;
+        while (len < r.size() && r[len] == 1)
+            len += 2;
+        ASSERT_LT(len, r.size());
+        const std::uint64_t start = r[len - 1];
+        const std::uint64_t length = r[len];
+        r[len] = 1;
+        r.insert(r.begin() + static_cast<std::ptrdiff_t>(len) + 1,
+                 {start + 1, length - 1});
+        damaged.emplace_back("adjacent", r);
+    }
+    for (const auto &[what, r] : damaged) {
+        SCOPED_TRACE(what);
+        const Json doc = withRuns(r);
+        EXPECT_NO_THROW(sample::checkCheckpoint(
+            doc, w.name, cfg.describe(), cfg.sample.warmupInstrs));
+        exp::makeSealedCheckpointStore(dir).save(
+            artifact.stem().string(), Json(doc));
+        try {
+            runSimulation(w, cfg);
+            ADD_FAILURE() << "the run re-warmed or restored";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("cache l2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    fs::remove_all(dir);
 }
 
 TEST(SampleCheckpointStore, SealedStoreRoundTripsOnDisk)
