@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot
  * components: CGHC accesses, cache lookups, branch prediction, trace
- * expansion throughput, the OM profiling replay, and the
- * cycle-level core over a whole trace.
+ * expansion throughput, the OM profiling replay, the cycle-level
+ * core and its functional warm path over a whole trace, and cutting
+ * and restoring a warm-state checkpoint.
  * These bound the simulator's own speed, not the modeled machine's.
  */
 
@@ -26,6 +27,7 @@
 #include "util/rng.hh"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "db/btree.hh"
 #include "db/heapfile.hh"
@@ -378,6 +380,60 @@ BM_LayoutPettisHansen(benchmark::State &state)
 BENCHMARK(BM_LayoutPettisHansen);
 
 /**
+ * wisc-prof on O5+OM+CGP_4, the machine the sampled runs checkpoint,
+ * after a functional warm-up of @p warmup instructions.
+ */
+struct WiscProfMachine
+{
+    explicit WiscProfMachine(std::uint64_t warmupInstrs)
+        : w(wiscProf()),
+          config(cgp::SimConfig::withCgp(cgp::LayoutKind::PettisHansen,
+                                         4)),
+          image(cgp::LayoutBuilder(*w.registry)
+                    .build(config.layout, *w.omProfile)),
+          stream(*w.registry, image, *w.trace), mem(config.mem),
+          cgp(mem.l1i(), config.cghc, config.depth),
+          core(stream, mem, &cgp, config.core), warmup(warmupInstrs),
+          consumed(warmup > 0 ? core.fastForward(warmup) : 0)
+    {
+        parts.l1i = &mem.l1i();
+        parts.l1d = &mem.l1d();
+        parts.l2 = &mem.l2();
+        parts.branch = &core.branchUnit();
+        parts.core = &core;
+        cgp.addCheckpointParts(parts);
+    }
+
+    static const cgp::Workload &
+    wiscProf()
+    {
+        for (const cgp::Workload &candidate : dbSet().workloads) {
+            if (candidate.name == "wisc-prof")
+                return candidate;
+        }
+        throw std::runtime_error("no wisc-prof workload");
+    }
+
+    std::string
+    sealedCheckpoint() const
+    {
+        return cgp::exp::sealedJsonText(cgp::sample::buildCheckpoint(
+            parts, w.name, config.describe(), warmup, consumed));
+    }
+
+    const cgp::Workload &w;
+    cgp::SimConfig config;
+    cgp::CodeImage image;
+    cgp::InstructionExpander stream;
+    cgp::MemoryHierarchy mem;
+    cgp::CgpPrefetcher cgp;
+    cgp::Core core;
+    std::uint64_t warmup;
+    std::uint64_t consumed;
+    cgp::sample::CheckpointParts parts;
+};
+
+/**
  * Cutting a warm-state checkpoint: buildCheckpoint plus
  * sealedJsonText of wisc-prof on O5+OM+CGP_4 after a 100K-instruction
  * functional warm-up, the prefix the sampled runs checkpoint.
@@ -385,42 +441,64 @@ BENCHMARK(BM_LayoutPettisHansen);
 void
 BM_CheckpointSeal(benchmark::State &state)
 {
-    using namespace cgp;
-    const DbWorkloadSet &set = dbSet();
-    const Workload *w = nullptr;
-    for (const Workload &candidate : set.workloads) {
-        if (candidate.name == "wisc-prof")
-            w = &candidate;
-    }
-    const SimConfig config =
-        SimConfig::withCgp(LayoutKind::PettisHansen, 4);
-    const CodeImage image = LayoutBuilder(*w->registry)
-                                .build(config.layout, *w->omProfile);
-    InstructionExpander stream(*w->registry, image, *w->trace);
-    MemoryHierarchy mem(config.mem);
-    CgpPrefetcher cgp(mem.l1i(), config.cghc, config.depth);
-    Core core(stream, mem, &cgp, config.core);
-    const std::uint64_t warmup = 100'000;
-    const std::uint64_t consumed = core.fastForward(warmup);
-
-    sample::CheckpointParts parts;
-    parts.l1i = &mem.l1i();
-    parts.l1d = &mem.l1d();
-    parts.l2 = &mem.l2();
-    parts.branch = &core.branchUnit();
-    parts.core = &core;
-    cgp.addCheckpointParts(parts);
-    const std::string label = config.describe();
+    const WiscProfMachine m(100'000);
     for (auto _ : state) {
-        const std::string text = exp::sealedJsonText(
-            sample::buildCheckpoint(parts, w->name, label, warmup,
-                                    consumed));
+        const std::string text = m.sealedCheckpoint();
         benchmark::DoNotOptimize(text.data());
         state.SetBytesProcessed(state.bytes_processed() +
                                 static_cast<std::int64_t>(text.size()));
     }
 }
 BENCHMARK(BM_CheckpointSeal);
+
+/**
+ * Restoring the BM_CheckpointSeal checkpoint the way the sampler's
+ * store does, short of the file read: parse, seal check,
+ * checkCheckpoint and applyCheckpoint into an unwarmed machine.
+ */
+void
+BM_CheckpointRestore(benchmark::State &state)
+{
+    using namespace cgp;
+    const std::string text = WiscProfMachine(100'000).sealedCheckpoint();
+    WiscProfMachine fresh(0);
+    const std::string label = fresh.config.describe();
+    for (auto _ : state) {
+        const Json doc = Json::parse(text);
+        if (!exp::verifySealedJson(doc))
+            state.SkipWithError("checkpoint seal mismatch");
+        benchmark::DoNotOptimize(sample::checkCheckpoint(
+            doc, fresh.w.name, label, 100'000));
+        sample::applyCheckpoint(doc, fresh.parts);
+        state.SetBytesProcessed(state.bytes_processed() +
+                                static_cast<std::int64_t>(text.size()));
+    }
+}
+BENCHMARK(BM_CheckpointRestore);
+
+/**
+ * The sampler's warm path: Core::fastForward with functional warming
+ * over the whole smoke-a trace on O5 with CGP_4 (caches, branch unit
+ * and CGHC train; nothing issues).
+ */
+void
+BM_CoreWarm(benchmark::State &state)
+{
+    using namespace cgp;
+    const Workload &w = smokeA();
+    const CodeImage image = LayoutBuilder(*w.registry).buildOriginal();
+    for (auto _ : state) {
+        InstructionExpander stream(*w.registry, image, *w.trace);
+        MemoryHierarchy mem;
+        CgpPrefetcher cgp(mem.l1i(), CghcConfig::twoLevel2K32K(), 4);
+        Core core(stream, mem, &cgp, CoreConfig{});
+        const std::uint64_t n = core.fastForward(~0ull);
+        benchmark::DoNotOptimize(n);
+        state.SetItemsProcessed(state.items_processed() +
+                                static_cast<std::int64_t>(n));
+    }
+}
+BENCHMARK(BM_CoreWarm);
 
 } // namespace
 
