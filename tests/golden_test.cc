@@ -34,11 +34,18 @@
  * FNV-1a-64 of every weight in key order) and the O5 and O5+OM
  * images built from it (function order and every block address), so
  * a profile or layout change that moves any block fails here.
+ *
+ * campaign_jobs.txt pins every registry campaign's job list: its
+ * fingerprint at the identity "scale=0.25", each job's key in order,
+ * and a canonical line of the SimConfig fields campaigns set, so a
+ * change to how a campaign lists its configs fails here even when a
+ * config moves under an unchanged label.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -48,6 +55,7 @@
 #include <vector>
 
 #include "codegen/layout.hh"
+#include "exp/campaign.hh"
 #include "exp/campaigns.hh"
 #include "harness/report.hh"
 #include "harness/simulator.hh"
@@ -426,6 +434,60 @@ TEST(Golden, WarmCheckpointsMatchCheckedInDigests)
     }
 
     const std::string path = goldenPath("warm_checkpoint_digests.txt");
+    if (regenRequested()) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << got;
+        return;
+    }
+    const std::string want = readFile(path);
+    ASSERT_FALSE(want.empty())
+        << path << " is missing — regenerate with "
+        << "CGP_GOLDEN_REGEN=1 ./test_golden";
+    EXPECT_EQ(got, want);
+}
+
+/** The SimConfig fields a campaign sets, as one canonical line. */
+std::string
+configLine(const SimConfig &c)
+{
+    char acc[32];
+    const auto accEnd =
+        std::to_chars(acc, acc + sizeof acc, c.mem.arbiter.lowAccuracy)
+            .ptr;
+    std::ostringstream line;
+    line << "layout=" << layoutName(c.layout)
+         << " prefetch=" << prefetchKindName(c.prefetch)
+         << " depth=" << c.depth << " skip=" << c.runaheadSkip
+         << " cghc=" << c.cghc.l1Bytes << "/" << c.cghc.l2Bytes
+         << (c.cghc.infinite ? "/inf" : "") << " assoc=" << c.cghc.assoc
+         << " dpf=" << dataPrefetchKindName(c.dprefetch.kind)
+         << " perfect=" << c.perfectICache
+         << " arb=" << c.mem.arbiter.enabled << "/"
+         << std::string(acc, accEnd) << "/" << c.mem.arbiter.probePeriod
+         << "/" << c.mem.arbiter.filterWindow
+         << " server=" << c.server.enabled << "/" << c.server.cores
+         << "/" << c.server.sessions << "/" << c.server.totalQueries
+         << " sample=" << c.sample.enabled << "/"
+         << c.sample.windowCycles << "/" << c.sample.periodCycles << "/"
+         << c.sample.warmupInstrs;
+    return line.str();
+}
+
+TEST(Golden, CampaignJobListsMatchCheckedInFile)
+{
+    std::string got;
+    for (const std::string &name : exp::campaignNames()) {
+        const exp::CampaignSpec spec = exp::paperCampaign(name);
+        const std::vector<exp::JobSpec> jobs = exp::expandJobs(spec);
+        got += name + " fingerprint=" +
+            exp::fingerprint(spec, jobs, "scale=0.25") +
+            " jobs=" + std::to_string(jobs.size()) + "\n";
+        for (const exp::JobSpec &j : jobs)
+            got += "  " + j.key() + " => " + configLine(j.config) + "\n";
+    }
+
+    const std::string path = goldenPath("campaign_jobs.txt");
     if (regenRequested()) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out) << "cannot write " << path;
