@@ -161,10 +161,7 @@ ChaosLoopHarness::run()
         std::string died; // the crash point, if the run crashed
         try {
             fault::ScopedGlobalInjector scoped(injector);
-            const CampaignRun run =
-                runCampaign(spec_, provider_, opts);
-            result.executedJobs += run.executed;
-            result.quarantined += run.quarantined;
+            runCampaign(spec_, provider_, opts);
         } catch (const fault::CrashInjected &e) {
             died = e.point();
             if (config_.verbose) {
@@ -173,6 +170,9 @@ ChaosLoopHarness::run()
                            spec.afterHits, ")");
             }
         }
+        // Every finished simulation passes exp.pre_record once, also
+        // in a cycle that died after it.
+        result.executedJobs += injector.hitCount("exp.pre_record");
         for (auto &[point, hits] : budget)
             hits = std::max<std::uint64_t>(injector.hitCount(point), 1);
         ++result.cycles;
@@ -209,15 +209,16 @@ ChaosLoopHarness::run()
     const CampaignRun finalRun =
         runCampaign(spec_, provider_, opts);
     result.executedJobs += finalRun.executed;
-    result.quarantined += finalRun.quarantined;
-    // The checkpoint store quarantines on load, outside the run dir's
-    // own count.
-    const std::string ckptQuarantine =
-        checkpointStoreDir(config_.dir) + "/quarantine";
-    if (std::filesystem::is_directory(ckptQuarantine)) {
-        result.quarantined += static_cast<std::size_t>(std::distance(
-            std::filesystem::directory_iterator(ckptQuarantine),
-            std::filesystem::directory_iterator()));
+    // Every quarantined file is kept, crashed cycles' included: the
+    // run dir's and the checkpoint store's quarantine directories.
+    for (const std::string &q :
+         {config_.dir + "/quarantine",
+          checkpointStoreDir(config_.dir) + "/quarantine"}) {
+        if (std::filesystem::is_directory(q)) {
+            result.quarantined += static_cast<std::size_t>(
+                std::distance(std::filesystem::directory_iterator(q),
+                              std::filesystem::directory_iterator()));
+        }
     }
 
     const std::string finalText =

@@ -62,10 +62,11 @@ struct ChaosLoopResult
     unsigned crashes = 0;     ///< injected crashes that unwound a run
     unsigned cleanRuns = 0;   ///< cycles whose fault never fired
     unsigned corruptions = 0; ///< artifacts deliberately damaged
-    /** Artifacts quarantined on resume: job files, manifests and
-     *  warm checkpoints. */
+    /** Artifacts quarantined across cycles, crashed ones included:
+     *  job files, manifests and warm checkpoints. */
     std::size_t quarantined = 0;
-    std::size_t executedJobs = 0; ///< simulations run across cycles
+    /** Simulations finished across cycles, crashed ones included. */
+    std::size_t executedJobs = 0;
 
     /** Final BENCH (deterministic text) matches the reference. */
     bool identical = false;

@@ -188,7 +188,9 @@ TEST(FailSoft, WarmingFaultDegradesInsteadOfAborting)
 // Chaos loop: the kill/resume/corrupt audit over the campaign
 // engine (exp/chaosloop), on a tiny in-memory campaign.
 
-TEST(ChaosLoop, ConvergesByteIdenticalThroughKillsAndCorruption)
+/** Two tiny programs x two configs. */
+exp::CampaignSpec
+chaosUnitCampaign()
 {
     exp::CampaignSpec campaign;
     campaign.name = "chaos-unit";
@@ -196,7 +198,12 @@ TEST(ChaosLoop, ConvergesByteIdenticalThroughKillsAndCorruption)
     campaign.explicitConfigs = {
         SimConfig::o5Om(),
         SimConfig::withCgp(LayoutKind::PettisHansen, 4)};
+    return campaign;
+}
 
+exp::InMemoryProvider
+chaosUnitProvider()
+{
     auto make = [](const char *name, unsigned funcs) {
         spec::SpecProgramSpec s;
         s.name = name;
@@ -207,8 +214,14 @@ TEST(ChaosLoop, ConvergesByteIdenticalThroughKillsAndCorruption)
         s.testInstrs = 15'000;
         return WorkloadFactory::buildSpec(s);
     };
-    exp::InMemoryProvider provider(
+    return exp::InMemoryProvider(
         {make("chaos-a", 40), make("chaos-b", 60)});
+}
+
+TEST(ChaosLoop, ConvergesByteIdenticalThroughKillsAndCorruption)
+{
+    const exp::CampaignSpec campaign = chaosUnitCampaign();
+    exp::InMemoryProvider provider = chaosUnitProvider();
 
     exp::ChaosLoopConfig config;
     config.cycles = 25;
@@ -227,13 +240,48 @@ TEST(ChaosLoop, ConvergesByteIdenticalThroughKillsAndCorruption)
     // least half the cycles, not only while jobs are still pending.
     EXPECT_GE(2 * result.crashes, result.cycles);
     EXPECT_GE(result.corruptions, 1u);
-    EXPECT_GE(result.quarantined, 1u);
+    // The next resume reads every job file and the manifest, so each
+    // damaged one is quarantined, in crashed cycles too (torn writes
+    // add more).
+    EXPECT_GE(result.quarantined, result.corruptions);
     std::filesystem::remove_all(config.dir);
 
     exp::ChaosLoopConfig bad;
     EXPECT_THROW(
         exp::ChaosLoopHarness(campaign, provider, bad).run(),
         std::invalid_argument);
+}
+
+TEST(ChaosLoop, CountsSimulationsThatFinishedInCrashedCycles)
+{
+    // Without corruption every job is simulated once for its result,
+    // plus once more for each crash between a finished simulation and
+    // its job file (exp.pre_record): at least one per job and at most
+    // one more per crash, whichever cycle ran it.  A cycle that dies
+    // after recording a job still ran it.
+    const exp::CampaignSpec campaign = chaosUnitCampaign();
+    exp::InMemoryProvider provider = chaosUnitProvider();
+    const std::size_t jobs = exp::expandJobs(campaign).size();
+
+    exp::ChaosLoopConfig config;
+    config.cycles = 3;
+    config.threads = 1; // one fault schedule per seed on every host
+    config.corruptProbability = 0.0;
+    config.dir = (std::filesystem::temp_directory_path() /
+                  "cgp-chaos-count")
+                     .string();
+    unsigned crashes = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        config.seed = seed;
+        const exp::ChaosLoopResult result =
+            exp::ChaosLoopHarness(campaign, provider, config).run();
+        EXPECT_TRUE(result.identical) << seed << ": " << result.mismatch;
+        EXPECT_GE(result.executedJobs, jobs) << seed;
+        EXPECT_LE(result.executedJobs, jobs + result.crashes) << seed;
+        crashes += result.crashes;
+    }
+    std::filesystem::remove_all(config.dir);
+    EXPECT_GE(crashes, 8u);
 }
 
 } // namespace
