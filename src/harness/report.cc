@@ -202,10 +202,9 @@ struct Field
 {
     const char *key;
     T S::*member;
-    /** A missing key parses as the member's default. */
-    bool optional = false;
     /** Non-null: the key is emitted only while this flag is set, and
-     *  parsing sets the flag exactly when the key is present. */
+     *  parsing sets the flag exactly when the key is present.  Every
+     *  other key is required. */
     bool S::*presence = nullptr;
 };
 
@@ -216,22 +215,13 @@ field(const char *key, T S::*member)
     return {key, member};
 }
 
-/** Absent in artifacts written before the member existed: a missing
- *  key parses as all zeros so old run directories keep parsing. */
-template <class S, class T>
-constexpr Field<S, T>
-addedLater(const char *key, T S::*member)
-{
-    return {key, member, true};
-}
-
 /** Emitted only when @p flag is set, so results without the block
  *  (and their goldens) stay byte-identical. */
 template <class S, class T>
 constexpr Field<S, T>
 gated(const char *key, T S::*member, bool S::*flag)
 {
-    return {key, member, true, flag};
+    return {key, member, flag};
 }
 
 template <class S>
@@ -356,9 +346,9 @@ fieldsOf<SimResult>()
         field("dpf", &R::dpf),
         field("squashed_prefetches", &R::squashedPrefetches),
         field("d_squashed_prefetches", &R::dSquashedPrefetches),
-        addedLater("arb_nl", &R::arbNl),
-        addedLater("arb_cghc", &R::arbCghc),
-        addedLater("arb_dpf", &R::arbDpf),
+        field("arb_nl", &R::arbNl),
+        field("arb_cghc", &R::arbCghc),
+        field("arb_dpf", &R::arbDpf),
         field("bus_lines", &R::busLines),
         field("branch_mispredicts", &R::branchMispredicts),
         field("cghc_accesses", &R::cghcAccesses),
@@ -395,7 +385,7 @@ readField(const Json &json, S &out, const Field<S, T> &f)
 {
     const Json *v = json.find(f.key);
     if (v == nullptr) {
-        if (f.optional)
+        if (f.presence != nullptr)
             return;
         v = &json.at(f.key); // throws: a required key is missing
     }

@@ -178,22 +178,6 @@ TEST(Report, SimResultJsonRoundTrip)
     EXPECT_EQ(simResultFromJson(lj), legacy);
 }
 
-TEST(Report, PreArbiterDocumentParsesWithZeroedArbiterBlocks)
-{
-    SimResult r = fullResult();
-    Json j = toJson(r);
-    ASSERT_TRUE(j.remove("arb_nl"));
-    ASSERT_TRUE(j.remove("arb_cghc"));
-    ASSERT_TRUE(j.remove("arb_dpf"));
-
-    const SimResult back = simResultFromJson(j);
-    EXPECT_EQ(back.arbNl, ArbiterBreakdown{});
-    EXPECT_EQ(back.arbCghc, ArbiterBreakdown{});
-    EXPECT_EQ(back.arbDpf, ArbiterBreakdown{});
-    r.arbNl = r.arbCghc = r.arbDpf = {};
-    EXPECT_EQ(back, r);
-}
-
 TEST(Report, SimResultJsonCarriesBothPrefetchSources)
 {
     const Json j = toJson(sample("X", 10));
@@ -208,6 +192,11 @@ TEST(Report, SimResultFromJsonRejectsMissingFields)
     Json stripped = Json::object();
     stripped.set("workload", j.at("workload"));
     EXPECT_THROW(simResultFromJson(stripped), std::runtime_error);
+
+    // The arbiter blocks are required like every other key.
+    Json noArb = toJson(fullResult());
+    ASSERT_TRUE(noArb.remove("arb_nl"));
+    EXPECT_THROW(simResultFromJson(noArb), std::runtime_error);
 }
 
 TEST(Report, ComparisonRejectsMixedWorkloads)
