@@ -1,8 +1,8 @@
 /**
  * @file
  * Defining and running an experiment campaign programmatically:
- * declare a spec with a config axis, run it on the parallel engine
- * with a resumable run directory, and read results back by
+ * declare a spec with a labeled config list, run it on the parallel
+ * engine with a resumable run directory, and read results back by
  * (workload, label).
  *
  * Run it twice with the same CGP_RUN_DIR to see resume in action —
@@ -22,20 +22,16 @@ main()
 {
     using namespace cgp;
 
-    // A campaign is data: workloads x labeled points on an axis.
+    // A campaign is data: workloads x a labeled list of configs.
     exp::CampaignSpec spec;
     spec.name = "example";
     spec.title = "Prefetch depth on a tiny SPEC proxy";
     spec.workloads = {"proxy"};
-    spec.base = SimConfig::withCgp(LayoutKind::PettisHansen, 1);
-
-    exp::ConfigAxis depth{"depth", {}};
     for (const unsigned n : {1u, 2u, 4u, 8u}) {
-        depth.points.push_back(
-            {"CGP_" + std::to_string(n),
-             [n](SimConfig &c) { c.depth = n; }});
+        spec.explicitConfigs.push_back(
+            SimConfig::withCgp(LayoutKind::PettisHansen, n));
+        spec.explicitLabels.push_back("CGP_" + std::to_string(n));
     }
-    spec.axes.push_back(std::move(depth));
 
     // Workloads are resolved by name, once, before the pool starts.
     spec::SpecProgramSpec program;

@@ -477,11 +477,6 @@ Core::stepCycle()
 {
     if (finished_)
         return;
-    if (config_.maxInstrs != 0 &&
-        committed_ >= config_.maxInstrs) {
-        finished_ = true;
-        return;
-    }
     // Watchdog: the cycle budget is deterministic (a livelocked
     // config times out at the same cycle everywhere); the
     // wall-clock budget is checked on a coarse stride so the hot

@@ -62,12 +62,8 @@ struct CoreConfig
     /** All I-fetches hit in one cycle (perf-Icache bars). */
     bool perfectICache = false;
 
-    /** Stop after this many committed instructions (0 = whole trace). */
-    std::uint64_t maxInstrs = 0;
-
     /**
-     * Watchdog cycle budget (0 = none).  Unlike maxInstrs — a normal
-     * early stop that still yields a result — exceeding this budget
+     * Watchdog cycle budget (0 = none).  Exceeding this budget
      * throws TimeoutError: the run is classified as timed out, its
      * partial numbers are discarded, and the campaign engine records
      * the job as failed instead of persisting a truncated result.
@@ -96,7 +92,7 @@ class Core
          InstrPrefetcher *prefetcher, const CoreConfig &config,
          DataPrefetcher *dprefetcher = nullptr);
 
-    /** Run the trace to completion (or maxInstrs). */
+    /** Run the trace to completion. */
     void run();
 
     /// @{ Incremental stepping (the multi-core server drives cores

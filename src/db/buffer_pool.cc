@@ -17,10 +17,9 @@ BufferPool::forceLogForSteal()
 }
 
 BufferPool::BufferPool(DbContext &ctx, Volume &volume,
-                       std::size_t frames, Addr segment_base,
-                       Replacement policy)
+                       std::size_t frames, Addr segment_base)
     : ctx_(ctx), volume_(volume), segmentBase_(segment_base),
-      policy_(policy), frames_(frames)
+      frames_(frames)
 {
     cgp_assert(frames > 0, "buffer pool needs at least one frame");
     freeList_.reserve(frames);
@@ -69,31 +68,12 @@ BufferPool::evictVictim()
 {
     TraceScope ts(ctx_.rec, ctx_.fn.bpEvict);
     std::size_t victim = npos;
-    if (policy_ == Replacement::Lru) {
-        std::uint64_t best = ~0ull;
-        for (std::size_t i = 0; i < frames_.size(); ++i) {
-            const Frame &f = frames_[i];
-            if (f.pid != invalidPageId && f.pins == 0 &&
-                f.lru < best) {
-                best = f.lru;
-                victim = i;
-            }
-        }
-    } else {
-        // Clock sweep: give each referenced frame a second chance.
-        for (std::size_t step = 0; step < 2 * frames_.size();
-             ++step) {
-            Frame &f = frames_[clockHand_];
-            const std::size_t here = clockHand_;
-            clockHand_ = (clockHand_ + 1) % frames_.size();
-            if (f.pid == invalidPageId || f.pins > 0)
-                continue;
-            if (f.referenced) {
-                f.referenced = false;
-                continue;
-            }
-            victim = here;
-            break;
+    std::uint64_t best = ~0ull;
+    for (std::size_t i = 0; i < frames_.size(); ++i) {
+        const Frame &f = frames_[i];
+        if (f.pid != invalidPageId && f.pins == 0 && f.lru < best) {
+            best = f.lru;
+            victim = i;
         }
     }
     ts.work(24);
@@ -166,7 +146,6 @@ BufferPool::fix(PageId pid)
         TraceScope lt(ctx_.rec, ctx_.fn.bpLruTouch);
         lt.work(5);
         f.lru = ++tick_;
-        f.referenced = true;
     }
     ts.loadAt(segmentBase_ + static_cast<Addr>(idx) * pageBytes);
     ts.work(6);

@@ -23,13 +23,6 @@ namespace cgp::db
 
 class WriteAheadLog;
 
-/** Frame replacement policy. */
-enum class Replacement : std::uint8_t
-{
-    Lru,   ///< least-recently-used (default)
-    Clock  ///< second-chance / clock sweep
-};
-
 class BufferPool
 {
   public:
@@ -40,8 +33,7 @@ class BufferPool
      *        per database instance so D-cache behaviour is faithful).
      */
     BufferPool(DbContext &ctx, Volume &volume, std::size_t frames,
-               Addr segment_base = bufferSegmentBase,
-               Replacement policy = Replacement::Lru);
+               Addr segment_base = bufferSegmentBase);
 
     /**
      * Attach the write-ahead log whose tail is forced before a stolen
@@ -88,7 +80,6 @@ class BufferPool
         PageId pid = invalidPageId;
         unsigned pins = 0;
         bool dirty = false;
-        bool referenced = false; ///< clock second-chance bit
         std::uint64_t lru = 0;
         std::vector<std::uint8_t> bytes;
     };
@@ -96,7 +87,7 @@ class BufferPool
     /** Find the frame of @p pid, or npos. */
     std::size_t lookup(PageId pid);
 
-    /** Choose and clean an unpinned victim frame. */
+    /** Choose and clean the least recently used unpinned frame. */
     std::size_t evictVictim();
 
     /** Force the bound log's tail before a dirty page is written. */
@@ -108,8 +99,6 @@ class BufferPool
     Volume &volume_;
     WriteAheadLog *log_ = nullptr;
     Addr segmentBase_;
-    Replacement policy_;
-    std::size_t clockHand_ = 0;
     std::vector<Frame> frames_;
     std::unordered_map<PageId, std::size_t> map_;
     std::vector<std::size_t> freeList_;

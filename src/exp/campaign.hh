@@ -3,20 +3,17 @@
  * Declarative experiment campaigns.
  *
  * A CampaignSpec turns an ad-hoc (workload x config) loop into
- * data: a list of workload names, a base
- * SimConfig, and named *axes* whose labeled points mutate the base
- * config.  Axes combine cartesian: every combination, first axis
- * slowest-varying.
- * Expansion yields a flat, stable job list — workload-major, config
- * order as swept — so a campaign's job list is a pure function of
- * its spec regardless of how many threads later execute it.
+ * data: a list of workload names and one labeled list of SimConfigs.
+ * A sweep is a plain loop that fills the list.  Expansion yields a
+ * flat, stable job list — workload-major, configs in list order — so
+ * a campaign's job list is a pure function of its spec regardless of
+ * how many threads later execute it.
  */
 
 #ifndef CGP_EXP_CAMPAIGN_HH
 #define CGP_EXP_CAMPAIGN_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,34 +23,6 @@
 
 namespace cgp::exp
 {
-
-/** One labeled point on an axis: a named mutation of a SimConfig. */
-struct AxisPoint
-{
-    /**
-     * Display label.  Labels of the chosen points are joined with
-     * '+' to form the job's config label; when every chosen label is
-     * empty the label falls back to SimConfig::describe() — which is
-     * ambiguous for sweeps the describe() string does not cover
-     * (e.g. CGHC geometry), hence explicit labels.
-     */
-    std::string label;
-    std::function<void(SimConfig &)> apply;
-};
-
-/** A named sweep dimension. */
-struct ConfigAxis
-{
-    std::string name;
-    std::vector<AxisPoint> points;
-};
-
-/** A config produced by expansion, with its display label. */
-struct ExpandedConfig
-{
-    SimConfig config;
-    std::string label;
-};
 
 struct CampaignSpec
 {
@@ -66,17 +35,15 @@ struct CampaignSpec
     /** Workload names, resolved by a WorkloadProvider at run time. */
     std::vector<std::string> workloads;
 
-    /** Start point every axis point mutates. */
-    SimConfig base;
-
-    /** Sweep dimensions, combined cartesian (first axis varies
-     *  slowest); empty means use explicitConfigs. */
-    std::vector<ConfigAxis> axes;
-
-    /** Alternative to axes: configs listed out by hand. */
+    /** The configs every workload runs, in order. */
     std::vector<SimConfig> explicitConfigs;
 
-    /** Labels for explicitConfigs (optional; describe() otherwise). */
+    /**
+     * Labels for explicitConfigs, one each, or none.  A missing or
+     * empty label is SimConfig::describe(), which is ambiguous for
+     * sweeps the describe() string does not cover (e.g. CGHC
+     * geometry), hence explicit labels.
+     */
     std::vector<std::string> explicitLabels;
 
     /**
@@ -104,13 +71,10 @@ struct JobSpec
 };
 
 /**
- * Expand the config dimension of a spec.
- * @throws std::invalid_argument on an ill-formed spec (no configs,
- * an axis with no points, explicit labels of the wrong count).
+ * Expand the full job list, workload-major, configs in list order.
+ * @throws std::invalid_argument on an ill-formed spec (no workloads,
+ * no configs, explicit labels of the wrong count).
  */
-std::vector<ExpandedConfig> expandConfigs(const CampaignSpec &spec);
-
-/** Expand the full job list, workload-major. */
 std::vector<JobSpec> expandJobs(const CampaignSpec &spec);
 
 /**

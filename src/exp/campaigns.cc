@@ -35,14 +35,6 @@ cgp4om()
     return SimConfig::withCgp(LayoutKind::PettisHansen, 4);
 }
 
-/** An axis point that swaps in a whole named configuration. */
-AxisPoint
-configPoint(std::string label, SimConfig config)
-{
-    return AxisPoint{std::move(label),
-                     [config](SimConfig &c) { c = config; }};
-}
-
 } // anonymous namespace
 
 const std::vector<std::string> &
@@ -152,23 +144,18 @@ makeFig5()
     s.name = "fig5";
     s.title = "Figure 5 — CGP_4 by CGHC size";
     s.workloads = dbWorkloadNames();
-    s.base = cgp4om();
-    ConfigAxis geom{"cghc", {}};
-    const std::vector<std::pair<std::string, CghcConfig>> geoms = {
+    const std::pair<const char *, CghcConfig> geoms[] = {
         {"CGHC-1K", CghcConfig::oneLevel1K()},
         {"CGHC-32K", CghcConfig::oneLevel32K()},
         {"CGHC-1K+16K", CghcConfig::twoLevel1K16K()},
         {"CGHC-2K+32K", CghcConfig::twoLevel2K32K()},
         {"CGHC-Inf", CghcConfig::infiniteSize()},
     };
-    for (const auto &[label, g] : geoms) {
-        CghcConfig geom_copy = g;
-        geom.points.push_back(
-            {label, [geom_copy](SimConfig &c) {
-                 c.cghc = geom_copy;
-             }});
+    for (const auto &[label, geom] : geoms) {
+        s.explicitConfigs.push_back(
+            SimConfig::withCgpGeometry(LayoutKind::PettisHansen, 4, geom));
+        s.explicitLabels.push_back(label);
     }
-    s.axes.push_back(std::move(geom));
     return s;
 }
 
@@ -274,12 +261,10 @@ makeAblationDepth()
     s.name = "ablation-design-depth";
     s.title = "CGP_N depth sweep (OM binary)";
     s.workloads = dbWorkloadNames();
-    ConfigAxis depth{"depth", {}};
     for (const unsigned n : {1u, 2u, 4u, 6u, 8u}) {
-        depth.points.push_back(configPoint(
-            "", SimConfig::withCgp(LayoutKind::PettisHansen, n)));
+        s.explicitConfigs.push_back(
+            SimConfig::withCgp(LayoutKind::PettisHansen, n));
     }
-    s.axes.push_back(std::move(depth));
     return s;
 }
 
@@ -321,16 +306,13 @@ makeAblationAssoc()
     s.name = "ablation-swcgp-assoc";
     s.title = "CGHC associativity (§3.2)";
     s.workloads = dbWorkloadNames();
-    ConfigAxis assoc{"assoc", {}};
     for (const unsigned a : {1u, 2u, 4u}) {
         CghcConfig geom = CghcConfig::twoLevel2K32K();
         geom.assoc = a;
-        assoc.points.push_back(configPoint(
-            geom.describe(),
-            SimConfig::withCgpGeometry(LayoutKind::PettisHansen, 4,
-                                       geom)));
+        s.explicitConfigs.push_back(SimConfig::withCgpGeometry(
+            LayoutKind::PettisHansen, 4, geom));
+        s.explicitLabels.push_back(geom.describe());
     }
-    s.axes.push_back(std::move(assoc));
     return s;
 }
 
@@ -383,33 +365,25 @@ makeArbiterSweep()
     // The interaction mixes: one pure-Wisconsin, one with TPC-H —
     // the workloads the arbiter was built for.
     s.workloads = {"wisc-large-1", "wisc+tpch"};
-    s.base = SimConfig::withIPlusD(DataPrefetchKind::Combined, true);
-
-    ConfigAxis gate{"lowAccuracy", {}};
+    // Every combination, accuracy gate outermost and filter window
+    // innermost.
     for (const double acc : {0.10, 0.20, 0.40}) {
-        gate.points.push_back(
-            {"acc" + std::to_string(static_cast<int>(acc * 100 + 0.5)),
-             [acc](SimConfig &c) {
-                 c.mem.arbiter.lowAccuracy = acc;
-             }});
+        for (const unsigned probe : {4u, 8u, 16u}) {
+            for (const unsigned filt : {64u, 128u, 256u}) {
+                SimConfig c = SimConfig::withIPlusD(
+                    DataPrefetchKind::Combined, true);
+                c.mem.arbiter.lowAccuracy = acc;
+                c.mem.arbiter.probePeriod = probe;
+                c.mem.arbiter.filterWindow = filt;
+                s.explicitConfigs.push_back(c);
+                s.explicitLabels.push_back(
+                    "acc" +
+                    std::to_string(static_cast<int>(acc * 100 + 0.5)) +
+                    "+probe" + std::to_string(probe) + "+filt" +
+                    std::to_string(filt));
+            }
+        }
     }
-    ConfigAxis probe{"probePeriod", {}};
-    for (const unsigned p : {4u, 8u, 16u}) {
-        probe.points.push_back(
-            {"probe" + std::to_string(p), [p](SimConfig &c) {
-                 c.mem.arbiter.probePeriod = p;
-             }});
-    }
-    ConfigAxis filter{"filterWindow", {}};
-    for (const unsigned w : {64u, 128u, 256u}) {
-        filter.points.push_back(
-            {"filt" + std::to_string(w), [w](SimConfig &c) {
-                 c.mem.arbiter.filterWindow = w;
-             }});
-    }
-    s.axes.push_back(std::move(gate));
-    s.axes.push_back(std::move(probe));
-    s.axes.push_back(std::move(filter));
     return s;
 }
 
@@ -499,10 +473,7 @@ makeSmoke()
     s.name = "smoke";
     s.title = "Campaign smoke (2x2)";
     s.workloads = smokeWorkloadNames();
-    ConfigAxis cfg{"config", {}};
-    cfg.points.push_back(configPoint("", SimConfig::o5Om()));
-    cfg.points.push_back(configPoint("", cgp4om()));
-    s.axes.push_back(std::move(cfg));
+    s.explicitConfigs = {SimConfig::o5Om(), cgp4om()};
     return s;
 }
 

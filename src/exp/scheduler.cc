@@ -140,13 +140,4 @@ runJobs(std::size_t n, const SchedulerOptions &options,
     return stats;
 }
 
-ScheduleStats
-runJobs(std::size_t n, unsigned threads,
-        const std::function<void(std::size_t)> &fn)
-{
-    SchedulerOptions options;
-    options.threads = threads;
-    return runJobs(n, options, fn);
-}
-
 } // namespace cgp::exp

@@ -119,10 +119,6 @@ struct ScheduleStats
 ScheduleStats runJobs(std::size_t n, const SchedulerOptions &options,
                       const std::function<void(std::size_t)> &fn);
 
-/** Back-compat form: strict policy at @p threads workers. */
-ScheduleStats runJobs(std::size_t n, unsigned threads,
-                      const std::function<void(std::size_t)> &fn);
-
 } // namespace cgp::exp
 
 #endif // CGP_EXP_SCHEDULER_HH

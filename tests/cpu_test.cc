@@ -110,17 +110,6 @@ TEST(Core, PerfectICacheIsFaster)
     EXPECT_EQ(m2.mem->l1i().demandAccesses(), 0u);
 }
 
-TEST(Core, MaxInstrsTruncatesTheRun)
-{
-    Machine m;
-    m.record(500);
-    CoreConfig cfg;
-    cfg.maxInstrs = 1000;
-    const Core &core = m.run(cfg);
-    EXPECT_GE(core.committedInstrs(), 1000u);
-    EXPECT_LT(core.committedInstrs(), 1200u);
-}
-
 TEST(Core, DeterministicCycleCounts)
 {
     Machine m1, m2;

@@ -233,46 +233,15 @@ TEST(BufferPool, FrameAddrIsStableAndInSegment)
     pool.unfix(a, false);
 }
 
-TEST(BufferPool, ClockPolicyEvictsUnreferenced)
+TEST(BufferPool, NeverEvictsPinned)
 {
     Fixture fx;
     Volume vol(fx.ctx);
-    BufferPool pool(fx.ctx, vol, 2, bufferSegmentBase,
-                    Replacement::Clock);
+    BufferPool pool(fx.ctx, vol, 2);
     const PageId a = vol.allocPage();
     const PageId b = vol.allocPage();
     const PageId c = vol.allocPage();
-
-    pool.fix(a);
-    pool.unfix(a, false);
-    pool.fix(b);
-    pool.unfix(b, false);
-    // Touch a again: its reference bit survives one sweep.
-    pool.fix(a);
-    pool.unfix(a, false);
-
-    pool.fix(c); // clock sweep must evict someone unpinned
-    pool.unfix(c, false);
-    EXPECT_EQ(pool.evictions(), 1u);
-    EXPECT_EQ(pool.residentPages(), 2u);
-
-    // Pinned frames are never chosen by the sweep.
-    pool.fix(c);
-    pool.fix(a); // repin a (may re-read)
-    pool.unfix(a, false);
-    pool.unfix(c, false);
-}
-
-TEST(BufferPool, ClockNeverEvictsPinned)
-{
-    Fixture fx;
-    Volume vol(fx.ctx);
-    BufferPool pool(fx.ctx, vol, 2, bufferSegmentBase,
-                    Replacement::Clock);
-    const PageId a = vol.allocPage();
-    const PageId b = vol.allocPage();
-    const PageId c = vol.allocPage();
-    pool.fix(a); // stays pinned
+    pool.fix(a); // stays pinned, and is the least recently used
     pool.fix(b);
     pool.unfix(b, false);
     pool.fix(c); // must evict b, not a

@@ -34,45 +34,21 @@ namespace
 
 namespace fs = std::filesystem;
 
-AxisPoint
-depthPoint(const std::string &label, unsigned depth)
-{
-    return AxisPoint{label,
-                     [depth](SimConfig &c) { c.depth = depth; }};
-}
-
+/** Two workloads over four labeled configs. */
 CampaignSpec
-twoAxisSpec()
+fourConfigSpec()
 {
     CampaignSpec s;
     s.name = "t";
     s.workloads = {"w1", "w2"};
-    s.base = SimConfig::withCgp(LayoutKind::PettisHansen, 1);
-    ConfigAxis depth{"depth", {depthPoint("D2", 2),
-                               depthPoint("D4", 4)}};
-    ConfigAxis layout{
-        "layout",
-        {{"OM", [](SimConfig &c) {
-              c.layout = LayoutKind::PettisHansen;
-          }},
-         {"O5", [](SimConfig &c) {
-              c.layout = LayoutKind::Original;
-          }}}};
-    s.axes = {depth, layout};
+    s.explicitConfigs = {
+        SimConfig::withCgp(LayoutKind::PettisHansen, 2),
+        SimConfig::withCgp(LayoutKind::Original, 2),
+        SimConfig::withCgp(LayoutKind::PettisHansen, 4),
+        SimConfig::withCgp(LayoutKind::Original, 4),
+    };
+    s.explicitLabels = {"D2+OM", "D2+O5", "D4+OM", "D4+O5"};
     return s;
-}
-
-TEST(Campaign, CartesianExpansionFirstAxisSlowest)
-{
-    const auto configs = expandConfigs(twoAxisSpec());
-    ASSERT_EQ(configs.size(), 4u);
-    EXPECT_EQ(configs[0].label, "D2+OM");
-    EXPECT_EQ(configs[1].label, "D2+O5");
-    EXPECT_EQ(configs[2].label, "D4+OM");
-    EXPECT_EQ(configs[3].label, "D4+O5");
-    EXPECT_EQ(configs[0].config.depth, 2u);
-    EXPECT_EQ(configs[3].config.depth, 4u);
-    EXPECT_EQ(configs[3].config.layout, LayoutKind::Original);
 }
 
 TEST(Campaign, EmptySpecRejected)
@@ -80,7 +56,15 @@ TEST(Campaign, EmptySpecRejected)
     CampaignSpec s;
     s.name = "empty";
     s.workloads = {"w"};
-    EXPECT_THROW(expandConfigs(s), std::invalid_argument);
+    EXPECT_THROW(expandJobs(s), std::invalid_argument);
+
+    s.explicitConfigs = {SimConfig::o5(), SimConfig::o5Om()};
+    s.explicitLabels = {"only-one"};
+    EXPECT_THROW(expandJobs(s), std::invalid_argument);
+
+    s.explicitLabels.clear();
+    s.workloads.clear();
+    EXPECT_THROW(expandJobs(s), std::invalid_argument);
 }
 
 TEST(Campaign, ExplicitConfigLabelsFallBackToDescribe)
@@ -89,20 +73,20 @@ TEST(Campaign, ExplicitConfigLabelsFallBackToDescribe)
     s.name = "t";
     s.workloads = {"w"};
     s.explicitConfigs = {SimConfig::o5(), SimConfig::o5Om()};
-    const auto configs = expandConfigs(s);
-    ASSERT_EQ(configs.size(), 2u);
-    EXPECT_EQ(configs[0].label, "O5");
-    EXPECT_EQ(configs[1].label, "O5+OM");
+    const auto jobs = expandJobs(s);
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].label, "O5");
+    EXPECT_EQ(jobs[1].label, "O5+OM");
 
-    s.explicitLabels = {"first", "second"};
-    const auto named = expandConfigs(s);
+    s.explicitLabels = {"first", ""};
+    const auto named = expandJobs(s);
     EXPECT_EQ(named[0].label, "first");
-    EXPECT_EQ(named[1].label, "second");
+    EXPECT_EQ(named[1].label, "O5+OM");
 }
 
 TEST(Campaign, JobsAreWorkloadMajor)
 {
-    CampaignSpec s = twoAxisSpec();
+    CampaignSpec s = fourConfigSpec();
     const auto jobs = expandJobs(s);
     ASSERT_EQ(jobs.size(), 8u);
     EXPECT_EQ(jobs[0].workload, "w1");
@@ -114,11 +98,13 @@ TEST(Campaign, JobsAreWorkloadMajor)
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(jobs[i].index, i);
     EXPECT_EQ(jobs[0].key(), "w1|D2+OM");
+    EXPECT_EQ(jobs[3].config.depth, 4u);
+    EXPECT_EQ(jobs[3].config.layout, LayoutKind::Original);
 }
 
 TEST(Campaign, FingerprintPinsJobIdentity)
 {
-    CampaignSpec s = twoAxisSpec();
+    CampaignSpec s = fourConfigSpec();
     const std::string fp = fingerprint(s, expandJobs(s));
     EXPECT_EQ(fp.size(), 16u);
     EXPECT_EQ(fp, fingerprint(s, expandJobs(s)));
@@ -151,7 +137,7 @@ TEST(Scheduler, RunsEveryJobExactlyOnce)
     constexpr std::size_t n = 200;
     std::vector<std::atomic<int>> hits(n);
     const ScheduleStats stats =
-        runJobs(n, 8, [&hits](std::size_t i) { hits[i]++; });
+        runJobs(n, SchedulerOptions{8}, [&hits](std::size_t i) { hits[i]++; });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i].load(), 1) << i;
     EXPECT_GE(stats.threads, 1u);
@@ -161,7 +147,7 @@ TEST(Scheduler, InlineWhenSingleThreaded)
 {
     std::vector<std::size_t> order;
     const ScheduleStats stats =
-        runJobs(5, 1, [&order](std::size_t i) {
+        runJobs(5, SchedulerOptions{1}, [&order](std::size_t i) {
             order.push_back(i);
         });
     EXPECT_EQ(stats.threads, 1u);
@@ -170,7 +156,7 @@ TEST(Scheduler, InlineWhenSingleThreaded)
 
 TEST(Scheduler, PropagatesFirstException)
 {
-    EXPECT_THROW(runJobs(50, 4,
+    EXPECT_THROW(runJobs(50, SchedulerOptions{4},
                          [](std::size_t i) {
                              if (i == 17)
                                  throw std::runtime_error("boom");
@@ -180,7 +166,7 @@ TEST(Scheduler, PropagatesFirstException)
 
 TEST(Scheduler, ZeroJobsIsANoOp)
 {
-    runJobs(0, 4, [](std::size_t) { FAIL(); });
+    runJobs(0, SchedulerOptions{4}, [](std::size_t) { FAIL(); });
 }
 
 TEST(Scheduler, FailurePolicyRoundTripsAndRejectsJunk)
