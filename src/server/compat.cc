@@ -23,7 +23,10 @@ legacyMerge(const std::vector<const TraceBuffer *> &threads,
     }
 
     Rng rng(0x5c4ed);
-    std::vector<std::size_t> cursor(threads.size(), 0);
+    std::vector<TraceBuffer::Cursor> cursor;
+    cursor.reserve(threads.size());
+    for (const TraceBuffer *t : threads)
+        cursor.emplace_back(*t);
     std::size_t last = ~std::size_t{0};
     TraceBuffer out;
     while (!runnable.empty()) {
@@ -36,19 +39,19 @@ legacyMerge(const std::vector<const TraceBuffer *> &threads,
         const std::uint64_t quantum =
             quantumInstrs / 2 + rng.nextBelow(quantumInstrs);
 
+        // Only the Switch is stored here; the stub and the slice
+        // share the buffers they were recorded into.
         out.append(TraceEvent::make(EventKind::Switch, pick));
-        if (switchStub != nullptr) {
-            for (std::size_t i = 0; i < switchStub->size(); ++i)
-                out.append(switchStub->at(i));
-        }
+        if (switchStub != nullptr)
+            out.appendRange(*switchStub, 0, switchStub->size());
         const TraceBuffer &t = *threads[pick];
-        std::size_t &c = cursor[pick];
-        for (std::uint64_t used = 0; c < t.size() && used < quantum;
-             ++c) {
-            used += eventCost(t.at(c));
-            out.append(t.at(c));
-        }
-        if (c >= t.size()) {
+        TraceBuffer::Cursor &c = cursor[pick];
+        const std::size_t begin = c.position();
+        TraceEvent e = TraceEvent::fromRaw(0);
+        for (std::uint64_t used = 0; used < quantum && c.next(e);)
+            used += eventCost(e);
+        out.appendRange(t, begin, c.position());
+        if (c.position() >= t.size()) {
             runnable.erase(
                 std::find(runnable.begin(), runnable.end(), pick));
         }

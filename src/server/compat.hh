@@ -24,7 +24,9 @@ namespace cgp::server
  * did: Rng(0x5c4ed), a random pick that avoids re-selecting the last
  * thread, quantum = q/2 + rng.nextBelow(q) instructions.  Each turn
  * emits a Switch, then the stub, then the picked thread's events
- * until its quantum is used up or it ends.
+ * until its quantum is used up or it ends.  The result stores only
+ * its Switch events: the stub and every slice share the storage of
+ * @p switchStub and @p threads (see TraceBuffer::appendRange).
  * @param threads Per-query traces, in legacy thread order.
  * @param quantumInstrs Legacy scheduling quantum.
  * @param switchStub Scheduler-stub events replayed after each

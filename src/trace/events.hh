@@ -2,8 +2,8 @@
  * @file
  * Compact dynamic trace representation.
  *
- * A trace is a flat sequence of 64-bit packed events recorded while
- * the workload (DBMS, SPEC proxy) executes natively.  Events are
+ * A trace is a sequence of 64-bit packed events recorded while the
+ * workload (DBMS, SPEC proxy) executes natively.  Events are
  * layout independent: they name functions and work amounts, never
  * addresses of code.  Data addresses (buffer pool pages, tuples) are
  * synthetic data-segment addresses chosen by the workload.
@@ -12,7 +12,10 @@
 #ifndef CGP_TRACE_EVENTS_HH
 #define CGP_TRACE_EVENTS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/logging.hh"
@@ -112,41 +115,78 @@ hintAddrOf(std::uint64_t payload)
 }
 
 /**
- * A recorded event sequence plus summary counts.  Summary counts are
+ * A recorded event sequence plus summary counts, stored as runs over
+ * shared, append-only chunks of packed events.
+ *
+ * A recorded buffer is one run over a chunk it created.  appendRange
+ * adds runs that read another buffer's chunks in place, so a merged
+ * trace stores only the events it appends itself (its Switch
+ * events).  A buffer writes a chunk only if it created it and no
+ * other buffer (or copy) references it; otherwise append starts a
+ * new chunk.  Shared storage is therefore never written, whatever
+ * later happens to the buffer it came from.  Summary counts are
  * maintained on append so the interleaver can meter quanta cheaply.
  */
 class TraceBuffer
 {
+    using Chunk = std::vector<std::uint64_t>;
+
+    /** Chunk events [begin, end), at buffer positions from start. */
+    struct Run
+    {
+        std::shared_ptr<const Chunk> chunk;
+        std::size_t begin;
+        std::size_t end;
+        std::size_t start;
+    };
+
   public:
+    class Cursor;
+
+    TraceBuffer() = default;
+    TraceBuffer(const TraceBuffer &) = default;
+    TraceBuffer &operator=(const TraceBuffer &) = default;
+    TraceBuffer(TraceBuffer &&other) noexcept { *this = std::move(other); }
+    TraceBuffer &operator=(TraceBuffer &&other) noexcept;
+
     void
     append(TraceEvent e)
     {
-        events_.push_back(e.raw());
-        switch (e.kind()) {
-          case EventKind::Work:
-            approxInstrs_ += e.payload();
-            break;
-          case EventKind::Call:
-            ++calls_;
-            ++approxInstrs_;
-            break;
-          case EventKind::Hint:
-            // Metadata riding on the stream; costs no instruction.
-            break;
-          default:
-            ++approxInstrs_;
-            break;
-        }
+        // Extend the last run while it ends own_ and no one else
+        // reads own_.
+        if (runs_.empty() || runs_.back().chunk != own_ ||
+            runs_.back().end != own_->size() ||
+            own_.use_count() != static_cast<long>(1 + ownRuns_))
+            startRun();
+        own_->push_back(e.raw());
+        ++runs_.back().end;
+        ++size_;
+        count(e, approxInstrs_, calls_);
+        if (runs_.size() == 1)
+            flat_ = own_->data() + runs_.front().begin;
     }
 
-    std::size_t size() const { return events_.size(); }
-    bool empty() const { return events_.empty(); }
+    /**
+     * Append events [@p begin, @p end) of @p src by sharing its
+     * storage: no event is copied, and @p src may later be appended
+     * to, cleared or destroyed without changing this buffer.
+     */
+    void appendRange(const TraceBuffer &src, std::size_t begin,
+                     std::size_t end);
 
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /** Random access; a plain index on a one-run buffer, a search
+     *  over the runs otherwise (sequential readers use Cursor). */
     TraceEvent
     at(std::size_t i) const
     {
-        cgp_assert(i < events_.size(), "trace index out of range");
-        return TraceEvent::fromRaw(events_[i]);
+        cgp_assert(i < size_, "trace index out of range");
+        if (flat_ != nullptr)
+            return TraceEvent::fromRaw(flat_[i]);
+        const Run &r = runs_[runAt(i)];
+        return TraceEvent::fromRaw((*r.chunk)[r.begin + (i - r.start)]);
     }
 
     /** Work-payload-weighted length; used for quantum metering. */
@@ -155,18 +195,96 @@ class TraceBuffer
     /** Dynamic call count. */
     std::uint64_t calls() const { return calls_; }
 
+    /** Storage diagnostic: how many of this buffer's events lie in
+     *  chunks that @p other also reads. */
+    std::size_t eventsSharedWith(const TraceBuffer &other) const;
+
     void
     clear()
     {
-        events_.clear();
+        runs_.clear();
+        own_.reset();
+        ownRuns_ = 0;
+        flat_ = nullptr;
+        size_ = 0;
         approxInstrs_ = 0;
         calls_ = 0;
     }
 
   private:
-    std::vector<std::uint64_t> events_;
+    /** Add @p e to the summary counts @p instrs and @p calls. */
+    static void
+    count(TraceEvent e, std::uint64_t &instrs, std::uint64_t &calls)
+    {
+        // Hints are metadata riding on the stream and cost no
+        // instruction.  Branch-free, so a counting loop vectorizes.
+        const EventKind kind = e.kind();
+        instrs += kind == EventKind::Work
+            ? e.payload()
+            : static_cast<std::uint64_t>(kind != EventKind::Hint);
+        calls += static_cast<std::uint64_t>(kind == EventKind::Call);
+    }
+
+    /** Point flat_ at the only run's events, if there is one run. */
+    void
+    setFlat()
+    {
+        flat_ = runs_.size() == 1
+            ? runs_.front().chunk->data() + runs_.front().begin
+            : nullptr;
+    }
+
+    /** Open an empty run at the end of own_, first replacing own_
+     *  with a new chunk if another buffer also reads it. */
+    void startRun();
+
+    /** Index of the run holding event @p i (i < size()). */
+    std::size_t runAt(std::size_t i) const;
+
+    std::vector<Run> runs_;
+    /** The chunk append writes while no one else references it. */
+    std::shared_ptr<Chunk> own_;
+    /** How many of runs_ read own_ (to tell its other readers). */
+    std::size_t ownRuns_ = 0;
+    /** First event of the only run; null unless runs_.size() == 1. */
+    const std::uint64_t *flat_ = nullptr;
+    std::size_t size_ = 0;
     std::uint64_t approxInstrs_ = 0;
     std::uint64_t calls_ = 0;
+};
+
+/**
+ * Sequential reader of a TraceBuffer: walks the runs in order, one
+ * pointer step per event.  Appending to or clearing the buffer
+ * invalidates it.
+ */
+class TraceBuffer::Cursor
+{
+  public:
+    explicit Cursor(const TraceBuffer &buffer);
+
+    /** The next event into @p out; false at the end of the buffer. */
+    bool
+    next(TraceEvent &out)
+    {
+        if (p_ == end_ && !nextRun())
+            return false;
+        out = TraceEvent::fromRaw(*p_++);
+        return true;
+    }
+
+    /** Buffer position of the event next() returns next. */
+    std::size_t position() const;
+
+  private:
+    /** Step to the next run; false after the last. */
+    bool nextRun();
+
+    const TraceBuffer *buf_;
+    std::size_t run_ = 0;
+    /** The current run's unread events. */
+    const std::uint64_t *p_ = nullptr;
+    const std::uint64_t *end_ = nullptr;
 };
 
 } // namespace cgp

@@ -60,10 +60,10 @@ saveTrace(const TraceBuffer &trace, std::ostream &os)
     putWord(os, trace.size());
 
     std::uint64_t checksum = fnv1aBasis;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const std::uint64_t raw = trace.at(i).raw();
-        putWord(os, raw);
-        checksum = hashWord(checksum, raw);
+    TraceBuffer::Cursor cursor(trace);
+    for (TraceEvent e = TraceEvent::fromRaw(0); cursor.next(e);) {
+        putWord(os, e.raw());
+        checksum = hashWord(checksum, e.raw());
     }
     putWord(os, checksum);
     return static_cast<bool>(os);

@@ -3,14 +3,14 @@
  * TraceSource: pull interface between trace storage and the
  * InstructionExpander.
  *
- * The legacy pipeline pre-merges every per-query trace into one big
- * TraceBuffer and expands that.  The server model instead streams
- * events one at a time — a per-core source multiplexes session
- * traces under a scheduling quantum, so the event sequence depends
- * on simulated time.  The expander only needs three answers from the
- * storage side: "here is the next event", "nothing right now, but
- * more may come" (a core idling between sessions), and "the stream
- * is over".
+ * The legacy pipeline pre-merges every per-query trace into one
+ * TraceBuffer (sharing their storage) and expands that.  The server
+ * model instead streams events one at a time — a per-core source
+ * multiplexes session traces under a scheduling quantum, so the
+ * event sequence depends on simulated time.  The expander only
+ * needs three answers from the storage side: "here is the next
+ * event", "nothing right now, but more may come" (a core idling
+ * between sessions), and "the stream is over".
  */
 
 #ifndef CGP_TRACE_SOURCE_HH
@@ -45,22 +45,18 @@ class BufferTraceSource final : public TraceSource
 {
   public:
     explicit BufferTraceSource(const TraceBuffer &buffer)
-        : buffer_(buffer)
+        : cursor_(buffer)
     {
     }
 
     Pull
     next(TraceEvent &out) override
     {
-        if (idx_ >= buffer_.size())
-            return Pull::End;
-        out = buffer_.at(idx_++);
-        return Pull::Event;
+        return cursor_.next(out) ? Pull::Event : Pull::End;
     }
 
   private:
-    const TraceBuffer &buffer_;
-    std::size_t idx_ = 0;
+    TraceBuffer::Cursor cursor_;
 };
 
 } // namespace cgp

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for trace events, the recorder, and the interleaved merge
- * (server::legacyMerge).
+ * Tests for trace events, the shared-storage trace buffer, the
+ * recorder, and the interleaved merge (server::legacyMerge).
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +9,11 @@
 #include <map>
 #include <vector>
 
+#include "harness/workload.hh"
 #include "server/compat.hh"
 #include "trace/events.hh"
 #include "trace/recorder.hh"
+#include "util/rng.hh"
 
 namespace cgp
 {
@@ -53,6 +55,206 @@ TEST(TraceBuffer, CountsApproxInstrsAndCalls)
     buf.clear();
     EXPECT_TRUE(buf.empty());
     EXPECT_EQ(buf.approxInstrs(), 0u);
+}
+
+/** A random event of any kind, with a payload that fits it. */
+TraceEvent
+randomEvent(Rng &rng)
+{
+    const auto kind = static_cast<EventKind>(1 + rng.nextBelow(8));
+    switch (kind) {
+      case EventKind::Work:
+        return TraceEvent::make(kind, 1 + rng.nextBelow(500));
+      case EventKind::Hint:
+        return makeHintEvent(DataHintKind::HeapNextSlot,
+                             rng.nextBelow(1u << 20));
+      default:
+        return TraceEvent::make(kind, rng.nextBelow(1000));
+    }
+}
+
+/** Flat reference model of a TraceBuffer. */
+struct FlatTrace
+{
+    std::vector<std::uint64_t> events;
+    std::uint64_t approxInstrs = 0;
+    std::uint64_t calls = 0;
+
+    void
+    append(TraceEvent e)
+    {
+        events.push_back(e.raw());
+        if (e.kind() == EventKind::Work)
+            approxInstrs += e.payload();
+        else if (e.kind() != EventKind::Hint)
+            ++approxInstrs;
+        if (e.kind() == EventKind::Call)
+            ++calls;
+    }
+};
+
+/** @p buf holds exactly @p ref, by index, by cursor and in counts. */
+void
+expectMatches(const TraceBuffer &buf, const FlatTrace &ref)
+{
+    ASSERT_EQ(buf.size(), ref.events.size());
+    EXPECT_EQ(buf.empty(), ref.events.empty());
+    EXPECT_EQ(buf.approxInstrs(), ref.approxInstrs);
+    EXPECT_EQ(buf.calls(), ref.calls);
+    for (std::size_t i = 0; i < ref.events.size(); ++i)
+        ASSERT_EQ(buf.at(i).raw(), ref.events[i]) << "at " << i;
+
+    TraceBuffer::Cursor whole(buf);
+    TraceEvent e = TraceEvent::fromRaw(0);
+    for (std::size_t i = 0; i < ref.events.size(); ++i) {
+        ASSERT_EQ(whole.position(), i);
+        ASSERT_TRUE(whole.next(e));
+        ASSERT_EQ(e.raw(), ref.events[i]) << "cursor at " << i;
+    }
+    EXPECT_FALSE(whole.next(e));
+    EXPECT_EQ(whole.position(), ref.events.size());
+}
+
+TEST(TraceBuffer, RandomAppendsAndSlicesMatchAFlatReference)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        // Sources: recorded buffers, and one that is itself made of
+        // slices, so slices of slices are covered too.
+        std::vector<TraceBuffer> srcs(3);
+        std::vector<FlatTrace> srcRefs(3);
+        for (std::size_t s = 0; s < 2; ++s) {
+            const std::uint64_t n = 1 + rng.nextBelow(300);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const TraceEvent e = randomEvent(rng);
+                srcs[s].append(e);
+                srcRefs[s].append(e);
+            }
+        }
+        for (int k = 0; k < 6; ++k) {
+            const std::size_t s = rng.nextBelow(2);
+            const std::size_t b = rng.nextBelow(srcs[s].size() + 1);
+            const std::size_t e =
+                b + rng.nextBelow(srcs[s].size() - b + 1);
+            srcs[2].appendRange(srcs[s], b, e);
+            for (std::size_t i = b; i < e; ++i)
+                srcRefs[2].append(TraceEvent::fromRaw(srcRefs[s].events[i]));
+            srcs[2].append(TraceEvent::make(EventKind::Switch, k));
+            srcRefs[2].append(TraceEvent::make(EventKind::Switch, k));
+        }
+        expectMatches(srcs[2], srcRefs[2]);
+
+        TraceBuffer buf;
+        FlatTrace ref;
+        for (int op = 0; op < 200; ++op) {
+            if (rng.nextBool(0.5)) {
+                const TraceEvent e = randomEvent(rng);
+                buf.append(e);
+                ref.append(e);
+                continue;
+            }
+            const std::size_t s = rng.nextBelow(srcs.size());
+            const std::size_t n = srcs[s].size();
+            const std::size_t b = rng.nextBelow(n + 1);
+            const std::size_t e = b + rng.nextBelow(n - b + 1);
+            buf.appendRange(srcs[s], b, e);
+            for (std::size_t i = b; i < e; ++i)
+                ref.append(TraceEvent::fromRaw(srcRefs[s].events[i]));
+        }
+        expectMatches(buf, ref);
+
+        // Copies and moves keep the sequence.
+        TraceBuffer copy = buf;
+        expectMatches(copy, ref);
+        TraceBuffer moved = std::move(copy);
+        expectMatches(moved, ref);
+        EXPECT_TRUE(copy.empty());
+    }
+}
+
+TEST(TraceBuffer, SourcesChangedAfterSlicingLeaveTheMergeAlone)
+{
+    Rng rng(7);
+    TraceBuffer a;
+    TraceBuffer b;
+    for (int i = 0; i < 50; ++i) {
+        a.append(randomEvent(rng));
+        b.append(randomEvent(rng));
+    }
+    TraceBuffer merged;
+    merged.append(TraceEvent::make(EventKind::Switch, 0));
+    merged.appendRange(a, 10, 40);
+    merged.append(TraceEvent::make(EventKind::Switch, 1));
+    merged.appendRange(b, 0, 50);
+    std::vector<std::uint64_t> before;
+    for (std::size_t i = 0; i < merged.size(); ++i)
+        before.push_back(merged.at(i).raw());
+    const std::uint64_t instrs = merged.approxInstrs();
+    EXPECT_EQ(merged.eventsSharedWith(a), 30u);
+    EXPECT_EQ(merged.eventsSharedWith(b), 50u);
+    // One run over all of a: indexed straight into a's chunk.
+    TraceBuffer whole;
+    whole.appendRange(a, 0, a.size());
+    std::vector<std::uint64_t> aBefore;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        aBefore.push_back(a.at(i).raw());
+
+    // Growing a shared source starts a new chunk (the shared one is
+    // never written, so never reallocated): the slices still read
+    // the old events, and the source reads all of its own.
+    const std::size_t aSize = a.size();
+    for (int i = 0; i < 1000; ++i)
+        a.append(TraceEvent::make(EventKind::Work, 7));
+    ASSERT_EQ(a.size(), aSize + 1000);
+    EXPECT_EQ(a.at(aSize).payload(), 7u);
+    EXPECT_EQ(a.eventsSharedWith(merged), aSize);
+    ASSERT_EQ(whole.size(), aSize);
+    for (std::size_t i = 0; i < aSize; ++i)
+        EXPECT_EQ(whole.at(i).raw(), aBefore[i]) << i;
+    b.clear();
+    for (int i = 0; i < 10; ++i)
+        b.append(TraceEvent::make(EventKind::Branch, 1));
+
+    ASSERT_EQ(merged.size(), before.size());
+    for (std::size_t i = 0; i < merged.size(); ++i)
+        EXPECT_EQ(merged.at(i).raw(), before[i]) << i;
+    EXPECT_EQ(merged.approxInstrs(), instrs);
+    EXPECT_EQ(merged.eventsSharedWith(b), 0u);
+
+    // The merge goes on appending to its own chunk.
+    merged.append(TraceEvent::make(EventKind::Switch, 2));
+    ASSERT_EQ(merged.size(), before.size() + 1);
+    EXPECT_EQ(merged.at(before.size()).payload(), 2u);
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(merged.at(i).raw(), before[i]) << i;
+}
+
+TEST(TraceBuffer, DbSetMergedTracesStoreOnlyTheirSwitches)
+{
+    const DbWorkloadSet set = WorkloadFactory::buildDbSet(0.03);
+    for (const Workload &w : set.workloads) {
+        SCOPED_TRACE(w.name);
+        ASSERT_NE(w.queryLibrary, nullptr);
+        ASSERT_NE(w.switchStub, nullptr);
+        const TraceBuffer &merged = *w.trace;
+        const TraceBuffer &stub = *w.switchStub;
+
+        std::size_t switches = 0;
+        TraceBuffer::Cursor cursor(merged);
+        for (TraceEvent e = TraceEvent::fromRaw(0); cursor.next(e);)
+            switches += e.kind() == EventKind::Switch ? 1 : 0;
+
+        // Every library event once, the stub once per Switch, and
+        // nothing else but the Switches is stored in the merge.
+        std::size_t shared = merged.eventsSharedWith(stub);
+        EXPECT_EQ(shared, switches * stub.size());
+        for (const TraceBuffer &q : *w.queryLibrary) {
+            EXPECT_EQ(merged.eventsSharedWith(q), q.size());
+            shared += q.size();
+        }
+        EXPECT_EQ(merged.size() - shared, switches);
+    }
 }
 
 TEST(Recorder, ScopeBalancesCallsAndReturns)
