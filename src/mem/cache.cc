@@ -15,6 +15,7 @@ namespace cgp
 Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
     : config_(config), next_(next), port_(port),
       sets_(config.sizeBytes / (config.lineBytes * config.assoc)),
+      lineShift_(floorLog2(config.lineBytes)), setMask_(sets_ - 1),
       lines_(static_cast<std::size_t>(sets_) * config.assoc)
 {
     cgp_assert(isPowerOfTwo(config.lineBytes),
@@ -30,8 +31,7 @@ Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
 std::size_t
 Cache::setOf(Addr line_addr) const
 {
-    return static_cast<std::size_t>(
-        (line_addr / config_.lineBytes) & (sets_ - 1));
+    return static_cast<std::size_t>((line_addr >> lineShift_) & setMask_);
 }
 
 Cache::Line *

@@ -332,6 +332,9 @@ class Cache
     bool warming_ = false;
 
     std::uint32_t sets_;
+    /** setOf's line-number shift and set mask (both powers of two). */
+    unsigned lineShift_;
+    std::size_t setMask_;
     std::vector<Line> lines_;
     std::unordered_map<Addr, Mshr> inflight_;
     /**

@@ -95,27 +95,16 @@ Cghc::Cghc(const CghcConfig &config)
                    "CGHC L2 entries must divide into ways");
         l1_.resize(l1Entries_);
         l2_.resize(l2Entries_);
-        for (auto &e : l1_)
-            e.slots.assign(config_.slots, invalidAddr);
-        for (auto &e : l2_)
-            e.slots.assign(config_.slots, invalidAddr);
+        l1SetMask_ = l1Entries_ / config_.assoc - 1;
+        l2SetMask_ = l2Entries_ > 0 ? l2Entries_ / config_.assoc - 1 : 0;
     }
 }
 
-std::size_t
-Cghc::setOf(Addr start, std::size_t entries) const
-{
-    // Function starts are 32-byte aligned; drop those bits first
-    // ("the lower order bits of the ... address", §3.2).
-    const std::size_t sets = entries / config_.assoc;
-    return static_cast<std::size_t>((start >> 5) & (sets - 1));
-}
-
 Cghc::Entry *
-Cghc::findWay(std::vector<Entry> &level, std::size_t entries,
+Cghc::findWay(std::vector<Entry> &level, std::size_t setMask,
               Addr start)
 {
-    const std::size_t base = setOf(start, entries) * config_.assoc;
+    const std::size_t base = setOf(start, setMask) * config_.assoc;
     for (unsigned w = 0; w < config_.assoc; ++w) {
         Entry &e = level[base + w];
         if (e.valid && e.tag == start)
@@ -125,10 +114,10 @@ Cghc::findWay(std::vector<Entry> &level, std::size_t entries,
 }
 
 Cghc::Entry &
-Cghc::victimWay(std::vector<Entry> &level, std::size_t entries,
+Cghc::victimWay(std::vector<Entry> &level, std::size_t setMask,
                 Addr start)
 {
-    const std::size_t base = setOf(start, entries) * config_.assoc;
+    const std::size_t base = setOf(start, setMask) * config_.assoc;
     std::size_t victim = base;
     for (unsigned w = 0; w < config_.assoc; ++w) {
         Entry &e = level[base + w];
@@ -147,14 +136,14 @@ Cghc::lookup(Addr start, bool allocate, Cycle &delay, bool &hit)
     hit = false;
     ++tick_;
 
-    if (Entry *e1 = findWay(l1_, l1Entries_, start); e1 != nullptr) {
+    if (Entry *e1 = findWay(l1_, l1SetMask_, start); e1 != nullptr) {
         hit = true;
         e1->lru = tick_;
         return e1;
     }
 
     if (l2Entries_ > 0) {
-        if (Entry *e2 = findWay(l2_, l2Entries_, start);
+        if (Entry *e2 = findWay(l2_, l2SetMask_, start);
             e2 != nullptr) {
             // Swap: promote the hit entry to L1, demote the L1
             // victim to its own L2 set (paper §5.3).
@@ -162,11 +151,11 @@ Cghc::lookup(Addr start, bool allocate, Cycle &delay, bool &hit)
             delay = config_.l2Latency;
             Entry promoted = *e2;
             e2->valid = false;
-            Entry &v1 = victimWay(l1_, l1Entries_, start);
+            Entry &v1 = victimWay(l1_, l1SetMask_, start);
             Entry demoted = v1;
             if (demoted.valid) {
                 Entry &v2 =
-                    victimWay(l2_, l2Entries_, demoted.tag);
+                    victimWay(l2_, l2SetMask_, demoted.tag);
                 v2 = demoted;
                 v2.lru = tick_;
             }
@@ -181,9 +170,9 @@ Cghc::lookup(Addr start, bool allocate, Cycle &delay, bool &hit)
 
     // Total miss: allocate in L1; the displaced entry is written
     // back to the second level (if present).
-    Entry &v1 = victimWay(l1_, l1Entries_, start);
+    Entry &v1 = victimWay(l1_, l1SetMask_, start);
     if (v1.valid && l2Entries_ > 0) {
-        Entry &v2 = victimWay(l2_, l2Entries_, v1.tag);
+        Entry &v2 = victimWay(l2_, l2SetMask_, v1.tag);
         v2 = v1;
         v2.lru = tick_;
     }
@@ -193,7 +182,6 @@ Cghc::lookup(Addr start, bool allocate, Cycle &delay, bool &hit)
     v1.index = 1;
     v1.count = 0;
     v1.lru = tick_;
-    v1.slots.assign(config_.slots, invalidAddr);
     return &v1;
 }
 
@@ -263,13 +251,13 @@ Cghc::callUpdateAccess(Addr caller_start, Addr callee_start)
     // are stored" (§3.2): once the index has saturated with all
     // slots filled this invocation, further callees are dropped.
     const std::size_t slot = static_cast<std::size_t>(e->index) - 1;
-    const bool saturated = e->index == config_.slots &&
-        e->count >= config_.slots;
-    if (slot < config_.slots && !saturated) {
+    const bool saturated = e->index == slotsPerEntry &&
+        e->count >= slotsPerEntry;
+    if (slot < slotsPerEntry && !saturated) {
         e->slots[slot] = callee_start;
         if (e->count < slot + 1)
             e->count = static_cast<std::uint8_t>(slot + 1);
-        if (e->index < config_.slots)
+        if (e->index < slotsPerEntry)
             ++e->index;
     }
 }
@@ -356,10 +344,8 @@ Cghc::saveState() const
             idxs.push((static_cast<unsigned>(e.index) << 8) |
                       static_cast<unsigned>(e.count));
             lrus.push(e.lru);
-            for (unsigned s = 0; s < config_.slots; ++s) {
-                slots.push(s < e.slots.size() ? e.slots[s]
-                                              : invalidAddr);
-            }
+            for (Addr a : e.slots)
+                slots.push(a);
         }
         out.set("tag", std::move(tags));
         out.set("index_count", std::move(idxs));
@@ -414,10 +400,8 @@ Cghc::loadState(const Json &state)
         const Json::Array &lrus =
             sample::slotValues(in, "lru", filled.size(), "CGHC");
         const Json::Array &slots = sample::slotValues(
-            in, "slots", filled.size(), "CGHC", config_.slots);
-        Entry blank;
-        blank.slots.assign(config_.slots, invalidAddr);
-        std::fill(lv.begin(), lv.end(), blank);
+            in, "slots", filled.size(), "CGHC", slotsPerEntry);
+        std::fill(lv.begin(), lv.end(), Entry{});
         for (std::size_t k = 0; k < filled.size(); ++k) {
             Entry &e = lv[filled[k]];
             e.valid = true;
@@ -427,8 +411,8 @@ Cghc::loadState(const Json &state)
             e.index = static_cast<std::uint8_t>(ic >> 8);
             e.count = static_cast<std::uint8_t>(ic & 0xFF);
             e.lru = lrus[k].asUint();
-            for (unsigned s = 0; s < config_.slots; ++s)
-                e.slots[s] = slots[k * config_.slots + s].asUint();
+            for (unsigned s = 0; s < slotsPerEntry; ++s)
+                e.slots[s] = slots[k * slotsPerEntry + s].asUint();
         }
     };
     if (config_.infinite) {

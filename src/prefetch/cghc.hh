@@ -34,6 +34,7 @@
 #ifndef CGP_PREFETCH_CGHC_HH
 #define CGP_PREFETCH_CGHC_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -69,9 +70,6 @@ struct CghcConfig
     Cycle l1Latency = 1;
     Cycle l2Latency = 16;
 
-    /** Callee slots per finite entry (one 32-byte line). */
-    unsigned slots = 8;
-
     /// @{ Named geometries from Figure 5.
     static CghcConfig oneLevel1K();
     static CghcConfig oneLevel32K();
@@ -86,6 +84,9 @@ struct CghcConfig
 class Cghc
 {
   public:
+    /** Callee slots per finite entry (one 32-byte line). */
+    static constexpr unsigned slotsPerEntry = 8;
+
     explicit Cghc(const CghcConfig &config);
 
     /** Result of a prefetch-side access. */
@@ -137,8 +138,16 @@ class Cghc
         std::uint8_t index = 1;      ///< 1-based next-slot pointer
         std::uint8_t count = 0;      ///< filled slots
         std::uint64_t lru = 0;       ///< recency (associative mode)
-        std::vector<Addr> slots;
+        std::array<Addr, slotsPerEntry> slots = noSlots();
     };
+
+    static constexpr std::array<Addr, slotsPerEntry>
+    noSlots()
+    {
+        std::array<Addr, slotsPerEntry> slots{};
+        slots.fill(invalidAddr);
+        return slots;
+    }
 
     /** Infinite-variant entry: full sequence, unbounded index. */
     struct InfEntry
@@ -147,14 +156,21 @@ class Cghc
         std::vector<Addr> sequence;
     };
 
-    std::size_t setOf(Addr start, std::size_t entries) const;
+    /** Set of @p start in a level whose set mask is @p setMask. */
+    static std::size_t
+    setOf(Addr start, std::size_t setMask)
+    {
+        // Function starts are 32-byte aligned; drop those bits first
+        // ("the lower order bits of the ... address", §3.2).
+        return static_cast<std::size_t>((start >> 5) & setMask);
+    }
 
     /** Find the way holding @p start in a level, or nullptr. */
-    Entry *findWay(std::vector<Entry> &level, std::size_t entries,
+    Entry *findWay(std::vector<Entry> &level, std::size_t setMask,
                    Addr start);
 
     /** Victim way for @p start in a level (invalid first, then LRU). */
-    Entry &victimWay(std::vector<Entry> &level, std::size_t entries,
+    Entry &victimWay(std::vector<Entry> &level, std::size_t setMask,
                      Addr start);
 
     /**
@@ -169,6 +185,9 @@ class Cghc
     CghcConfig config_;
     std::size_t l1Entries_;
     std::size_t l2Entries_;
+    /** Set count - 1 of each finite level (sets are a power of 2). */
+    std::size_t l1SetMask_ = 0;
+    std::size_t l2SetMask_ = 0;
     bool warming_ = false;
     std::uint64_t tick_ = 0;
     std::vector<Entry> l1_;

@@ -668,7 +668,7 @@ TEST(SampleCheckpointSparse, FilledTablesRoundTripWithinTheDenseSize)
     const CghcConfig cg = CghcConfig::twoLevel2K32K();
     const std::size_t cghcEntries = (cg.l1Bytes + cg.l2Bytes) / 32;
     EXPECT_LE(countValues(state.at("cghc")),
-              2 + cghcEntries * (3 + cg.slots));
+              2 + cghcEntries * (3 + Cghc::slotsPerEntry));
 
     // Restoring into fresh tables, or over tables another warm-up
     // filled, and cutting again gives the same document, and the
