@@ -2,9 +2,10 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot
  * components: CGHC accesses, cache lookups, branch prediction, trace
- * expansion throughput, the OM profiling replay, the cycle-level
- * core and its functional warm path over a whole trace, and cutting
- * and restoring a warm-state checkpoint.
+ * expansion throughput, the DB workload set's construction, the OM
+ * profiling replay, the cycle-level core and its functional warm
+ * path over a whole trace, and cutting and restoring a warm-state
+ * checkpoint.
  * These bound the simulator's own speed, not the modeled machine's.
  */
 
@@ -364,6 +365,22 @@ dbSet()
         cgp::WorkloadFactory::buildDbSet(0.03);
     return set;
 }
+
+/**
+ * The DB workload set's construction at perfbench's scale: loading
+ * the databases, recording every query, merging the four traces and
+ * the OM profiling replays.
+ */
+void
+BM_BuildDbSet(benchmark::State &state)
+{
+    for (auto _ : state) {
+        const cgp::DbWorkloadSet set =
+            cgp::WorkloadFactory::buildDbSet(0.03);
+        benchmark::DoNotOptimize(set.workloads.back().trace->size());
+    }
+}
+BENCHMARK(BM_BuildDbSet)->Unit(benchmark::kMillisecond);
 
 /** The OM layout pass over the DB binary and its merged profile. */
 void
