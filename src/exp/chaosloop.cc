@@ -43,8 +43,11 @@ chaosPoints()
     return points;
 }
 
-/** Artifacts worth corrupting: job files, the manifest and the warm
- *  checkpoints of a sampled campaign. */
+/** Artifacts worth corrupting: the job files, the manifest and the
+ *  warm checkpoints of a sampled campaign whose seal still checks.
+ *  A cycle that dies before reading a damaged file leaves it in
+ *  place; damaging it again would count a second corruption that
+ *  only one quarantine answers. */
 std::vector<std::string>
 corruptibleFiles(const std::string &dir)
 {
@@ -63,8 +66,9 @@ corruptibleFiles(const std::string &dir)
             if (!entry.is_regular_file())
                 continue;
             const std::string name = entry.path().filename().string();
-            if (name == "manifest.json" || jsonNamed(name, "job-") ||
-                jsonNamed(name, "warm-"))
+            if ((name == "manifest.json" || jsonNamed(name, "job-") ||
+                 jsonNamed(name, "warm-")) &&
+                readSealedJson(entry.path().string()).doc)
                 out.push_back(entry.path().string());
         }
     }

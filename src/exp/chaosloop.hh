@@ -10,7 +10,7 @@
  * and let the injected crash kill it mid-flight.  The point and hit
  * number are drawn from the hits the previous cycle made, so the
  * fault lands where a resume actually goes.  Between cycles it
- * optionally corrupts a surviving artifact — a bit flip or a
+ * optionally corrupts a surviving intact artifact — a bit flip or a
  * truncation of a job file, the manifest or a warm checkpoint —
  * exactly the damage a torn sector or a buggy copy leaves behind.  After all cycles a
  * clean resume must finish the campaign with zero manual

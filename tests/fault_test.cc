@@ -252,6 +252,31 @@ TEST(ChaosLoop, ConvergesByteIdenticalThroughKillsAndCorruption)
         std::invalid_argument);
 }
 
+TEST(ChaosLoop, DamagesOnlyFilesAResumeMustQuarantine)
+{
+    // One thread fixes the fault schedule.  At this seed a cycle
+    // that dies at its lock write reads no job file, and the next
+    // damage draw picks the job file an earlier cycle damaged: the
+    // loop must pick only intact files, so every counted corruption
+    // is one a resume quarantines.
+    const exp::CampaignSpec campaign = chaosUnitCampaign();
+    exp::InMemoryProvider provider = chaosUnitProvider();
+
+    exp::ChaosLoopConfig config;
+    config.cycles = 25;
+    config.threads = 1;
+    config.seed = 19;
+    config.dir = (std::filesystem::temp_directory_path() /
+                  "cgp-chaos-intact")
+                     .string();
+    const exp::ChaosLoopResult result =
+        exp::ChaosLoopHarness(campaign, provider, config).run();
+    EXPECT_TRUE(result.identical) << result.mismatch;
+    EXPECT_GE(result.corruptions, 1u);
+    EXPECT_GE(result.quarantined, result.corruptions);
+    std::filesystem::remove_all(config.dir);
+}
+
 TEST(ChaosLoop, CountsSimulationsThatFinishedInCrashedCycles)
 {
     // Without corruption every job is simulated once for its result,
