@@ -339,10 +339,8 @@ Cache::addInflight(Addr line_addr, const Mshr &mshr)
 }
 
 void
-Cache::tick(Cycle now)
+Cache::landFills(Cycle now)
 {
-    if (now < nextReady_)
-        return;
     Cycle earliest = std::numeric_limits<Cycle>::max();
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->second.readyCycle <= now) {

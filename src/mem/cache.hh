@@ -250,11 +250,17 @@ class Cache
 
     /**
      * Move fills whose ready cycle has passed into the array.  Returns
-     * at once while no fill can be ready; otherwise walks inflight_
-     * in its own iteration order, which decides the LRU ticks of fills
+     * at once (inline: it runs three times per stepped cycle) while
+     * no fill can be ready; otherwise landFills walks inflight_ in its
+     * own iteration order, which decides the LRU ticks of fills
      * landing in the same cycle.
      */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (now >= nextReady_)
+            landFills(now);
+    }
 
     /**
      * End-of-run accounting: classify still-unreferenced prefetched
@@ -318,6 +324,9 @@ class Cache
     Cycle issuePrefetch(Addr line_addr, Cycle now,
                         AccessSource source);
 
+    /** tick()'s walk, once a fill may be ready. */
+    void landFills(Cycle now);
+
     /** Record a new MSHR in inflight_ (and in nextReady_). */
     void addInflight(Addr line_addr, const Mshr &mshr);
 
@@ -340,7 +349,7 @@ class Cache
     /**
      * Lower bound on the earliest readyCycle in inflight_ (max when
      * it is empty): lowered on every MSHR insert, recomputed by the
-     * walk in tick(), reset wherever inflight_ is cleared.
+     * walk in landFills(), reset wherever inflight_ is cleared.
      */
     Cycle nextReady_ = std::numeric_limits<Cycle>::max();
     std::uint64_t tick_ = 0;

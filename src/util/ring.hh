@@ -1,9 +1,13 @@
 /**
  * @file
  * Ring: a fixed-capacity FIFO over one array allocated at
- * construction.  The core's fetch queue and reorder buffer are
- * bounded by their Table 1 sizes and touched every cycle, so they
- * never allocate after the core is built.
+ * construction.  The core's instruction window is bounded by its
+ * Table 1 sizes and touched every cycle, so it never allocates after
+ * the core is built.
+ *
+ * The array is rounded up to a power of two so that every index is
+ * a mask, not a compare or a division; the capacity the ring admits
+ * is held apart from it.
  *
  * push_back() hands out the slot itself: the caller writes every
  * field in place (the slot still holds the last entry that used it).
@@ -12,6 +16,7 @@
 #ifndef CGP_UTIL_RING_HH
 #define CGP_UTIL_RING_HH
 
+#include <bit>
 #include <cstddef>
 #include <vector>
 
@@ -24,15 +29,24 @@ template <typename T>
 class Ring
 {
   public:
-    explicit Ring(std::size_t capacity) : slots_(capacity) {}
+    explicit Ring(std::size_t capacity)
+        : slots_(std::bit_ceil(capacity)), mask_(slots_.size() - 1),
+          capacity_(capacity)
+    {
+        cgp_assert(capacity > 0, "a ring needs a capacity of at least 1");
+    }
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    bool full() const { return size_ >= slots_.size(); }
+    bool full() const { return size_ >= capacity_; }
 
     /** The @p i-th entry counted from the oldest (0 = front). */
-    T &operator[](std::size_t i) { return slots_[slotOf(i)]; }
-    const T &operator[](std::size_t i) const { return slots_[slotOf(i)]; }
+    T &operator[](std::size_t i) { return slots_[(head_ + i) & mask_]; }
+    const T &
+    operator[](std::size_t i) const
+    {
+        return slots_[(head_ + i) & mask_];
+    }
 
     T &front() { return slots_[head_]; }
     const T &front() const { return slots_[head_]; }
@@ -42,7 +56,7 @@ class Ring
     push_back()
     {
         cgp_assert(!full(), "push_back on a full ring");
-        T &slot = slots_[slotOf(size_)];
+        T &slot = slots_[(head_ + size_) & mask_];
         ++size_;
         return slot;
     }
@@ -51,22 +65,14 @@ class Ring
     pop_front()
     {
         cgp_assert(!empty(), "pop_front on an empty ring");
-        if (++head_ == slots_.size())
-            head_ = 0;
+        head_ = (head_ + 1) & mask_;
         --size_;
     }
 
   private:
-    std::size_t
-    slotOf(std::size_t i) const
-    {
-        std::size_t slot = head_ + i;
-        if (slot >= slots_.size())
-            slot -= slots_.size();
-        return slot;
-    }
-
     std::vector<T> slots_;
+    std::size_t mask_;
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -23,6 +24,7 @@
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
 #include "util/json.hh"
+#include "util/logging.hh"
 #include "util/watchdog.hh"
 
 namespace cgp
@@ -197,6 +199,39 @@ TEST(Core, TinyQueuesWrapAndCommitEverything)
         EXPECT_EQ(c1.cycles(), c2.cycles());
         EXPECT_EQ(c1.committedInstrs(), c2.committedInstrs());
     }
+}
+
+TEST(Core, RejectsZeroWidthsAndQueues)
+{
+    // With any of these at 0 a stage starves and the core steps (or
+    // skips) forever without committing: the constructor refuses.
+    Machine m;
+    m.record(10);
+    LayoutBuilder builder(m.reg);
+    m.image = builder.buildOriginal();
+    InstructionExpander stream(m.reg, m.image, m.trace);
+    MemoryHierarchy mem;
+    unsigned CoreConfig::*const fields[] = {
+        &CoreConfig::fetchWidth,     &CoreConfig::dispatchWidth,
+        &CoreConfig::issueWidth,     &CoreConfig::commitWidth,
+        &CoreConfig::fetchQueueSize, &CoreConfig::lsqSize,
+        &CoreConfig::rsSize,         &CoreConfig::intAlus,
+        &CoreConfig::multipliers,    &CoreConfig::memPorts};
+    for (unsigned CoreConfig::*field : fields) {
+        CoreConfig cfg;
+        cfg.*field = 0;
+        detail::setThrowOnError(true);
+        EXPECT_THROW(Core(stream, mem, nullptr, cfg), std::logic_error);
+        detail::setThrowOnError(false);
+    }
+    // 1 is the smallest legal value of each.
+    CoreConfig ones;
+    for (unsigned CoreConfig::*field : fields)
+        ones.*field = 1;
+    Core core(stream, mem, nullptr, ones);
+    core.run();
+    EXPECT_EQ(core.committedInstrs(), stream.emittedInstrs());
+    EXPECT_TRUE(core.drained());
 }
 
 TEST(Core, CgpHooksFireDuringExecution)
