@@ -137,7 +137,8 @@ BM_TraceExpansion(benchmark::State &state)
 BENCHMARK(BM_TraceExpansion);
 
 /** The same program through the functional-warming path, which
- *  hands plain work instructions out as bare pcs. */
+ *  hands plain work out a block at a time, split into runs and stack
+ *  references as the core's hooks split it. */
 void
 BM_WarmExpansion(benchmark::State &state)
 {
@@ -146,11 +147,16 @@ BM_WarmExpansion(benchmark::State &state)
     {
         Addr last = 0;
         void
-        pcRun(Addr first, std::uint64_t count) override
+        work(Addr pc, std::uint64_t done, std::uint64_t n,
+             Addr frame) override
         {
-            last = first + count;
+            splitWork(
+                pc, done, n, frame,
+                [this](Addr first, std::uint64_t count) {
+                    last = first + count;
+                },
+                [this](Addr ref_pc, Addr, bool) { last = ref_pc; });
         }
-        void stackRef(Addr pc, Addr, bool) override { last = pc; }
         void inst(const DynInst &inst) override { last = inst.pc; }
     };
     const ExpansionProgram p;
@@ -547,6 +553,32 @@ BM_CoreWarm(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CoreWarm);
+
+/**
+ * The same warm path on DB traffic: wisc+tpch, the mix sampled-tpch
+ * warms, on O5+OM with CGP_4, the whole trace per iteration.
+ */
+void
+BM_CoreWarmDb(benchmark::State &state)
+{
+    using namespace cgp;
+    const Workload &w = dbWorkload("wisc+tpch");
+    const SimConfig config =
+        SimConfig::withCgp(LayoutKind::PettisHansen, 4);
+    const CodeImage image =
+        LayoutBuilder(*w.registry).build(config.layout, *w.omProfile);
+    for (auto _ : state) {
+        InstructionExpander stream(*w.registry, image, *w.trace);
+        MemoryHierarchy mem(config.mem);
+        CgpPrefetcher cgp(mem.l1i(), config.cghc, config.depth);
+        Core core(stream, mem, &cgp, config.core);
+        const std::uint64_t n = core.fastForward(~0ull);
+        benchmark::DoNotOptimize(n);
+        state.SetItemsProcessed(state.items_processed() +
+                                static_cast<std::int64_t>(n));
+    }
+}
+BENCHMARK(BM_CoreWarmDb)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

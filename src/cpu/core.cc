@@ -363,28 +363,6 @@ Core::beginRun()
     wallStart_ = std::chrono::steady_clock::now();
 }
 
-/** Routes InstructionExpander::warm output into the warm bodies. */
-struct Core::WarmHooks final : WarmSink
-{
-    explicit WarmHooks(Core &core) : core_(core) {}
-    void
-    pcRun(Addr first, std::uint64_t count) override
-    {
-        core_.warmFetchRun(first, count);
-    }
-
-    void
-    stackRef(Addr pc, Addr addr, bool write) override
-    {
-        core_.warmFetchLine(pc);
-        core_.warmData(pc, addr, write);
-    }
-
-    void inst(const DynInst &inst) override { core_.warmInst(inst); }
-
-    Core &core_;
-};
-
 void
 Core::warmFetchLine(Addr pc)
 {
@@ -420,6 +398,34 @@ Core::warmData(Addr pc, Addr addr, bool write)
             dprefetcher_->onMiss(pc, addr, now_);
     }
 }
+
+/** Routes InstructionExpander::warm output into the warm bodies. */
+struct Core::WarmHooks final : WarmSink
+{
+    explicit WarmHooks(Core &core) : core_(core) {}
+
+    /** A block's plain runs and stack references, in program order:
+     *  the I-side and D-side accesses share the L2 and its LRU
+     *  ticks. */
+    void
+    work(Addr pc, std::uint64_t done, std::uint64_t n,
+         Addr frame) override
+    {
+        splitWork(
+            pc, done, n, frame,
+            [this](Addr first, std::uint64_t count) {
+                core_.warmFetchRun(first, count);
+            },
+            [this](Addr ref_pc, Addr addr, bool write) {
+                core_.warmFetchLine(ref_pc);
+                core_.warmData(ref_pc, addr, write);
+            });
+    }
+
+    void inst(const DynInst &inst) override { core_.warmInst(inst); }
+
+    Core &core_;
+};
 
 void
 Core::warmInst(const DynInst &inst)

@@ -18,38 +18,16 @@ Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
       lineShift_(floorLog2(config.lineBytes)), setMask_(sets_ - 1),
       lines_(static_cast<std::size_t>(sets_) * config.assoc)
 {
-    cgp_assert(isPowerOfTwo(config.lineBytes),
-               "line size must be a power of two");
+    cgp_assert(isPowerOfTwo(config.lineBytes) && config.lineBytes >= 2,
+               "line size must be a power of two of at least 2 bytes");
+    cgp_assert(config.assoc >= 1 && config.assoc <= 64,
+               "associativity must be 1 to 64 (find's hit mask)");
     cgp_assert(isPowerOfTwo(sets_), "set count must be a power of two");
     cgp_assert(config.sizeBytes %
                    (config.lineBytes * config.assoc) == 0,
                "cache size not divisible into sets");
     cgp_assert((next_ == nullptr) == (port_ == nullptr),
                "next level and its port go together");
-}
-
-std::size_t
-Cache::setOf(Addr line_addr) const
-{
-    return static_cast<std::size_t>((line_addr >> lineShift_) & setMask_);
-}
-
-Cache::Line *
-Cache::find(Addr line_addr)
-{
-    const std::size_t base = setOf(line_addr) * config_.assoc;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &l = lines_[base + w];
-        if (l.valid && l.tag == line_addr)
-            return &l;
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::find(Addr line_addr) const
-{
-    return const_cast<Cache *>(this)->find(line_addr);
 }
 
 bool
@@ -122,20 +100,8 @@ Cache::access(Addr addr, Cycle now, AccessSource source, bool is_write)
 }
 
 bool
-Cache::warmAccess(Addr addr, bool is_write)
+Cache::warmMiss(Addr line_addr, bool is_write)
 {
-    const Addr line_addr = lineAlign(addr);
-    ++tick_;
-    if (Line *l = find(line_addr); l != nullptr) {
-        l->lru = tick_;
-        l->dirty = l->dirty || is_write;
-        // A warming touch silently "uses" a prefetched line: the
-        // classification event happened inside the warmed region, so
-        // no counter moves, but the line must not later be counted
-        // useless for a reference it did receive.
-        l->referenced = true;
-        return false;
-    }
     if (auto it = inflight_.find(line_addr); it != inflight_.end()) {
         it->second.demanded = true;
         return false;
@@ -153,7 +119,7 @@ Cache::warmInstall(Addr line_addr)
     std::size_t victim = base;
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
         Line &l = lines_[base + w];
-        if (!l.valid) {
+        if (l.tag == invalidAddr) {
             victim = base + w;
             break;
         }
@@ -162,7 +128,6 @@ Cache::warmInstall(Addr line_addr)
     }
     ++tick_;
     Line &v = lines_[victim];
-    v.valid = true;
     v.tag = line_addr;
     v.lru = tick_;
     v.dirty = false;
@@ -182,17 +147,16 @@ Cache::saveState() const
     j.set("assoc", config_.assoc);
     j.set("line_bytes", config_.lineBytes);
     j.set("tick", tick_);
-    // Valid lines only: no path invalidates a line, so every invalid
-    // one is still default-constructed.
+    // Filled ways only: every empty one is still default-constructed.
     j.set("empty",
           sample::emptyRuns(lines_.size(), [this](std::size_t i) {
-              return lines_[i].valid;
+              return lines_[i].tag != invalidAddr;
           }));
     Json tags = Json::array();
     Json lrus = Json::array();
     Json meta = Json::array();
     for (const Line &l : lines_) {
-        if (!l.valid)
+        if (l.tag == invalidAddr)
             continue;
         tags.push(l.tag);
         lrus.push(l.lru);
@@ -232,8 +196,11 @@ Cache::loadState(const Json &state)
     std::fill(lines_.begin(), lines_.end(), Line{});
     for (std::size_t k = 0; k < filled.size(); ++k) {
         Line &l = lines_[filled[k]];
-        l.valid = true;
         l.tag = tags[k].asUint();
+        if (l.tag == invalidAddr) {
+            throw std::runtime_error(
+                "cache checkpoint fills a line with the empty tag");
+        }
         l.lru = lrus[k].asUint();
         const unsigned flags = static_cast<unsigned>(meta[k].asUint());
         l.dirty = (flags & 1u) != 0;
@@ -308,7 +275,7 @@ Cache::insert(Addr line_addr, const Mshr &mshr)
     std::size_t victim = base;
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
         Line &l = lines_[base + w];
-        if (!l.valid) {
+        if (l.tag == invalidAddr) {
             victim = base + w;
             break;
         }
@@ -316,13 +283,13 @@ Cache::insert(Addr line_addr, const Mshr &mshr)
             victim = base + w;
     }
     Line &v = lines_[victim];
-    if (v.valid && v.prefetched && !v.referenced) {
+    // An empty way was never prefetched.
+    if (v.prefetched && !v.referenced) {
         ++useless_[static_cast<std::size_t>(v.source)];
         if (arbiter_ != nullptr)
             arbiter_->recordOutcome(v.source, false);
     }
     ++tick_;
-    v.valid = true;
     v.tag = line_addr;
     v.lru = tick_;
     v.dirty = false;
@@ -365,7 +332,7 @@ Cache::finalize()
     inflight_.clear();
     nextReady_ = std::numeric_limits<Cycle>::max();
     for (Line &l : lines_) {
-        if (l.valid && l.prefetched && !l.referenced) {
+        if (l.prefetched && !l.referenced) {
             ++useless_[static_cast<std::size_t>(l.source)];
             l.referenced = true;
         }

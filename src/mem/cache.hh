@@ -22,6 +22,7 @@
 #ifndef CGP_MEM_CACHE_HH
 #define CGP_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -227,9 +228,26 @@ class Cache
      * Functional (timing-free) demand access: update tags, LRU and
      * dirty bits — recursing into the next level and installing the
      * line on a miss — without touching any counter, MSHR or port.
+     * The hit path is inline; a miss goes to warmMiss().
      * @return true when the line missed this level's array and MSHRs.
      */
-    bool warmAccess(Addr addr, bool is_write);
+    bool
+    warmAccess(Addr addr, bool is_write)
+    {
+        const Addr line_addr = lineAlign(addr);
+        ++tick_;
+        Line *l = find(line_addr);
+        if (l == nullptr)
+            return warmMiss(line_addr, is_write);
+        l->lru = tick_;
+        l->dirty = l->dirty || is_write;
+        // A warming touch silently "uses" a prefetched line: the
+        // classification event happened inside the warmed region, so
+        // no counter moves, but the line must not later be counted
+        // useless for a reference it did receive.
+        l->referenced = true;
+        return false;
+    }
 
     /** No fill lands before this cycle (max when none is in
      *  flight); tick() before it does nothing. */
@@ -239,11 +257,10 @@ class Cache
     bool inflightEmpty() const { return inflight_.empty(); }
 
     /// @{ Warm-state checkpointing: the LRU tick plus the tag, LRU
-    /// and flags of each valid line (a sparse section, see
+    /// and flags of each filled way (a sparse section, see
     /// sample/checkpoint.hh).  MSHRs must be empty at save time
     /// (asserted); loadState verifies the serialized geometry matches
-    /// this cache's, invalidates every line and fills in the saved
-    /// ones.
+    /// this cache's, empties every way and fills in the saved ones.
     Json saveState() const;
     void loadState(const Json &state);
     /// @}
@@ -290,11 +307,13 @@ class Cache
     static constexpr std::size_t numSources =
         static_cast<std::size_t>(AccessSource::NumSources);
 
+    /** An empty way holds the tag invalidAddr, which no line
+     *  address equals (lines are at least 2 bytes), and is otherwise
+     *  default-constructed: no path empties a filled way. */
     struct Line
     {
         Addr tag = invalidAddr;
         std::uint64_t lru = 0;
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false;   ///< filled by a prefetch...
         bool referenced = false;   ///< ...and demanded since
@@ -309,7 +328,12 @@ class Cache
         AccessSource source = AccessSource::DemandFetch;
     };
 
-    std::size_t setOf(Addr line_addr) const;
+    std::size_t
+    setOf(Addr line_addr) const
+    {
+        return static_cast<std::size_t>((line_addr >> lineShift_) &
+                                        setMask_);
+    }
 
     /** Miss path: compute fill latency through next level / memory. */
     Cycle forwardMiss(Addr line_addr, Cycle now, AccessSource source);
@@ -317,8 +341,32 @@ class Cache
     /** Insert a line, evicting LRU (classifying prefetch victims). */
     void insert(Addr line_addr, const Mshr &mshr);
 
-    Line *find(Addr line_addr);
-    const Line *find(Addr line_addr) const;
+    /**
+     * The way holding @p line_addr, or null.  Every way's tag is
+     * compared into a hit mask before the one branch on it: which
+     * way holds a line is close to random, so an early exit
+     * mispredicts.
+     */
+    Line *
+    find(Addr line_addr)
+    {
+        Line *set = &lines_[setOf(line_addr) * config_.assoc];
+        std::uint64_t hits = 0;
+        for (std::uint32_t w = 0; w < config_.assoc; ++w)
+            hits |= static_cast<std::uint64_t>(set[w].tag == line_addr)
+                << w;
+        return hits == 0 ? nullptr : set + std::countr_zero(hits);
+    }
+
+    const Line *
+    find(Addr line_addr) const
+    {
+        return const_cast<Cache *>(this)->find(line_addr);
+    }
+
+    /** warmAccess() past a miss in the array: join an in-flight fill
+     *  or warm the next level and install the line. */
+    bool warmMiss(Addr line_addr, bool is_write);
 
     /** Unconditional issue (presence already checked). */
     Cycle issuePrefetch(Addr line_addr, Cycle now,

@@ -95,11 +95,9 @@ InstructionExpander::top()
 }
 
 Addr
-InstructionExpander::stackSlot(const ThreadState &ts, std::uint64_t k,
-                               bool load)
+InstructionExpander::frameOf(const ThreadState &ts)
 {
-    const std::uint64_t slot = load ? k % 16 : k % 8;
-    return ts.stackBase + (ts.stack.size() * 128) + slot * 8;
+    return ts.stackBase + ts.stack.size() * 128;
 }
 
 Addr
@@ -164,6 +162,12 @@ InstructionExpander::dispatchIdx(const Activation &act)
     return idx == 0 ? 1 % act.walkLen : idx;
 }
 
+std::uint8_t
+InstructionExpander::jumpPeriod(const Activation &act)
+{
+    return static_cast<std::uint8_t>(5 + (act.pathMix & 3));
+}
+
 std::uint32_t
 InstructionExpander::nextWalkIdx(const Activation &act) const
 {
@@ -172,7 +176,7 @@ InstructionExpander::nextWalkIdx(const Activation &act) const
     if (act.pendingDispatch != ~0u && cc >= dispatchAfterBlocks)
         return dispatchIdx(act);
     if (act.pendingDispatch == ~0u && walk_len >= 6 &&
-        cc % (5 + (act.pathMix & 3)) == 0) {
+        act.jumpPhase == 0) {
         // Mid-body control flow: the path occasionally jumps to
         // another region of the body (if/else ladders, switch
         // dispatch), bounding the sequential run lengths the NL
@@ -209,6 +213,13 @@ InstructionExpander::advanceWalk(Activation &act)
     const std::uint16_t from = act.walk[act.walkIdx].block;
     act.walkIdx = act.nextWalk;
     ++act.crossCount;
+    // The phase follows crossCount + 1 around its period and starts
+    // over at 1 where the 16-bit count wraps to 0.
+    ++act.jumpPhase;
+    if (act.crossCount == 0)
+        act.jumpPhase = 1;
+    else if (act.jumpPhase == jumpPeriod(act))
+        act.jumpPhase = 0;
     if (act.crossCount >= dispatchAfterBlocks)
         act.pendingDispatch = ~0u;
     if (profile_ != nullptr)
@@ -266,7 +277,7 @@ InstructionExpander::makeWorkInst(Activation &act, DynInst &out)
                        : mul   ? InstKind::MulOp
                                : InstKind::IntOp);
     if (load || store)
-        out.memAddr = stackSlot(ts, ts.workCounter, load);
+        out.memAddr = stackSlot(frameOf(ts), ts.workCounter, load);
     count(out.kind);
     ++act.offset;
     --workLeft_;
@@ -279,36 +290,6 @@ InstructionExpander::emitWorkInstr()
     cgp_assert(act != nullptr, "work outside any function");
     crossIfNeeded<true>(*act);
     makeWorkInst(*act, ready_.emplace_back());
-}
-
-void
-InstructionExpander::warmWork(Addr pc, std::uint64_t done,
-                              std::uint64_t n, WarmSink &sink) const
-{
-    const ThreadState &ts = *curState_;
-    const std::uint64_t end = done + n;
-    // The next stack load and store: the first multiples of their
-    // periods past the done-th work instruction.
-    std::uint64_t load = (done / stackLoadEvery + 1) * stackLoadEvery;
-    std::uint64_t store = (done / stackStoreEvery + 1) * stackStoreEvery;
-    for (;;) {
-        const std::uint64_t ref = std::min(load, store);
-        const std::uint64_t plain = std::min(ref - 1, end) - done;
-        if (plain > 0)
-            sink.pcRun(pc, plain);
-        if (ref > end)
-            return;
-        // A load where a load and a store fall together, as in
-        // makeWorkInst.
-        pc += plain * instrBytes;
-        sink.stackRef(pc, stackSlot(ts, ref, ref == load), ref != load);
-        pc += instrBytes;
-        done = ref;
-        if (ref == load)
-            load += stackLoadEvery;
-        if (ref == store)
-            store += stackStoreEvery;
-    }
 }
 
 template <bool Emit>
@@ -376,6 +357,7 @@ InstructionExpander::processCall(FunctionId callee)
         (phase * 0x9e3779b9u);
     act.pathMix = mix;
     act.crossCount = 0;
+    act.jumpPhase = 1;
     act.pendingDispatch = act.walkLen >= 4 ? (mix >> 3) * 3 + 1 : ~0u;
     setupBlock(act);
 
@@ -624,6 +606,7 @@ InstructionExpander::walkWork(std::uint64_t budget, WarmSink *sink)
     Activation *act = top();
     cgp_assert(act != nullptr, "work outside any function");
     auto &ts = thread();
+    const Addr frame = frameOf(ts);
     std::uint64_t left = budget;
     std::uint64_t work = 0;
     bool jumpCut = false;
@@ -649,7 +632,7 @@ InstructionExpander::walkWork(std::uint64_t budget, WarmSink *sink)
         const std::uint64_t n =
             std::min<std::uint64_t>({left, workLeft_, room});
         if constexpr (Warm)
-            warmWork(curPc(*act), ts.workCounter + work, n, *sink);
+            sink->work(curPc(*act), ts.workCounter + work, n, frame);
         act->offset = static_cast<std::uint16_t>(act->offset + n);
         workLeft_ -= n;
         emitted_ += n;

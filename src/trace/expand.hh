@@ -16,6 +16,7 @@
 #ifndef CGP_TRACE_EXPAND_HH
 #define CGP_TRACE_EXPAND_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -54,14 +55,15 @@ class WarmSink
   public:
     virtual ~WarmSink() = default;
 
-    /** @p count plain work instructions (IntOp or MulOp, no hint)
-     *  at consecutive pcs from @p first: only the pcs reach the
-     *  sink. */
-    virtual void pcRun(Addr first, std::uint64_t count) = 0;
-
-    /** A stack-local load (@p write false) or store of @p addr at
-     *  @p pc, with no hint riding on it. */
-    virtual void stackRef(Addr pc, Addr addr, bool write) = 0;
+    /**
+     * One block's share of a work burst, with no hint riding on it:
+     * the current thread's work instructions @p done + 1 to
+     * @p done + @p n, at consecutive pcs from @p pc, in the stack
+     * frame based at @p frame.  splitWork() turns the call into the
+     * plain runs and stack references it stands for.
+     */
+    virtual void work(Addr pc, std::uint64_t done, std::uint64_t n,
+                      Addr frame) = 0;
 
     /** Any other instruction, whole. */
     virtual void inst(const DynInst &inst) = 0;
@@ -76,6 +78,15 @@ class InstructionExpander
     static constexpr unsigned stackStoreEvery = 17;
     static constexpr unsigned mulEvery = 23;
     /// @}
+
+    /** Address the @p k-th work instruction of a thread touches in
+     *  the stack frame based at @p frame when it is a stack load
+     *  (@p load) or store. */
+    static constexpr Addr
+    stackSlot(Addr frame, std::uint64_t k, bool load)
+    {
+        return frame + (load ? k % 16 : k % 8) * 8;
+    }
 
     InstructionExpander(const FunctionRegistry &registry,
                         const CodeImage &image,
@@ -116,9 +127,9 @@ class InstructionExpander
      * Functional-warming expansion: hand the next @p n instructions
      * to @p sink, leaving the expander in exactly the state @p n
      * calls of next() would leave.  Work with no hint riding on it
-     * and nothing queued ahead of it reaches sink.pcRun() as plain
-     * runs and sink.stackRef() as stack references, with no DynInst
-     * built; every other instruction reaches sink.inst() whole.
+     * and nothing queued ahead of it reaches sink.work() once per
+     * block, with no DynInst built; every other instruction reaches
+     * sink.inst() whole.
      * @return instructions handed out (short only when the trace
      *         ended or a streaming source ran dry).
      */
@@ -185,6 +196,9 @@ class InstructionExpander
         /** Phase-stable path shape: skip parameters + counter. */
         std::uint32_t pathMix;
         std::uint16_t crossCount;
+        /** (crossCount + 1) % jumpPeriod(): nextWalkIdx's test for a
+         *  mid-body jump, stepped by advanceWalk. */
+        std::uint8_t jumpPhase;
         /** nextWalkIdx() and the address of the block it names,
          *  cached by setupBlock (every change to what nextWalkIdx
          *  reads is followed by one). */
@@ -229,19 +243,12 @@ class InstructionExpander
      * Walk the current Work burst up to @p budget instructions, a
      * block at a time, and move the counters by quotients of the
      * work counter.  With @p Warm each block's work goes to
-     * warmWork() and each cross jump to sink->inst().  A cross jump
-     * the budget would cut off from its work instruction is queued
-     * with it, as next() queues them.  The caller guarantees nothing
-     * is queued and, with @p Warm, no hint is pending.
+     * sink->work() and each cross jump to sink->inst().  A cross
+     * jump the budget would cut off from its work instruction is
+     * queued with it, as next() queues them.  The caller guarantees
+     * nothing is queued and, with @p Warm, no hint is pending.
      */
     template <bool Warm> void walkWork(std::uint64_t budget, WarmSink *sink);
-
-    /** Hand @p sink the current thread's work instructions
-     *  @p done + 1 to @p done + @p n, at consecutive pcs from @p pc:
-     *  plain runs, each ended by the stack reference that falls
-     *  inside. */
-    void warmWork(Addr pc, std::uint64_t done, std::uint64_t n,
-                  WarmSink &sink) const;
 
     /**
      * Process one trace event; false when the source is dry or has
@@ -269,10 +276,8 @@ class InstructionExpander
     template <bool Emit> void processBranch(bool taken);
     template <bool Emit> void processMem(EventKind kind, Addr addr);
 
-    /** Address the @p k-th work instruction of @p ts touches when it
-     *  is a stack load (@p load) or store. */
-    static Addr stackSlot(const ThreadState &ts, std::uint64_t k,
-                          bool load);
+    /** Base of @p ts's current stack frame. */
+    static Addr frameOf(const ThreadState &ts);
 
     /** Address of the next instruction slot of @p act. */
     Addr curPc(const Activation &act) const;
@@ -285,6 +290,9 @@ class InstructionExpander
 
     /** The walk position entered after the current block. */
     std::uint32_t nextWalkIdx(const Activation &act) const;
+
+    /** Blocks between @p act's mid-body jumps: 5 to 8. */
+    static std::uint8_t jumpPeriod(const Activation &act);
 
     /** The walk position after the current one, wrapping. */
     static std::uint32_t successorIdx(const Activation &act);
@@ -347,6 +355,46 @@ class InstructionExpander
     static constexpr Addr stackSegmentBase = 0x7f00'0000;
     static constexpr Addr stackSegmentStride = 0x10'0000;
 };
+
+/**
+ * Split what one WarmSink::work() call stands for into program order:
+ * @p run(first, count) for each run of plain work instructions
+ * (IntOp or MulOp) at consecutive pcs from @p first, and
+ * @p ref(pc, addr, write) for each stack-local load (@p write false)
+ * or store between them.  The k-th work instruction of a thread is a
+ * load when k is a multiple of stackLoadEvery, else a store when it
+ * is one of stackStoreEvery, as InstructionExpander builds it.
+ */
+template <typename Run, typename Ref>
+inline void
+splitWork(Addr pc, std::uint64_t done, std::uint64_t n, Addr frame,
+          Run &&run, Ref &&ref)
+{
+    constexpr unsigned loadEvery = InstructionExpander::stackLoadEvery;
+    constexpr unsigned storeEvery = InstructionExpander::stackStoreEvery;
+    const std::uint64_t end = done + n;
+    // The next stack load and store: the first multiples of their
+    // periods past the done-th work instruction.
+    std::uint64_t load = (done / loadEvery + 1) * loadEvery;
+    std::uint64_t store = (done / storeEvery + 1) * storeEvery;
+    for (;;) {
+        const std::uint64_t next = std::min(load, store);
+        const std::uint64_t plain = std::min(next - 1, end) - done;
+        if (plain > 0)
+            run(pc, plain);
+        if (next > end)
+            return;
+        pc += plain * instrBytes;
+        ref(pc, InstructionExpander::stackSlot(frame, next, next == load),
+            next != load);
+        pc += instrBytes;
+        done = next;
+        if (next == load)
+            load += loadEvery;
+        if (next == store)
+            store += storeEvery;
+    }
+}
 
 } // namespace cgp
 

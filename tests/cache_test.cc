@@ -12,6 +12,7 @@
 
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "sample/checkpoint.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
 
@@ -243,6 +244,142 @@ TEST(Cache, MissAfterLoadStateInstallsOnTime)
     EXPECT_TRUE(cache.access(0x1040, r.readyCycle, kFetch, false).hit);
     // The restored line survived alongside.
     EXPECT_TRUE(cache.access(0x3000, r.readyCycle, kFetch, false).hit);
+}
+
+/**
+ * A reference model of warmAccess on a memory-backed level: every
+ * access ticks once, a hit stamps the tick, sets dirty on a write and
+ * marks the line referenced; a miss fills the first empty way, else
+ * the least recently used one, clean and unreferenced, at the next
+ * tick.  Emptiness is its own flag, not a tag value.
+ */
+struct ReferenceLru
+{
+    struct Way
+    {
+        bool filled = false;
+        Addr tag = 0;
+        std::uint64_t lru = 0;
+        bool dirty = false;
+        bool referenced = false;
+    };
+
+    ReferenceLru(std::size_t sets, unsigned assoc)
+        : sets(sets), assoc(assoc), ways(sets * assoc)
+    {
+    }
+
+    /** true on a miss, as warmAccess returns. */
+    bool
+    access(Addr line, bool write)
+    {
+        ++tick;
+        Way *set = &ways[(line / 32) % sets * assoc];
+        for (unsigned w = 0; w < assoc; ++w) {
+            Way &way = set[w];
+            if (way.filled && way.tag == line) {
+                way.lru = tick;
+                way.dirty = way.dirty || write;
+                way.referenced = true;
+                return false;
+            }
+        }
+        Way *victim = set;
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (!set[w].filled) {
+                victim = &set[w];
+                break;
+            }
+            if (set[w].lru < victim->lru)
+                victim = &set[w];
+        }
+        ++tick;
+        *victim = Way{true, line, tick, false, false};
+        return true;
+    }
+
+    /** The saveState() document of a cache named @p name in this
+     *  state. */
+    Json
+    state(const std::string &name) const
+    {
+        Json j = Json::object();
+        j.set("name", name);
+        j.set("size_bytes", sets * assoc * 32);
+        j.set("assoc", assoc);
+        j.set("line_bytes", 32u);
+        j.set("tick", tick);
+        j.set("empty", sample::emptyRuns(ways.size(), [this](std::size_t i) {
+                  return ways[i].filled;
+              }));
+        Json tags = Json::array();
+        Json lrus = Json::array();
+        Json meta = Json::array();
+        for (const Way &way : ways) {
+            if (!way.filled)
+                continue;
+            tags.push(way.tag);
+            lrus.push(way.lru);
+            meta.push((way.dirty ? 1u : 0u) | (way.referenced ? 4u : 0u));
+        }
+        j.set("tag", std::move(tags));
+        j.set("lru", std::move(lrus));
+        j.set("meta", std::move(meta));
+        return j;
+    }
+
+    std::size_t sets;
+    unsigned assoc;
+    std::vector<Way> ways;
+    std::uint64_t tick = 0;
+};
+
+TEST(Cache, RandomWarmAccessesMatchAReferenceLru)
+{
+    constexpr std::size_t sets = 16;
+    constexpr Addr base = 0x40000;
+    for (const unsigned assoc : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(assoc);
+        CacheConfig cfg;
+        cfg.name = "ref";
+        cfg.sizeBytes = static_cast<std::uint32_t>(sets * assoc * 32);
+        cfg.assoc = assoc;
+        cfg.lineBytes = 32;
+        Cache cache(cfg, nullptr, nullptr);
+        ReferenceLru ref(sets, assoc);
+        Rng rng(assoc);
+
+        // Sets 0-11 see 2 * assoc + 1 lines each, set 15 one line
+        // and sets 12-14 nothing until the restored phase touches
+        // set 12, so empty ways survive both phases.
+        const auto traffic = [&](Cache &c, int accesses,
+                                 std::size_t busySets) {
+            for (int i = 0; i < accesses; ++i) {
+                const Addr line = rng.nextBool(0.01)
+                    ? base + 15 * 32
+                    : base + (rng.nextBelow(2 * assoc + 1) * sets +
+                              rng.nextBelow(busySets)) *
+                            32;
+                const Addr addr = line + rng.nextBelow(32);
+                const bool write = rng.nextBool(0.3);
+                ASSERT_EQ(c.warmAccess(addr, write),
+                          ref.access(line, write))
+                    << "access " << i << " to " << addr;
+            }
+        };
+        traffic(cache, 20000, 12);
+        const Json state = cache.saveState();
+        EXPECT_EQ(state.dump(), ref.state(cfg.name).dump());
+        EXPECT_FALSE(state.at("empty").items().empty());
+
+        Cache restored(cfg, nullptr, nullptr);
+        restored.loadState(state);
+        EXPECT_EQ(restored.saveState().dump(), state.dump());
+        traffic(restored, 5000, 13);
+        const Json after = restored.saveState();
+        EXPECT_EQ(after.dump(), ref.state(cfg.name).dump());
+        EXPECT_FALSE(after.at("empty").items().empty());
+    }
 }
 
 TEST(Hierarchy, LatenciesMatchTable1)

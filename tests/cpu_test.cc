@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -17,14 +18,18 @@
 
 #include "codegen/layout.hh"
 #include "cpu/core.hh"
+#include "dprefetch/factory.hh"
+#include "harness/simconfig.hh"
 #include "harness/workload.hh"
 #include "mem/hierarchy.hh"
 #include "prefetch/cgp.hh"
 #include "prefetch/nextline.hh"
+#include "sample/checkpoint.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/watchdog.hh"
 
 namespace cgp
@@ -542,6 +547,87 @@ TEST(CoreWarm, FastForwardTrainsWithoutIssuing)
          {AccessSource::PrefetchNL, AccessSource::PrefetchCGHC})
         EXPECT_EQ(mem.l1i().prefetchesIssued(src), 0u);
     EXPECT_EQ(mem.l1i().squashedPrefetches(), 0u);
+}
+
+/** @p w on @p config's image, its I- and D-engines and a core, with
+ *  every part a warm-state checkpoint saves. */
+struct WarmableMachine
+{
+    WarmableMachine(const Workload &w, const SimConfig &config,
+                    const CodeImage &image)
+        : stream(*w.registry, image, *w.trace), mem(config.mem),
+          cgp(mem.l1i(), config.cghc, config.depth),
+          dengine(makeDataPrefetcher(mem.l1d(), config.dprefetch)),
+          core(stream, mem, &cgp, config.core, dengine.get())
+    {
+        parts.l1i = &mem.l1i();
+        parts.l1d = &mem.l1d();
+        parts.l2 = &mem.l2();
+        parts.branch = &core.branchUnit();
+        parts.core = &core;
+        cgp.addCheckpointParts(parts);
+        dengine->addCheckpointParts(parts);
+    }
+
+    InstructionExpander stream;
+    MemoryHierarchy mem;
+    CgpPrefetcher cgp;
+    std::unique_ptr<DataPrefetcher> dengine;
+    Core core;
+    sample::CheckpointParts parts;
+};
+
+TEST(CoreWarm, RandomFastForwardChunksLeaveOneWarmState)
+{
+    // Warming a prefix in one call or in any split of it must leave
+    // the same caches, branch unit, CGHC and D-engine tables.
+    const DbWorkloadSet set = WorkloadFactory::buildDbSet(0.03);
+    const Workload *w = nullptr;
+    for (const Workload &candidate : set.workloads) {
+        if (candidate.name == "wisc+tpch")
+            w = &candidate;
+    }
+    ASSERT_NE(w, nullptr);
+    const SimConfig config =
+        SimConfig::withIPlusD(DataPrefetchKind::Combined, true);
+    const CodeImage image =
+        LayoutBuilder(*w->registry).build(config.layout, *w->omProfile);
+    constexpr std::uint64_t prefix = 300'000;
+    const std::string label = config.describe();
+
+    WarmableMachine whole(*w, config, image);
+    ASSERT_EQ(whole.core.fastForward(prefix), prefix);
+    const std::string want =
+        sample::buildCheckpoint(whole.parts, w->name, label, prefix,
+                                prefix)
+            .dump();
+
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        SCOPED_TRACE(seed);
+        WarmableMachine chunked(*w, config, image);
+        Rng rng(seed);
+        std::uint64_t done = 0, calls = 0;
+        while (done < prefix) {
+            std::uint64_t chunk;
+            switch (rng.nextBelow(4)) {
+              case 0: chunk = rng.nextBelow(2); break;
+              case 1: chunk = 2 + rng.nextBelow(15); break;
+              case 2: chunk = rng.nextBelow(400); break;
+              default: chunk = rng.nextBelow(20'000); break;
+            }
+            chunk = std::min(chunk, prefix - done);
+            ASSERT_EQ(chunked.core.fastForward(chunk), chunk);
+            done += chunk;
+            ++calls;
+        }
+        EXPECT_GT(calls, 100u);
+        EXPECT_EQ(chunked.core.warmedInstrs(),
+                  whole.core.warmedInstrs());
+        EXPECT_EQ(sample::buildCheckpoint(chunked.parts, w->name, label,
+                                          prefix, prefix)
+                      .dump(),
+                  want);
+    }
 }
 
 } // namespace

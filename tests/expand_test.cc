@@ -405,43 +405,48 @@ struct WarmFixture
 enum class Via : std::uint8_t
 {
     Whole,   ///< inst(): a whole DynInst
-    Run,     ///< pcRun(): its pc alone
-    StackRef ///< stackRef(): pc, address and direction
+    Run,     ///< a plain run of a work() call: its pc alone
+    StackRef ///< a stack reference of a work() call: pc, address and
+             ///< direction
 };
 
 /** Records what warm() hands out, in order, one entry per
- *  instruction. */
+ *  instruction; work() calls go through splitWork as the core's
+ *  hooks take them. */
 struct CaptureSink final : WarmSink
 {
     std::vector<DynInst> insts;
     std::vector<Via> via;
-    /** pcRun() calls covering more than one instruction. */
+    /** Plain runs covering more than one instruction. */
     std::size_t longRuns = 0;
     std::size_t stackRefs = 0;
 
     void
-    pcRun(Addr first, std::uint64_t count) override
+    work(Addr pc, std::uint64_t done, std::uint64_t n,
+         Addr frame) override
     {
-        EXPECT_GT(count, 0u);
-        longRuns += count > 1;
-        for (std::uint64_t k = 0; k < count; ++k) {
-            DynInst i;
-            i.pc = first + k * instrBytes;
-            insts.push_back(i);
-            via.push_back(Via::Run);
-        }
-    }
-
-    void
-    stackRef(Addr pc, Addr addr, bool write) override
-    {
-        DynInst i;
-        i.pc = pc;
-        i.memAddr = addr;
-        i.kind = write ? InstKind::Store : InstKind::Load;
-        insts.push_back(i);
-        via.push_back(Via::StackRef);
-        ++stackRefs;
+        EXPECT_GT(n, 0u);
+        splitWork(
+            pc, done, n, frame,
+            [this](Addr first, std::uint64_t count) {
+                EXPECT_GT(count, 0u);
+                longRuns += count > 1;
+                for (std::uint64_t k = 0; k < count; ++k) {
+                    DynInst i;
+                    i.pc = first + k * instrBytes;
+                    insts.push_back(i);
+                    via.push_back(Via::Run);
+                }
+            },
+            [this](Addr ref_pc, Addr addr, bool write) {
+                DynInst i;
+                i.pc = ref_pc;
+                i.memAddr = addr;
+                i.kind = write ? InstKind::Store : InstKind::Load;
+                insts.push_back(i);
+                via.push_back(Via::StackRef);
+                ++stackRefs;
+            });
     }
 
     void
