@@ -43,8 +43,9 @@
  *
  * core_geometry_counts.txt pins the core's queue limits and stage
  * widths: smoke-a under no prefetcher, NL_4 and CGP_4 on Table 1 and
- * on small, odd and wide fetch-queue/ROB/LSQ sizes and fetch and
- * commit widths, one line of counters and a cache-state hash each.
+ * on small, odd and wide fetch-queue/ROB/LSQ sizes, fetch and
+ * commit widths, a perfect I-cache and 16- and 64-byte L1-I lines,
+ * one line of counters and a cache-state hash each.
  */
 
 #include <gtest/gtest.h>
@@ -453,6 +454,7 @@ struct Geometry
 {
     const char *name;
     CoreConfig core;
+    std::uint32_t l1iLineBytes = 32;
 };
 
 std::vector<Geometry>
@@ -482,6 +484,16 @@ coreGeometries()
         commit.commitWidth = width;
         out.push_back({width == 1 ? "commit1" : "commit8", commit});
     }
+    // Fetch runs cut by the width, by the queue's room and by a line
+    // end, and fetch with no line to cut at.
+    CoreConfig perfect;
+    perfect.perfectICache = true;
+    out.push_back({"perfect-icache", perfect});
+    CoreConfig fetch3;
+    fetch3.fetchWidth = 3;
+    out.push_back({"fetch3", fetch3});
+    out.push_back({"l1i-line16", CoreConfig{}, 16});
+    out.push_back({"l1i-line64", CoreConfig{}, 64});
     return out;
 }
 
@@ -493,7 +505,9 @@ geometryLine(const Workload &w, const char *engine, const Geometry &g)
 {
     const CodeImage image = LayoutBuilder(*w.registry).buildOriginal();
     InstructionExpander stream(*w.registry, image, *w.trace);
-    MemoryHierarchy mem;
+    HierarchyConfig hier;
+    hier.l1i.lineBytes = g.l1iLineBytes;
+    MemoryHierarchy mem(hier);
     std::unique_ptr<InstrPrefetcher> pf;
     if (std::string(engine) == "nl4")
         pf = std::make_unique<NextNLinePrefetcher>(mem.l1i(), 4);
