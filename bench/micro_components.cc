@@ -4,8 +4,8 @@
  * components: CGHC accesses, cache lookups, branch prediction, trace
  * expansion throughput, the DB workload set's construction, the OM
  * profiling replay, the cycle-level core and its functional warm
- * path over a whole trace, and cutting and restoring a warm-state
- * checkpoint.
+ * path over a whole trace, the Combined data-prefetch engine on a DB
+ * data stream, and cutting and restoring a warm-state checkpoint.
  * These bound the simulator's own speed, not the modeled machine's.
  */
 
@@ -15,6 +15,7 @@
 #include "codegen/layout.hh"
 #include "codegen/registry.hh"
 #include "cpu/core.hh"
+#include "dprefetch/factory.hh"
 #include "exp/integrity.hh"
 #include "harness/simconfig.hh"
 #include "harness/workload.hh"
@@ -27,9 +28,11 @@
 #include "trace/recorder.hh"
 #include "util/rng.hh"
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "db/btree.hh"
 #include "db/heapfile.hh"
@@ -579,6 +582,88 @@ BM_CoreWarmDb(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CoreWarmDb)->Unit(benchmark::kMillisecond);
+
+/** One event of the D-engine's input stream. */
+struct DataEvent
+{
+    cgp::Addr pc;
+    cgp::Addr addr;
+    bool hint;       ///< a semantic hint, not an access
+    bool write;      ///< a store (accesses)
+    bool miss;       ///< missed a warmed L1-D (accesses)
+    std::uint8_t kind; ///< the DataHintKind (hints)
+};
+
+/**
+ * wisc-prof's loads, stores and hints on O5+OM, in stream order, with
+ * each access's L1-D outcome from a functional pass over a Table 1
+ * hierarchy (built once).
+ */
+const std::vector<DataEvent> &
+wiscProfDataStream()
+{
+    using namespace cgp;
+    static const std::vector<DataEvent> events = [] {
+        const Workload &w = dbWorkload("wisc-prof");
+        const CodeImage image = LayoutBuilder(*w.registry)
+                                    .build(LayoutKind::PettisHansen,
+                                           *w.omProfile);
+        InstructionExpander stream(*w.registry, image, *w.trace);
+        MemoryHierarchy mem;
+        std::vector<DataEvent> out;
+        DynInst inst;
+        while (stream.next(inst)) {
+            if (inst.hintAddr != invalidAddr)
+                out.push_back({inst.pc, inst.hintAddr, true, false, false,
+                               inst.hintKind});
+            if (inst.kind == InstKind::Load ||
+                inst.kind == InstKind::Store) {
+                const bool write = inst.kind == InstKind::Store;
+                out.push_back({inst.pc, inst.memAddr, false, write,
+                               mem.l1d().warmAccess(inst.memAddr, write),
+                               0});
+            }
+        }
+        return out;
+    }();
+    return events;
+}
+
+/**
+ * The Combined D-engine (stride, correlation and semantic) on
+ * wisc-prof's data stream: onAccess per load and store, onMiss per
+ * miss and onHint per hint, one event per cycle, with the engine's
+ * prefetches issued into a fresh Table 1 L1-D each iteration.
+ */
+void
+BM_DataPrefetchCombined(benchmark::State &state)
+{
+    using namespace cgp;
+    const std::vector<DataEvent> &events = wiscProfDataStream();
+    const SimConfig config =
+        SimConfig::withIPlusD(DataPrefetchKind::Combined, false);
+    for (auto _ : state) {
+        MemoryHierarchy mem(config.mem);
+        const std::unique_ptr<DataPrefetcher> engine =
+            makeDataPrefetcher(mem.l1d(), config.dprefetch);
+        Cycle now = 0;
+        for (const DataEvent &e : events) {
+            mem.tick(++now);
+            if (e.hint) {
+                engine->onHint(static_cast<DataHintKind>(e.kind), e.addr,
+                               now);
+                continue;
+            }
+            engine->onAccess(e.pc, e.addr, e.write, e.miss, now);
+            if (e.miss)
+                engine->onMiss(e.pc, e.addr, now);
+        }
+        benchmark::DoNotOptimize(mem.port().requests());
+        state.SetItemsProcessed(state.items_processed() +
+                                static_cast<std::int64_t>(events.size()));
+    }
+}
+BENCHMARK(BM_DataPrefetchCombined)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -59,30 +59,6 @@ Core::consume()
     hasPending_ = false;
 }
 
-unsigned
-Core::destReg(InstKind kind, Addr pc)
-{
-    switch (kind) {
-      case InstKind::Store:
-      case InstKind::Jump:
-      case InstKind::CondBranch:
-      case InstKind::Return:
-        return 0; // r0: always-ready sink
-      default:
-        break;
-    }
-    const std::uint64_t h = (pc >> 2) * 0x9e3779b97f4a7c15ull;
-    return 1 + static_cast<unsigned>((h >> 7) % (numRegs - 1));
-}
-
-void
-Core::srcRegs(Addr pc, unsigned &a, unsigned &b)
-{
-    const std::uint64_t h = (pc >> 2) * 0xc2b2ae3d27d4eb4full;
-    a = static_cast<unsigned>((h >> 11) % numRegs);
-    b = static_cast<unsigned>((h >> 23) % numRegs);
-}
-
 void
 Core::doCommit()
 {
@@ -285,33 +261,71 @@ Core::doFetch()
         return;
     }
 
+    Cache &l1i = mem_.l1i();
     unsigned fetched = 0;
     while (fetched < config_.fetchWidth) {
         if (queued() >= config_.fetchQueueSize)
             return;
 
-        const DynInst *next = peek();
-        if (next == nullptr)
-            return;
-        const DynInst &inst = *next;
-
-        // Per-line I-cache access on line change.
-        const Addr line = mem_.l1i().lineAlign(inst.pc);
-        if (!config_.perfectICache && line != lastFetchLine_) {
-            const auto res = mem_.l1i().access(
-                line, now_, AccessSource::DemandFetch, false);
-            busy_ = true;
-            lastFetchLine_ = line;
-            if (prefetcher_ != nullptr)
-                prefetcher_->onFetchLine(line, now_);
-            if (!res.hit) {
-                // Stall until the fill arrives; the instruction is
-                // consumed when fetch resumes.
-                fetchResumeCycle_ = res.readyCycle;
-                ++fetchIcacheStallCycles_;
+        // Plain work next in the stream is taken as a run, every
+        // other instruction through peek().
+        Addr pc;
+        std::uint64_t run = hasPending_ ? 0 : stream_.workRun(pc);
+        const DynInst *next = nullptr;
+        if (run == 0) {
+            next = peek();
+            if (next == nullptr)
                 return;
-            }
+            pc = next->pc;
         }
+
+        // Per-line I-cache access on line change; a run ends with
+        // its line.
+        if (!config_.perfectICache) {
+            const Addr line = l1i.lineAlign(pc);
+            if (line != lastFetchLine_) {
+                const auto res = l1i.access(line, now_,
+                                            AccessSource::DemandFetch,
+                                            false);
+                busy_ = true;
+                lastFetchLine_ = line;
+                if (prefetcher_ != nullptr)
+                    prefetcher_->onFetchLine(line, now_);
+                if (!res.hit) {
+                    // Stall until the fill arrives; the instruction
+                    // is taken when fetch resumes.
+                    fetchResumeCycle_ = res.readyCycle;
+                    ++fetchIcacheStallCycles_;
+                    return;
+                }
+            }
+            const Addr line_end = line + l1i.lineBytes() - 1;
+            run = std::min<std::uint64_t>(run,
+                                          (line_end - pc) / instrBytes + 1);
+        }
+
+        if (run != 0) {
+            // Straight into window slots, as many as the width and
+            // the queue's room take.
+            const auto n = static_cast<unsigned>(std::min<std::uint64_t>(
+                {run, config_.fetchWidth - fetched,
+                 config_.fetchQueueSize - queued()}));
+            std::uint64_t src_hash = (pc >> 2) * srcHashMul;
+            std::uint64_t dest_hash = (pc >> 2) * destHashMul;
+            for (unsigned i = 0; i < n; ++i) {
+                Addr mem_addr;
+                const InstKind kind = stream_.takeWork(mem_addr);
+                fillSlot(window_.push_back(), pc, kind, mem_addr, src_hash,
+                         dest_hash);
+                pc += instrBytes;
+                src_hash += srcHashMul;
+                dest_hash += destHashMul;
+            }
+            fetched += n;
+            busy_ = true;
+            continue;
+        }
+        const DynInst &inst = *next;
 
         consume();
         busy_ = true;
@@ -326,15 +340,8 @@ Core::doFetch()
         }
 
         Slot &slot = window_.push_back();
-        slot.pc = inst.pc;
-        slot.memAddr = inst.memAddr;
-        slot.kind = inst.kind;
-        slot.blocking = false;
-        unsigned s1, s2;
-        srcRegs(inst.pc, s1, s2);
-        slot.src1 = static_cast<std::uint8_t>(s1);
-        slot.src2 = static_cast<std::uint8_t>(s2);
-        slot.dest = static_cast<std::uint8_t>(destReg(inst.kind, inst.pc));
+        fillSlot(slot, inst.pc, inst.kind, inst.memAddr,
+                 (inst.pc >> 2) * srcHashMul, (inst.pc >> 2) * destHashMul);
 
         bool end_group = false;
         if (isControl(inst.kind)) {

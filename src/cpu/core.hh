@@ -253,9 +253,37 @@ class Core
     const DynInst *peek();
     void consume();
 
-    /** Hashed pseudo-register ids for the dependence model. */
-    static unsigned destReg(InstKind kind, Addr pc);
-    static void srcRegs(Addr pc, unsigned &a, unsigned &b);
+    /// @{ The dependence model's hashed pseudo-registers come from
+    /// (pc >> 2) times these constants, so the products of
+    /// consecutive pcs step by the constant.
+    static constexpr std::uint64_t srcHashMul = 0xc2b2ae3d27d4eb4full;
+    static constexpr std::uint64_t destHashMul = 0x9e3779b97f4a7c15ull;
+    /// @}
+
+    /**
+     * Write every field of a fetched @p slot but doneCycle: the
+     * instruction of @p kind at @p pc, touching @p mem_addr, whose
+     * register-hash products are @p src_hash and @p dest_hash.
+     */
+    static void
+    fillSlot(Slot &slot, Addr pc, InstKind kind, Addr mem_addr,
+             std::uint64_t src_hash, std::uint64_t dest_hash)
+    {
+        // Stores and every control transfer but a call write r0, the
+        // always-ready sink.
+        const bool writes = kind != InstKind::Store &&
+            kind != InstKind::Jump && kind != InstKind::CondBranch &&
+            kind != InstKind::Return;
+        slot.pc = pc;
+        slot.memAddr = mem_addr;
+        slot.kind = kind;
+        slot.blocking = false;
+        slot.src1 = static_cast<std::uint8_t>((src_hash >> 11) % numRegs);
+        slot.src2 = static_cast<std::uint8_t>((src_hash >> 23) % numRegs);
+        slot.dest = writes
+            ? static_cast<std::uint8_t>(1 + (dest_hash >> 7) % (numRegs - 1))
+            : 0;
+    }
 
     /** Fetched instructions not yet dispatched. */
     std::size_t queued() const { return window_.size() - robCount_; }

@@ -12,16 +12,29 @@
 namespace cgp
 {
 
-Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
-    : config_(config), next_(next), port_(port),
-      sets_(config.sizeBytes / (config.lineBytes * config.assoc)),
-      lineShift_(floorLog2(config.lineBytes)), setMask_(sets_ - 1),
-      lines_(static_cast<std::size_t>(sets_) * config.assoc)
+namespace
+{
+
+/** @p config once its line size and associativity are known good:
+ *  the constructor divides by both before its body runs. */
+const CacheConfig &
+checked(const CacheConfig &config)
 {
     cgp_assert(isPowerOfTwo(config.lineBytes) && config.lineBytes >= 2,
                "line size must be a power of two of at least 2 bytes");
     cgp_assert(config.assoc >= 1 && config.assoc <= 64,
                "associativity must be 1 to 64 (find's hit mask)");
+    return config;
+}
+
+} // namespace
+
+Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
+    : config_(checked(config)), next_(next), port_(port),
+      sets_(config.sizeBytes / (config.lineBytes * config.assoc)),
+      lineShift_(floorLog2(config.lineBytes)), setMask_(sets_ - 1),
+      lines_(static_cast<std::size_t>(sets_) * config.assoc)
+{
     cgp_assert(isPowerOfTwo(sets_), "set count must be a power of two");
     cgp_assert(config.sizeBytes %
                    (config.lineBytes * config.assoc) == 0,
@@ -52,28 +65,19 @@ Cache::forwardMiss(Addr line_addr, Cycle now, AccessSource source)
     return now + config_.hitLatency + 80;
 }
 
-Cache::AccessResult
-Cache::access(Addr addr, Cycle now, AccessSource source, bool is_write)
+void
+Cache::firstUse(Line &l)
 {
-    const Addr line_addr = lineAlign(addr);
-    ++accesses_;
-    ++tick_;
+    ++prefHits_[static_cast<std::size_t>(l.source)];
+    l.referenced = true;
+    if (arbiter_ != nullptr)
+        arbiter_->recordOutcome(l.source, true);
+}
 
+Cache::AccessResult
+Cache::accessMiss(Addr line_addr, Cycle now, AccessSource source)
+{
     AccessResult res;
-    if (Line *l = find(line_addr); l != nullptr) {
-        res.hit = true;
-        res.readyCycle = now + config_.hitLatency;
-        l->lru = tick_;
-        l->dirty = l->dirty || is_write;
-        if (l->prefetched && !l->referenced) {
-            ++prefHits_[static_cast<std::size_t>(l->source)];
-            l->referenced = true;
-            if (arbiter_ != nullptr)
-                arbiter_->recordOutcome(l->source, true);
-        }
-        return res;
-    }
-
     if (auto it = inflight_.find(line_addr); it != inflight_.end()) {
         Mshr &m = it->second;
         if (m.isPrefetch && !m.demanded) {

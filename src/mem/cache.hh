@@ -179,9 +179,29 @@ class Cache
         bool delayedHit = false; ///< matched an in-flight fill
     };
 
-    /** Demand access (fetch or data). */
-    AccessResult access(Addr addr, Cycle now, AccessSource source,
-                        bool is_write);
+    /**
+     * Demand access (fetch or data).  The hit path is inline; the
+     * first use of a prefetched line goes to firstUse() and a miss
+     * in the array to accessMiss().
+     */
+    AccessResult
+    access(Addr addr, Cycle now, AccessSource source, bool is_write)
+    {
+        const Addr line_addr = lineAlign(addr);
+        ++accesses_;
+        ++tick_;
+        Line *l = find(line_addr);
+        if (l == nullptr)
+            return accessMiss(line_addr, now, source);
+        l->lru = tick_;
+        l->dirty = l->dirty || is_write;
+        if (l->prefetched && !l->referenced)
+            firstUse(*l);
+        AccessResult res;
+        res.hit = true;
+        res.readyCycle = now + config_.hitLatency;
+        return res;
+    }
 
     /**
      * Prefetch @p addr into this cache.  Squashed (no effect, no L2
@@ -363,6 +383,15 @@ class Cache
     {
         return const_cast<Cache *>(this)->find(line_addr);
     }
+
+    /** access() past a miss in the array: join an in-flight fill or
+     *  start one through the next level. */
+    AccessResult accessMiss(Addr line_addr, Cycle now,
+                            AccessSource source);
+
+    /** The first demand reference to prefetched line @p l: a pref
+     *  hit (§5.6). */
+    void firstUse(Line &l);
 
     /** warmAccess() past a miss in the array: join an in-flight fill
      *  or warm the next level and install the line. */

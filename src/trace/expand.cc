@@ -19,17 +19,6 @@ checked(const ExpanderConfig &config)
     return config;
 }
 
-/** Count one work instruction down; true (and re-armed) when it is
- *  the period's last. */
-bool
-countDown(std::uint32_t &left, unsigned period)
-{
-    if (--left != 0)
-        return false;
-    left = period;
-    return true;
-}
-
 /** The countdown @p n successive countDown() calls would leave. */
 std::uint32_t
 countedDown(std::uint32_t left, std::uint64_t n, unsigned period)
@@ -92,18 +81,6 @@ InstructionExpander::top()
 {
     auto &st = thread().stack;
     return st.empty() ? nullptr : &st.back();
-}
-
-Addr
-InstructionExpander::frameOf(const ThreadState &ts)
-{
-    return ts.stackBase + ts.stack.size() * 128;
-}
-
-Addr
-InstructionExpander::curPc(const Activation &act) const
-{
-    return act.blockBase + static_cast<Addr>(act.offset) * instrBytes;
 }
 
 DynInst
@@ -260,27 +237,11 @@ InstructionExpander::crossJump(const Activation &act) const
 }
 
 void
-InstructionExpander::makeWorkInst(Activation &act, DynInst &out)
+InstructionExpander::makeWorkInst(DynInst &out)
 {
-    auto &ts = thread();
-    ++ts.workCounter;
-    // The k-th work instruction of a thread is a stack load when k
-    // is a multiple of stackLoadEvery, else a stack store when it is
-    // one of stackStoreEvery, else a multiply when it is one of
-    // mulEvery; every countdown ticks on every instruction.
-    const bool load = countDown(ts.loadIn, stackLoadEvery);
-    const bool store = countDown(ts.storeIn, stackStoreEvery);
-    const bool mul = countDown(ts.mulIn, mulEvery);
-
-    out = makeInst(act, load ? InstKind::Load
-                       : store ? InstKind::Store
-                       : mul   ? InstKind::MulOp
-                               : InstKind::IntOp);
-    if (load || store)
-        out.memAddr = stackSlot(frameOf(ts), ts.workCounter, load);
-    count(out.kind);
-    ++act.offset;
-    --workLeft_;
+    const Activation &act = *top();
+    out = makeInst(act, InstKind::IntOp);
+    out.kind = takeWork(out.memAddr);
 }
 
 void
@@ -289,7 +250,7 @@ InstructionExpander::emitWorkInstr()
     Activation *act = top();
     cgp_assert(act != nullptr, "work outside any function");
     crossIfNeeded<true>(*act);
-    makeWorkInst(*act, ready_.emplace_back());
+    makeWorkInst(ready_.emplace_back());
 }
 
 template <bool Emit>
@@ -574,7 +535,7 @@ InstructionExpander::take(DynInst &out)
             // cross due: build it where the caller wants it.
             Activation *act = top();
             if (act != nullptr && act->offset < act->usable) {
-                makeWorkInst(*act, out);
+                makeWorkInst(out);
                 return true;
             }
             emitWorkInstr();
@@ -641,7 +602,7 @@ InstructionExpander::walkWork(std::uint64_t budget, WarmSink *sink)
     }
 
     // The kinds follow from the thread's work counter (see
-    // makeWorkInst): a load wins where a load and a store fall
+    // takeWork): a load wins where a load and a store fall
     // together.
     constexpr unsigned both = std::lcm(stackLoadEvery, stackStoreEvery);
     loads_ += multiplesIn(ts.workCounter, work, stackLoadEvery);

@@ -124,6 +124,55 @@ class InstructionExpander
     bool endOfStream() const { return ended_; }
 
     /**
+     * How many instructions next() would hand out next as plain work
+     * of the current burst, at consecutive pcs from @p pc (set when
+     * the count is not 0): nothing queued, no hint pending, work
+     * left and no block cross due.  takeWork() hands them out.
+     */
+    std::uint64_t
+    workRun(Addr &pc) const
+    {
+        if (workLeft_ == 0 || readIdx_ != ready_.size() ||
+            !pendingHints_.empty() || curState_->stack.empty())
+            return 0;
+        const Activation &act = curState_->stack.back();
+        if (act.offset >= act.usable)
+            return 0;
+        pc = curPc(act);
+        return std::min<std::uint64_t>(workLeft_, act.usable - act.offset);
+    }
+
+    /**
+     * Hand out the next instruction of a run workRun() reported,
+     * ticking every counter and countdown next() would: its kind,
+     * with the stack slot a load or store touches in @p memAddr
+     * (invalidAddr for the others).
+     */
+    InstKind
+    takeWork(Addr &memAddr)
+    {
+        ThreadState &ts = *curState_;
+        ++ts.workCounter;
+        // The k-th work instruction of a thread is a stack load when
+        // k is a multiple of stackLoadEvery, else a stack store when
+        // it is one of stackStoreEvery, else a multiply when it is
+        // one of mulEvery; every countdown ticks on every
+        // instruction.
+        const bool load = countDown(ts.loadIn, stackLoadEvery);
+        const bool store = countDown(ts.storeIn, stackStoreEvery);
+        const bool mul = countDown(ts.mulIn, mulEvery);
+        ++emitted_;
+        ++ts.stack.back().offset;
+        --workLeft_;
+        loads_ += load;
+        stores_ += store && !load;
+        memAddr = load || store
+            ? stackSlot(frameOf(ts), ts.workCounter, load)
+            : invalidAddr;
+        return workKind[load | store << 1 | mul << 2];
+    }
+
+    /**
      * Functional-warming expansion: hand the next @p n instructions
      * to @p sink, leaving the expander in exactly the state @p n
      * calls of next() would leave.  Work with no hint riding on it
@@ -220,14 +269,29 @@ class InstructionExpander
         /// @}
     };
 
+    /** Count one work instruction down; true (and re-armed) when it
+     *  is the period's last. */
+    static bool
+    countDown(std::uint32_t &left, unsigned period)
+    {
+        const bool last = left == 1;
+        left = last ? period : left - 1;
+        return last;
+    }
+
+    /** A work instruction's kind by its countdowns that ran out:
+     *  load (bit 0), store (bit 1), multiply (bit 2). */
+    static constexpr InstKind workKind[8] = {
+        InstKind::IntOp, InstKind::Load, InstKind::Store, InstKind::Load,
+        InstKind::MulOp, InstKind::Load, InstKind::Store, InstKind::Load};
+
     /** Queue one more instruction of the current Work burst, after
      *  the block cross (and its jump) it may need. */
     void emitWorkInstr();
 
-    /** Build the work instruction at @p act's current slot into
-     *  @p out: tick the countdowns, pick the stack slot, count it
-     *  and advance the slot. */
-    void makeWorkInst(Activation &act, DynInst &out);
+    /** takeWork() into @p out, with the current activation's pc and
+     *  function. */
+    void makeWorkInst(DynInst &out);
 
     /**
      * The one walk behind warm() (@p Warm, handing out to @p sink)
@@ -277,10 +341,18 @@ class InstructionExpander
     template <bool Emit> void processMem(EventKind kind, Addr addr);
 
     /** Base of @p ts's current stack frame. */
-    static Addr frameOf(const ThreadState &ts);
+    static Addr
+    frameOf(const ThreadState &ts)
+    {
+        return ts.stackBase + ts.stack.size() * 128;
+    }
 
     /** Address of the next instruction slot of @p act. */
-    Addr curPc(const Activation &act) const;
+    static Addr
+    curPc(const Activation &act)
+    {
+        return act.blockBase + static_cast<Addr>(act.offset) * instrBytes;
+    }
 
     /** Emit the cross jump / walk advance when a block is exhausted. */
     template <bool Emit> void crossIfNeeded(Activation &act);

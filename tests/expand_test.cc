@@ -4,15 +4,17 @@
  * emitted stream, layout independence of the dynamic behaviour, and
  * the control-flow bookkeeping CGP depends on (call/return pairing,
  * function identity, return targets), the functional-warming path
- * (warm) and the block-granular advance() against a pure next()
- * expansion.
+ * (warm), the block-granular advance() and the fetch path's
+ * workRun()/takeWork() against a pure next() expansion.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "codegen/layout.hh"
@@ -920,6 +922,181 @@ TEST(ExpanderWarm, AdvanceFillsTheProfileNextFills)
     checkAdvanceProfile(s.reg, s.trace);
     const DbWorkloadSet &set = smallDbSet();
     checkAdvanceProfile(*set.registry, *set.workloads.front().trace);
+}
+
+// ---------------------------------------------------------------
+// workRun()/takeWork() mixed with next() against next() alone
+// ---------------------------------------------------------------
+
+/** Which function's text holds a pc in one image. */
+class FuncLookup
+{
+  public:
+    explicit FuncLookup(const CodeImage &image)
+    {
+        for (const FunctionId fid : image.order())
+            starts_.emplace_back(image.funcStart(fid), fid);
+        std::sort(starts_.begin(), starts_.end());
+    }
+
+    /** The function starting last at or before @p pc. */
+    FunctionId
+    at(Addr pc) const
+    {
+        const auto it = std::upper_bound(
+            starts_.begin(), starts_.end(),
+            std::pair{pc, invalidFunctionId});
+        return it == starts_.begin() ? invalidFunctionId
+                                     : std::prev(it)->second;
+    }
+
+  private:
+    std::vector<std::pair<Addr, FunctionId>> starts_;
+};
+
+/** What checkRunMix() saw. */
+struct RunMix
+{
+    std::uint64_t viaRun = 0;   ///< instructions takeWork() handed out
+    std::uint64_t wholeRuns = 0; ///< runs taken to their last
+    std::uint64_t dryStops = 0; ///< next() calls that found it dry
+};
+
+/**
+ * Hand @p ex's stream out through seeded random mixes of takeWork()
+ * (1 to the run length per turn) and next(), each instruction
+ * against @p ref's next().  A run instruction carries no DynInst:
+ * its func and funcStart, which the core never reads for work,
+ * follow from its pc's place in @p image.
+ */
+void
+checkRunMix(InstructionExpander &ex, InstructionExpander &ref,
+            const CodeImage &image, std::uint64_t seed, RunMix &mix)
+{
+    const FuncLookup funcs(image);
+    Rng rng(seed);
+    std::uint64_t idx = 0;
+    DynInst want;
+    for (;;) {
+        Addr pc = invalidAddr;
+        const std::uint64_t run = ex.workRun(pc);
+        if (run != 0 && rng.nextBool(0.8)) {
+            const std::uint64_t k = 1 + rng.nextBelow(run);
+            mix.wholeRuns += k == run;
+            for (std::uint64_t i = 0; i < k; ++i, ++idx, pc += instrBytes) {
+                Addr mem = 0;
+                const InstKind kind = ex.takeWork(mem);
+                ASSERT_TRUE(ref.next(want)) << "instruction " << idx;
+                ASSERT_EQ(pc, want.pc) << "instruction " << idx;
+                ASSERT_EQ(kind, want.kind) << "instruction " << idx;
+                ASSERT_EQ(mem, want.memAddr) << "instruction " << idx;
+                ASSERT_EQ(want.hintAddr, invalidAddr)
+                    << "instruction " << idx;
+                const FunctionId fid = funcs.at(pc);
+                ASSERT_EQ(fid, want.func) << "instruction " << idx;
+                ASSERT_EQ(image.funcStart(fid), want.funcStart)
+                    << "instruction " << idx;
+            }
+            mix.viaRun += k;
+            continue;
+        }
+        DynInst got;
+        if (!ex.next(got)) {
+            if (ex.endOfStream())
+                break;
+            // Dry: no run until the source gives more.
+            ++mix.dryStops;
+            ASSERT_EQ(ex.workRun(pc), 0u);
+            ASSERT_LT(mix.dryStops, 1'000'000u) << "no progress";
+            continue;
+        }
+        ASSERT_TRUE(ref.next(want)) << "instruction " << idx;
+        ASSERT_TRUE(std::tie(got.pc, got.kind, got.memAddr, got.hintAddr,
+                             got.hintKind, got.func, got.funcStart,
+                             got.target, got.taken, got.otherFunc,
+                             got.otherFuncStart) ==
+                    std::tie(want.pc, want.kind, want.memAddr,
+                             want.hintAddr, want.hintKind, want.func,
+                             want.funcStart, want.target, want.taken,
+                             want.otherFunc, want.otherFuncStart))
+            << "instruction " << idx << " differs (pc " << got.pc
+            << " vs " << want.pc << ")";
+        ++idx;
+    }
+    EXPECT_FALSE(ref.next(want));
+    EXPECT_TRUE(sameCounters(ref, ex));
+}
+
+TEST(ExpanderRun, MixedRunsMatchNextOnEveryDbWorkload)
+{
+    const DbWorkloadSet &set = smallDbSet();
+    LayoutBuilder builder(*set.registry);
+    const CodeImage o5 = builder.buildOriginal();
+    const CodeImage om = builder.buildPettisHansen(*set.omProfile);
+    ExpanderConfig omConfig;
+    omConfig.instrScale = 0.88;
+    std::uint64_t seed = 1;
+    for (const Workload &w : set.workloads) {
+        for (const auto &[image, config] :
+             {std::pair{&o5, ExpanderConfig{}}, std::pair{&om, omConfig}}) {
+            SCOPED_TRACE(w.name + " seed " + std::to_string(seed));
+            InstructionExpander ex(*set.registry, *image, *w.trace, config);
+            InstructionExpander ref(*set.registry, *image, *w.trace,
+                                    config);
+            RunMix mix;
+            checkRunMix(ex, ref, *image, seed++, mix);
+            if (HasFatalFailure())
+                return;
+            // Most of the stream is plain work: runs carry most of it.
+            EXPECT_GT(mix.viaRun * 2, ex.emittedInstrs());
+            EXPECT_GT(mix.wholeRuns, 0u);
+        }
+    }
+}
+
+TEST(ExpanderRun, DrySourceGivesNoRunAndResumesWhereNextWould)
+{
+    // Hints, thread switches and a block with no usable slot.
+    WarmFixture s;
+    LayoutBuilder builder(s.reg);
+    const CodeImage image = builder.buildOriginal();
+    DryEverySource source(s.trace, 13);
+    InstructionExpander ex(s.reg, image, source);
+    InstructionExpander ref(s.reg, image, s.trace);
+    RunMix mix;
+    checkRunMix(ex, ref, image, 7, mix);
+    EXPECT_GT(mix.dryStops, 0u);
+    EXPECT_EQ(mix.dryStops, source.dry());
+    EXPECT_GT(mix.viaRun, 0u);
+}
+
+TEST(ExpanderRun, StackedHintsRideOnWorkThroughNext)
+{
+    // Several hints before a work burst: each of the burst's first
+    // instructions carries one, so none of them may come as a run.
+    FunctionRegistry reg;
+    const FunctionId a = reg.declare("A", FunctionTraits::medium());
+    const FunctionId b = reg.declare("B", FunctionTraits::small());
+    TraceBuffer trace;
+    TraceRecorder rec(trace);
+    rec.call(a);
+    for (int i = 0; i < 50; ++i) {
+        for (int h = 0; h < 1 + i % 4; ++h)
+            rec.hint(DataHintKind::HeapNextSlot, 0x2000'0000 + i * 64 + h);
+        rec.work(40);
+        rec.call(b);
+        rec.hint(DataHintKind::BtreeChild, 0x3000'0000 + i * 64);
+        rec.hint(DataHintKind::HeapRecord, 0x3100'0000 + i * 64);
+        rec.work(12);
+        rec.ret();
+    }
+    rec.ret();
+    const CodeImage image = LayoutBuilder(reg).buildOriginal();
+    InstructionExpander ex(reg, image, trace);
+    InstructionExpander ref(reg, image, trace);
+    RunMix mix;
+    checkRunMix(ex, ref, image, 3, mix);
+    EXPECT_GT(mix.viaRun, 0u);
 }
 
 } // namespace
