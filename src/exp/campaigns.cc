@@ -179,49 +179,6 @@ makeFig6()
 }
 
 CampaignSpec
-makeFig7()
-{
-    CampaignSpec s;
-    s.name = "fig7";
-    s.title = "Figure 7 — I-cache misses";
-    s.workloads = dbWorkloadNames();
-    s.explicitConfigs = {
-        SimConfig::o5(),
-        SimConfig::o5Om(),
-        SimConfig::withNL(LayoutKind::PettisHansen, 4),
-        cgp4om(),
-    };
-    return s;
-}
-
-CampaignSpec
-makeFig8()
-{
-    CampaignSpec s;
-    s.name = "fig8";
-    s.title = "Figure 8 — prefetch breakdown";
-    s.workloads = dbWorkloadNames();
-    s.explicitConfigs = {
-        SimConfig::withNL(LayoutKind::PettisHansen, 2),
-        SimConfig::withNL(LayoutKind::PettisHansen, 4),
-        SimConfig::withCgp(LayoutKind::PettisHansen, 2),
-        cgp4om(),
-    };
-    return s;
-}
-
-CampaignSpec
-makeFig9()
-{
-    CampaignSpec s;
-    s.name = "fig9";
-    s.title = "Figure 9 — CGP prefetches by source";
-    s.workloads = dbWorkloadNames();
-    s.explicitConfigs = {cgp4om()};
-    return s;
-}
-
-CampaignSpec
 makeFig10()
 {
     CampaignSpec s;
@@ -265,21 +222,6 @@ makeAblationDepth()
         s.explicitConfigs.push_back(
             SimConfig::withCgp(LayoutKind::PettisHansen, n));
     }
-    return s;
-}
-
-CampaignSpec
-makeAblationLayout()
-{
-    CampaignSpec s;
-    s.name = "ablation-design-layout";
-    s.title = "CGP without OM (legacy binaries, §5.2)";
-    s.workloads = dbWorkloadNames();
-    s.explicitConfigs = {
-        SimConfig::o5(),
-        SimConfig::withCgp(LayoutKind::Original, 4),
-        cgp4om(),
-    };
     return s;
 }
 
@@ -482,9 +424,6 @@ const CampaignEntry registry[] = {
     {"fig4", "figures", makeFig4, printFig4},
     {"fig5", "figures", makeFig5, printFig5, "CGHC-Inf"},
     {"fig6", "figures", makeFig6, printFig6},
-    {"fig7", "figures", makeFig7, printFig7},
-    {"fig8", "figures", makeFig8, printFig8},
-    {"fig9", "figures", makeFig9, printFig9},
     {"fig10", "figures", makeFig10, printFig10},
     {"figD_dstall", "figures", makeFigDDstall, printFigD},
     {"figID_interaction", "figures", makeFigIDInteraction,
@@ -495,8 +434,6 @@ const CampaignEntry registry[] = {
      printAblationRanl},
     {"ablation-design-depth", "ablations", makeAblationDepth,
      nullptr},
-    {"ablation-design-layout", "ablations", makeAblationLayout,
-     printAblationLayout},
     {"ablation-swcgp", "ablations", makeAblationSwCgp,
      printAblationSwCgp},
     {"ablation-swcgp-assoc", "ablations", makeAblationAssoc,

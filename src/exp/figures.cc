@@ -307,25 +307,14 @@ printFig5(const CampaignRun &, std::ostream &os)
           "worse than the best finite configurations.\n";
 }
 
-void
-printFig6(const CampaignRun &run, std::ostream &os)
+namespace
 {
-    os << "Geometric-mean comparisons (paper reference):\n";
-    geomeanLine(os, run, "OM+CGP_4 over OM+NL_4:      ", "O5+OM+NL_4",
-                "O5+OM+CGP_4", "1.07");
-    geomeanLine(os, run, "perf-Icache over OM+CGP_4:  ", "O5+OM+CGP_4",
-                "O5+OM+perf-Icache", "1.19");
 
-    os << "\nInstructions between successive calls (paper ~43):\n";
-    for (const std::string &w : run.workloadNames()) {
-        os << "  " << w << ": "
-           << TablePrinter::fixed(run.at(w, "O5").instrsPerCall, 1)
-           << "\n";
-    }
-}
-
+/** @name Figures 7 to 9: views of fig6's runs, printed after its
+ *  Figure 6 section. */
+/** @{ */
 void
-printFig7(const CampaignRun &run, std::ostream &os)
+printFig7Misses(const CampaignRun &run, std::ostream &os)
 {
     TablePrinter t("Figure 7 — L1 I-cache demand misses");
     t.setHeader({"workload", "O5", "O5+OM", "OM+NL_4", "OM+CGP_4",
@@ -362,14 +351,18 @@ printFig7(const CampaignRun &run, std::ostream &os)
        << TablePrinter::percent(1.0 - cgp_sum / o5_sum) << "\n";
 }
 
+/** Figure 8's prefetchers, in its row order. */
+const char *const fig8Configs[] = {"O5+OM+NL_2", "O5+OM+NL_4",
+                                   "O5+OM+CGP_2", "O5+OM+CGP_4"};
+
 void
-printFig8(const CampaignRun &run, std::ostream &os)
+printFig8Breakdown(const CampaignRun &run, std::ostream &os)
 {
     TablePrinter t("Figure 8 — prefetch classification (all "
                    "workloads summed)");
     t.setHeader({"config", "issued", "pref hits", "delayed hits",
                  "useless", "useful frac", "bus lines"});
-    for (const std::string &c : run.configLabels()) {
+    for (const char *c : fig8Configs) {
         PrefetchBreakdown sum;
         std::uint64_t bus = 0;
         for (const std::string &w : run.workloadNames()) {
@@ -391,7 +384,7 @@ printFig8(const CampaignRun &run, std::ostream &os)
     pw.setHeader({"workload", "config", "pref hits", "delayed hits",
                   "useless"});
     for (const std::string &w : run.workloadNames()) {
-        for (const std::string &c : run.configLabels()) {
+        for (const char *c : fig8Configs) {
             const auto p = run.at(w, c).totalPrefetch();
             pw.addRow({w, c, TablePrinter::num(p.prefHits),
                        TablePrinter::num(p.delayedHits),
@@ -407,7 +400,7 @@ printFig8(const CampaignRun &run, std::ostream &os)
 }
 
 void
-printFig9(const CampaignRun &run, std::ostream &os)
+printFig9Sources(const CampaignRun &run, std::ostream &os)
 {
     TablePrinter t("Figure 9 — CGP_4 prefetches by source");
     t.setHeader({"workload", "source", "issued", "pref hits",
@@ -442,6 +435,33 @@ printFig9(const CampaignRun &run, std::ostream &os)
        << TablePrinter::percent(nl_sum.usefulFraction()) << "\n";
     os << "CGHC useful fraction (paper ~77%): "
        << TablePrinter::percent(cghc_sum.usefulFraction()) << "\n";
+}
+/** @} */
+
+} // anonymous namespace
+
+void
+printFig6(const CampaignRun &run, std::ostream &os)
+{
+    os << "Geometric-mean comparisons (paper reference):\n";
+    geomeanLine(os, run, "OM+CGP_4 over OM+NL_4:      ", "O5+OM+NL_4",
+                "O5+OM+CGP_4", "1.07");
+    geomeanLine(os, run, "perf-Icache over OM+CGP_4:  ", "O5+OM+CGP_4",
+                "O5+OM+perf-Icache", "1.19");
+
+    os << "\nInstructions between successive calls (paper ~43):\n";
+    for (const std::string &w : run.workloadNames()) {
+        os << "  " << w << ": "
+           << TablePrinter::fixed(run.at(w, "O5").instrsPerCall, 1)
+           << "\n";
+    }
+
+    os << "\n";
+    printFig7Misses(run, os);
+    os << "\n";
+    printFig8Breakdown(run, os);
+    os << "\n";
+    printFig9Sources(run, os);
 }
 
 void
@@ -616,14 +636,6 @@ printAblationRanl(const CampaignRun &run, std::ostream &os)
     os << "\nPaper reference: run-ahead NL prefetches too many "
           "useless far-ahead lines and misses needed near lines; "
           "overall performance is much worse than plain NL.\n";
-}
-
-void
-printAblationLayout(const CampaignRun &, std::ostream &os)
-{
-    os << "Paper reference: CGP_4 alone achieves ~40% over O5 (no "
-          "source recompilation needed); adding OM raises it to "
-          "~45%.\n";
 }
 
 void

@@ -38,16 +38,12 @@ void printFailures(const CampaignRun &run, std::ostream &os);
 void printFig4(const CampaignRun &run, std::ostream &os);
 void printFig5(const CampaignRun &run, std::ostream &os);
 void printFig6(const CampaignRun &run, std::ostream &os);
-void printFig7(const CampaignRun &run, std::ostream &os);
-void printFig8(const CampaignRun &run, std::ostream &os);
-void printFig9(const CampaignRun &run, std::ostream &os);
 void printFig10(const CampaignRun &run, std::ostream &os);
 void printFigD(const CampaignRun &run, std::ostream &os);
 void printFigID(const CampaignRun &run, std::ostream &os);
 void printServerScale(const CampaignRun &run, std::ostream &os);
 void printFigSampled(const CampaignRun &run, std::ostream &os);
 void printAblationRanl(const CampaignRun &run, std::ostream &os);
-void printAblationLayout(const CampaignRun &run, std::ostream &os);
 void printAblationSwCgp(const CampaignRun &run, std::ostream &os);
 void printAblationAssoc(const CampaignRun &run, std::ostream &os);
 /** @} */

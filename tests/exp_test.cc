@@ -128,7 +128,7 @@ TEST(Campaign, PaperRegistryExpands)
         EXPECT_FALSE(expandJobs(spec).empty()) << name;
     }
     EXPECT_THROW(paperCampaign("nonsense"), std::invalid_argument);
-    EXPECT_EQ(campaignGroup("figures").size(), 11u);
+    EXPECT_EQ(campaignGroup("figures").size(), 8u);
     EXPECT_EQ(campaignGroup("fig4").size(), 1u);
 }
 

@@ -57,6 +57,7 @@
 #include <fstream>
 #include <iomanip>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -616,6 +617,33 @@ TEST(Golden, CampaignJobListsMatchCheckedInFile)
         << path << " is missing — regenerate with "
         << "CGP_GOLDEN_REGEN=1 ./test_golden";
     EXPECT_EQ(got, want);
+}
+
+/** A campaign whose every (workload, config) pair another campaign
+ *  also runs prints only what that campaign's results could print:
+ *  its section belongs in the other campaign's printer. */
+TEST(Golden, NoCampaignRunsOnlyAnotherCampaignsJobs)
+{
+    std::vector<std::pair<std::string, std::set<std::string>>> runs;
+    for (const std::string &name : exp::campaignNames()) {
+        std::set<std::string> pairs;
+        for (const exp::JobSpec &j :
+             exp::expandJobs(exp::paperCampaign(name)))
+            pairs.insert(j.workload + " " + configLine(j.config));
+        runs.emplace_back(name, std::move(pairs));
+    }
+    for (const auto &[name, pairs] : runs) {
+        std::string supersets;
+        for (const auto &[other, others] : runs) {
+            if (other != name &&
+                std::includes(others.begin(), others.end(),
+                              pairs.begin(), pairs.end()))
+                supersets += " " + other;
+        }
+        EXPECT_TRUE(supersets.empty())
+            << name << " runs only jobs that these also run:"
+            << supersets;
+    }
 }
 
 } // namespace
