@@ -11,8 +11,6 @@ namespace cgp
 namespace
 {
 
-LogLevel printThreshold = LogLevel::Info;
-
 /**
  * Guards the print path.  The experiment engine logs per-job
  * progress from worker threads; the lock keeps whole messages
@@ -31,8 +29,6 @@ const char *
 toString(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Debug:
-        return "debug";
       case LogLevel::Info:
         return "info";
       case LogLevel::Warn:
@@ -41,18 +37,6 @@ toString(LogLevel level)
         return "error";
     }
     return "?";
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    printThreshold = level;
-}
-
-LogLevel
-logLevel()
-{
-    return printThreshold;
 }
 
 namespace detail
@@ -97,8 +81,6 @@ void
 logImpl(LogLevel level, const std::string &msg)
 {
     std::lock_guard<std::mutex> lock(logMutex());
-    if (level < printThreshold)
-        return;
     if (level >= LogLevel::Warn)
         std::fprintf(stderr, "%s: %s\n", toString(level), msg.c_str());
     else

@@ -2,8 +2,7 @@
  * @file
  * Error/diagnostic reporting in the gem5 spirit: panic() for internal
  * invariant violations (aborts), fatal() for user configuration errors
- * (clean exit), error()/warn()/inform()/debug() for leveled advisory
- * output.
+ * (clean exit), error()/warn()/inform() for leveled advisory output.
  */
 
 #ifndef CGP_UTIL_LOGGING_HH
@@ -19,17 +18,12 @@ namespace cgp
 /** Message severity, least to most severe. */
 enum class LogLevel : std::uint8_t
 {
-    Debug,
     Info,
     Warn,
     Error
 };
 
 const char *toString(LogLevel level);
-
-/** Minimum level printed to stderr/stdout (default Info). */
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
 
 namespace detail
 {
@@ -87,11 +81,6 @@ void logImpl(LogLevel level, const std::string &msg);
 /** Status output with no connotation of misbehaviour. */
 #define cgp_inform(...) \
     ::cgp::detail::logImpl(::cgp::LogLevel::Info, \
-                           ::cgp::detail::concat(__VA_ARGS__))
-
-/** Developer tracing; filtered from output by default. */
-#define cgp_debug(...) \
-    ::cgp::detail::logImpl(::cgp::LogLevel::Debug, \
                            ::cgp::detail::concat(__VA_ARGS__))
 
 /** panic() unless the asserted invariant holds. */
