@@ -116,22 +116,25 @@ Cache::warmMiss(Addr line_addr, bool is_write)
     return true;
 }
 
+inline Cache::Line &
+Cache::victim(Addr line_addr)
+{
+    Line *set = &lines_[setOf(line_addr) * config_.assoc];
+    Line *v = set;
+    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+        if (set[w].tag == invalidAddr)
+            return set[w];
+        if (set[w].lru < v->lru)
+            v = set + w;
+    }
+    return *v;
+}
+
 void
 Cache::warmInstall(Addr line_addr)
 {
-    const std::size_t base = setOf(line_addr) * config_.assoc;
-    std::size_t victim = base;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &l = lines_[base + w];
-        if (l.tag == invalidAddr) {
-            victim = base + w;
-            break;
-        }
-        if (l.lru < lines_[victim].lru)
-            victim = base + w;
-    }
+    Line &v = victim(line_addr);
     ++tick_;
-    Line &v = lines_[victim];
     v.tag = line_addr;
     v.lru = tick_;
     v.dirty = false;
@@ -275,18 +278,7 @@ Cache::issuePrefetch(Addr line_addr, Cycle now, AccessSource source)
 void
 Cache::insert(Addr line_addr, const Mshr &mshr)
 {
-    const std::size_t base = setOf(line_addr) * config_.assoc;
-    std::size_t victim = base;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &l = lines_[base + w];
-        if (l.tag == invalidAddr) {
-            victim = base + w;
-            break;
-        }
-        if (l.lru < lines_[victim].lru)
-            victim = base + w;
-    }
-    Line &v = lines_[victim];
+    Line &v = victim(line_addr);
     // An empty way was never prefetched.
     if (v.prefetched && !v.referenced) {
         ++useless_[static_cast<std::size_t>(v.source)];

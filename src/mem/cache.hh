@@ -361,6 +361,10 @@ class Cache
     /** Insert a line, evicting LRU (classifying prefetch victims). */
     void insert(Addr line_addr, const Mshr &mshr);
 
+    /** The way a fill of @p line_addr takes: the first empty way of
+     *  its set, else the least recently used one. */
+    Line &victim(Addr line_addr);
+
     /**
      * The way holding @p line_addr, or null.  Every way's tag is
      * compared into a hit mask before the one branch on it: which
