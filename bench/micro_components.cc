@@ -29,14 +29,12 @@
 #include "util/rng.hh"
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "db/btree.hh"
 #include "db/heapfile.hh"
-#include "trace/serialize.hh"
 
 namespace
 {
@@ -344,28 +342,6 @@ BM_HeapFileScan(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HeapFileScan);
-
-void
-BM_TraceSerializeRoundTrip(benchmark::State &state)
-{
-    using namespace cgp;
-    TraceBuffer trace;
-    TraceRecorder rec(trace);
-    rec.call(1);
-    for (int i = 0; i < 50'000; ++i) {
-        rec.work(20);
-        rec.branch(i % 2 == 0);
-    }
-    rec.ret();
-    for (auto _ : state) {
-        std::stringstream ss;
-        saveTrace(trace, ss);
-        TraceBuffer loaded;
-        loadTrace(loaded, ss);
-        benchmark::DoNotOptimize(loaded.size());
-    }
-}
-BENCHMARK(BM_TraceSerializeRoundTrip);
 
 /** The DB workload set at perfbench's scale (built once). */
 const cgp::DbWorkloadSet &

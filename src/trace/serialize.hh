@@ -1,8 +1,8 @@
 /**
  * @file
- * Trace persistence: save a recorded TraceBuffer to a file and load
- * it back, so expensive workload recordings can be reused across
- * runs and shared between machines.
+ * Trace serialization: the byte image of a recorded TraceBuffer.
+ * The DB trace digest golden hashes it, so any change to what a
+ * workload records, or to how events pack, shows there.
  *
  * Format: a 16-byte header (magic, version, event count) followed by
  * the packed 64-bit events in little-endian order, with a trailing
@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "trace/events.hh"
 
@@ -29,19 +28,6 @@ constexpr std::uint32_t traceFileVersion = 1;
 
 /** Write @p trace to @p os. @return false on stream failure. */
 bool saveTrace(const TraceBuffer &trace, std::ostream &os);
-
-/** Write @p trace to @p path. @return false on I/O failure. */
-bool saveTraceFile(const TraceBuffer &trace, const std::string &path);
-
-/**
- * Read a trace from @p is.
- * @return false on stream failure, bad magic/version, or checksum
- *         mismatch (the buffer is left empty in that case).
- */
-bool loadTrace(TraceBuffer &trace, std::istream &is);
-
-/** Read a trace from @p path. */
-bool loadTraceFile(TraceBuffer &trace, const std::string &path);
 
 } // namespace cgp
 
