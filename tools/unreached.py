@@ -14,7 +14,10 @@ sampled-smoke` plus any campaigns named on the command line, then
 `cgpbench resume`, `report` and `verify` on each campaign's run dir,
 and the three `cgpbench show` pages, all at CGP_SCALE=0.03 (unless
 CGP_SCALE is set).  It then asks gcov for every object compiled from src/ and
-prints, per module and per file, the executable lines that never ran.
+prints, per module and per file, the executable lines that never ran,
+then, per file, the functions that were never entered, each with its
+line range.  Template instantiations merge by name: a template counts
+as entered if any of its instantiations ran.
 An object with a .gcno but no .gcda was compiled but not linked into
 cgpbench; gcov reports all its lines as unrun.
 
@@ -25,6 +28,7 @@ import argparse
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,14 +72,70 @@ def run_workloads(cgpbench, campaigns, env):
     return ok
 
 
-def line_counts(objdir):
-    """(source file, line) -> max execution count over every object."""
+# Operator names that hold brackets, masked while templates and
+# parameter lists are cut from a demangled name.
+OPERATORS = ["operator()", "operator<=>", "operator<<=", "operator>>=",
+             "operator<<", "operator>>", "operator<=", "operator>=",
+             "operator->*", "operator->", "operator<", "operator>",
+             "(anonymous namespace)"]
+QUALIFIERS = {"const", "volatile", "&", "&&", "noexcept"}
+
+
+def function_name(demangled):
+    """@p demangled without template arguments, parameter lists,
+    return type and qualifiers, so every instantiation of one
+    template reads the same: `std::string cgp::detail::concat<int&>
+    (int&)` is `cgp::detail::concat`."""
+    for i, op in enumerate(OPERATORS):
+        demangled = demangled.replace(op, "\x01%d\x02" % i)
+    out, angle, paren, brace = [], 0, 0, 0
+    for c in demangled:
+        if c in "<>":
+            angle += 1 if c == "<" else -1
+        elif angle == 0 and brace == 0 and c in "()":
+            paren += 1 if c == "(" else -1
+        elif angle == 0 and paren == 0 and c in "{}":
+            brace += 1 if c == "{" else -1
+            out.append(c)
+        elif angle == 0 and paren == 0:
+            out.append(c)
+    # A lambda in a const member function: `f() const::{lambda...}`.
+    scoped = re.sub(r" (?:const|volatile|&&|&|noexcept)(?=::)", "",
+                    "".join(out))
+    tokens = []
+    depth = 0
+    word = ""
+    for c in scoped:
+        depth += {"{": 1, "}": -1}.get(c, 0)
+        if c == " " and depth == 0:
+            tokens.append(word)
+            word = ""
+        else:
+            word += c
+    tokens.append(word)
+    tokens = [t for t in tokens if t and t not in QUALIFIERS]
+    # A conversion operator names its type after a space.
+    if len(tokens) > 1 and tokens[-2].endswith("operator"):
+        tokens[-2:] = [tokens[-2] + " " + tokens[-1]]
+    name = re.sub(r"\[abi:\w+\]", "", tokens[-1] if tokens else demangled)
+    for i, op in enumerate(OPERATORS):
+        name = name.replace("\x01%d\x02" % i, op)
+    return name
+
+
+def coverage(objdir):
+    """What gcov saw over every object compiled from src/: (source
+    file, line) -> max execution count, and (source file, function
+    name, first line) -> [last line, entered], instantiations of one
+    template merged."""
     counts = {}
+    functions = {}
     for root, _, files in os.walk(objdir):
         for name in sorted(files):
             if not name.endswith(".gcno"):
                 continue
             r = subprocess.run(["gcov", "--stdout", "--json-format",
+                                "--demangled-names",
                                 os.path.join(root, name)],
                                cwd=root, stdout=subprocess.PIPE,
                                stderr=subprocess.DEVNULL, text=True)
@@ -90,10 +150,18 @@ def line_counts(objdir):
                     for ln in f.get("lines", []):
                         key = (path, ln["line_number"])
                         counts[key] = max(counts.get(key, 0), ln["count"])
-    return counts
+                    for fn in f.get("functions", []):
+                        key = (path, function_name(
+                            fn.get("demangled_name", fn["name"])),
+                               fn["start_line"])
+                        entry = functions.setdefault(
+                            key, [fn["end_line"], False])
+                        entry[0] = max(entry[0], fn["end_line"])
+                        entry[1] |= fn["execution_count"] > 0
+    return counts, functions
 
 
-def report(counts):
+def report(counts, functions):
     per_file = collections.defaultdict(lambda: [0, 0])  # [unrun, lines]
     for (path, _), count in counts.items():
         entry = per_file[os.path.relpath(path, SRC)]
@@ -125,6 +193,18 @@ def report(counts):
         unrun, lines = per_file[rel]
         if unrun:
             print("%-36s %7d %7d" % ("src/" + rel, unrun, lines))
+
+    unentered = collections.defaultdict(list)
+    for (path, name, first), (last, entered) in functions.items():
+        if not entered:
+            unentered[os.path.relpath(path, SRC)].append(
+                (first, last, name))
+    print()
+    print("Functions never entered (template instantiations merged):")
+    for rel in sorted(unentered):
+        print("src/" + rel)
+        for first, last, name in sorted(unentered[rel]):
+            print("  %5d-%-5d %s" % (first, last, name))
 
 
 def main():
@@ -161,10 +241,10 @@ def main():
     if not run_workloads(cgpbench, campaigns, env):
         print("warning: a run failed; its lines may read as unrun")
     print()
-    counts = line_counts(objdir)
+    counts, functions = coverage(objdir)
     if not counts:
         print("warning: gcov found no src/ line under %s" % objdir)
-    report(counts)
+    report(counts, functions)
 
 
 if __name__ == "__main__":
