@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "mem/pfarbiter.hh"
@@ -43,12 +44,28 @@ Cache::Cache(const CacheConfig &config, Cache *next, MemoryPort *port)
                "next level and its port go together");
 }
 
+inline Cache::Mshr *
+Cache::findInflight(Addr line_addr)
+{
+    for (Mshr &m : inflight_) {
+        if (m.line == line_addr)
+            return &m;
+    }
+    return nullptr;
+}
+
+inline const Cache::Mshr *
+Cache::findInflight(Addr line_addr) const
+{
+    return const_cast<Cache *>(this)->findInflight(line_addr);
+}
+
 bool
 Cache::linePresentOrInflight(Addr addr) const
 {
     const Addr line_addr = lineAlign(addr);
     return find(line_addr) != nullptr ||
-        inflight_.find(line_addr) != inflight_.end();
+        findInflight(line_addr) != nullptr;
 }
 
 Cycle
@@ -78,36 +95,36 @@ Cache::AccessResult
 Cache::accessMiss(Addr line_addr, Cycle now, AccessSource source)
 {
     AccessResult res;
-    if (auto it = inflight_.find(line_addr); it != inflight_.end()) {
-        Mshr &m = it->second;
-        if (m.isPrefetch && !m.demanded) {
-            ++delayedHits_[static_cast<std::size_t>(m.source)];
+    if (Mshr *m = findInflight(line_addr)) {
+        if (m->isPrefetch && !m->demanded) {
+            ++delayedHits_[static_cast<std::size_t>(m->source)];
             if (arbiter_ != nullptr)
-                arbiter_->recordOutcome(m.source, true);
+                arbiter_->recordOutcome(m->source, true);
         }
-        m.demanded = true;
+        m->demanded = true;
         res.delayedHit = true;
-        res.readyCycle = std::max(m.readyCycle,
+        res.readyCycle = std::max(m->readyCycle,
                                   now + config_.hitLatency);
         return res;
     }
 
     ++misses_;
     Mshr m;
+    m.line = line_addr;
     m.readyCycle = forwardMiss(line_addr, now, source);
     m.isPrefetch = false;
     m.demanded = true;
     m.source = source;
     res.readyCycle = m.readyCycle;
-    addInflight(line_addr, m);
+    addInflight(m);
     return res;
 }
 
 bool
 Cache::warmMiss(Addr line_addr, bool is_write)
 {
-    if (auto it = inflight_.find(line_addr); it != inflight_.end()) {
-        it->second.demanded = true;
+    if (Mshr *m = findInflight(line_addr)) {
+        m->demanded = true;
         return false;
     }
     if (next_ != nullptr)
@@ -199,7 +216,6 @@ Cache::loadState(const Json &state)
         sample::slotValues(state, "meta", filled.size(), what);
     tick_ = state.at("tick").asUint();
     inflight_.clear();
-    nextReady_ = std::numeric_limits<Cycle>::max();
     std::fill(lines_.begin(), lines_.end(), Line{});
     for (std::size_t k = 0; k < filled.size(); ++k) {
         Line &l = lines_[filled[k]];
@@ -240,8 +256,7 @@ Cache::prefetch(Addr addr, Cycle now, AccessSource source)
             break;
         }
     }
-    if (find(line_addr) != nullptr ||
-        inflight_.find(line_addr) != inflight_.end()) {
+    if (find(line_addr) != nullptr || findInflight(line_addr) != nullptr) {
         ++squashed_;
         return false;
     }
@@ -254,10 +269,8 @@ Cache::prefetch(Addr addr, Cycle now, AccessSource source)
 bool
 Cache::issueArbitrated(Addr line_addr, Cycle now, AccessSource source)
 {
-    if (find(line_addr) != nullptr ||
-        inflight_.find(line_addr) != inflight_.end()) {
+    if (find(line_addr) != nullptr || findInflight(line_addr) != nullptr)
         return false;
-    }
     issuePrefetch(line_addr, now, source);
     return true;
 }
@@ -266,19 +279,20 @@ Cycle
 Cache::issuePrefetch(Addr line_addr, Cycle now, AccessSource source)
 {
     Mshr m;
+    m.line = line_addr;
     m.readyCycle = forwardMiss(line_addr, now, source);
     m.isPrefetch = true;
     m.demanded = false;
     m.source = source;
-    addInflight(line_addr, m);
+    addInflight(m);
     ++prefIssued_[static_cast<std::size_t>(source)];
     return m.readyCycle;
 }
 
 void
-Cache::insert(Addr line_addr, const Mshr &mshr)
+Cache::insert(const Mshr &mshr)
 {
-    Line &v = victim(line_addr);
+    Line &v = victim(mshr.line);
     // An empty way was never prefetched.
     if (v.prefetched && !v.referenced) {
         ++useless_[static_cast<std::size_t>(v.source)];
@@ -286,7 +300,7 @@ Cache::insert(Addr line_addr, const Mshr &mshr)
             arbiter_->recordOutcome(v.source, false);
     }
     ++tick_;
-    v.tag = line_addr;
+    v.tag = mshr.line;
     v.lru = tick_;
     v.dirty = false;
     v.prefetched = mshr.isPrefetch;
@@ -295,38 +309,33 @@ Cache::insert(Addr line_addr, const Mshr &mshr)
 }
 
 void
-Cache::addInflight(Addr line_addr, const Mshr &mshr)
+Cache::addInflight(const Mshr &mshr)
 {
-    inflight_.emplace(line_addr, mshr);
-    nextReady_ = std::min(nextReady_, mshr.readyCycle);
+    // New fills are usually the latest: walk back from the end.
+    auto pos = inflight_.end();
+    while (pos != inflight_.begin() &&
+           std::prev(pos)->readyCycle > mshr.readyCycle)
+        --pos;
+    inflight_.insert(pos, mshr);
 }
 
 void
 Cache::landFills(Cycle now)
 {
-    Cycle earliest = std::numeric_limits<Cycle>::max();
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second.readyCycle <= now) {
-            insert(it->first, it->second);
-            it = inflight_.erase(it);
-        } else {
-            earliest = std::min(earliest, it->second.readyCycle);
-            ++it;
-        }
-    }
-    nextReady_ = earliest;
+    auto ready = inflight_.begin();
+    for (; ready != inflight_.end() && ready->readyCycle <= now; ++ready)
+        insert(*ready);
+    inflight_.erase(inflight_.begin(), ready);
 }
 
 void
 Cache::finalize()
 {
-    for (const auto &[addr, m] : inflight_) {
-        (void)addr;
+    for (const Mshr &m : inflight_) {
         if (m.isPrefetch && !m.demanded)
             ++useless_[static_cast<std::size_t>(m.source)];
     }
     inflight_.clear();
-    nextReady_ = std::numeric_limits<Cycle>::max();
     for (Line &l : lines_) {
         if (l.prefetched && !l.referenced) {
             ++useless_[static_cast<std::size_t>(l.source)];

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/types.hh"
@@ -269,9 +268,14 @@ class Cache
         return false;
     }
 
-    /** No fill lands before this cycle (max when none is in
+    /** The earliest pending fill's ready cycle (max when none is in
      *  flight); tick() before it does nothing. */
-    Cycle nextReadyBound() const { return nextReady_; }
+    Cycle
+    nextReadyBound() const
+    {
+        return inflight_.empty() ? std::numeric_limits<Cycle>::max()
+                                 : inflight_.front().readyCycle;
+    }
 
     /** No in-flight fills (checkpoints require a quiesced cache). */
     bool inflightEmpty() const { return inflight_.empty(); }
@@ -286,16 +290,15 @@ class Cache
     /// @}
 
     /**
-     * Move fills whose ready cycle has passed into the array.  Returns
-     * at once (inline: it runs three times per stepped cycle) while
-     * no fill can be ready; otherwise landFills walks inflight_ in its
-     * own iteration order, which decides the LRU ticks of fills
-     * landing in the same cycle.
+     * Move fills whose ready cycle has passed into the array, in
+     * (ready cycle, allocation) order, which decides their LRU ticks.
+     * Returns at once (inline: it runs three times per stepped cycle)
+     * while no fill is ready.
      */
     void
     tick(Cycle now)
     {
-        if (now >= nextReady_)
+        if (now >= nextReadyBound())
             landFills(now);
     }
 
@@ -342,6 +345,7 @@ class Cache
 
     struct Mshr
     {
+        Addr line = invalidAddr;
         Cycle readyCycle = 0;
         bool isPrefetch = false;
         bool demanded = false; ///< a demand access joined the fill
@@ -358,8 +362,9 @@ class Cache
     /** Miss path: compute fill latency through next level / memory. */
     Cycle forwardMiss(Addr line_addr, Cycle now, AccessSource source);
 
-    /** Insert a line, evicting LRU (classifying prefetch victims). */
-    void insert(Addr line_addr, const Mshr &mshr);
+    /** Install a landed fill, evicting LRU (classifying prefetch
+     *  victims). */
+    void insert(const Mshr &mshr);
 
     /** The way a fill of @p line_addr takes: the first empty way of
      *  its set, else the least recently used one. */
@@ -397,6 +402,11 @@ class Cache
      *  hit (§5.6). */
     void firstUse(Line &l);
 
+    /** The in-flight fill of @p line_addr, or null: a linear scan,
+     *  since few fills are in flight at once (DESIGN.md §4.3). */
+    Mshr *findInflight(Addr line_addr);
+    const Mshr *findInflight(Addr line_addr) const;
+
     /** warmAccess() past a miss in the array: join an in-flight fill
      *  or warm the next level and install the line. */
     bool warmMiss(Addr line_addr, bool is_write);
@@ -405,11 +415,13 @@ class Cache
     Cycle issuePrefetch(Addr line_addr, Cycle now,
                         AccessSource source);
 
-    /** tick()'s walk, once a fill may be ready. */
+    /** tick()'s work, once the earliest fill is ready: install the
+     *  ready prefix of inflight_ in order and erase it. */
     void landFills(Cycle now);
 
-    /** Record a new MSHR in inflight_ (and in nextReady_). */
-    void addInflight(Addr line_addr, const Mshr &mshr);
+    /** Insert a new MSHR after every fill of the same or an earlier
+     *  ready cycle. */
+    void addInflight(const Mshr &mshr);
 
     /** Counter-free line install used by the warming path. */
     void warmInstall(Addr line_addr);
@@ -426,13 +438,9 @@ class Cache
     unsigned lineShift_;
     std::size_t setMask_;
     std::vector<Line> lines_;
-    std::unordered_map<Addr, Mshr> inflight_;
-    /**
-     * Lower bound on the earliest readyCycle in inflight_ (max when
-     * it is empty): lowered on every MSHR insert, recomputed by the
-     * walk in landFills(), reset wherever inflight_ is cleared.
-     */
-    Cycle nextReady_ = std::numeric_limits<Cycle>::max();
+    /** The MSHRs, sorted by (ready cycle, allocation order): the
+     *  order in which they land. */
+    std::vector<Mshr> inflight_;
     std::uint64_t tick_ = 0;
 
     std::uint64_t accesses_ = 0;
