@@ -11,153 +11,46 @@
 namespace cgp
 {
 
+namespace
+{
+
+/** One row per scalar of @p value, keyed by its dotted path: nested
+ *  blocks and array items extend @p key. */
+void
+addRows(TablePrinter &t, const std::string &key, const Json &value)
+{
+    switch (value.type()) {
+      case Json::Type::Object:
+        for (const auto &[name, member] : value.members())
+            addRows(t, key.empty() ? name : key + "." + name, member);
+        break;
+      case Json::Type::Array:
+        for (std::size_t i = 0; i < value.size(); ++i)
+            addRows(t, key + "." + std::to_string(i), value[i]);
+        break;
+      case Json::Type::Uint:
+        t.addRow({key, TablePrinter::num(value.asUint())});
+        break;
+      case Json::Type::Double:
+        t.addRow({key, TablePrinter::fixed(value.asDouble(), 4)});
+        break;
+      case Json::Type::String:
+        t.addRow({key, value.asString()});
+        break;
+      default:
+        t.addRow({key, value.dump()});
+        break;
+    }
+}
+
+} // namespace
+
 void
 writeReport(const SimResult &result, std::ostream &os)
 {
     TablePrinter t(result.workload + " / " + result.config);
     t.setHeader({"metric", "value"});
-    t.addRow({"cycles", TablePrinter::num(result.cycles)});
-    t.addRow({"instructions", TablePrinter::num(result.instrs)});
-    t.addRow({"IPC", TablePrinter::fixed(result.ipc(), 3)});
-    t.addRule();
-    t.addRow({"I-cache accesses",
-              TablePrinter::num(result.icacheAccesses)});
-    t.addRow({"I-cache misses",
-              TablePrinter::num(result.icacheMisses)});
-    if (result.icacheAccesses > 0) {
-        t.addRow({"I-cache miss ratio",
-                  TablePrinter::percent(
-                      static_cast<double>(result.icacheMisses) /
-                          static_cast<double>(result.icacheAccesses),
-                      2)});
-    }
-    t.addRow({"D-cache accesses",
-              TablePrinter::num(result.dcacheAccesses)});
-    t.addRow({"D-cache misses",
-              TablePrinter::num(result.dcacheMisses)});
-    if (result.dcacheAccesses > 0) {
-        t.addRow({"D-cache miss ratio",
-                  TablePrinter::percent(
-                      static_cast<double>(result.dcacheMisses) /
-                          static_cast<double>(result.dcacheAccesses),
-                      2)});
-    }
-    t.addRow({"L2 misses", TablePrinter::num(result.l2Misses)});
-    t.addRow({"bus lines (L1<->L2)",
-              TablePrinter::num(result.busLines)});
-    t.addRow({"branch mispredicts",
-              TablePrinter::num(result.branchMispredicts)});
-    t.addRow({"instructions / call",
-              TablePrinter::fixed(result.instrsPerCall, 1)});
-
-    const auto total = result.totalPrefetch();
-    if (total.issued > 0) {
-        t.addRule();
-        t.addRow({"prefetches issued",
-                  TablePrinter::num(total.issued)});
-        t.addRow({"  pref hits", TablePrinter::num(total.prefHits)});
-        t.addRow({"  delayed hits",
-                  TablePrinter::num(total.delayedHits)});
-        t.addRow({"  useless", TablePrinter::num(total.useless)});
-        t.addRow({"  useful fraction",
-                  TablePrinter::percent(total.usefulFraction())});
-        t.addRow({"  squashed",
-                  TablePrinter::num(result.squashedPrefetches)});
-        if (result.cghc.issued > 0) {
-            t.addRow({"  CGHC-issued",
-                      TablePrinter::num(result.cghc.issued)});
-            t.addRow({"  CGHC useful fraction",
-                      TablePrinter::percent(
-                          result.cghc.usefulFraction())});
-        }
-    }
-    if (result.dpf.issued > 0) {
-        t.addRule();
-        t.addRow({"D-prefetches issued",
-                  TablePrinter::num(result.dpf.issued)});
-        t.addRow({"  pref hits",
-                  TablePrinter::num(result.dpf.prefHits)});
-        t.addRow({"  delayed hits",
-                  TablePrinter::num(result.dpf.delayedHits)});
-        t.addRow({"  useless", TablePrinter::num(result.dpf.useless)});
-        t.addRow({"  useful fraction",
-                  TablePrinter::percent(result.dpf.usefulFraction())});
-        t.addRow({"  squashed",
-                  TablePrinter::num(result.dSquashedPrefetches)});
-    }
-    if (result.arbNl.any() || result.arbCghc.any() ||
-        result.arbDpf.any()) {
-        t.addRule();
-        const auto arb_rows = [&t](const char *name,
-                                   const ArbiterBreakdown &b) {
-            if (!b.any())
-                return;
-            t.addRow({std::string("arbiter[") + name + "] issued",
-                      TablePrinter::num(b.issued)});
-            t.addRow({"  deferred", TablePrinter::num(b.deferred)});
-            t.addRow({"  dropped", TablePrinter::num(b.dropped)});
-            t.addRow({"  duplicate-merged",
-                      TablePrinter::num(b.duplicateMerged)});
-        };
-        arb_rows("NL", result.arbNl);
-        arb_rows("CGHC", result.arbCghc);
-        arb_rows("D", result.arbDpf);
-    }
-    if (result.cghcAccesses > 0) {
-        t.addRow({"CGHC accesses",
-                  TablePrinter::num(result.cghcAccesses)});
-        t.addRow({"CGHC hit rate",
-                  TablePrinter::percent(
-                      static_cast<double>(result.cghcHits) /
-                          static_cast<double>(result.cghcAccesses))});
-    }
-    if (result.serverEnabled) {
-        const auto &srv = result.server;
-        t.addRule();
-        t.addRow({"server cores", TablePrinter::num(srv.cores)});
-        t.addRow({"sessions", TablePrinter::num(srv.sessions)});
-        t.addRow({"queries served",
-                  TablePrinter::num(srv.queriesServed)});
-        t.addRow({"queries / Mcycle",
-                  TablePrinter::fixed(srv.queriesPerMcycle(), 2)});
-        t.addRow({"latency p50", TablePrinter::num(srv.latencyP50)});
-        t.addRow({"latency p95", TablePrinter::num(srv.latencyP95)});
-        t.addRow({"latency p99", TablePrinter::num(srv.latencyP99)});
-        t.addRow({"L2-port wait cycles",
-                  TablePrinter::num(srv.portWaitCycles)});
-        for (std::size_t i = 0; i < srv.perCore.size(); ++i) {
-            t.addRow({"  core " + std::to_string(i) + " util",
-                      TablePrinter::percent(
-                          srv.perCore[i].utilization())});
-        }
-    }
-    if (result.sampledEnabled) {
-        const auto &smp = result.sampled;
-        t.addRule();
-        t.addRow({"sampled windows", TablePrinter::num(smp.windows)});
-        t.addRow({"detailed cycles",
-                  TablePrinter::num(smp.detailedCycles)});
-        t.addRow({"warmed instrs",
-                  TablePrinter::num(smp.warmedInstrs)});
-        if (smp.detailedCycles > 0) {
-            t.addRow({"cycle-loop speedup",
-                      TablePrinter::fixed(
-                          static_cast<double>(result.cycles) /
-                              static_cast<double>(smp.detailedCycles),
-                          1) + "x"});
-        }
-        const auto est_row = [&t](const char *name,
-                                  const sample::SampledEstimate &e) {
-            t.addRow({name,
-                      TablePrinter::fixed(e.mean, 4) + " [" +
-                          TablePrinter::fixed(e.ciLow, 4) + ", " +
-                          TablePrinter::fixed(e.ciHigh, 4) + "]"});
-        };
-        est_row("CPI est [95% CI]", smp.cpi);
-        est_row("L1-I miss rate est", smp.l1iMissRate);
-        est_row("L1-D miss rate est", smp.l1dMissRate);
-        est_row("fetch stall/instr est", smp.fetchStallPerInstr);
-    }
+    addRows(t, "", toJson(result));
     t.print(os);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Reporting of simulation results: a one-screen human-readable
- * summary of a SimResult, side-by-side comparisons of several
+ * Reporting of simulation results: a human-readable listing of a
+ * SimResult, side-by-side comparisons of several
  * results over the same workload (for downstream users), and the
  * canonical machine-readable JSON form shared by the experiment
  * engine's run directories and BENCH_*.json artifacts.
@@ -19,7 +19,8 @@
 namespace cgp
 {
 
-/** Write a detailed single-run report. */
+/** Write a single-run report: one row per field of toJson(result),
+ *  nested blocks as dotted keys (`nl.issued`), in toJson's order. */
 void writeReport(const SimResult &result, std::ostream &os);
 
 /**

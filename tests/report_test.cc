@@ -48,9 +48,9 @@ TEST(Report, SingleRunContainsKeyMetrics)
     const std::string out = os.str();
     EXPECT_NE(out.find("O5+OM+CGP_4"), std::string::npos);
     EXPECT_NE(out.find("2,000"), std::string::npos);
-    EXPECT_NE(out.find("I-cache misses"), std::string::npos);
-    EXPECT_NE(out.find("prefetches issued"), std::string::npos);
-    EXPECT_NE(out.find("CGHC hit rate"), std::string::npos);
+    EXPECT_NE(out.find("icache_misses"), std::string::npos);
+    EXPECT_NE(out.find("nl.issued"), std::string::npos);
+    EXPECT_NE(out.find("cghc_hits"), std::string::npos);
 }
 
 TEST(Report, ComparisonNormalizesToFirst)
