@@ -7,26 +7,12 @@
 
 #include <algorithm>
 
-#include "util/bitops.hh"
-#include "util/logging.hh"
-
 namespace cgp
 {
 
-CorrelationDataPrefetcher::CorrelationDataPrefetcher(
-    Cache &l1d, const CorrelationConfig &config)
-    : l1d_(l1d), config_(config),
-      sets_(config.entries / config.assoc),
-      table_(static_cast<std::size_t>(sets_) * config.assoc)
+CorrelationDataPrefetcher::CorrelationDataPrefetcher(Cache &l1d)
+    : l1d_(l1d), table_(entries)
 {
-    cgp_assert(config_.assoc > 0 && config_.entries >= config_.assoc,
-               "correlation table smaller than one set");
-    cgp_assert(config_.entries % config_.assoc == 0,
-               "correlation entries not divisible into sets");
-    cgp_assert(isPowerOfTwo(sets_),
-               "correlation set count must be a power of two");
-    cgp_assert(config_.successors > 0, "need at least one successor");
-    cgp_assert(config_.depth > 0, "depth must be at least 1");
 }
 
 std::size_t
@@ -34,15 +20,15 @@ CorrelationDataPrefetcher::setBase(Addr line) const
 {
     const std::uint64_t h =
         (line / l1d_.lineBytes()) * 0x9e3779b97f4a7c15ull;
-    return static_cast<std::size_t>((h >> 17) & (sets_ - 1)) *
-        config_.assoc;
+    return static_cast<std::size_t>((h >> 17) & (sets - 1)) *
+        assoc;
 }
 
 CorrelationDataPrefetcher::Entry *
 CorrelationDataPrefetcher::find(Addr line)
 {
     const std::size_t base = setBase(line);
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+    for (std::uint32_t w = 0; w < assoc; ++w) {
         Entry &e = table_[base + w];
         if (e.valid && e.tag == line)
             return &e;
@@ -65,7 +51,7 @@ CorrelationDataPrefetcher::findOrAlloc(Addr line)
     }
     const std::size_t base = setBase(line);
     std::size_t victim = base;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+    for (std::uint32_t w = 0; w < assoc; ++w) {
         Entry &e = table_[base + w];
         if (!e.valid) {
             victim = base + w;
@@ -92,8 +78,8 @@ CorrelationDataPrefetcher::record(Addr prev_line, Addr line)
     if (it != e.succ.end())
         e.succ.erase(it);
     e.succ.insert(e.succ.begin(), line);
-    if (e.succ.size() > config_.successors)
-        e.succ.resize(config_.successors);
+    if (e.succ.size() > successors)
+        e.succ.resize(successors);
 }
 
 void
@@ -106,24 +92,14 @@ CorrelationDataPrefetcher::onMiss(Addr pc, Addr addr, Cycle now)
         record(lastMissLine_, line);
     lastMissLine_ = line;
 
-    // Prefetch recorded successors, chaining through the most-recent
-    // successor for deeper lookahead.
-    Addr key = line;
-    for (unsigned d = 0; d < config_.depth; ++d) {
-        const Entry *e = find(key);
-        if (e == nullptr || e->succ.empty())
-            break;
-        const unsigned n = std::min<unsigned>(
-            config_.degree,
-            static_cast<unsigned>(e->succ.size()));
-        for (unsigned i = 0; i < n; ++i) {
-            ++requested_;
-            l1d_.prefetch(e->succ[i], now,
-                          AccessSource::DataPrefetch);
-        }
-        key = e->succ.front();
-        if (key == line)
-            break;
+    // Prefetch the most recent recorded successors.
+    const Entry *e = find(line);
+    if (e == nullptr)
+        return;
+    const std::size_t n = std::min<std::size_t>(degree, e->succ.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        ++requested_;
+        l1d_.prefetch(e->succ[i], now, AccessSource::DataPrefetch);
     }
 }
 
@@ -157,7 +133,7 @@ CorrelationDataPrefetcher::saveState() const
           sample::emptyRuns(table_.size(), [this](std::size_t i) {
               return table_[i].valid;
           }));
-    Json entries = Json::array();
+    Json rows = Json::array();
     for (const Entry &e : table_) {
         if (!e.valid)
             continue;
@@ -168,9 +144,9 @@ CorrelationDataPrefetcher::saveState() const
         for (Addr a : e.succ)
             succ.push(a);
         je.set("succ", std::move(succ));
-        entries.push(std::move(je));
+        rows.push(std::move(je));
     }
-    j.set("table", std::move(entries));
+    j.set("table", std::move(rows));
     return j;
 }
 
@@ -181,14 +157,14 @@ CorrelationDataPrefetcher::loadState(const Json &state)
         throw std::runtime_error("correlation table size mismatch");
     const std::vector<std::size_t> filled = sample::filledSlots(
         state.at("empty"), table_.size(), "correlation");
-    const Json::Array &entries = sample::slotValues(
+    const Json::Array &rows = sample::slotValues(
         state, "table", filled.size(), "correlation");
     tick_ = state.at("tick").asUint();
     lastMissLine_ = state.at("last_miss_line").asUint();
     std::fill(table_.begin(), table_.end(), Entry{});
     for (std::size_t k = 0; k < filled.size(); ++k) {
         Entry &e = table_[filled[k]];
-        const Json &je = entries[k];
+        const Json &je = rows[k];
         e.valid = true;
         e.tag = je.at("tag").asUint();
         e.lru = je.at("lru").asUint();

@@ -5,9 +5,8 @@
  * A bounded, set-associative table maps a miss line to the lines
  * that missed right after it, in MRU order.  On a demand miss the
  * table records the (previous miss -> this miss) transition, then
- * prefetches up to `degree` recorded successors of the current miss;
- * with `depth` > 1 the lookup chains through the most-recent
- * successor to run further ahead of the miss stream.  Pointer-chasing
+ * prefetches up to `degree` recorded successors of the current miss.
+ * Pointer-chasing
  * access patterns — the premise the paper applies to instruction
  * fetch — repeat their miss sequences, which is exactly what this
  * table captures on the data side.
@@ -20,35 +19,29 @@
 #include <vector>
 
 #include "dprefetch/dprefetcher.hh"
+#include "util/bitops.hh"
 
 namespace cgp
 {
 
 class Json;
 
-struct CorrelationConfig
-{
-    /** Total table entries (trigger lines tracked). */
-    unsigned entries = 1024;
-
-    /** Set associativity of the table. */
-    unsigned assoc = 4;
-
-    /** Successor lines remembered per trigger (MRU order). */
-    unsigned successors = 4;
-
-    /** Successors prefetched per lookup. */
-    unsigned degree = 2;
-
-    /** Chained lookups per miss (1 = direct successors only). */
-    unsigned depth = 1;
-};
-
 class CorrelationDataPrefetcher : public DataPrefetcher
 {
   public:
-    CorrelationDataPrefetcher(Cache &l1d,
-                              const CorrelationConfig &config = {});
+    /** Total table entries (trigger lines tracked). */
+    static constexpr unsigned entries = 1024;
+
+    /** Set associativity of the table. */
+    static constexpr unsigned assoc = 4;
+
+    /** Successor lines remembered per trigger (MRU order). */
+    static constexpr unsigned successors = 4;
+
+    /** Successors prefetched per lookup. */
+    static constexpr unsigned degree = 2;
+
+    explicit CorrelationDataPrefetcher(Cache &l1d);
 
     void onMiss(Addr pc, Addr addr, Cycle now) override;
 
@@ -85,9 +78,11 @@ class CorrelationDataPrefetcher : public DataPrefetcher
     Entry &findOrAlloc(Addr line);
     void record(Addr prev_line, Addr line);
 
+    static constexpr std::uint32_t sets = entries / assoc;
+    static_assert(entries % assoc == 0 && isPowerOfTwo(sets),
+                  "correlation entries must fill a power-of-two set count");
+
     Cache &l1d_;
-    CorrelationConfig config_;
-    std::uint32_t sets_;
     std::vector<Entry> table_;
     Addr lastMissLine_ = invalidAddr;
     std::uint64_t tick_ = 0;

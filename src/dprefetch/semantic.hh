@@ -20,29 +20,26 @@
 #include <vector>
 
 #include "dprefetch/dprefetcher.hh"
+#include "util/bitops.hh"
 
 namespace cgp
 {
 
 class Json;
 
-struct SemanticConfig
-{
-    /** Lines prefetched per heap-record / scan hint. */
-    unsigned lines = 2;
-
-    /** Lines per B-tree node hint (header + key array). */
-    unsigned btreeLines = 4;
-
-    /** Recently hinted lines remembered by the dedup filter. */
-    unsigned dedupEntries = 64;
-};
-
 class SemanticDataPrefetcher : public DataPrefetcher
 {
   public:
-    SemanticDataPrefetcher(Cache &l1d,
-                           const SemanticConfig &config = {});
+    /** Lines prefetched per heap-record / scan hint. */
+    static constexpr unsigned lines = 2;
+
+    /** Lines per B-tree node hint (header + key array). */
+    static constexpr unsigned btreeLines = 4;
+
+    /** Recently hinted lines remembered by the dedup filter. */
+    static constexpr unsigned dedupEntries = 64;
+
+    explicit SemanticDataPrefetcher(Cache &l1d);
 
     void onHint(DataHintKind kind, Addr addr, Cycle now) override;
 
@@ -67,8 +64,10 @@ class SemanticDataPrefetcher : public DataPrefetcher
     /** True (and remembered) if @p line was hinted recently. */
     bool recentlyHinted(Addr line);
 
+    static_assert(isPowerOfTwo(dedupEntries),
+                  "dedup filter size must be a power of two");
+
     Cache &l1d_;
-    SemanticConfig config_;
     /** Direct-mapped filter of recently hinted line addresses. */
     std::vector<Addr> recent_;
     std::uint64_t hintsSeen_ = 0;

@@ -6,22 +6,12 @@
 #include "sample/checkpoint.hh"
 #include "util/json.hh"
 
-#include "util/bitops.hh"
-#include "util/logging.hh"
-
 namespace cgp
 {
 
-StrideDataPrefetcher::StrideDataPrefetcher(Cache &l1d,
-                                           const StrideConfig &config)
-    : l1d_(l1d), config_(config), table_(config.tableEntries)
+StrideDataPrefetcher::StrideDataPrefetcher(Cache &l1d)
+    : l1d_(l1d), table_(tableEntries)
 {
-    cgp_assert(config_.tableEntries > 0, "stride table needs entries");
-    cgp_assert(isPowerOfTwo(config_.tableEntries),
-               "stride table size must be a power of two");
-    cgp_assert(config_.promoteAt > 0 &&
-                   config_.promoteAt <= config_.maxConfidence,
-               "promoteAt must lie within the confidence range");
 }
 
 std::size_t
@@ -30,7 +20,7 @@ StrideDataPrefetcher::indexOf(Addr pc) const
     // Instructions are 4-byte aligned; drop the low bits before
     // indexing so neighbouring PCs spread across the table.
     return static_cast<std::size_t>(
-        (pc >> 2) & (config_.tableEntries - 1));
+        (pc >> 2) & (tableEntries - 1));
 }
 
 unsigned
@@ -64,7 +54,7 @@ StrideDataPrefetcher::onAccess(Addr pc, Addr addr, bool is_write,
         return;
 
     if (delta == e.stride) {
-        if (e.confidence < config_.maxConfidence)
+        if (e.confidence < maxConfidence)
             ++e.confidence;
     } else {
         // Demotion: lose confidence first; only retrain the stride
@@ -78,7 +68,7 @@ StrideDataPrefetcher::onAccess(Addr pc, Addr addr, bool is_write,
         return;
     }
 
-    if (e.confidence < config_.promoteAt)
+    if (e.confidence < promoteAt)
         return;
 
     // Run ahead of the stream: prefetch the next `degree` strides,
@@ -86,7 +76,7 @@ StrideDataPrefetcher::onAccess(Addr pc, Addr addr, bool is_write,
     // strides revisit it).
     const Addr cur_line = l1d_.lineAlign(addr);
     Addr prev_line = cur_line;
-    for (unsigned k = 1; k <= config_.degree; ++k) {
+    for (unsigned k = 1; k <= degree; ++k) {
         const Addr target = static_cast<Addr>(
             static_cast<std::int64_t>(addr) +
             e.stride * static_cast<std::int64_t>(k));

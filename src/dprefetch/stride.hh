@@ -18,31 +18,29 @@
 #include <vector>
 
 #include "dprefetch/dprefetcher.hh"
+#include "util/bitops.hh"
 
 namespace cgp
 {
 
 class Json;
 
-struct StrideConfig
-{
-    /** Direct-mapped table entries (per-PC). */
-    unsigned tableEntries = 256;
-
-    /** Strides prefetched ahead once confident. */
-    unsigned degree = 2;
-
-    /** Confidence needed before prefetches issue. */
-    unsigned promoteAt = 2;
-
-    /** Saturation cap of the confidence counter. */
-    unsigned maxConfidence = 3;
-};
-
 class StrideDataPrefetcher : public DataPrefetcher
 {
   public:
-    StrideDataPrefetcher(Cache &l1d, const StrideConfig &config = {});
+    /** Direct-mapped table entries (per-PC). */
+    static constexpr unsigned tableEntries = 256;
+
+    /** Strides prefetched ahead once confident. */
+    static constexpr unsigned degree = 2;
+
+    /** Confidence needed before prefetches issue. */
+    static constexpr unsigned promoteAt = 2;
+
+    /** Saturation cap of the confidence counter. */
+    static constexpr unsigned maxConfidence = 3;
+
+    explicit StrideDataPrefetcher(Cache &l1d);
 
     void onAccess(Addr pc, Addr addr, bool is_write, bool miss,
                   Cycle now) override;
@@ -75,9 +73,13 @@ class StrideDataPrefetcher : public DataPrefetcher
     std::size_t indexOf(Addr pc) const;
 
     Cache &l1d_;
-    StrideConfig config_;
     std::vector<Entry> table_;
     std::uint64_t requested_ = 0;
+
+    static_assert(isPowerOfTwo(tableEntries),
+                  "stride table size must be a power of two");
+    static_assert(promoteAt > 0 && promoteAt <= maxConfidence,
+                  "promoteAt must lie within the confidence range");
 };
 
 } // namespace cgp
